@@ -39,6 +39,25 @@ def publish(name: str, text: str, data: Optional[dict] = None) -> None:
     print(text)
 
 
+def host_metadata() -> dict:
+    """The host a benchmark ran on, for its ``BENCH_*.json``."""
+    import os
+    import platform
+
+    import networkx
+    import numpy
+
+    from repro.engine import default_backend_name
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "engine_backend": default_backend_name(),
+        "networkx": networkx.__version__,
+        "numpy": numpy.__version__,
+        "python": platform.python_version(),
+    }
+
+
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)

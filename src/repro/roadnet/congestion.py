@@ -27,7 +27,7 @@ from typing import Dict, Tuple
 import networkx as nx
 
 from repro.errors import CalibrationError, NetworkDataError
-from repro.roadnet.graph import RoadNetwork
+from repro.roadnet.graph import RoadNetwork, shortest_path_tree, tree_path
 from repro.roadnet.routing import RoutePlan
 from repro.roadnet.trips import TripTable
 
@@ -88,16 +88,18 @@ class EquilibriumAssignment:
 def _all_or_nothing(
     graph: nx.DiGraph, trips: TripTable, weight: str
 ) -> Tuple[Dict[ArcKey, float], Dict[Tuple[int, int], list]]:
-    """One shortest-path assignment; returns link flows and routes."""
+    """One shortest-path assignment; returns link flows and routes.
+
+    Routes come from one Dijkstra tree per origin under *weight*, with
+    the tie-break :meth:`RoadNetwork.shortest_path` uses.
+    """
     flows: Dict[ArcKey, float] = {}
     routes: Dict[Tuple[int, int], list] = {}
+    trees: Dict[int, Dict[int, int]] = {}
     for (origin, destination), demand in trips.pairs():
-        try:
-            path = nx.shortest_path(graph, origin, destination, weight=weight)
-        except nx.NetworkXNoPath:
-            raise NetworkDataError(
-                f"no path from {origin} to {destination}"
-            ) from None
+        if origin not in trees:
+            trees[origin] = shortest_path_tree(graph, origin, weight)
+        path = tree_path(trees[origin], origin, destination)
         routes[(origin, destination)] = path
         for arc in zip(path, path[1:]):
             flows[arc] = flows.get(arc, 0.0) + demand

@@ -6,18 +6,52 @@ installed), arcs are one-way road segments with free-flow travel time
 and capacity attributes.  The wrapper owns validation and the
 adjacency queries the rest of the library needs, while exposing the
 underlying graph for algorithms (shortest paths, connectivity).
+
+Shortest paths come from one Dijkstra tree per origin
+(:func:`shortest_path_tree`), so every route out of an origin agrees
+with every other on how ties are broken: each node keeps the first
+predecessor that reaches its final distance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Dict, Iterable, List
 
 import networkx as nx
 
 from repro.errors import NetworkDataError
 
-__all__ = ["Arc", "RoadNetwork"]
+__all__ = ["Arc", "RoadNetwork", "shortest_path_tree", "tree_path"]
+
+#: ``node -> predecessor`` on every shortest path out of one origin.
+Tree = Dict[int, int]
+
+
+def shortest_path_tree(graph: nx.DiGraph, origin: int, weight: str) -> Tree:
+    """The Dijkstra shortest-path tree of *origin* under arc attribute
+    *weight*, as ``node -> predecessor`` for every reachable node.
+
+    Among tied predecessors a node keeps the first one that reached its
+    final distance — the same choice
+    :func:`networkx.single_source_dijkstra_path` makes.
+    """
+    pred, _ = nx.dijkstra_predecessor_and_distance(graph, origin, weight=weight)
+    return {node: preds[0] for node, preds in pred.items() if preds}
+
+
+def tree_path(tree: Tree, origin: int, destination: int) -> List[int]:
+    """The *origin* -> *destination* path of *origin*'s *tree*.
+
+    Raises :class:`NetworkDataError` if *destination* is unreachable.
+    """
+    if destination != origin and destination not in tree:
+        raise NetworkDataError(f"no path from {origin} to {destination}")
+    path = [destination]
+    while path[-1] != origin:
+        path.append(tree[path[-1]])
+    path.reverse()
+    return path
 
 
 @dataclass(frozen=True)
@@ -76,6 +110,7 @@ class RoadNetwork:
             )
         if self._graph.number_of_nodes() == 0:
             raise NetworkDataError(f"network {name!r} has no arcs")
+        self._trees: Dict[int, Tree] = {}
 
     # ------------------------------------------------------------------
     # Structure
@@ -129,21 +164,24 @@ class RoadNetwork:
         """Whether every node can reach every other node."""
         return nx.is_strongly_connected(self._graph)
 
+    def shortest_path_tree(self, origin: int) -> Tree:
+        """*origin*'s free-flow-time :func:`shortest_path_tree`, built on
+        first use and cached (shared, do not mutate)."""
+        tree = self._trees.get(origin)
+        if tree is None:
+            self._require(origin)
+            tree = shortest_path_tree(self._graph, origin, "free_flow_time")
+            self._trees[origin] = tree
+        return tree
+
     def shortest_path(self, origin: int, destination: int) -> List[int]:
-        """Minimum free-flow-time path as a node sequence.
+        """Minimum free-flow-time path as a node sequence: the path in
+        *origin*'s cached :meth:`shortest_path_tree`.
 
         Raises :class:`NetworkDataError` if no path exists.
         """
-        self._require(origin)
         self._require(destination)
-        try:
-            return nx.shortest_path(
-                self._graph, origin, destination, weight="free_flow_time"
-            )
-        except nx.NetworkXNoPath:
-            raise NetworkDataError(
-                f"no path from {origin} to {destination} in {self.name!r}"
-            ) from None
+        return tree_path(self.shortest_path_tree(origin), origin, destination)
 
     def path_time(self, path: List[int]) -> float:
         """Total free-flow time along a node sequence."""

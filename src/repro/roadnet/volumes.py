@@ -16,6 +16,8 @@ that matches synthesized traffic to the paper's Table I node volumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -36,12 +38,23 @@ OdPair = Tuple[int, int]
 
 
 def node_volumes(plan: RoutePlan) -> Dict[int, int]:
-    """Transit volume per node: vehicles whose route passes it."""
-    volumes: Dict[int, int] = {}
-    for pair, trips in plan.trips.pairs():
-        for node in plan.routes[pair]:
-            volumes[node] = volumes.get(node, 0) + trips
-    return volumes
+    """Transit volume per node: vehicles whose route passes it.
+
+    Keys run in order of first appearance along the plan's routes (in
+    trip-table order).
+    """
+    incidence = plan.incidence
+    if incidence.nodes.size == 0:
+        return {}
+    per_column = np.add.reduceat(incidence.trips[incidence.ods], incidence.offsets[:-1])
+    return dict(zip(incidence.nodes.tolist(), per_column.tolist()))
+
+
+#: OD pairs per chunk of :func:`pair_common_volumes`; keeps its
+#: scratch arrays small whatever the plan's size.
+_ROUTE_CHUNK = 512
+
+_UNSEEN = np.iinfo(np.int64).max
 
 
 def pair_common_volumes(plan: RoutePlan) -> Dict[OdPair, int]:
@@ -49,16 +62,42 @@ def pair_common_volumes(plan: RoutePlan) -> Dict[OdPair, int]:
 
     ``result[(a, b)]`` (with ``a < b``) counts vehicles whose route
     passes both ``a`` and ``b`` — the quantity ``n_c`` the schemes
-    estimate.
+    estimate.  Keys run in order of first appearance when each route
+    (in trip-table order) is walked pair by pair, ``(route[i],
+    route[j])`` for ``i < j``.
+
+    Every within-route pair is enumerated in exactly that order and
+    summed into a dense node × node table, a chunk of routes at a time.
     """
-    common: Dict[OdPair, int] = {}
-    for pair, trips in plan.trips.pairs():
-        route = plan.routes[pair]
-        for i, a in enumerate(route):
-            for b in route[i + 1 :]:
-                key = (a, b) if a < b else (b, a)
-                common[key] = common.get(key, 0) + trips
-    return common
+    incidence = plan.incidence
+    nodes = np.sort(incidence.nodes)
+    n = nodes.size
+    total = np.zeros(n * n, dtype=np.int64)
+    first = np.full(n * n, _UNSEEN, dtype=np.int64)
+    pairs = [pair for pair, _ in plan.trips.pairs()]
+    opened = 0
+    for lo in range(0, len(pairs), _ROUTE_CHUNK):
+        routes = [plan.routes[pair] for pair in pairs[lo : lo + _ROUTE_CHUNK]]
+        lengths = np.fromiter(map(len, routes), dtype=np.int64, count=len(routes))
+        flat = np.fromiter(
+            chain.from_iterable(routes), dtype=np.int64, count=int(lengths.sum())
+        )
+        rank = np.searchsorted(nodes, flat)
+        # Pairs each route position opens with the positions after it.
+        later = np.repeat(np.cumsum(lengths), lengths) - np.arange(flat.size) - 1
+        a = np.repeat(np.arange(flat.size), later)
+        seq = np.arange(a.size)
+        b = a + 1 + seq - np.repeat(np.cumsum(later) - later, later)
+        ra, rb = rank[a], rank[b]
+        code = np.minimum(ra, rb) * n + np.maximum(ra, rb)
+        weight = np.repeat(incidence.trips[lo : lo + len(routes)], lengths)
+        np.add.at(total, code, weight[a])
+        np.minimum.at(first, code, opened + seq)
+        opened += a.size
+    seen = np.flatnonzero(first != _UNSEEN)
+    keys = seen[np.argsort(first[seen])]
+    low, high = nodes[keys // n].tolist(), nodes[keys % n].tolist()
+    return dict(zip(zip(low, high), total[keys].tolist()))
 
 
 @dataclass(frozen=True)
@@ -67,8 +106,7 @@ class TrafficAssignment:
 
     Vehicles are materialized once (one fleet for the whole period) and
     partitioned contiguously by OD pair; per-node pass lists are then
-    zero-copy concatenations of the slices whose route touches the
-    node.
+    gathers of the slices whose route touches the node.
     """
 
     plan: RoutePlan
@@ -91,18 +129,42 @@ class TrafficAssignment:
     def total_vehicles(self) -> int:
         return len(self.fleet)
 
+    @cached_property
+    def _bounds(self) -> np.ndarray:
+        """Vehicle offsets per OD pair: pair ``k`` owns fleet slots
+        ``bounds[k]:bounds[k + 1]``."""
+        bounds = np.zeros(self.plan.incidence.trips.size + 1, dtype=np.int64)
+        np.cumsum(self.plan.incidence.trips, out=bounds[1:])
+        return bounds
+
     def passes_at(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(ids, keys)`` of every vehicle passing *node*."""
-        id_chunks: List[np.ndarray] = []
-        key_chunks: List[np.ndarray] = []
-        for pair, (start, stop) in self.spans.items():
-            if node in self.plan.routes[pair]:
-                id_chunks.append(self.fleet.ids[start:stop])
-                key_chunks.append(self.fleet.keys[start:stop])
-        if not id_chunks:
+        """``(ids, keys)`` of every vehicle passing *node*, in OD order.
+
+        The node's OD pairs come from the plan's incidence; each run of
+        consecutive pairs owns one contiguous fleet slice.  The slices
+        are gathered in one pass, into outputs allocated before the
+        gather index so the index's memory is reused, not stranded
+        under them.
+        """
+        ods = self.plan.incidence.ods_at(node)
+        if ods.size == 0:
             empty = np.empty(0, dtype=np.uint64)
             return empty, empty.copy()
-        return np.concatenate(id_chunks), np.concatenate(key_chunks)
+        breaks = np.flatnonzero(np.diff(ods) != 1) + 1
+        starts = self._bounds[ods[np.r_[0, breaks]]]
+        lengths = self._bounds[ods[np.r_[breaks - 1, ods.size - 1]] + 1] - starts
+        ids, keys = self.fleet.ids, self.fleet.keys
+        size = int(lengths.sum())
+        out_ids, out_keys = np.empty(size, ids.dtype), np.empty(size, keys.dtype)
+        # Gather index as a running sum: +1 inside a slice, a jump
+        # from one slice's end to the next slice's start between them.
+        index = np.ones(size, dtype=np.int64)
+        index[0] = starts[0]
+        index[np.cumsum(lengths[:-1])] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+        np.cumsum(index, out=index)
+        np.take(ids, index, out=out_ids)
+        np.take(keys, index, out=out_keys)
+        return out_ids, out_keys
 
     def passes(self, nodes: List[int]) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
         """Per-node pass arrays for ``Scheme.encode``."""

@@ -200,9 +200,9 @@ class DeploymentSpec:
         """Per-RSU response counts day *period* puts on the wire —
         exactly what the collector's streaming tier counts, and
         therefore what drives the adaptive controller."""
-        workload = self.workload_for(period)
+        plan = self.workload_for(period).plan
         return {
-            rsu_id: float(workload.assignment.passes_at(rsu_id)[0].size)
+            rsu_id: float(plan.vehicles_through(rsu_id))
             for rsu_id in self.scheme.rsu_ids
         }
 

@@ -1,0 +1,82 @@
+"""Per-pair reference implementations of the workload layer.
+
+The straightforward loops ``repro.roadnet`` used before it read routes
+off one Dijkstra tree per origin and ground truth off an OD × node
+incidence.  They are kept here, unoptimized, as the differential
+oracle the vectorized code must match exactly:
+
+* routing: one networkx bidirectional Dijkstra search per OD pair;
+* passes: scan every OD span and keep it if ``node in route``;
+* ground truth: nested loops over each route's nodes and node pairs.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Tuple
+
+import networkx as nx
+import numpy as np
+
+from repro.roadnet.graph import RoadNetwork
+from repro.roadnet.routing import RoutePlan
+from repro.roadnet.trips import TripTable
+from repro.roadnet.volumes import TrafficAssignment
+
+OdPair = Tuple[int, int]
+
+
+def bidirectional_path(
+    network: RoadNetwork, origin: int, destination: int
+) -> List[int]:
+    """The free-flow shortest path networkx's per-pair search picks."""
+    return nx.shortest_path(
+        network.graph, origin, destination, weight="free_flow_time"
+    )
+
+
+def bidirectional_routes(
+    network: RoadNetwork, trips: TripTable
+) -> Dict[OdPair, List[int]]:
+    """One per-pair search for every OD pair of *trips*."""
+    return {pair: bidirectional_path(network, *pair) for pair, _ in trips.pairs()}
+
+
+def passes_at(
+    assignment: TrafficAssignment, node: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ids, keys)`` at *node*: every OD span whose route contains it."""
+    id_chunks: List[np.ndarray] = []
+    key_chunks: List[np.ndarray] = []
+    for pair, (start, stop) in assignment.spans.items():
+        if node in assignment.plan.routes[pair]:
+            id_chunks.append(assignment.fleet.ids[start:stop])
+            key_chunks.append(assignment.fleet.keys[start:stop])
+    if not id_chunks:
+        empty = np.empty(0, dtype=np.uint64)
+        return empty, empty.copy()
+    return np.concatenate(id_chunks), np.concatenate(key_chunks)
+
+
+def node_volumes(plan: RoutePlan) -> Dict[int, int]:
+    volumes: Dict[int, int] = {}
+    for pair, trips in plan.trips.pairs():
+        for node in plan.routes[pair]:
+            volumes[node] = volumes.get(node, 0) + trips
+    return volumes
+
+
+def pair_common_volumes(plan: RoutePlan) -> Dict[OdPair, int]:
+    common: Dict[OdPair, int] = {}
+    for pair, trips in plan.trips.pairs():
+        route = plan.routes[pair]
+        for i, a in enumerate(route):
+            for b in route[i + 1 :]:
+                key = (a, b) if a < b else (b, a)
+                common[key] = common.get(key, 0) + trips
+    return common
+
+
+def vehicles_through(plan: RoutePlan, node: int) -> int:
+    return sum(
+        trips for pair, trips in plan.trips.pairs() if node in plan.routes[pair]
+    )
