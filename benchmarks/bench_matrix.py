@@ -5,7 +5,7 @@ packed word backend.
 
 Run: ``pytest benchmarks/bench_matrix.py --benchmark-only``
 Artifacts: ``results/sioux_falls_matrix.txt``,
-``results/matrix_decode.txt``
+``results/matrix_decode.txt`` and their ``results/BENCH_*.json`` twins
 
 ``test_all_pairs_decode_speedup`` times itself with ``perf_counter``
 (no pytest-benchmark fixture), so CI can run it as a plain test:
@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from conftest import publish
+from conftest import host_metadata, publish
 from repro.core.bitarray import BitArray
 from repro.core.config import SchemeConfig
 from repro.core.decoder import CentralDecoder
@@ -29,14 +29,26 @@ from repro.experiments.sioux_falls_matrix import run_sioux_falls_matrix
 def test_regenerate_matrix(benchmark):
     """The generalized Table I: the whole network's traffic matrix at
     the paper's full 360,600 trips/day scale."""
+    start = time.perf_counter()
     result = benchmark.pedantic(
         lambda: run_sioux_falls_matrix(total_trips=360_600, seed=13),
         rounds=1,
         iterations=1,
     )
-    publish("sioux_falls_matrix", result.render())
+    seconds = time.perf_counter() - start
     vlm = result.percentiles("vlm")
     base = result.percentiles("baseline")
+    publish(
+        "sioux_falls_matrix",
+        result.render(),
+        data={
+            "host": host_metadata(),
+            "total_trips": result.total_trips,
+            "pairs": len(result.outcomes),
+            "seconds": seconds,
+            "relative_error": {"vlm": vlm, "baseline": base},
+        },
+    )
     assert vlm["median"] < base["median"]
     assert vlm["p90"] < base["p90"]
 
@@ -130,7 +142,29 @@ def test_all_pairs_decode_speedup():
         f"estimates bit-identical across all four paths: yes "
         f"({pairs} pairs compared)",
     ]
-    publish("matrix_decode", "\n".join(lines))
+    publish(
+        "matrix_decode",
+        "\n".join(lines),
+        data={
+            "host": host_metadata(),
+            "smoke": smoke,
+            "rsus": k,
+            "pairs": pairs,
+            "max_exponent": max_exponent,
+            "best_of": repeats,
+            "seconds": {
+                "legacy_all_pairs": t_scalar_legacy,
+                "legacy_estimate_matrix": t_matrix_legacy,
+                "packed_all_pairs": t_scalar_packed,
+                "packed_estimate_matrix": t_matrix_packed,
+            },
+            "speedup": speedup,
+            "resident_bytes": {
+                "legacy": resident_legacy,
+                "packed": resident_packed,
+            },
+        },
+    )
     assert resident_legacy >= 7 * resident_packed
     if smoke:
         assert t_matrix_packed <= t_scalar_legacy

@@ -1,7 +1,7 @@
 """Streaming-ingest bench: per-batch cost is O(batch), not O(period).
 
 Run: ``pytest benchmarks/bench_streaming.py --benchmark-only``
-Artifact: ``results/streaming.txt``
+Artifacts: ``results/streaming.txt``, ``results/BENCH_streaming.json``
 
 The claim behind ``live_matrix()``: absorbing one batch touches only
 the batch's newly set bits (times the pair fan-out), so the
@@ -9,6 +9,11 @@ incremental update cost stays flat as the period fills — while a
 fresh batch decode over everything received so far grows with the
 period.  The bench streams a Sioux Falls day in stages and probes
 both costs at each stage.
+
+The period-close row seals the day's reports into a fresh streaming
+decoder (``observe_report``: OR plus a word-level recount of every
+pair) next to one batch ``estimate_matrix`` over the same reports;
+sealing must cost no more than twice a batch decode.
 """
 
 from __future__ import annotations
@@ -18,13 +23,15 @@ import time
 
 import numpy as np
 
-from conftest import publish
+from conftest import host_metadata, publish
 from repro.core.config import SchemeConfig
 from repro.core.decoder import CentralDecoder
 from repro.core.reports import RsuReport
 from repro.core.bitarray import BitArray
+from repro.obs import MetricsRegistry
 from repro.service.runtime import DeploymentSpec
 from repro.streaming import StreamingDecoder
+from repro.utils import sorted_unique
 from repro.utils.tables import AsciiTable
 
 PROBE = 256  # responses per probe batch
@@ -47,7 +54,7 @@ def _accumulated_reports(spec, consumed):
         size = spec.scheme.array_size(rsu_id)
         bits = BitArray(size, backend=spec.engine)
         if taken.size:
-            bits.set_bits(np.unique(taken))
+            bits.set_bits(sorted_unique(taken))
         reports.append(
             RsuReport(
                 rsu_id=rsu_id,
@@ -80,7 +87,6 @@ def run_streaming_bench(total_trips: int = 60_000, seed: int = 13):
         )
 
     rows = []
-    incr_times = []
     for stage in range(1, STAGES + 1):
         # Fill the period up to stage/STAGES of the day.
         for rsu_id, indices in day.items():
@@ -100,7 +106,6 @@ def run_streaming_bench(total_trips: int = 60_000, seed: int = 13):
         incr = _median_seconds(
             lambda: decoder.ingest(probe_rsu, probe, size=probe_size)
         )
-        incr_times.append(incr)
 
         # Probe 2: fresh batch decode over everything so far.
         reports = _accumulated_reports(spec, consumed)
@@ -116,6 +121,37 @@ def run_streaming_bench(total_trips: int = 60_000, seed: int = 13):
 
         full = _median_seconds(redecode)
         rows.append((period_responses, incr, full))
+
+    # Period close: seal the whole day's reports into a fresh decoder.
+    day_reports = _accumulated_reports(spec, day)
+
+    def seal():
+        sealed = StreamingDecoder(
+            s=spec.s,
+            policy=spec.policy,
+            engine=spec.engine,
+            registry=MetricsRegistry(),
+        )
+        for report in day_reports:
+            sealed.observe_report(report)
+
+    def batch_decode():
+        batch = CentralDecoder(
+            config=SchemeConfig(
+                s=spec.s, policy=spec.policy, engine=spec.engine
+            )
+        )
+        batch.submit_many(day_reports)
+        return batch.estimate_matrix(0)
+
+    # Alternate the two so host drift hits both alike.
+    timings = {seal: [], batch_decode: []}
+    for _ in range(REPEATS):
+        for fn, samples in timings.items():
+            start = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - start)
+    seal_s, batch_s = (sorted(v)[len(v) // 2] for v in timings.values())
 
     table = AsciiTable(
         [
@@ -138,23 +174,56 @@ def run_streaming_bench(total_trips: int = 60_000, seed: int = 13):
                 f"{full / incr:,.0f}x",
             ]
         )
-    return table.render(), rows, incr_times
+    text = "\n".join(
+        [
+            table.render(),
+            "",
+            f"Period close ({len(day_reports)} reports, median of "
+            f"{REPEATS}): seal {seal_s * 1e3:.3f} ms, one batch "
+            f"estimate_matrix {batch_s * 1e3:.3f} ms "
+            f"({seal_s / batch_s:.2f}x)",
+        ]
+    )
+    data = {
+        "host": host_metadata(),
+        "total_trips": total_trips,
+        "probe_batch": PROBE,
+        "stages": [
+            {
+                "period_responses": period_responses,
+                "incremental_batch_s": incr,
+                "full_redecode_s": full,
+            }
+            for period_responses, incr, full in rows
+        ],
+        "period_close": {
+            "reports": len(day_reports),
+            "seal_s": seal_s,
+            "batch_decode_s": batch_s,
+        },
+    }
+    return text, data
 
 
 def test_incremental_cost_is_flat(benchmark):
     smoke = bool(os.environ.get("REPRO_BENCH_SMOKE"))
     trips = 12_000 if smoke else 60_000
-    text, rows, incr_times = benchmark.pedantic(
+    text, data = benchmark.pedantic(
         run_streaming_bench, args=(trips,), rounds=1, iterations=1
     )
     if not smoke:  # keep the checked-in artifact full-size
-        publish("streaming", text)
+        publish("streaming", text, data=data)
     else:
         print()
         print(text)
+    incr_times = [stage["incremental_batch_s"] for stage in data["stages"]]
     # O(batch), not O(period): with the period 6x fuller, the probe
     # batch must not cost an order of magnitude more...
     assert incr_times[-1] < 10 * min(incr_times)
     # ...and must beat re-decoding the whole period outright.
-    _, final_incr, final_full = rows[-1]
-    assert final_incr < final_full
+    assert incr_times[-1] < data["stages"][-1]["full_redecode_s"]
+    # Sealing a day is a word-level recount per pair: no dearer than
+    # twice one batch decode of the same reports.
+    close = data["period_close"]
+    seal_s, batch_s = close["seal_s"], close["batch_decode_s"]
+    assert seal_s <= 2 * batch_s, f"seal {seal_s:.4f}s vs {batch_s:.4f}s"

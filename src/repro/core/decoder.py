@@ -10,35 +10,54 @@ Two decode paths produce bit-identical :class:`PairEstimate` values:
 
 * :meth:`CentralDecoder.pair_estimate` / :meth:`CentralDecoder.all_pairs`
   — the scalar reference path, one unfold-OR-count per pair;
-* :meth:`CentralDecoder.estimate_matrix` — the vectorized path: every
-  report is unfolded once to the period's largest array size, the
-  storages are stacked into one 2-D word matrix, and all pairwise
-  ``U_c`` statistics fall out of broadcast OR + popcount.  Because the
-  joint array at the common size is an exact tiling of the joint array
-  at the pair's own ``m_y``, the zero *fraction* — and therefore the
-  MLE — is unchanged, digit for digit.
+* :meth:`CentralDecoder.estimate_matrix` — the vectorized path: the
+  pairs are blocked by their size ``m_y``, each block's arrays are
+  stacked at native size, and every pair's ``U_c`` at ``m_y`` falls
+  out of broadcast OR + popcount over cache-sized column tiles
+  (:func:`joint_zero_matrix`).  The counts are the per-pair path's
+  integers, so the MLE is unchanged, digit for digit.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from repro import engine
 from repro.core.bitarray import BitArray
-from repro.core.estimator import PairEstimate
+from repro.core.estimator import (
+    PairEstimate,
+    _observed_fraction,
+    estimate_pair_matrix,
+)
 from repro.core.reports import RsuReport
 from repro.core.unfolding import unfold
 from repro.errors import ConfigurationError, EstimationError
 from repro.obs import get_registry
+from repro.utils.arrays import sorted_unique
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import PolicyLike, SchemeConfig
 
-__all__ = ["CentralDecoder"]
+__all__ = ["CentralDecoder", "joint_zero_matrix"]
 
 #: Default bound on memoized unfolded arrays (see ``memo_capacity``).
 DEFAULT_MEMO_CAPACITY = 128
+
+#: Column tile of :func:`joint_zero_matrix`, in bits: 1,024 packed
+#: words, 8 KiB a row, so a tile of a few dozen rows plus its
+#: broadcast temporary fit in L2.
+TILE_BITS = 1 << 16
 
 
 class CentralDecoder:
@@ -176,7 +195,6 @@ class CentralDecoder:
         # BitArray is materialized.
         from repro.core.estimator import (
             ZeroFractionPolicy,
-            _observed_fraction,
             estimate_from_fractions,
         )
         from repro.errors import SaturatedArrayError
@@ -237,87 +255,112 @@ class CentralDecoder:
     ) -> Dict[Tuple[int, int], PairEstimate]:
         """Vectorized all-pairs decode (bit-identical to :meth:`all_pairs`).
 
-        Every report is unfolded once to the period's *largest* array
-        size, the storages are stacked into one 2-D matrix, and each
-        row's pairwise joint-zero counts against all later rows come
-        from one broadcast OR + popcount (the ``pairwise_or_popcount``
-        kernel of :mod:`repro.engine.kernels`).  Unfolding a
-        joint array never changes its zero *fraction*, so feeding
-        ``U_c(common) / m_common`` to the MLE yields exactly the float
-        the per-pair path computes from ``U_c(m_y) / m_y`` — IEEE
-        division of an identical rational — and the resulting
-        :class:`PairEstimate` fields match digit for digit under either
-        storage backend.
+        Every pair's ``U_c`` is counted at the pair's own size
+        ``m_y = max(m_x, m_y)``, as Section IV-E prescribes, by
+        :func:`joint_zero_matrix`; the shared finisher
+        :func:`~repro.core.estimator.estimate_pair_matrix` turns the
+        counts into estimates.  The counts, the fractions and so the
+        :class:`PairEstimate` fields match the per-pair path digit for
+        digit under every storage backend.  The unfold memo is not
+        used.
         """
-        from repro.core.estimator import (
-            ZeroFractionPolicy,
-            _observed_fraction,
-            estimate_from_fractions,
-        )
-        from repro.errors import SaturatedArrayError
-
         ids = self.rsu_ids(period) if rsu_ids is None else sorted(rsu_ids)
-        results: Dict[Tuple[int, int], PairEstimate] = {}
         if len(ids) < 2:
-            return results
-
+            return {}
         backend = engine.get_backend(self.engine)
-        kernels = engine.get_kernels(backend)
         reports = [self.report_for(rsu_id, period) for rsu_id in ids]
-        target = max(report.array_size for report in reports)
-
-        # One unfold per report (memoized), one stack for the period.
-        storages = [
-            self._unfolded(report, target)._storage_as(backend)
-            for report in reports
-        ]
-        matrix = backend.stack(storages, target)
-
+        zeros = joint_zero_matrix(
+            [report.bits for report in reports], backend
+        )
         # Per-report statistics are shared by every pair they join.
         fractions = [
             _observed_fraction(report.bits, self.policy) for report in reports
         ]
+        get_registry().counter(
+            "decoder.matrix_pairs_total", backend=backend.name
+        ).inc(int(zeros.size))
+        return estimate_pair_matrix(
+            ids,
+            [report.array_size for report in reports],
+            [report.counter for report in reports],
+            fractions,
+            zeros,
+            self.s,
+            self.policy,
+        )
 
-        registry = get_registry()
-        for i in range(len(ids) - 1):
-            joint_zeros = target - kernels.pairwise_or_popcount(
-                matrix[i], matrix[i + 1 :], target
+
+def joint_zero_matrix(arrays: Sequence[BitArray], backend) -> np.ndarray:
+    """Every pair's ``U_c``, each at the pair's own size.
+
+    Returns ``size - popcount(unfold(B_x) | B_y)`` for every pair of
+    *arrays*, at ``size = max(m_x, m_y)``, in
+    ``np.triu_indices(len(arrays), 1)`` order.  The sizes must tile
+    (each divides every larger one, as powers of two do).
+
+    The pairs are blocked by that size ``S``: for each distinct size,
+    one stack holds the size-``S`` arrays at native size, and every
+    array no larger than ``S`` is ORed against it with the backend's
+    ``pairwise_or_popcount`` kernel.  The stack is swept in column
+    tiles of :data:`TILE_BITS` bits, so a tile of the stack and the
+    broadcast temporary stay in cache across the rows.  A smaller
+    array is not unfolded to ``S``: the tile ``[c0, c1)`` of its
+    tiling is its own storage elements from ``c0`` modulo its length
+    (an array shorter than a tile is tiled to the tile width once).
+    Only an array whose size is not a whole number of storage
+    elements (sizes below 64 bits on a word backend), or whose length
+    and the tile width do not divide one another, is unfolded to
+    ``S``.
+    """
+    kernels = engine.get_kernels(backend)
+    unit = backend.unit_bits()
+    storages = [array._storage_as(backend) for array in arrays]
+    sizes = np.array([array.size for array in arrays], dtype=np.int64)
+    k = len(arrays)
+    # ones[i, j]: set bits of the joint of pair {i, j}, filled on
+    # exactly one of (i, j) and (j, i).
+    ones = np.zeros((k, k), dtype=np.int64)
+    for size in sorted_unique(sizes).tolist():
+        members = np.flatnonzero(sizes == size)
+        block = backend.stack([storages[j] for j in members], size)
+        units = block.shape[1]
+        step = min(units, max(1, TILE_BITS // unit))
+        rows, row_ids = [], []
+        for i in np.flatnonzero(sizes <= size).tolist():
+            # A same-size row pairs only with the members after it.
+            first = (
+                int(np.searchsorted(members, i, side="right"))
+                if sizes[i] == size
+                else 0
             )
-            registry.counter(
-                "decoder.matrix_pairs_total", backend=backend.name
-            ).inc(int(joint_zeros.size))
-            for offset, zeros in enumerate(joint_zeros):
-                j = i + 1 + offset
-                report_x, report_y = reports[i], reports[j]
-                v_x, v_y = fractions[i], fractions[j]
-                if report_x.array_size > report_y.array_size:
-                    report_x, report_y = report_y, report_x
-                    v_x, v_y = v_y, v_x
-                m_y = report_y.array_size
-                zeros = int(zeros)
-                if zeros == 0:
-                    if self.policy is ZeroFractionPolicy.RAISE:
-                        raise SaturatedArrayError(
-                            f"joint array for RSU pair ({ids[i]}, {ids[j]}) "
-                            f"is saturated (no zero bits)"
-                        )
-                    v_c = 0.5 / m_y
-                else:
-                    # zeros/target == zeros_at_m_y/m_y exactly (the joint
-                    # at `target` tiles the joint at m_y), so this is the
-                    # same correctly-rounded IEEE quotient the per-pair
-                    # path computes.
-                    v_c = zeros / target
-                n_c_hat = estimate_from_fractions(v_c, v_x, v_y, m_y, self.s)
-                results[(ids[i], ids[j])] = PairEstimate(
-                    value=n_c_hat,
-                    v_c=v_c,
-                    v_x=v_x,
-                    v_y=v_y,
-                    m_x=report_x.array_size,
-                    m_y=m_y,
-                    n_x=report_x.counter,
-                    n_y=report_y.counter,
-                    s=self.s,
+            if first == members.size:
+                continue
+            storage, m_i = storages[i], int(sizes[i])
+            if size % m_i:
+                raise ConfigurationError(
+                    f"target size {size} is not a multiple of source size "
+                    f"{m_i}; the scheme requires power-of-two lengths"
                 )
-        return results
+            width = storage.shape[0]
+            if width * unit != m_i or (width % step and step % width):
+                storage = kernels.unfold(storage, m_i, size // m_i)
+            elif width < step:
+                # Shorter than a tile: pre-tile once to the tile width.
+                storage = kernels.unfold(storage, m_i, step // width)
+            rows.append((storage, first))
+            row_ids.append(i)
+        acc = np.zeros((len(rows), members.size), dtype=np.int64)
+        for c0 in range(0, units, step):
+            c1 = min(units, c0 + step)
+            tile = block[:, c0:c1]
+            tile_bits = min(size, c1 * unit) - c0 * unit
+            for r, (storage, first) in enumerate(rows):
+                # The tile [c0, c1) of a row's tiling to `size`.
+                start = c0 % storage.shape[0]
+                acc[r, first:] += kernels.pairwise_or_popcount(
+                    storage[start : start + c1 - c0], tile[first:], tile_bits
+                )
+        ones[np.ix_(row_ids, members)] = acc
+    upper, lower = np.triu_indices(k, 1)
+    pair_sizes = np.maximum(sizes[upper], sizes[lower])
+    return pair_sizes - (ones[upper, lower] + ones[lower, upper])

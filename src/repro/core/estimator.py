@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from repro.core.reports import RsuReport
 from repro.core.results import Estimate, deprecated_alias
 from repro.core.unfolding import unfolded_or
 from repro.errors import ConfigurationError, EstimationError, SaturatedArrayError
+from repro.utils.arrays import sorted_unique
 from repro.utils.mathx import log_pow_one_minus
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "q_intersection",
     "log_collision_ratio",
     "estimate_from_fractions",
+    "estimate_pair_matrix",
     "estimate_intersection",
     "estimate_point_volume",
 ]
@@ -132,6 +134,111 @@ def estimate_from_fractions(
     return (math.log(v_c) - math.log(v_x) - math.log(v_y)) / log_collision_ratio(
         s, m_y
     )
+
+
+def estimate_pair_matrix(
+    rsu_ids: Sequence[int],
+    sizes: Sequence[int],
+    counters: Sequence[int],
+    fractions: Sequence[float],
+    joint_zeros: np.ndarray,
+    s: int,
+    policy: ZeroFractionPolicy,
+) -> Dict[Tuple[int, int], "PairEstimate"]:
+    """Apply Eq. (5) to every RSU pair at once.
+
+    The shared finisher of the batch and streaming all-pairs decoders.
+    *rsu_ids* are sorted and the per-RSU sequences align with them;
+    *fractions* are the observed ``V`` of each array (already policy
+    adjusted).  *joint_zeros* holds each pair's ``U_c`` at the pair's
+    own size ``max(m_x, m_y)``, in ``np.triu_indices(len(rsu_ids), 1)``
+    order, which is also the key order of the returned dict.
+
+    Every field equals what :func:`estimate_from_fractions` gives pair
+    by pair: ``V_c`` and Eq. (5)'s subtractions and division are
+    elementwise float64 numpy ops, IEEE-identical to the Python float
+    ones, and each ``ln V_c`` still comes from :func:`math.log`.  A
+    saturated joint array under ``RAISE``, an out-of-range fraction or
+    an invalid ``(s, m_y)`` raises the same error, for the same first
+    pair, as the pair-by-pair loop.
+    """
+    rows, cols = np.triu_indices(len(rsu_ids), 1)
+    m = np.asarray(sizes, dtype=np.int64)
+    # v_x is always the smaller array's; ties keep the first RSU as x.
+    swap = m[rows] > m[cols]
+    small = np.where(swap, cols, rows)
+    large = np.where(swap, rows, cols)
+    m_y = m[large]
+    zeros = np.asarray(joint_zeros, dtype=np.int64)
+    saturated = zeros == 0
+    v_c = np.where(saturated, 0.5, zeros) / m_y
+    v = np.asarray(fractions, dtype=np.float64)
+    v_x, v_y = v[small], v[large]
+
+    # ln(rho) once per distinct m_y; NaN marks an (s, m_y) it rejects.
+    distinct = sorted_unique(m_y)
+    ratios = np.empty(distinct.size, dtype=np.float64)
+    for slot, size in enumerate(distinct.tolist()):
+        try:
+            ratios[slot] = log_collision_ratio(s, size)
+        except ConfigurationError:
+            ratios[slot] = np.nan
+    log_rho = ratios[np.searchsorted(distinct, m_y)]
+
+    invalid = np.isnan(log_rho)
+    for fraction in (v_c, v_x, v_y):
+        invalid |= (fraction <= 0.0) | (fraction > 1.0)
+    if policy is ZeroFractionPolicy.RAISE:
+        invalid |= saturated
+    if invalid.any():
+        first = int(np.argmax(invalid))
+        if saturated[first] and policy is ZeroFractionPolicy.RAISE:
+            raise SaturatedArrayError(
+                f"joint array for RSU pair ({rsu_ids[rows[first]]}, "
+                f"{rsu_ids[cols[first]]}) is saturated (no zero bits)"
+            )
+        estimate_from_fractions(  # raises the pair-by-pair error
+            float(v_c[first]),
+            float(v_x[first]),
+            float(v_y[first]),
+            int(m_y[first]),
+            s,
+        )
+
+    log_v = np.array([math.log(f) for f in fractions], dtype=np.float64)
+    v_c_list = v_c.tolist()
+    log_v_c = np.array([math.log(f) for f in v_c_list], dtype=np.float64)
+    values = (log_v_c - log_v[small] - log_v[large]) / log_rho
+
+    ids = [int(rsu_id) for rsu_id in rsu_ids]
+    sizes = [int(size) for size in sizes]
+    results: Dict[Tuple[int, int], PairEstimate] = {}
+    new_estimate = object.__new__
+    for i, j, x, y, value, pair_v_c in zip(
+        rows.tolist(),
+        cols.tolist(),
+        small.tolist(),
+        large.tolist(),
+        values.tolist(),
+        v_c_list,
+    ):
+        # PairEstimate(**fields) without the frozen dataclass's
+        # per-field object.__setattr__, four fifths of the cost; the
+        # instance compares, hashes, pickles and prints the same.
+        estimate = new_estimate(PairEstimate)
+        estimate.__dict__.update(
+            value=value,
+            v_c=pair_v_c,
+            v_x=fractions[x],
+            v_y=fractions[y],
+            m_x=sizes[x],
+            m_y=sizes[y],
+            n_x=counters[x],
+            n_y=counters[y],
+            s=s,
+        )
+        results[(ids[i], ids[j])] = estimate
+    return results
 
 
 def _observed_fraction(bits: BitArray, policy: ZeroFractionPolicy) -> float:

@@ -106,6 +106,12 @@ class BitBackend(abc.ABC):
         """Resident bytes of the storage buffer."""
         return int(storage.nbytes)
 
+    def unit_bits(self) -> int:
+        """Logical bits per storage element (64 for ``uint64`` words,
+        1 for bools).  An array whose size is a multiple of it tiles
+        (Eq. 3) element by element."""
+        return 64 // self.zeros(64).size
+
     # ------------------------------------------------------------------
     # Mutation (online coding)
     # ------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.core.decoder import CentralDecoder
 from repro.core.reports import RsuReport
 from repro.service.runtime import DeploymentSpec
 from repro.streaming import StreamingDecoder
+from repro.utils.arrays import sorted_unique
 from repro.utils.rng import SeedLike
 from repro.utils.tables import AsciiTable
 
@@ -163,7 +164,7 @@ def run_streaming_matrix(
         )
         prefix_bits = BitArray(size, backend=spec.engine)
         if prefix_idx.size:
-            prefix_bits.set_bits(np.unique(prefix_idx))
+            prefix_bits.set_bits(sorted_unique(prefix_idx))
         prefix_reports.append(
             RsuReport(
                 rsu_id=rsu_id,

@@ -622,6 +622,9 @@ async def _federated_serve_forever(
 ) -> None:
     from repro.obs import serve_metrics
 
+    # Before any port opens: a SIGTERM during start-up still drains.
+    stop = asyncio.Event()
+    install_stop_handlers(stop)
     plane = await start_federation(
         spec,
         shards=shards,
@@ -655,8 +658,6 @@ async def _federated_serve_forever(
     if metrics is not None:
         print(f"metrics exposed at http://{host}:{metrics.port}/metrics")
     print("press Ctrl-C to stop", flush=True)
-    stop = asyncio.Event()
-    install_stop_handlers(stop)
     try:
         await stop.wait()
     finally:

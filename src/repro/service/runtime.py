@@ -415,6 +415,9 @@ async def _serve_forever(
 ) -> None:
     from repro.obs import serve_metrics
 
+    # Before any port opens: a SIGTERM during start-up still drains.
+    stop = asyncio.Event()
+    install_stop_handlers(stop)
     gateway, collector = await start_services(
         spec,
         host=host,
@@ -439,8 +442,6 @@ async def _serve_forever(
             f"metrics exposed at http://{host}:{metrics.port}/metrics"
         )
     print("press Ctrl-C to stop", flush=True)
-    stop = asyncio.Event()
-    install_stop_handlers(stop)
     try:
         await stop.wait()
     finally:

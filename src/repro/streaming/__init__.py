@@ -12,8 +12,11 @@ period:
   *newly set* bits with one vectorized gather
   (:meth:`repro.core.bitarray.BitArray.get_bits`), and for each pair
   subtracts exactly the joint positions those bits just killed.  A
-  :meth:`live_matrix` query then needs no unfold, no OR, and no
-  popcount over pairs — the counts are already sitting there.
+  whole array (a period-close report or a window partial) is ORed in
+  and each of its pairs recounted with word-level OR + popcount at
+  the pair size.  A :meth:`live_matrix`
+  query then needs no unfold, no OR, and no popcount over pairs — the
+  counts are already sitting there.
 * A ring of ``W`` sub-period **window** arrays per RSU slices the
   period into time intervals (rush hour vs off-peak):
   :meth:`window_matrix` decodes one window,
@@ -28,15 +31,13 @@ The incremental path is not an approximation.  Writing ``T`` for the
 pair's common (larger) size, every newly set bit ``i`` of ``B_x``
 turns the joint positions ``{i + j * m_x : 0 <= j < T / m_x}`` from
 ``B_y``'s tiled value into 1 — so the running count equals the
-batch-computed ``U_c`` after every batch, exactly.  The MLE input
-``V_c = U_c / T`` is then the *identical IEEE float* the batch decoder
-produces, because its ``zeros / target`` at the period-global size is
-the same quotient scaled by a power of two in both numerator and
-denominator (both stay exact below 2**53, and IEEE division is
-correctly rounded).  ``tests/test_streaming.py`` pins
-``live_matrix()`` bit-identical to a fresh
-:meth:`repro.core.decoder.CentralDecoder.estimate_matrix` over the
-same prefix, on both engine backends.
+batch-computed ``U_c`` after every batch, exactly; a recount is that
+``U_c`` by definition.  The batch decoder counts each pair at ``T``
+too, and both hand their counts to one finisher
+(:func:`repro.core.estimator.estimate_pair_matrix`), so
+``tests/test_streaming.py`` can pin ``live_matrix()`` bit-identical
+to a fresh :meth:`repro.core.decoder.CentralDecoder.estimate_matrix`
+over the same prefix, on both engine backends.
 """
 
 from __future__ import annotations
@@ -45,17 +46,18 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import engine
 from repro.core.bitarray import BitArray
 from repro.core.decoder import CentralDecoder
 from repro.core.estimator import (
     PairEstimate,
-    ZeroFractionPolicy,
     _observed_fraction,
-    estimate_from_fractions,
+    estimate_pair_matrix,
 )
 from repro.core.reports import RsuReport
-from repro.errors import ConfigurationError, SaturatedArrayError
+from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, get_registry
+from repro.utils.arrays import sorted_unique
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import PolicyLike, SchemeConfig
@@ -85,6 +87,7 @@ class _RsuStream:
         "rsu_id",
         "size",
         "bits",
+        "ones",
         "running_counter",
         "sealed_counter",
         "window_bits",
@@ -97,6 +100,8 @@ class _RsuStream:
         self.rsu_id = rsu_id
         self.size = size
         self.bits = bits
+        #: Set bits of ``bits``, kept by the two paths that write it.
+        self.ones = bits.count_ones()
         self.running_counter = 0
         self.sealed_counter: Optional[int] = None
         self.window_bits: Dict[int, BitArray] = {}
@@ -250,7 +255,7 @@ class StreamingDecoder:
                 )
             # The newcomer's array is all zero, so the pair's joint
             # zeros are wherever the peer's tiled array is zero.
-            zeros = target - other.bits.count_ones() * (
+            zeros = target - other.ones * (
                 target // other.size
             )
             pairs[_pair_key(rsu_id, other.rsu_id)] = int(zeros)
@@ -294,7 +299,7 @@ class StreamingDecoder:
                 ring = BitArray(state.size, backend=self.engine)
                 state.window_bits[int(window)] = ring
             if idx.size:
-                ring.set_bits(np.unique(idx))
+                ring.set_bits(sorted_unique(idx))
             state.window_counters[int(window)] = (
                 state.window_counters.get(int(window), 0) + int(idx.size)
             )
@@ -305,7 +310,7 @@ class StreamingDecoder:
                 slot = BitArray(state.size, backend=self.engine)
                 state.class_bits[label] = slot
             if idx.size:
-                slot.set_bits(np.unique(idx))
+                slot.set_bits(sorted_unique(idx))
             state.class_counters[label] = (
                 state.class_counters.get(label, 0) + int(idx.size)
             )
@@ -340,9 +345,7 @@ class StreamingDecoder:
             )
         partial = BitArray.from_bytes(data, int(size), backend=self.engine)
         state = self._state(int(period), int(rsu_id), int(size))
-        newly_mask = np.asarray(partial.bits) & ~np.asarray(state.bits.bits)
-        newly = np.flatnonzero(newly_mask)
-        self._absorb(int(period), state, newly, presieved=True)
+        newly = self._merge(int(period), state, partial)
         state.running_counter += int(counter)
         if self.windows > 1:
             ring = state.window_bits.get(int(window))
@@ -356,7 +359,7 @@ class StreamingDecoder:
                 state.window_counters.get(int(window), 0) + int(counter)
             )
         self._reg().counter("stream.partials_merged_total").inc()
-        return int(newly.size)
+        return newly
 
     def observe_report(self, report: RsuReport) -> int:
         """Absorb an authoritative period-close report.
@@ -375,39 +378,76 @@ class StreamingDecoder:
         if existing is not None and existing.size != report.array_size:
             self._drop_rsu(report.period, report.rsu_id)
         state = self._state(report.period, report.rsu_id, report.array_size)
-        newly_mask = np.asarray(report.bits.bits) & ~np.asarray(
-            state.bits.bits
-        )
-        newly = np.flatnonzero(newly_mask)
-        self._absorb(report.period, state, newly, presieved=True)
+        newly = self._merge(report.period, state, report.bits)
         state.sealed_counter = int(report.counter)
         self._reg().counter("stream.reports_sealed_total").inc()
-        return int(newly.size)
+        return newly
+
+    def _merge(
+        self, period: int, state: _RsuStream, incoming: BitArray
+    ) -> int:
+        """OR a whole array into *state*'s running array and recount
+        every pair it joins; returns the number of bits newly set.
+
+        The period-close seal: the pair counts are recomputed with
+        word-level OR + popcount at each pair size ``max(m_x, m_y)``,
+        so the cost is O(peers x pair size / word) however many bits
+        the array sets.
+        """
+        before = state.ones
+        state.bits |= incoming
+        state.ones = state.bits.count_ones()
+        newly = state.ones - before
+        if not newly:
+            return 0
+        backend = engine.get_backend(state.bits.backend)
+        kernels = engine.get_kernels(backend)
+        own = state.bits._storage_as(backend)
+        peers_by_size: Dict[int, List[_RsuStream]] = {}
+        for other in self._streams[period].values():
+            if other is not state:
+                peers_by_size.setdefault(other.size, []).append(other)
+        pairs = self._pair_zeros[period]
+        peers = 0
+        for size, group in peers_by_size.items():
+            storages = [other.bits._storage_as(backend) for other in group]
+            if size >= state.size:
+                # The merging array, unfolded to the pair size once,
+                # against a stack of the peers: one kernel call.
+                row = own
+                if size > state.size:
+                    row = kernels.unfold(own, state.size, size // state.size)
+                ones = kernels.pairwise_or_popcount(
+                    row, backend.stack(storages, size), size
+                ).tolist()
+            else:
+                ones = _tiled_peer_popcounts(
+                    backend, storages, size, own, state.size
+                )
+            target = max(state.size, size)
+            for other, count in zip(group, ones):
+                pairs[_pair_key(state.rsu_id, other.rsu_id)] = target - count
+            peers += len(group)
+        self._reg().counter("stream.pair_updates_total").inc(peers)
+        return newly
 
     def _absorb(
-        self,
-        period: int,
-        state: _RsuStream,
-        indices: np.ndarray,
-        *,
-        presieved: bool = False,
+        self, period: int, state: _RsuStream, indices: np.ndarray
     ) -> int:
         """Set *indices* in the running array, updating every pair's
         joint-zero count for the bits that were still zero.
 
-        With ``presieved`` the caller guarantees *indices* are unique
-        and all currently zero (the mask-diff paths); otherwise they
-        are deduplicated and gathered against the running array first.
+        The index-batch path: the batch is deduplicated and gathered
+        against the running array, then each pair loses exactly the
+        joint positions the newly set bits cover, in
+        O(batch x peers x tile ratio) work.
         """
         if indices.size == 0:
             return 0
-        if presieved:
-            newly = indices
-        else:
-            unique = np.unique(indices)
-            newly = unique[~state.bits.get_bits(unique)]
-            if newly.size == 0:
-                return 0
+        unique = sorted_unique(indices)
+        newly = unique[~state.bits.get_bits(unique)]
+        if newly.size == 0:
+            return 0
         streams = self._streams[period]
         pairs = self._pair_zeros[period]
         registry = self._reg()
@@ -430,10 +470,10 @@ class StreamingDecoder:
             killed = int(positions.size) - int(peer_bits.sum())
             pairs[_pair_key(state.rsu_id, other.rsu_id)] -= killed
             registry.counter("stream.pair_updates_total").inc()
-        # Indices were already proven in-range (the gather above, or
-        # the caller's mask diff), so scatter through the trusted
-        # kernel path without re-validating.
+        # Indices were already proven in-range by the gather above, so
+        # scatter through the trusted kernel path without re-validating.
         state.bits.set_bits_unchecked(newly)
+        state.ones += int(newly.size)
         return int(newly.size)
 
     # ------------------------------------------------------------------
@@ -454,47 +494,24 @@ class StreamingDecoder:
         """
         streams = self._streams.get(period, {})
         ids = sorted(streams)
-        results: Dict[Tuple[int, int], PairEstimate] = {}
         if len(ids) < 2:
-            return results
-        fractions = {
-            rsu_id: _observed_fraction(streams[rsu_id].bits, self.policy)
-            for rsu_id in ids
-        }
+            return {}
+        states = [streams[rsu_id] for rsu_id in ids]
         pairs = self._pair_zeros[period]
-        for i, rsu_x in enumerate(ids):
-            for rsu_y in ids[i + 1 :]:
-                state_x, state_y = streams[rsu_x], streams[rsu_y]
-                v_x, v_y = fractions[rsu_x], fractions[rsu_y]
-                if state_x.size > state_y.size:
-                    state_x, state_y = state_y, state_x
-                    v_x, v_y = v_y, v_x
-                m_y = state_y.size
-                zeros = pairs[(rsu_x, rsu_y)]
-                if zeros == 0:
-                    if self.policy is ZeroFractionPolicy.RAISE:
-                        raise SaturatedArrayError(
-                            f"joint array for RSU pair ({rsu_x}, {rsu_y}) "
-                            f"is saturated (no zero bits)"
-                        )
-                    v_c = 0.5 / m_y
-                else:
-                    # zeros / m_y at the pair's common size is the same
-                    # correctly-rounded quotient the batch path gets
-                    # from zeros/target at the period-global size.
-                    v_c = zeros / m_y
-                value = estimate_from_fractions(v_c, v_x, v_y, m_y, self.s)
-                results[(rsu_x, rsu_y)] = PairEstimate(
-                    value=value,
-                    v_c=v_c,
-                    v_x=v_x,
-                    v_y=v_y,
-                    m_x=state_x.size,
-                    m_y=m_y,
-                    n_x=state_x.counter,
-                    n_y=state_y.counter,
-                    s=self.s,
-                )
+        zeros = [
+            pairs[(rsu_x, rsu_y)]
+            for i, rsu_x in enumerate(ids)
+            for rsu_y in ids[i + 1 :]
+        ]
+        results = estimate_pair_matrix(
+            ids,
+            [state.size for state in states],
+            [state.counter for state in states],
+            [_observed_fraction(state.bits, self.policy) for state in states],
+            np.array(zeros, dtype=np.int64),
+            self.s,
+            self.policy,
+        )
         self._reg().counter("stream.live_queries_total").inc()
         return results
 
@@ -613,6 +630,39 @@ class StreamingDecoder:
             )
         self._reg().counter("stream.window_queries_total").inc()
         return self._decode_reports(period, reports)
+
+
+def _tiled_peer_popcounts(backend, storages, size, large, large_size):
+    """Set bits of ``unfold(peer) | large`` for each same-size peer
+    smaller than the ``large`` array, without unfolding the peers.
+
+    ``unfold(peer) | large`` is ``peer | chunk`` summed over the
+    ``large_size / size`` chunks of ``large``.  With the peer size a
+    whole number of storage elements, the chunks are rows of a reshape
+    view, and the kernel calls run over whichever of peers or chunks
+    is fewer.  Otherwise each peer is unfolded.
+    """
+    kernels = engine.get_kernels(backend)
+    repeats = large_size // size
+    if size % backend.unit_bits():
+        return [
+            large_size
+            - kernels.joint_zero_counts(
+                kernels.unfold(storage, size, repeats), large, large_size
+            )
+            for storage in storages
+        ]
+    chunks = large.reshape(repeats, -1)
+    if len(storages) <= repeats:
+        return [
+            int(kernels.pairwise_or_popcount(storage, chunks, size).sum())
+            for storage in storages
+        ]
+    stack = backend.stack(storages, size)
+    total = kernels.pairwise_or_popcount(chunks[0], stack, size)
+    for chunk in chunks[1:]:
+        total = total + kernels.pairwise_or_popcount(chunk, stack, size)
+    return total.tolist()
 
 
 def _pair_key(a: int, b: int) -> Tuple[int, int]:

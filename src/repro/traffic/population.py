@@ -15,6 +15,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.utils.arrays import sorted_unique
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = ["VehicleFleet", "PairPopulation"]
@@ -46,10 +47,10 @@ class VehicleFleet:
         # collide with probability ~size^2 / 2^62, negligible; we
         # nevertheless deduplicate deterministically.
         ids = rng.integers(0, 2**62, size=int(size * 1.01) + 8, dtype=np.int64)
-        ids = np.unique(ids)[:size]
+        ids = sorted_unique(ids)[:size]
         while ids.size < size:  # pragma: no cover - astronomically rare
             extra = rng.integers(0, 2**62, size=size, dtype=np.int64)
-            ids = np.unique(np.concatenate([ids, extra]))[:size]
+            ids = sorted_unique(np.concatenate([ids, extra]))[:size]
         keys = rng.integers(0, 2**63 - 1, size=size, dtype=np.int64)
         return cls(ids=ids.astype(np.uint64), keys=keys.astype(np.uint64))
 

@@ -6,6 +6,7 @@ These modules are substrate code used across the library; they contain
 no paper-specific logic.
 """
 
+from repro.utils.arrays import sorted_unique
 from repro.utils.rng import RngFactory, as_generator, spawn_generators
 from repro.utils.validation import (
     check_in_range,
@@ -40,6 +41,7 @@ __all__ = [
     "pow_one_minus",
     "safe_log",
     "stable_ratio_power",
+    "sorted_unique",
     "AsciiTable",
     "dump_json",
     "load_json",
