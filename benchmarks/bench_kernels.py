@@ -6,7 +6,11 @@ Two sections, one artifact:
   :mod:`repro.engine.kernels` dispatch table, timed per registered
   backend on a ``2^20``-bit array, so a new backend (e.g. the optional
   numba one) shows its per-op profile next to ``packed`` and
-  ``legacy`` in the same table.
+  ``legacy`` in the same table.  A second table splits packed
+  ``set_bits`` into its three steps: a dense batch (more than
+  ``m / 256`` indices) takes legacy's bool scatter, then packs the
+  bools into words and ORs them in, so it costs legacy's scatter plus
+  the pack and the OR.  Reported, not gated.
 * **Ingest comparison** — the gateway's old admission path
   (:meth:`~repro.vcps.rsu.RoadsideUnit.handle_index_batch`, which
   byteswap-copies the big-endian wire views and re-validates twice
@@ -24,7 +28,7 @@ import time
 
 import numpy as np
 
-from conftest import publish
+from conftest import host_metadata, publish
 from repro import engine
 from repro.utils.tables import AsciiTable
 from repro.vcps.ids import random_macs
@@ -83,6 +87,27 @@ def _kernel_timings(backend_name, rng):
     }
 
 
+def _packed_set_bits_split(rng):
+    """Best-of-N seconds of each step of packed's dense ``set_bits``:
+    the bool scatter legacy also runs, the pack to words, the OR."""
+    backend = engine.get_backend("packed")
+    indices = rng.integers(0, M, size=BATCH, dtype=np.int64)
+    storage = backend.zeros(M)
+
+    def scatter():
+        bits = np.zeros(M, dtype=bool)
+        bits[indices] = True
+        return bits
+
+    bits = scatter()
+    words = backend.from_bool(bits)
+    return {
+        "bool_scatter": _best(scatter),
+        "pack": _best(lambda: backend.from_bool(bits)),
+        "or": _best(lambda: np.bitwise_or(storage, words, out=storage)),
+    }
+
+
 def test_kernel_ops_and_zero_copy_ingest():
     """Time every kernel op per backend, then gate the ingest speedup."""
     rng = np.random.default_rng(29)
@@ -90,6 +115,7 @@ def test_kernel_ops_and_zero_copy_ingest():
         name: _kernel_timings(name, rng)
         for name in engine.available_backends()
     }
+    split = _packed_set_bits_split(np.random.default_rng(31))
 
     # The ingest comparison starts from identical wire-decoded views:
     # big-endian >u8 MACs and >u4 indices, exactly what a
@@ -131,6 +157,14 @@ def test_kernel_ops_and_zero_copy_ingest():
         table.add_row(
             [name] + [f"{seconds * 1e3:.3f}" for seconds in timings.values()]
         )
+    steps = AsciiTable(
+        list(split) + ["sum"],
+        title=f"packed set_bits, dense path, best-of-{ROUNDS} ms (not gated)",
+    )
+    steps.add_row(
+        [f"{seconds * 1e3:.3f}" for seconds in split.values()]
+        + [f"{sum(split.values()) * 1e3:.3f}"]
+    )
     ingest = AsciiTable(
         ["path", "time (ms)", "responses/sec"],
         title=(
@@ -146,12 +180,14 @@ def test_kernel_ops_and_zero_copy_ingest():
     )
     publish(
         "kernels",
-        table.render() + "\n\n" + ingest.render(),
+        "\n\n".join(t.render() for t in (table, steps, ingest)),
         data={
+            "host": host_metadata(),
             "m": M,
             "batch": BATCH,
             "rounds": ROUNDS,
             "kernel_seconds": per_backend,
+            "packed_set_bits_split_seconds": split,
             "ingest": {
                 "index_batch_seconds": index_s,
                 "wire_batch_seconds": wire_s,

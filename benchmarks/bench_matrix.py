@@ -20,9 +20,9 @@ import numpy as np
 
 from conftest import host_metadata, publish
 from repro.core.bitarray import BitArray
-from repro.core.config import SchemeConfig
 from repro.core.decoder import CentralDecoder
 from repro.core.reports import RsuReport
+from repro.engine import use_backend
 from repro.experiments.sioux_falls_matrix import run_sioux_falls_matrix
 
 
@@ -53,24 +53,15 @@ def test_regenerate_matrix(benchmark):
     assert vlm["p90"] < base["p90"]
 
 
-def _decode_fleet(backend, *, k, max_exponent, seed=29):
+def _decode_fleet(*, k, max_exponent, seed=29):
     """A decoder loaded with *k* random reports (sizes spanning a
-    16x range up to ``2**max_exponent``) under *backend*."""
+    16x range up to ``2**max_exponent``) on the current backend."""
     rng = np.random.default_rng(seed)
-    decoder = CentralDecoder(
-        config=SchemeConfig(s=2, policy="clamp", engine=backend),
-        memo_capacity=4 * k,
-    )
+    decoder = CentralDecoder(2, policy="clamp", memo_capacity=4 * k)
     for rsu_id in range(1, k + 1):
         size = 1 << (max_exponent - (rsu_id % 5))
         bits = rng.random(size) < 0.35
-        decoder.submit(
-            RsuReport(
-                rsu_id,
-                int(bits.sum()),
-                BitArray.from_bits(bits, backend=backend),
-            )
-        )
+        decoder.submit(RsuReport(rsu_id, int(bits.sum()), BitArray.from_bits(bits)))
     return decoder
 
 
@@ -94,15 +85,17 @@ def test_all_pairs_decode_speedup():
     k = 16 if smoke else 48
     max_exponent = 16 if smoke else 20
     repeats = 2 if smoke else 3
-    legacy = _decode_fleet("legacy", k=k, max_exponent=max_exponent)
-    packed = _decode_fleet("packed", k=k, max_exponent=max_exponent)
-
-    legacy.all_pairs()  # warm the unfold memos before timing
-    packed.estimate_matrix()
-    t_scalar_legacy, ref = _best_of(legacy.all_pairs, repeats)
-    t_matrix_legacy, out_ml = _best_of(legacy.estimate_matrix, repeats)
-    t_scalar_packed, out_sp = _best_of(packed.all_pairs, repeats)
-    t_matrix_packed, out_mp = _best_of(packed.estimate_matrix, repeats)
+    # Each fleet is built and decoded under its own backend's scope.
+    with use_backend("legacy"):
+        legacy = _decode_fleet(k=k, max_exponent=max_exponent)
+        legacy.all_pairs()  # warm the unfold memos before timing
+        t_scalar_legacy, ref = _best_of(legacy.all_pairs, repeats)
+        t_matrix_legacy, out_ml = _best_of(legacy.estimate_matrix, repeats)
+    with use_backend("packed"):
+        packed = _decode_fleet(k=k, max_exponent=max_exponent)
+        packed.estimate_matrix()
+        t_scalar_packed, out_sp = _best_of(packed.all_pairs, repeats)
+        t_matrix_packed, out_mp = _best_of(packed.estimate_matrix, repeats)
 
     for label, other in (
         ("legacy estimate_matrix", out_ml),

@@ -24,7 +24,6 @@ import time
 import numpy as np
 
 from conftest import host_metadata, publish
-from repro.core.config import SchemeConfig
 from repro.core.decoder import CentralDecoder
 from repro.core.reports import RsuReport
 from repro.core.bitarray import BitArray
@@ -52,7 +51,7 @@ def _accumulated_reports(spec, consumed):
     reports = []
     for rsu_id, taken in sorted(consumed.items()):
         size = spec.scheme.array_size(rsu_id)
-        bits = BitArray(size, backend=spec.engine)
+        bits = BitArray(size)
         if taken.size:
             bits.set_bits(sorted_unique(taken))
         reports.append(
@@ -68,9 +67,7 @@ def _accumulated_reports(spec, consumed):
 
 def run_streaming_bench(total_trips: int = 60_000, seed: int = 13):
     spec = DeploymentSpec(total_trips=total_trips, seed=seed)
-    decoder = StreamingDecoder(
-        s=spec.s, policy=spec.policy, engine=spec.engine
-    )
+    decoder = StreamingDecoder(s=spec.s, policy=spec.policy)
     day = {
         rsu_id: spec.response_indices(rsu_id)
         for rsu_id in spec.scheme.rsu_ids
@@ -111,11 +108,7 @@ def run_streaming_bench(total_trips: int = 60_000, seed: int = 13):
         reports = _accumulated_reports(spec, consumed)
 
         def redecode():
-            batch = CentralDecoder(
-                config=SchemeConfig(
-                    s=spec.s, policy=spec.policy, engine=spec.engine
-                )
-            )
+            batch = CentralDecoder(spec.s, policy=spec.policy)
             batch.submit_many(reports)
             return batch.estimate_matrix(0)
 
@@ -127,20 +120,13 @@ def run_streaming_bench(total_trips: int = 60_000, seed: int = 13):
 
     def seal():
         sealed = StreamingDecoder(
-            s=spec.s,
-            policy=spec.policy,
-            engine=spec.engine,
-            registry=MetricsRegistry(),
+            s=spec.s, policy=spec.policy, registry=MetricsRegistry()
         )
         for report in day_reports:
             sealed.observe_report(report)
 
     def batch_decode():
-        batch = CentralDecoder(
-            config=SchemeConfig(
-                s=spec.s, policy=spec.policy, engine=spec.engine
-            )
-        )
+        batch = CentralDecoder(spec.s, policy=spec.policy)
         batch.submit_many(day_reports)
         return batch.estimate_matrix(0)
 

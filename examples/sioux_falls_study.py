@@ -17,14 +17,14 @@ Run:  python examples/sioux_falls_study.py
 from repro.baseline import FixedLengthScheme, fixed_array_size_for_privacy
 from repro.core.estimator import ZeroFractionPolicy
 from repro.core.scheme import VlmScheme
-from repro.traffic.network_workload import sioux_falls_workload
+from repro.scenarios import get_scenario
 from repro.utils.tables import AsciiTable
 
 # Keep the example quick: a scaled-down day (the experiment harness
 # runs the full 451k-vehicle day; see `python -m repro.cli table1`).
 TOTAL_TRIPS = 60_000
 
-workload = sioux_falls_workload(total_trips=TOTAL_TRIPS, seed=11)
+workload = get_scenario("sioux-falls").workload(total_trips=TOTAL_TRIPS, seed=11)
 volumes = workload.volumes()
 truth = workload.common_volumes()
 print(

@@ -23,10 +23,10 @@ from repro.apps import (
 from repro.core.estimator import ZeroFractionPolicy
 from repro.core.scheme import VlmScheme
 from repro.roadnet.volumes import pair_common_volumes
-from repro.traffic.network_workload import sioux_falls_workload
+from repro.scenarios import get_scenario
 
 # --- Measure a day of Sioux Falls traffic ------------------------------
-workload = sioux_falls_workload(total_trips=80_000, seed=17)
+workload = get_scenario("sioux-falls").workload(total_trips=80_000, seed=17)
 scheme = VlmScheme(
     workload.volumes(), s=2, load_factor=10.0, hash_seed=9,
     policy=ZeroFractionPolicy.CLAMP,

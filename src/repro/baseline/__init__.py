@@ -8,8 +8,9 @@ Its weakness, which the paper's evaluation quantifies, is the
 500k-vehicle intersection and a 10k-vehicle one.
 
 * :mod:`repro.baseline.scheme` — :class:`FixedLengthScheme`;
-* :mod:`repro.baseline.sizing` — the privacy-constrained choice of the
-  common ``m`` from the least-traffic RSU.
+* :func:`fixed_array_size_for_privacy` (from :mod:`repro.core.sizing`)
+  — the privacy-constrained choice of the common ``m`` from the
+  least-traffic RSU.
 """
 
 from repro.baseline.scheme import FixedLengthScheme

@@ -17,7 +17,7 @@ observed is attributable to variable-length sizing + unfolding.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class FixedLengthScheme:
     array_size:
         The common bit array length ``m`` (power of two here, so the
         two schemes stay byte-comparable; see
-        :func:`repro.baseline.sizing.fixed_array_size_for_privacy`).
+        :func:`repro.core.sizing.fixed_array_size_for_privacy`).
     s:
         Logical bit array size.
     hash_seed:
@@ -50,9 +50,6 @@ class FixedLengthScheme:
         Saturation policy for decoding — the baseline saturates easily
         on heavy-traffic RSUs, so experiments typically use ``CLAMP``
         to chart its (poor) estimates rather than erroring out.
-    engine:
-        Bit-storage backend name for every array the scheme creates
-        (``None`` = process default; see :mod:`repro.engine`).
     """
 
     def __init__(
@@ -62,7 +59,6 @@ class FixedLengthScheme:
         s: int = 2,
         hash_seed: int = 0,
         policy: ZeroFractionPolicy = ZeroFractionPolicy.CLAMP,
-        engine: Optional[str] = None,
     ) -> None:
         self.array_size = check_power_of_two(array_size, "array_size")
         if s >= array_size:
@@ -72,12 +68,7 @@ class FixedLengthScheme:
         self.params = SchemeParameters(
             s=s, load_factor=1.0, m_o=self.array_size, hash_seed=hash_seed
         )
-        self.engine = engine
-        from repro.core.config import SchemeConfig
-
-        self.decoder = CentralDecoder(
-            config=SchemeConfig(s=s, policy=policy, engine=engine)
-        )
+        self.decoder = CentralDecoder(s, policy=policy)
 
     @property
     def s(self) -> int:
@@ -103,7 +94,6 @@ class FixedLengthScheme:
             self.array_size,
             self.params,
             period=period,
-            backend=self.engine,
         )
 
     def encode(

@@ -17,7 +17,6 @@ from repro.core.config import SchemeConfig, configure
 from repro.core.unfolding import unfold, unfolded_or
 from repro.core.sizing import (
     AdaptiveSizing,
-    LoadFactorSizing,
     PrivacyOptimalSizing,
     SizingPolicy,
     StaticSizing,
@@ -48,7 +47,6 @@ __all__ = [
     "StaticSizing",
     "PrivacyOptimalSizing",
     "AdaptiveSizing",
-    "LoadFactorSizing",
     "array_size_for_volume",
     "SchemeConfig",
     "SchemeParameters",

@@ -29,7 +29,6 @@ from repro.errors import ConfigurationError, ValidationError
 __all__ = ["BitArray"]
 
 IndexLike = Union[int, Iterable[int], np.ndarray]
-BackendLike = Union[str, "engine.BitBackend", None]
 
 
 class BitArray:
@@ -42,10 +41,9 @@ class BitArray:
     bits:
         Optional initial contents (boolean array of length *size*); the
         array is copied.
-    backend:
-        Bit-storage backend: a name (``"packed"`` / ``"legacy"``), a
-        :class:`~repro.engine.BitBackend` instance, or ``None`` for the
-        process default (see :func:`repro.engine.get_backend`).
+
+    The storage backend is the one current at construction (see
+    :mod:`repro.engine`, "Selecting a backend") and never changes.
     """
 
     __slots__ = ("_size", "_backend", "_storage")
@@ -54,13 +52,11 @@ class BitArray:
         self,
         size: int,
         bits: np.ndarray = None,
-        *,
-        backend: BackendLike = None,
     ) -> None:
         if size <= 0:
             raise ConfigurationError(f"bit array size must be positive, got {size}")
         self._size = int(size)
-        self._backend = engine.get_backend(backend)
+        self._backend = engine.get_backend()
         if bits is None:
             self._storage = self._backend.zeros(self._size)
         else:
@@ -85,26 +81,20 @@ class BitArray:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_bits(
-        cls, bits: np.ndarray, *, backend: BackendLike = None
-    ) -> "BitArray":
+    def from_bits(cls, bits: np.ndarray) -> "BitArray":
         """Wrap (a copy of) a boolean vector."""
         bits = np.asarray(bits, dtype=bool)
-        return cls(bits.size, bits, backend=backend)
+        return cls(bits.size, bits)
 
     @classmethod
-    def from_indices(
-        cls, size: int, indices: IndexLike, *, backend: BackendLike = None
-    ) -> "BitArray":
+    def from_indices(cls, size: int, indices: IndexLike) -> "BitArray":
         """Create an array of *size* bits with *indices* set to 1."""
-        array = cls(size, backend=backend)
+        array = cls(size)
         array.set_bits(indices)
         return array
 
     @classmethod
-    def from_bytes(
-        cls, data: bytes, size: int, *, backend: BackendLike = None
-    ) -> "BitArray":
+    def from_bytes(cls, data: bytes, size: int) -> "BitArray":
         """Inverse of :meth:`to_bytes`.
 
         *data* must be exactly ``ceil(size / 8)`` bytes, and any padding
@@ -130,8 +120,8 @@ class BitArray:
                 f"bit array (last byte 0x{data[-1]:02x}); the sender "
                 "disagrees about the array length"
             )
-        resolved = engine.get_backend(backend)
-        return cls._wrap(size, resolved.from_bytes(data, size), resolved)
+        backend = engine.get_backend()
+        return cls._wrap(size, backend.from_bytes(data, size), backend)
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -406,11 +396,7 @@ class BitArray:
 
     @classmethod
     def or_reduce(
-        cls,
-        arrays: Sequence["BitArray"],
-        *,
-        size: int = None,
-        backend: BackendLike = None,
+        cls, arrays: Sequence["BitArray"], *, size: int = None
     ) -> "BitArray":
         """OR-fold many equal-length arrays in one kernel call.
 
@@ -418,9 +404,9 @@ class BitArray:
         collector merges shard partials and the streaming decoder
         collapses window rings through this instead of a Python-level
         ``|=`` loop.  With an empty *arrays*, *size* is required and an
-        all-zero array is returned.  *backend* defaults to the first
-        array's backend (or the process default when empty);
-        mixed-backend inputs are converted first.
+        all-zero array is returned.  The result takes the first
+        array's backend (the current one when empty); mixed-backend
+        inputs are converted first.
         """
         arrays = list(arrays)
         if not arrays:
@@ -428,12 +414,8 @@ class BitArray:
                 raise ConfigurationError(
                     "or_reduce of no arrays needs an explicit size"
                 )
-            return cls(size, backend=backend)
-        resolved = (
-            arrays[0]._backend
-            if backend is None
-            else engine.get_backend(backend)
-        )
+            return cls(size)
+        resolved = arrays[0]._backend
         target = arrays[0]._size if size is None else int(size)
         for array in arrays:
             if array._size != target:
@@ -451,16 +433,6 @@ class BitArray:
         """An independent copy."""
         return BitArray._wrap(
             self._size, self._backend.copy(self._storage), self._backend
-        )
-
-    def with_backend(self, backend: BackendLike) -> "BitArray":
-        """This array's contents under another backend (self if it
-        already matches)."""
-        resolved = engine.get_backend(backend)
-        if resolved is self._backend:
-            return self
-        return BitArray._wrap(
-            self._size, self._storage_as(resolved), resolved
         )
 
     def _storage_as(self, backend) -> np.ndarray:

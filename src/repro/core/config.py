@@ -19,6 +19,10 @@ it everywhere::
 Entry points still accept the individual keyword arguments; explicit
 keywords override the corresponding ``config`` field (see
 :func:`resolve_config`).
+
+The bit-storage backend is not a config field: it is a property of the
+process, chosen by ``REPRO_ENGINE`` or a scoped
+:func:`repro.engine.use_backend` (see :mod:`repro.engine`).
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro import engine as repro_engine
 from repro.core.estimator import ZeroFractionPolicy
 from repro.core.parameters import DEFAULT_LOAD_FACTOR, DEFAULT_S
 from repro.core.sizing import SizingPolicy, StaticSizing
@@ -65,12 +68,6 @@ class SchemeConfig:
     policy:
         Saturation handling; an enum member or its string value
         (``"raise"`` / ``"clamp"``).
-    engine:
-        Bit-storage backend name (``"packed"`` / ``"legacy"``) threaded
-        to every :class:`~repro.core.bitarray.BitArray` the deployment
-        creates.  ``None`` (the default) defers to the process default
-        — the ``REPRO_ENGINE`` environment variable or ``"packed"``
-        (see :mod:`repro.engine`).
     sizing:
         An explicit :class:`~repro.core.sizing.SizingPolicy` used to
         size every RSU array.  ``None`` (the default) means
@@ -82,15 +79,10 @@ class SchemeConfig:
     load_factor: float = DEFAULT_LOAD_FACTOR
     hash_seed: int = 0
     policy: ZeroFractionPolicy = ZeroFractionPolicy.RAISE
-    engine: Optional[str] = None
     sizing: Optional[SizingPolicy] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "policy", _coerce_policy(self.policy))
-        if self.engine is not None:
-            # Canonicalize and fail fast on unknown names.
-            resolved = repro_engine.get_backend(str(self.engine))
-            object.__setattr__(self, "engine", resolved.name)
         if int(self.s) != self.s or self.s < 1:
             raise ConfigurationError(
                 f"s must be a positive integer, got {self.s!r}"
@@ -131,7 +123,6 @@ def configure(
     load_factor: float = DEFAULT_LOAD_FACTOR,
     hash_seed: int = 0,
     policy: PolicyLike = ZeroFractionPolicy.RAISE,
-    engine: Optional[str] = None,
     sizing: Optional[SizingPolicy] = None,
 ) -> SchemeConfig:
     """Build a validated :class:`SchemeConfig`.
@@ -146,7 +137,6 @@ def configure(
         load_factor=load_factor,
         hash_seed=hash_seed,
         policy=policy,
-        engine=engine,
         sizing=sizing,
     )
 
@@ -158,7 +148,6 @@ def resolve_config(
     load_factor: Optional[float] = None,
     hash_seed: Optional[int] = None,
     policy: Optional[PolicyLike] = None,
-    engine: Optional[str] = None,
     sizing: Optional[SizingPolicy] = None,
 ) -> SchemeConfig:
     """Merge an optional *config* with optional keyword overrides.
@@ -176,7 +165,6 @@ def resolve_config(
             ("load_factor", load_factor),
             ("hash_seed", hash_seed),
             ("policy", policy),
-            ("engine", engine),
             ("sizing", sizing),
         )
         if value is not None

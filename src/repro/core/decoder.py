@@ -81,7 +81,7 @@ class CentralDecoder:
         Saturation handling passed through to the estimator.
     config:
         A :class:`~repro.core.config.SchemeConfig` providing defaults
-        for ``s``, ``policy`` and ``engine``; explicit arguments
+        for ``s`` and ``policy``; explicit arguments
         override it.
     memo_capacity:
         Maximum number of unfolded arrays kept in the LRU memo.
@@ -100,7 +100,6 @@ class CentralDecoder:
         resolved = resolve_config(config, s=s, policy=policy)
         self.s = int(resolved.s)
         self.policy = resolved.policy
-        self.engine = resolved.engine
         if memo_capacity < 1:
             raise ConfigurationError(
                 f"memo_capacity must be >= 1, got {memo_capacity}"
@@ -267,7 +266,7 @@ class CentralDecoder:
         ids = self.rsu_ids(period) if rsu_ids is None else sorted(rsu_ids)
         if len(ids) < 2:
             return {}
-        backend = engine.get_backend(self.engine)
+        backend = engine.get_backend()
         reports = [self.report_for(rsu_id, period) for rsu_id in ids]
         zeros = joint_zero_matrix(
             [report.bits for report in reports], backend

@@ -17,7 +17,6 @@ Both produce byte-identical bit arrays for the same inputs (tested in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -42,9 +41,6 @@ class RsuState:
         Identifier ``R_x``.
     array_size:
         Bit array length ``m_x`` (power of two, from the sizing rule).
-    engine:
-        Bit-storage backend name for the array (``None`` = process
-        default; see :mod:`repro.engine`).
     """
 
     rsu_id: int
@@ -52,12 +48,11 @@ class RsuState:
     counter: int = 0
     bits: BitArray = field(default=None)
     period: int = 0
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_power_of_two(self.array_size, "array_size")
         if self.bits is None:
-            self.bits = BitArray(self.array_size, backend=self.engine)
+            self.bits = BitArray(self.array_size)
         elif self.bits.size != self.array_size:
             raise ConfigurationError(
                 f"bit array size {self.bits.size} != array_size {self.array_size}"
@@ -126,7 +121,6 @@ def encode_passes(
     params: SchemeParameters,
     *,
     period: int = 0,
-    backend: Optional[str] = None,
 ) -> RsuReport:
     """Encode an entire vehicle population passing one RSU.
 
@@ -146,9 +140,6 @@ def encode_passes(
         must not exceed ``params.m_o``.
     params:
         Global scheme parameters (``s``, salts, hash seed, ``m_o``).
-    backend:
-        Bit-storage backend for the report's array (``None`` = process
-        default; see :mod:`repro.engine`).
     """
     array_size = check_power_of_two(array_size, "array_size")
     if array_size > params.m_o:
@@ -166,7 +157,7 @@ def encode_passes(
     )
     # Power-of-two reduction: b_x = b mod m_x.
     indices = logical & (array_size - 1)
-    bits = BitArray.from_indices(array_size, indices, backend=backend)
+    bits = BitArray.from_indices(array_size, indices)
     registry = get_registry()
     registry.counter("core.encode_calls_total", backend=bits.backend).inc()
     registry.counter(

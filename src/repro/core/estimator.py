@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.bitarray import BitArray
 from repro.core.reports import RsuReport
-from repro.core.results import Estimate, deprecated_alias
+from repro.core.results import Estimate
 from repro.core.unfolding import unfolded_or
 from repro.errors import ConfigurationError, EstimationError, SaturatedArrayError
 from repro.utils.arrays import sorted_unique
@@ -260,8 +260,7 @@ class PairEstimate(Estimate):
     Attributes
     ----------
     value:
-        The point-to-point traffic volume estimate ``n̂_c`` (Eq. 5);
-        readable via the deprecated alias ``n_c_hat``.
+        The point-to-point traffic volume estimate ``n̂_c`` (Eq. 5).
     v_c, v_x, v_y:
         Observed zero-bit fractions that produced the estimate
         (``v_x`` always refers to the *smaller* array).
@@ -281,9 +280,6 @@ class PairEstimate(Estimate):
     n_x: int
     n_y: int
     s: int
-
-    #: Deprecated spelling of :attr:`value`.
-    n_c_hat = deprecated_alias("n_c_hat")
 
     @property
     def stderr(self) -> float:

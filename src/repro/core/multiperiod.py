@@ -18,13 +18,12 @@ is quantified by :mod:`repro.experiments.multiperiod`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.accuracy.variance import estimator_variance
 from repro.core.estimator import PairEstimate
-from repro.core.results import Estimate, deprecated_alias
+from repro.core.results import Estimate
 from repro.errors import EstimationError
 
 __all__ = ["AggregatedEstimate", "aggregate_estimates"]
@@ -37,7 +36,7 @@ class AggregatedEstimate(Estimate):
     Attributes
     ----------
     value:
-        The combined estimate (deprecated alias ``n_c_hat``).
+        The combined estimate.
     stderr:
         Predicted standard error of the combined estimate (from the
         closed-form per-period variances when available, else the
@@ -54,24 +53,10 @@ class AggregatedEstimate(Estimate):
     periods: int = 1
     method: str = "mean"
 
-    #: Deprecated spelling of :attr:`value`.
-    n_c_hat = deprecated_alias("n_c_hat")
-
     @property
     def meta(self) -> dict:
         """Aggregation method and the number of periods combined."""
         return {"method": self.method, "periods": self.periods}
-
-    def confidence_interval(self, z: float = 1.96) -> tuple:
-        """Deprecated: use :meth:`ci` (which takes a *level*, not a
-        z-score) instead."""
-        warnings.warn(
-            "AggregatedEstimate.confidence_interval is deprecated; "
-            "use .ci(level) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return (self.value - z * self.stderr, self.value + z * self.stderr)
 
 
 def _closed_form_variance(estimate: PairEstimate, n_c_guess: float) -> float:

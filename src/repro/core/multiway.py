@@ -47,7 +47,7 @@ from repro.core.estimator import (
     estimate_intersection,
 )
 from repro.core.reports import RsuReport
-from repro.core.results import Estimate, deprecated_alias
+from repro.core.results import Estimate
 from repro.core.unfolding import unfold
 from repro.errors import ConfigurationError, EstimationError, SaturatedArrayError
 
@@ -122,17 +122,13 @@ def log_q_triple_coefficients(
 class TripleEstimate(Estimate):
     """Result of a three-point measurement.
 
-    :attr:`value` is the triple trajectory volume ``n̂_xyz`` (readable
-    via the deprecated alias ``n_xyz_hat``).
+    :attr:`value` is the triple trajectory volume ``n̂_xyz``.
     """
 
     pairwise: Tuple[float, float, float]
     v_t: float
     m_sizes: Tuple[int, int, int]
     s: int
-
-    #: Deprecated spelling of :attr:`value`.
-    n_xyz_hat = deprecated_alias("n_xyz_hat")
 
     @property
     def params(self) -> dict:
@@ -287,15 +283,12 @@ class MultiwayEstimate(Estimate):
 
     ``subset_estimates`` maps each RSU-id subset (size >= 2, as a
     sorted tuple) to its estimated intersection volume; the top-level
-    k-way estimate is :attr:`value` (deprecated alias ``n_hat``).
+    k-way estimate is :attr:`value`.
     """
 
     rsu_ids: Tuple[int, ...]
     subset_estimates: dict
     s: int
-
-    #: Deprecated spelling of :attr:`value`.
-    n_hat = deprecated_alias("n_hat")
 
     @property
     def params(self) -> dict:

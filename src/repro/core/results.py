@@ -1,11 +1,8 @@
-"""The unified result API: :class:`Estimate` and deprecation helpers.
+"""The unified result API: :class:`Estimate`.
 
-Result objects used to drift apart — ``PairEstimate.n_c_hat``,
-``TripleEstimate.n_xyz_hat``, ``MultiwayEstimate.n_hat``,
-``AggregatedEstimate.n_c_hat`` — so generic tooling (experiment
-harnesses, the loadgen verifier, metrics summaries) had to know which
-spelling each class used.  Every estimate now conforms to one
-contract:
+Every estimate — pair, triple, k-way, multi-period — conforms to one
+contract, so generic tooling (experiment harnesses, the loadgen
+verifier, metrics summaries) never needs to know which class it holds:
 
 ``value``
     The point estimate (``n̂`` of whatever intersection was measured).
@@ -21,47 +18,17 @@ contract:
 ``meta``
     Observational metadata (zero fractions, counters, aggregation
     method, ...).
-
-The old attribute spellings still resolve — as deprecated properties
-built by :func:`deprecated_alias` that emit :class:`DeprecationWarning`
-— so downstream code keeps working while it migrates.  The test suite
-runs with ``-W error::DeprecationWarning`` scoped to ``repro`` so the
-library itself can never regress onto its own deprecated surface.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Dict, Optional, Tuple
 
 from repro.errors import EstimationError
 
-__all__ = ["Estimate", "deprecated_alias"]
-
-
-def deprecated_alias(old_name: str, new_name: str = "value") -> property:
-    """A read-only property aliasing *old_name* to *new_name*.
-
-    Reading it returns ``getattr(self, new_name)`` after emitting a
-    :class:`DeprecationWarning` attributed to the caller
-    (``stacklevel=2``), so the warning points at the code that needs
-    migrating, not at the alias itself.
-    """
-
-    def getter(self):
-        warnings.warn(
-            f"{type(self).__name__}.{old_name} is deprecated; "
-            f"use .{new_name} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(self, new_name)
-
-    getter.__name__ = old_name
-    getter.__doc__ = f"Deprecated alias for :attr:`{new_name}`."
-    return property(getter)
+__all__ = ["Estimate"]
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,6 @@ class VlmScheme:
         Shared hash-function seed.
     policy:
         Saturation policy for the decoder.
-    engine:
-        Bit-storage backend name for every array the scheme creates
-        (``None`` = process default; see :mod:`repro.engine`).
     sizing:
         An explicit :class:`~repro.core.sizing.SizingPolicy`
         (:class:`~repro.core.sizing.StaticSizing`,
@@ -74,7 +71,6 @@ class VlmScheme:
         load_factor: Optional[float] = None,
         hash_seed: Optional[int] = None,
         policy: Optional[PolicyLike] = None,
-        engine: Optional[str] = None,
         sizing: Optional[SizingPolicy] = None,
         config: Optional[SchemeConfig] = None,
     ) -> None:
@@ -86,7 +82,6 @@ class VlmScheme:
             load_factor=load_factor,
             hash_seed=hash_seed,
             policy=policy,
-            engine=engine,
             sizing=sizing,
         )
         s = config.s
@@ -156,7 +151,6 @@ class VlmScheme:
             self.array_size(rsu_id),
             self.params,
             period=period,
-            backend=self.config.engine,
         )
 
     def encode(

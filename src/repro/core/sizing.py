@@ -12,8 +12,7 @@ Every sizing rule in the repo now implements one small protocol,
 ``load_factor`` it targets — with three implementations:
 
 :class:`StaticSizing`
-    The paper's fixed global ``f̄`` (previously ``LoadFactorSizing``,
-    which remains as a deprecated alias).
+    The paper's fixed global ``f̄``.
 :class:`PrivacyOptimalSizing`
     Targets the optimum ``f*`` computed by
     :func:`repro.privacy.optimizer.optimal_load_factor` for the given
@@ -29,14 +28,12 @@ Every sizing rule in the repo now implements one small protocol,
 The comparison baseline of reference [9] instead forces one common
 ``m`` on every RSU; its privacy-constrained choice
 (:func:`fixed_array_size_for_privacy`) lives here too so every
-array-sizing rule shares one module — ``repro.baseline.sizing``
-re-exports it for backwards compatibility.
+array-sizing rule shares one module.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -58,7 +55,6 @@ __all__ = [
     "StaticSizing",
     "PrivacyOptimalSizing",
     "AdaptiveSizing",
-    "LoadFactorSizing",
     "array_size_for_volume",
     "fixed_array_size_for_privacy",
     "prev_power_of_two",
@@ -165,24 +161,6 @@ class StaticSizing:
         rounding up to a power of two at most doubles the target.
         """
         return self.size_for(average_volume) / average_volume
-
-
-class LoadFactorSizing(StaticSizing):
-    """Deprecated name for :class:`StaticSizing`.
-
-    Emits a :class:`DeprecationWarning` at construction (an error
-    inside this repo via the pyproject ``filterwarnings`` pattern, as
-    with the ``Estimate`` aliases) and behaves identically otherwise.
-    """
-
-    def __init__(self, load_factor: float) -> None:
-        warnings.warn(
-            "LoadFactorSizing is deprecated; use StaticSizing "
-            "(repro.core.sizing.StaticSizing) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(load_factor)
 
 
 @dataclass(frozen=True)

@@ -22,25 +22,27 @@ without invalidating stored reports or golden results.
 
 Selecting a backend
 -------------------
-Resolution order, strongest first:
+The backend is a property of the process, not of a call.  Two
+mechanisms choose it, strongest first:
 
-1. an explicit ``backend=`` argument (a name or backend instance);
-2. the process default set via :func:`set_default_backend` /
-   :func:`use_backend`;
-3. the ``REPRO_ENGINE`` environment variable (``legacy`` / ``packed``);
-4. the built-in default, ``"packed"``.
+1. the scoped :func:`use_backend` context, local to the current thread
+   or asyncio task (the thread executor of :func:`repro.runtime.run_tasks`
+   carries it into its workers; a process worker enters its own);
+2. the ``REPRO_ENGINE`` environment variable (``legacy`` / ``packed``),
+   the deployment setting CI runs the whole suite under;
 
-Entry points that take a :class:`~repro.core.config.SchemeConfig`
-(``VlmScheme``, ``CentralDecoder``, ``DeploymentSpec``) honour its
-``engine`` field, so ``repro.configure(engine="legacy")`` threads the
-choice through a whole deployment.  See ``docs/engine.md`` for the word
-layout and the memory math.
+and the built-in default, ``"packed"``, when neither is set.  Every
+:class:`~repro.core.bitarray.BitArray` takes the backend current at
+its construction and keeps it; operands built under different scopes
+still combine (the right operand is converted).  See ``docs/engine.md``
+for the word layout and the memory math.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.engine import kernels
@@ -62,7 +64,6 @@ __all__ = [
     "get_kernels",
     "default_backend_name",
     "register_backend",
-    "set_default_backend",
     "use_backend",
 ]
 
@@ -74,8 +75,9 @@ BUILTIN_DEFAULT = "packed"
 
 _BACKENDS: Dict[str, BitBackend] = {}
 
-#: Process-level programmatic default (None = fall through to env).
-_process_default: Optional[str] = None
+#: The backend chosen by the innermost :func:`use_backend` scope
+#: (None = fall through to the environment).
+_scoped: ContextVar[Optional[str]] = ContextVar("repro_engine", default=None)
 
 BackendLike = Union[str, BitBackend, None]
 
@@ -99,7 +101,8 @@ def register_backend(
     This is how an out-of-tree accelerator plugs in::
 
         engine.register_backend(MyGpuBackend(), kernel_table=my_table)
-        engine.set_default_backend("my-gpu")
+        with engine.use_backend("my-gpu"):
+            ...
     """
     if not isinstance(backend, BitBackend):
         raise ConfigurationError(
@@ -138,13 +141,14 @@ def _lookup(name: str) -> BitBackend:
 
 
 def default_backend_name() -> str:
-    """The backend name used when no explicit backend is given.
+    """The backend name a new ``BitArray`` takes.
 
-    Resolution: programmatic default (:func:`set_default_backend`) >
+    Resolution: the innermost :func:`use_backend` scope >
     ``REPRO_ENGINE`` environment variable > ``"packed"``.
     """
-    if _process_default is not None:
-        return _process_default
+    scoped = _scoped.get()
+    if scoped is not None:
+        return scoped
     env = os.environ.get(ENV_VAR)
     if env:
         # Validate eagerly so a typo in CI fails loudly, not quietly.
@@ -165,35 +169,24 @@ def get_backend(backend: BackendLike = None) -> BitBackend:
     return _lookup(str(backend))
 
 
-def set_default_backend(name: Optional[str]) -> None:
-    """Set (or with ``None``, clear) the process-level default backend.
-
-    Takes precedence over the ``REPRO_ENGINE`` environment variable.
-    """
-    global _process_default
-    if name is not None:
-        name = _lookup(str(name)).name
-    _process_default = name
-
-
 @contextmanager
 def use_backend(name: str) -> Iterator[BitBackend]:
-    """Temporarily make *name* the process default backend.
+    """Make *name* the backend of every ``BitArray`` built in scope.
 
-    The tool the differential tests use to run the same code path under
-    both representations::
+    The scope is local to the current thread or asyncio task, so
+    concurrent scopes never leak into one another.  The tool the
+    differential tests use to run the same code path under both
+    representations::
 
         with repro.engine.use_backend("legacy"):
             reports = scheme.encode(passes)
     """
     backend = _lookup(str(name))
-    global _process_default
-    previous = _process_default
-    _process_default = backend.name
+    token = _scoped.set(backend.name)
     try:
         yield backend
     finally:
-        _process_default = previous
+        _scoped.reset(token)
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import SchemeConfig
+from repro.engine import use_backend
 from repro.core.decoder import CentralDecoder
 from repro.core.encoder import encode_passes
 from repro.core.estimator import PairEstimate, ZeroFractionPolicy
@@ -84,7 +84,7 @@ def _decode_day(
     policy: ZeroFractionPolicy,
     sizes: Dict[int, int],
     period: int,
-    engine: Optional[str],
+    backend: str,
 ) -> Matrix:
     """Encode one drifted day at a given size plan and decode all pairs.
 
@@ -93,36 +93,37 @@ def _decode_day(
     travel through pickled process-executor tasks where workload
     objects should not), consumes no ambient randomness, and is
     therefore bit-identical at any worker count, on either backend.
+    The body runs under ``use_backend(backend)``, so the backend holds
+    in a process worker too.
     """
-    workload = get_scenario(scenario).workload(
-        total_trips=trips, seed=workload_seed, period=period
-    )
-    decoder = CentralDecoder(
-        config=SchemeConfig(s=params.s, policy=policy, engine=engine)
-    )
-    for rsu_id, (ids, keys) in sorted(workload.passes().items()):
-        decoder.submit(
-            encode_passes(
-                ids,
-                keys,
-                int(rsu_id),
-                sizes[int(rsu_id)],
-                params,
-                period=period,
-                backend=engine,
-            )
+    with use_backend(backend):
+        workload = get_scenario(scenario).workload(
+            total_trips=trips, seed=workload_seed, period=period
         )
-    return decoder.estimate_matrix(period)
+        decoder = CentralDecoder(params.s, policy=policy)
+        for rsu_id, (ids, keys) in sorted(workload.passes().items()):
+            decoder.submit(
+                encode_passes(
+                    ids,
+                    keys,
+                    int(rsu_id),
+                    sizes[int(rsu_id)],
+                    params,
+                    period=period,
+                )
+            )
+        return decoder.estimate_matrix(period)
 
 
 def _day_task(
     spec: DeploymentSpec,
     sizes: Dict[int, int],
     period: int,
-    engine: Optional[str],
+    backend: str,
     label: str,
 ) -> Task:
-    """The decode task for day *period* of *spec* at plan *sizes*."""
+    """The decode task for day *period* of *spec* at plan *sizes*, run
+    on the *backend* named."""
     return Task(
         fn=_decode_day,
         args=(
@@ -133,7 +134,7 @@ def _day_task(
             spec.policy,
             dict(sizes),
             period,
-            engine,
+            backend,
         ),
         label=label,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -86,15 +86,14 @@ def run_overhead(
     *,
     m_exponents: Sequence[int] = (14, 17, 20),
     seed: SeedLike = 51,
-    engine: Optional[str] = None,
 ) -> OverheadResult:
     """Measure the three roles across the given array-size exponents.
 
-    *engine* pins the bit-storage backend for every array involved
-    (``None`` = process default).  The paper's O(m_y) server-decode
-    claim is about per-bit work, which the ``legacy`` backend exposes
-    directly; under ``packed`` the same sweep shows how far word
-    parallelism pushes out the size at which m dominates fixed costs.
+    Every array is built on the current backend (see
+    :mod:`repro.engine`).  The paper's O(m_y) server-decode claim is
+    about per-bit work, which the ``legacy`` backend exposes directly;
+    under ``packed`` the same sweep shows how far word parallelism
+    pushes out the size at which m dominates fixed costs.
     """
     rng = as_generator(seed)
     rows: List[OverheadRow] = []
@@ -111,7 +110,7 @@ def run_overhead(
         )
 
     # RSU: one counter increment + one bit set.
-    state = RsuState(rsu_id=1, array_size=m_max, engine=engine)
+    state = RsuState(rsu_id=1, array_size=m_max)
     per_op = _time_per_op(lambda: state.record(12345), repeats=20_000)
     rows.append(OverheadRow(role="rsu (1 bit set)", scale=f"m=2^{max(m_exponents)}", per_op_us=per_op))
 
@@ -120,7 +119,7 @@ def run_overhead(
     ids = np.arange(n, dtype=np.uint64)
     keys = ids * np.uint64(2654435761) + np.uint64(7)
     start = time.perf_counter()
-    encode_passes(ids, keys, 1, m_max, params, backend=engine)
+    encode_passes(ids, keys, 1, m_max, params)
     elapsed = time.perf_counter() - start
     rows.append(
         OverheadRow(
@@ -134,12 +133,8 @@ def run_overhead(
     for exponent in m_exponents:
         m_y = 1 << exponent
         m_x = max(m_y >> 4, 4)
-        rx = RsuReport(
-            1, m_x // 3, BitArray.from_bits(rng.random(m_x) < 0.3, backend=engine)
-        )
-        ry = RsuReport(
-            2, m_y // 3, BitArray.from_bits(rng.random(m_y) < 0.3, backend=engine)
-        )
+        rx = RsuReport(1, m_x // 3, BitArray.from_bits(rng.random(m_x) < 0.3))
+        ry = RsuReport(2, m_y // 3, BitArray.from_bits(rng.random(m_y) < 0.3))
         per_op = _time_per_op(
             lambda rx=rx, ry=ry: estimate_intersection(rx, ry, 2), repeats=5
         )
@@ -149,20 +144,12 @@ def run_overhead(
 
     # Server matrix decode: per-pair cost of the batched all-pairs path
     # vs the scalar per-pair loop, at the largest m.
-    from repro.core.config import SchemeConfig
-
-    decoder = CentralDecoder(
-        config=SchemeConfig(s=2, policy="clamp", engine=engine)
-    )
+    decoder = CentralDecoder(2, policy="clamp")
     k = 12
     for rsu_id in range(1, k + 1):
         m = m_max >> (rsu_id % 3)
         decoder.submit(
-            RsuReport(
-                rsu_id,
-                m // 3,
-                BitArray.from_bits(rng.random(m) < 0.3, backend=engine),
-            )
+            RsuReport(rsu_id, m // 3, BitArray.from_bits(rng.random(m) < 0.3))
         )
     pairs = k * (k - 1) // 2
     for role, fn in (

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.bitarray import BitArray
-from repro.core.config import SchemeConfig
 from repro.core.decoder import CentralDecoder
 from repro.core.reports import RsuReport
 from repro.service.runtime import DeploymentSpec
@@ -131,12 +130,7 @@ def run_streaming_matrix(
     spec = DeploymentSpec(
         total_trips=int(total_trips), seed=int(seed), scenario=str(scenario)
     )
-    decoder = StreamingDecoder(
-        s=spec.s,
-        policy=spec.policy,
-        engine=spec.engine,
-        windows=windows,
-    )
+    decoder = StreamingDecoder(s=spec.s, policy=spec.policy, windows=windows)
     responses = 0
     class_counts: Dict[str, int] = {vclass: 0 for vclass in VEHICLE_CLASSES}
     prefix_reports: List[RsuReport] = []
@@ -152,7 +146,7 @@ def run_streaming_matrix(
                 RsuReport(
                     rsu_id=rsu_id,
                     counter=0,
-                    bits=BitArray(size, backend=spec.engine),
+                    bits=BitArray(size),
                     period=0,
                 )
             )
@@ -162,7 +156,7 @@ def run_streaming_matrix(
         prefix_idx = (
             np.concatenate(parts[:-1]) if windows > 1 else indices
         )
-        prefix_bits = BitArray(size, backend=spec.engine)
+        prefix_bits = BitArray(size)
         if prefix_idx.size:
             prefix_bits.set_bits(sorted_unique(prefix_idx))
         prefix_reports.append(
@@ -195,9 +189,7 @@ def run_streaming_matrix(
     # decoder fed exactly those windows' responses (with W == 1 this is
     # the trivial full-period check, same as bit_identical).
     prefix = decoder.matrix_at(period=0, at=max(windows - 2, 0))
-    prefix_decoder = CentralDecoder(
-        config=SchemeConfig(s=spec.s, policy=spec.policy, engine=spec.engine)
-    )
+    prefix_decoder = CentralDecoder(spec.s, policy=spec.policy)
     prefix_decoder.submit_many(prefix_reports)
     prefix_reference = prefix_decoder.estimate_matrix(0)
     window_pairs = {

@@ -40,9 +40,8 @@ def spec_provisioner(
     """A callable that builds one RSU of *spec*'s deployment on demand.
 
     Used as a :class:`ShardGateway`'s ``provisioner`` so a handoff can
-    materialize a fresh zeroed RSU with exactly the array size, MAC
-    secret, and engine every other replica of the deployment would
-    give it.
+    materialize a fresh zeroed RSU with exactly the array size and MAC
+    secret every other replica of the deployment would give it.
     """
     authority = CertificateAuthority(seed=spec.seed)
 
@@ -51,7 +50,6 @@ def spec_provisioner(
             rsu_id,
             spec.scheme.array_size(rsu_id),
             authority.issue(rsu_id),
-            engine=spec.engine,
         )
 
     return provision

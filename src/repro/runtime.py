@@ -31,11 +31,14 @@ Executor semantics
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  Effective when
     tasks release the GIL (numpy-heavy encode/decode); zero pickling
-    cost.
+    cost.  Tasks run in the submitter's :mod:`contextvars` context.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor`.  True
     parallelism for Python-bound work; task functions, arguments and
-    results must be picklable (module-level functions only).
+    results must be picklable (module-level functions only).  A
+    :func:`repro.engine.use_backend` scope does not cross the process
+    boundary: a task that needs a backend carries its name and enters
+    the scope itself.
 
 Nested calls degrade to serial: a ``run_tasks`` reached *inside* a
 worker (thread or process) runs its tasks inline rather than forking a
@@ -55,6 +58,8 @@ per-batch wall-clock histogram, and a last-used worker-count gauge.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import os
 import threading
 import time
@@ -213,11 +218,16 @@ def resolve_plan(
     return workers, executor
 
 
-def _thread_worker(task_: Task) -> Any:
-    """Run one task in a thread-pool worker, flagged for the guard."""
+def _thread_worker(context: contextvars.Context, task_: Task) -> Any:
+    """Run one task in a thread-pool worker, flagged for the guard.
+
+    The task runs in a copy of the submitter's *context*, so a
+    :func:`repro.engine.use_backend` scope around :func:`run_tasks`
+    holds in thread workers exactly as it does serially.
+    """
     _WORKER_TLS.active = True
     try:
-        return task_.run()
+        return context.copy().run(task_.run)
     finally:
         _WORKER_TLS.active = False
 
@@ -318,7 +328,10 @@ def run_tasks(
         elif executor == "thread":
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 try:
-                    results = _run_pool(pool, _thread_worker, task_list)
+                    worker = functools.partial(
+                        _thread_worker, contextvars.copy_context()
+                    )
+                    results = _run_pool(pool, worker, task_list)
                     completed = len(results)
                 except BaseException:
                     failed += 1

@@ -14,7 +14,7 @@ Determinism contract: ``scenario.workload(total_trips=t, seed=s,
 period=p)`` is a pure function of its arguments, so every scenario
 replays bit-identically across worker counts, executors, and engine
 backends.  ``sioux-falls`` specifically reproduces the historical
-``sioux_falls_workload`` byte for byte.
+hardcoded Sioux Falls workload byte for byte.
 """
 
 from repro.scenarios.base import (

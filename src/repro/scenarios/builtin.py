@@ -2,7 +2,7 @@
 
 * :class:`SiouxFallsScenario` — the paper's 24-node network with the
   center-heavy gravity demand; **bit-identical** to the historical
-  ``sioux_falls_workload`` (same network constructor, same gravity
+  hardcoded workload (same network constructor, same gravity
   synthesis, same routing and fleet materialization order).
 * :class:`GridScenario` / :class:`RingRadialScenario` — parametric
   synthetic cities over :mod:`repro.roadnet.generators` with uniform
@@ -50,9 +50,8 @@ def mini_tntp_paths() -> "tuple[Path, Path]":
 class SiouxFallsScenario(Scenario):
     """The classic 24-node Sioux Falls evaluation network.
 
-    ``workload()`` reproduces the historical
-    ``sioux_falls_workload(total_trips=..., seed=...)`` byte for byte:
-    the same :func:`~repro.roadnet.sioux_falls.sioux_falls_network`,
+    ``workload()`` reproduces the historical hardcoded Sioux Falls
+    workload byte for byte: ``NetworkWorkload.build`` over the same :func:`~repro.roadnet.sioux_falls.sioux_falls_network`,
     the same center-heavy gravity table at ``gamma``, the same
     shortest-path assignment and fleet order.
     """

@@ -41,7 +41,6 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.bitarray import BitArray
-from repro.core.config import SchemeConfig
 from repro.core.decoder import CentralDecoder
 from repro.core.reports import RsuReport
 from repro.errors import ConfigurationError
@@ -180,11 +179,7 @@ def _degraded_decoder(
     responses, except the downed RSUs lose their outage-window slices.
     Reports are tagged period 0 to match the fresh gateway's internal
     period numbering."""
-    decoder = CentralDecoder(
-        config=SchemeConfig(
-            s=spec.s, policy=spec.policy, engine=spec.engine
-        )
-    )
+    decoder = CentralDecoder(spec.s, policy=spec.policy)
     reports = []
     for rsu_id in spec.scheme.rsu_ids:
         if rsu_id in down:
@@ -198,9 +193,7 @@ def _degraded_decoder(
             )
         else:
             indices = spec.response_indices(rsu_id, period=period)
-        bits = BitArray.from_indices(
-            spec.scheme.array_size(rsu_id), indices, backend=spec.engine
-        )
+        bits = BitArray.from_indices(spec.scheme.array_size(rsu_id), indices)
         reports.append(
             RsuReport(
                 rsu_id=int(rsu_id),

@@ -112,12 +112,10 @@ class DeploymentSpec:
             self.load_factor = self.config.load_factor
             self.hash_seed = self.config.hash_seed
             self.policy = self.config.policy
-            self.engine = self.config.engine
             if self.sizing is None:
                 self.sizing = self.config.sizing
         else:
             self.policy = ZeroFractionPolicy.CLAMP
-            self.engine = None
         self.periods = int(self.periods)
         if self.periods < 1:
             raise ConfigurationError(
@@ -159,7 +157,6 @@ class DeploymentSpec:
             s=self.s,
             hash_seed=self.hash_seed,
             policy=self.policy,
-            engine=self.engine,
             sizing=target,
         )
         if self.adaptive and not isinstance(self.sizing, AdaptiveSizing):
@@ -259,7 +256,6 @@ class DeploymentSpec:
                 rsu_id,
                 self.scheme.array_size(rsu_id),
                 authority.issue(rsu_id),
-                engine=self.engine,
             )
             for rsu_id in self.scheme.rsu_ids
         }
@@ -281,7 +277,6 @@ class DeploymentSpec:
             self.sizing,
             history=VolumeHistory(dict(self.workload.volumes())),
             policy=self.policy,
-            engine=self.engine,
             windows=windows,
             window_s=window_s,
         )
@@ -318,18 +313,13 @@ class DeploymentSpec:
                 sizes[int(rsu_id)],
                 self.scheme.params,
                 period=period,
-                backend=self.engine,
             )
             for rsu_id, (ids, keys) in passes.items()
         }
 
     def reference_decoder(self, *, period: int = 0) -> CentralDecoder:
         """A local decoder loaded with :meth:`reference_reports`."""
-        decoder = CentralDecoder(
-            config=SchemeConfig(
-                s=self.s, policy=self.policy, engine=self.engine
-            )
-        )
+        decoder = CentralDecoder(self.s, policy=self.policy)
         decoder.submit_many(self.reference_reports(period=period).values())
         return decoder
 

@@ -131,8 +131,6 @@ class StreamingDecoder:
     config:
         A :class:`~repro.core.config.SchemeConfig` providing defaults;
         explicit arguments override it.
-    engine:
-        Bit-storage backend for the running arrays.
     windows:
         Number of sub-period windows ``W`` (>= 1).  With ``W == 1`` no
         window ring is kept — :meth:`window_matrix` answers from the
@@ -151,17 +149,15 @@ class StreamingDecoder:
         *,
         policy: Optional["PolicyLike"] = None,
         config: Optional["SchemeConfig"] = None,
-        engine: Optional[str] = None,
         windows: int = 1,
         window_s: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         from repro.core.config import resolve_config
 
-        resolved = resolve_config(config, s=s, policy=policy, engine=engine)
+        resolved = resolve_config(config, s=s, policy=policy)
         self.s = int(resolved.s)
         self.policy = resolved.policy
-        self.engine = resolved.engine
         if int(windows) < 1:
             raise ConfigurationError(f"windows must be >= 1, got {windows}")
         self.windows = int(windows)
@@ -242,9 +238,7 @@ class StreamingDecoder:
                 "declare its array size"
             )
         size = int(size)
-        state = _RsuStream(
-            rsu_id, size, BitArray(size, backend=self.engine)
-        )
+        state = _RsuStream(rsu_id, size, BitArray(size))
         pairs = self._pair_zeros.setdefault(period, {})
         for other in streams.values():
             target = max(size, other.size)
@@ -296,7 +290,7 @@ class StreamingDecoder:
         if self.windows > 1:
             ring = state.window_bits.get(int(window))
             if ring is None:
-                ring = BitArray(state.size, backend=self.engine)
+                ring = BitArray(state.size)
                 state.window_bits[int(window)] = ring
             if idx.size:
                 ring.set_bits(sorted_unique(idx))
@@ -307,7 +301,7 @@ class StreamingDecoder:
             label = str(vclass)
             slot = state.class_bits.get(label)
             if slot is None:
-                slot = BitArray(state.size, backend=self.engine)
+                slot = BitArray(state.size)
                 state.class_bits[label] = slot
             if idx.size:
                 slot.set_bits(sorted_unique(idx))
@@ -343,16 +337,14 @@ class StreamingDecoder:
             raise ConfigurationError(
                 f"window {window} out of range [0, {self.windows})"
             )
-        partial = BitArray.from_bytes(data, int(size), backend=self.engine)
+        partial = BitArray.from_bytes(data, int(size))
         state = self._state(int(period), int(rsu_id), int(size))
         newly = self._merge(int(period), state, partial)
         state.running_counter += int(counter)
         if self.windows > 1:
             ring = state.window_bits.get(int(window))
             if ring is None:
-                state.window_bits[int(window)] = partial.with_backend(
-                    self.engine
-                ).copy()
+                state.window_bits[int(window)] = partial
             else:
                 ring |= partial
             state.window_counters[int(window)] = (
@@ -519,13 +511,7 @@ class StreamingDecoder:
         self, period: int, reports: List[RsuReport]
     ) -> Dict[Tuple[int, int], PairEstimate]:
         """Batch-decode ad-hoc reports through the vectorized path."""
-        from repro.core.config import SchemeConfig
-
-        decoder = CentralDecoder(
-            config=SchemeConfig(
-                s=self.s, policy=self.policy, engine=self.engine
-            )
-        )
+        decoder = CentralDecoder(self.s, policy=self.policy)
         decoder.submit_many(reports)
         return decoder.estimate_matrix(period)
 
@@ -540,9 +526,7 @@ class StreamingDecoder:
             )
             if ring is not None
         ]
-        bits = BitArray.or_reduce(
-            rings, size=state.size, backend=self.engine
-        )
+        bits = BitArray.or_reduce(rings, size=state.size)
         counter = sum(
             state.window_counters.get(w, 0) for w in range(lo, hi + 1)
         )
@@ -623,7 +607,7 @@ class StreamingDecoder:
                     bits=(
                         bits.copy()
                         if bits is not None
-                        else BitArray(state.size, backend=self.engine)
+                        else BitArray(state.size)
                     ),
                     period=period,
                 )

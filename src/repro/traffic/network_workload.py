@@ -22,7 +22,7 @@ from repro.roadnet.volumes import (
 )
 from repro.utils.rng import SeedLike
 
-__all__ = ["NetworkWorkload", "sioux_falls_workload"]
+__all__ = ["NetworkWorkload"]
 
 OdPair = Tuple[int, int]
 
@@ -69,28 +69,3 @@ class NetworkWorkload:
             nodes = self.network.nodes
         return self.assignment.passes(nodes)
 
-
-def sioux_falls_workload(
-    *,
-    total_trips: int = 360_600,
-    gamma: float = 1.0,
-    seed: SeedLike = None,
-) -> NetworkWorkload:
-    """The default Sioux Falls workload: gravity trips, routed.
-
-    .. deprecated:: 1.7
-        Thin alias for the scenario zoo — equivalent to
-        ``get_scenario("sioux-falls").workload(total_trips=...,
-        seed=...)`` (bit-identical output).  Prefer
-        :func:`repro.scenarios.get_scenario`, which also resolves
-        grids, rings, TNTP files, and trajectory replays.
-
-    See DESIGN.md substitution #1 — the Table I experiment additionally
-    pins the per-pair ``(n_x, n_y, n_c)`` to the paper's exact values;
-    this workload provides the realistic full-network context for the
-    examples and the all-pairs study.
-    """
-    from repro.scenarios.builtin import SiouxFallsScenario
-
-    scenario = SiouxFallsScenario(gamma=gamma)
-    return scenario.workload(total_trips=total_trips, seed=seed)

@@ -38,9 +38,6 @@ class RoadsideUnit:
     query_interval:
         Ticks between broadcasts (paper: "pre-set intervals (e.g.,
         once a second)").
-    engine:
-        Bit-storage backend name for ``B_x`` (``None`` = process
-        default; see :mod:`repro.engine`).
     """
 
     def __init__(
@@ -50,7 +47,6 @@ class RoadsideUnit:
         certificate: Certificate,
         *,
         query_interval: int = 1,
-        engine: Optional[str] = None,
     ) -> None:
         if certificate.rsu_id != int(rsu_id):
             raise ProtocolError(
@@ -62,10 +58,7 @@ class RoadsideUnit:
         self.rsu_id = int(rsu_id)
         self.certificate = certificate
         self.query_interval = int(query_interval)
-        self._engine = engine
-        self._state = RsuState(
-            rsu_id=self.rsu_id, array_size=int(array_size), engine=engine
-        )
+        self._state = RsuState(rsu_id=self.rsu_id, array_size=int(array_size))
         self._window_state: Optional[RsuState] = None
         self._rejected = 0
 
@@ -239,7 +232,6 @@ class RoadsideUnit:
                 rsu_id=self.rsu_id,
                 array_size=self._state.array_size,
                 period=self._state.period,
-                engine=self._engine,
             )
 
     def close_window(self) -> RsuReport:
@@ -282,17 +274,11 @@ class RoadsideUnit:
             )
         period = self._state.period
         self._state = RsuState(
-            rsu_id=self.rsu_id,
-            array_size=array_size,
-            period=period,
-            engine=self._engine,
+            rsu_id=self.rsu_id, array_size=array_size, period=period
         )
         if self._window_state is not None:
             self._window_state = RsuState(
-                rsu_id=self.rsu_id,
-                array_size=array_size,
-                period=period,
-                engine=self._engine,
+                rsu_id=self.rsu_id, array_size=array_size, period=period
             )
         return True
 

@@ -66,9 +66,6 @@ class CentralServer:
         Historical volume store (may be pre-seeded).
     policy:
         Saturation policy for the decoder.
-    engine:
-        Bit-storage backend name for the decoder's batched matrix
-        decode (``None`` = process default; see :mod:`repro.engine`).
     anomaly_threshold:
         How many standard deviations of counter/bitmap disagreement to
         tolerate before flagging (see :meth:`anomalies`).
@@ -88,7 +85,6 @@ class CentralServer:
         *,
         history: Optional[VolumeHistory] = None,
         policy: ZeroFractionPolicy = ZeroFractionPolicy.RAISE,
-        engine: Optional[str] = None,
         anomaly_threshold: float = 6.0,
         windows: int = 1,
         window_s: Optional[float] = None,
@@ -96,12 +92,9 @@ class CentralServer:
         self.s = int(s)
         self.sizing = sizing
         self.history = history if history is not None else VolumeHistory()
-        from repro.core.config import SchemeConfig
         from repro.streaming import StreamingDecoder
 
-        self.decoder = CentralDecoder(
-            config=SchemeConfig(s=int(s), policy=policy, engine=engine)
-        )
+        self.decoder = CentralDecoder(int(s), policy=policy)
         #: Incremental decode state: every report (and every window
         #: partial fed through :meth:`receive_window_partial`) also
         #: lands here, so :meth:`live_matrix` answers at any instant
@@ -109,7 +102,6 @@ class CentralServer:
         self.streaming = StreamingDecoder(
             s=int(s),
             policy=policy,
-            engine=engine,
             windows=windows,
             window_s=window_s,
         )

@@ -59,10 +59,6 @@ class VcpsSimulation:
         How many query broadcasts a passing vehicle can hear while in
         range of one RSU (the paper's once-a-second re-broadcast gives
         several opportunities per pass).
-    engine:
-        Bit-storage backend name threaded to every RSU array and the
-        server's decoder (``None`` = process default; see
-        :mod:`repro.engine`).
     sizing:
         An explicit :class:`~repro.core.sizing.SizingPolicy`
         (overrides *load_factor*).  An
@@ -84,7 +80,6 @@ class VcpsSimulation:
         ticks_per_period: int = 86_400,
         channel=None,
         query_attempts: int = 3,
-        engine: Optional[str] = None,
         sizing: Optional[SizingPolicy] = None,
     ) -> None:
         if query_attempts < 1:
@@ -107,20 +102,16 @@ class VcpsSimulation:
         self.params = SchemeParameters(
             s=s, load_factor=load_factor, m_o=m_o, hash_seed=hash_seed
         )
-        self.engine = engine
         self.authority = CertificateAuthority(seed=self._rng)
         self._anchor = self.authority.trust_anchor()
         self.rsus: Dict[int, RoadsideUnit] = {
-            rsu_id: RoadsideUnit(
-                rsu_id, size, self.authority.issue(rsu_id), engine=engine
-            )
+            rsu_id: RoadsideUnit(rsu_id, size, self.authority.issue(rsu_id))
             for rsu_id, size in sizes.items()
         }
         self.server = CentralServer(
             s,
             self.sizing,
             history=VolumeHistory(dict(historical_volumes)),
-            engine=engine,
         )
         self._keys = KeyStore(self._rng)
         self._vehicles: Dict[int, Vehicle] = {}

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import repro.engine as engine
 from repro.core.bitarray import BitArray
-from repro.core.config import SchemeConfig, configure
 from repro.core.decoder import CentralDecoder
 from repro.core.reports import RsuReport
 from repro.errors import ConfigurationError, SaturatedArrayError
@@ -22,11 +21,22 @@ BACKENDS = ("legacy", "packed")
 sizes = st.integers(min_value=1, max_value=520)
 
 
+def on_each_backend(build):
+    """``build()`` run once inside each backend's scope."""
+    built = []
+    for backend in BACKENDS:
+        with engine.use_backend(backend):
+            built.append(build())
+    return built
+
+
 def pair_of_arrays(size, indices_a, indices_b):
-    a = [BitArray.from_indices(size, [i % size for i in indices_a], backend=b)
-         for b in BACKENDS]
-    b = [BitArray.from_indices(size, [i % size for i in indices_b], backend=be)
-         for be in BACKENDS]
+    a = on_each_backend(
+        lambda: BitArray.from_indices(size, [i % size for i in indices_a])
+    )
+    b = on_each_backend(
+        lambda: BitArray.from_indices(size, [i % size for i in indices_b])
+    )
     return a, b
 
 
@@ -42,9 +52,8 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             engine.get_backend("vector512")
         with pytest.raises(ConfigurationError):
-            BitArray(8, backend="nope")
-        with pytest.raises(ConfigurationError):
-            SchemeConfig(engine="nope")
+            with engine.use_backend("nope"):
+                pass
 
     def test_instance_passthrough(self):
         backend = engine.get_backend("packed")
@@ -60,11 +69,9 @@ class TestRegistry:
 
     def test_programmatic_default_beats_env(self, monkeypatch):
         monkeypatch.setenv(engine.ENV_VAR, "legacy")
-        engine.set_default_backend("packed")
-        try:
+        with engine.use_backend("packed"):
             assert engine.default_backend_name() == "packed"
-        finally:
-            engine.set_default_backend(None)
+            assert BitArray(8).backend == "packed"
         assert engine.default_backend_name() == "legacy"
 
     def test_use_backend_context(self):
@@ -72,15 +79,13 @@ class TestRegistry:
         with engine.use_backend("legacy") as backend:
             assert backend.name == "legacy"
             assert BitArray(8).backend == "legacy"
+            with engine.use_backend("packed"):
+                assert BitArray(8).backend == "packed"
+            assert BitArray(8).backend == "legacy"
         assert engine.default_backend_name() == before
 
-    def test_config_canonicalizes_engine(self):
-        assert configure(engine="legacy").engine == "legacy"
-        assert SchemeConfig().engine is None
-
     def test_storage_density(self):
-        packed = BitArray(1 << 16, backend="packed")
-        legacy = BitArray(1 << 16, backend="legacy")
+        legacy, packed = on_each_backend(lambda: BitArray(1 << 16))
         assert legacy.storage_nbytes == 8 * packed.storage_nbytes
 
 
@@ -92,12 +97,9 @@ class TestDifferential:
         indices = data.draw(
             st.lists(st.integers(0, size - 1), max_size=2 * size)
         )
-        arrays = [
-            BitArray.from_indices(size, indices, backend=b) if indices
-            else BitArray(size, backend=b)
-            for b in BACKENDS
-        ]
-        legacy, packed = arrays
+        legacy, packed = on_each_backend(
+            lambda: BitArray.from_indices(size, indices)
+        )
         assert legacy.count_ones() == packed.count_ones() == len(set(indices))
         assert legacy.count_zeros() == packed.count_zeros()
         assert legacy.to_bytes() == packed.to_bytes()
@@ -123,37 +125,31 @@ class TestDifferential:
         if indices:
             expected[indices] = True
         expected = np.tile(expected, repeats)
-        for backend in BACKENDS:
-            array = (
-                BitArray.from_indices(size, indices, backend=backend)
-                if indices
-                else BitArray(size, backend=backend)
-            )
+        for array in on_each_backend(
+            lambda: BitArray.from_indices(size, indices)
+        ):
             tiled = array.tile(repeats)
             assert tiled.size == size * repeats
-            assert np.array_equal(tiled.bits, expected), backend
+            assert np.array_equal(tiled.bits, expected), array.backend
             # Zero fraction is preserved — the unfolding invariant.
             assert tiled.count_zeros() * size == array.count_zeros() * tiled.size
 
     @given(sizes, st.data())
     def test_bytes_round_trip_cross_backend(self, size, data):
         indices = data.draw(st.lists(st.integers(0, size - 1), max_size=size))
-        source = (
-            BitArray.from_indices(size, indices, backend="packed")
-            if indices
-            else BitArray(size, backend="packed")
-        )
+        with engine.use_backend("packed"):
+            source = BitArray.from_indices(size, indices)
         wire = source.to_bytes()
-        for backend in BACKENDS:
-            restored = BitArray.from_bytes(wire, size, backend=backend)
+        for restored in on_each_backend(
+            lambda: BitArray.from_bytes(wire, size)
+        ):
             assert restored == source
             assert restored.to_bytes() == wire
 
     @given(sizes, st.data())
     def test_single_bit_ops(self, size, data):
         index = data.draw(st.integers(0, size - 1))
-        legacy = BitArray(size, backend="legacy")
-        packed = BitArray(size, backend="packed")
+        legacy, packed = on_each_backend(lambda: BitArray(size))
         for array in (legacy, packed):
             array.set_bit(index)
         assert legacy[index] == packed[index] == 1
@@ -163,11 +159,18 @@ class TestDifferential:
         assert legacy.count_ones() == packed.count_ones() == 0
 
     def test_with_backend_conversion(self):
-        source = BitArray.from_indices(77, [0, 13, 76], backend="legacy")
-        converted = source.with_backend("packed")
-        assert converted.backend == "packed"
-        assert converted == source
-        assert source.with_backend("legacy") is source
+        # Arrays built under different scopes still combine: the right
+        # operand is converted to the left one's backend.
+        with engine.use_backend("legacy"):
+            source = BitArray.from_indices(77, [0, 13, 76])
+        with engine.use_backend("packed"):
+            target = BitArray(77)
+        target |= source
+        assert target.backend == "packed"
+        assert target == source
+        merged = BitArray.or_reduce([target, source])
+        assert merged.backend == "packed"
+        assert merged == source
 
     def test_dense_scatter_path(self):
         # Above the sparse threshold (indices.size > size >> 8) the
@@ -178,25 +181,21 @@ class TestDifferential:
         dense = rng.integers(0, size, size=size // 2)
         sparse = rng.integers(0, size, size=3)
         for indices in (dense, sparse):
-            legacy = BitArray.from_indices(size, indices, backend="legacy")
-            packed = BitArray.from_indices(size, indices, backend="packed")
+            legacy, packed = on_each_backend(
+                lambda: BitArray.from_indices(size, indices)
+            )
             assert legacy.to_bytes() == packed.to_bytes()
 
 
-def _loaded_decoder(backend, *, policy="raise", k=8, seed=3):
+def _loaded_decoder(*, policy="raise", k=8, seed=3):
+    """A decoder holding *k* random reports on the current backend."""
     rng = np.random.default_rng(seed)
-    decoder = CentralDecoder(
-        config=SchemeConfig(s=2, policy=policy, engine=backend)
-    )
+    decoder = CentralDecoder(2, policy=policy)
     for rsu_id in range(1, k + 1):
         size = 1 << (6 + rsu_id % 4)
         bits = rng.random(size) < 0.35
         decoder.submit(
-            RsuReport(
-                rsu_id,
-                int(bits.sum()),
-                BitArray.from_bits(bits, backend=backend),
-            )
+            RsuReport(rsu_id, int(bits.sum()), BitArray.from_bits(bits))
         )
     return decoder
 
@@ -204,9 +203,10 @@ def _loaded_decoder(backend, *, policy="raise", k=8, seed=3):
 class TestEstimateMatrix:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_all_pairs_bit_identical(self, backend):
-        decoder = _loaded_decoder(backend)
-        scalar = decoder.all_pairs()
-        batched = decoder.estimate_matrix()
+        with engine.use_backend(backend):
+            decoder = _loaded_decoder()
+            scalar = decoder.all_pairs()
+            batched = decoder.estimate_matrix()
         assert set(scalar) == set(batched)
         for key in scalar:
             # PairEstimate is a frozen dataclass: == compares every
@@ -215,8 +215,9 @@ class TestEstimateMatrix:
             assert scalar[key] == batched[key], key
 
     def test_backends_agree(self):
-        legacy = _loaded_decoder("legacy").estimate_matrix()
-        packed = _loaded_decoder("packed").estimate_matrix()
+        legacy, packed = on_each_backend(
+            lambda: _loaded_decoder().estimate_matrix()
+        )
         assert legacy == packed
 
     def test_empty_and_single(self):
@@ -226,7 +227,7 @@ class TestEstimateMatrix:
         assert decoder.estimate_matrix() == {}
 
     def test_rsu_subset(self):
-        decoder = _loaded_decoder("packed")
+        decoder = _loaded_decoder()
         subset = decoder.estimate_matrix(rsu_ids=[1, 3, 5])
         assert set(subset) == {(1, 3), (1, 5), (3, 5)}
         assert subset[(1, 3)] == decoder.pair_estimate(1, 3)
@@ -257,7 +258,7 @@ class TestEstimateMatrix:
     @settings(deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_matrix_identity_random_loads(self, seed):
-        decoder = _loaded_decoder("packed", policy="clamp", k=5, seed=seed)
+        decoder = _loaded_decoder(policy="clamp", k=5, seed=seed)
         assert decoder.estimate_matrix() == decoder.all_pairs()
 
 
@@ -267,9 +268,10 @@ class TestSiouxFallsPeriod:
     @pytest.fixture(scope="class")
     def schemes(self):
         import repro
-        from repro.traffic.network_workload import sioux_falls_workload
 
-        workload = sioux_falls_workload(total_trips=12_000, seed=11)
+        workload = repro.get_scenario("sioux-falls").workload(
+            total_trips=12_000, seed=11
+        )
         built = {}
         for backend in BACKENDS:
             scheme = repro.VlmScheme(
@@ -278,9 +280,9 @@ class TestSiouxFallsPeriod:
                 load_factor=3.0,
                 hash_seed=7,
                 policy="clamp",
-                engine=backend,
             )
-            scheme.run_period(workload.passes())
+            with engine.use_backend(backend):
+                scheme.run_period(workload.passes())
             built[backend] = scheme
         return built
 
@@ -295,16 +297,23 @@ class TestSiouxFallsPeriod:
     def test_matrix_equals_per_pair(self, schemes):
         for backend in BACKENDS:
             decoder = schemes[backend].decoder
-            matrix = decoder.estimate_matrix()
+            with engine.use_backend(backend):
+                matrix = decoder.estimate_matrix()
             ids = decoder.rsu_ids()
             assert len(matrix) == len(ids) * (len(ids) - 1) // 2
             for (a, b), batched in matrix.items():
                 assert batched == decoder.pair_estimate(a, b), (backend, a, b)
 
     def test_estimates_bit_identical_across_backends(self, schemes):
-        legacy = schemes["legacy"].decoder.estimate_matrix()
-        packed = schemes["packed"].decoder.estimate_matrix()
-        assert legacy == packed
+        legacy, packed = (
+            schemes[b].decoder.report_for(1).bits.backend for b in BACKENDS
+        )
+        assert (legacy, packed) == BACKENDS
+        matrices = []
+        for backend in BACKENDS:
+            with engine.use_backend(backend):
+                matrices.append(schemes[backend].decoder.estimate_matrix())
+        assert matrices[0] == matrices[1]
 
 
 class TestWireGolden:
@@ -319,8 +328,9 @@ class TestWireGolden:
         ids = np.arange(40, dtype=np.uint64)
         keys = ids * np.uint64(2654435761) + np.uint64(7)
         expected = None
-        for backend in BACKENDS:
-            report = encode_passes(ids, keys, 3, 64, params, backend=backend)
+        for report in on_each_backend(
+            lambda: encode_passes(ids, keys, 3, 64, params)
+        ):
             wire = report.bits.to_bytes()
             if expected is None:
                 expected = wire
@@ -331,6 +341,5 @@ class TestWireGolden:
     def test_bitarray_golden_bytes(self):
         array_bits = np.zeros(21, dtype=bool)
         array_bits[[0, 5, 8, 13, 20]] = True
-        for backend in BACKENDS:
-            array = BitArray.from_bits(array_bits, backend=backend)
+        for array in on_each_backend(lambda: BitArray.from_bits(array_bits)):
             assert array.to_bytes().hex() == "848408"

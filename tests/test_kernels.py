@@ -223,9 +223,10 @@ class TestBitArrayKernelSurface:
     def test_set_bits_unchecked_matches_set_bits(self, backend):
         rng = np.random.default_rng(5)
         indices = rng.integers(0, 300, size=64).astype(np.int64)
-        checked = BitArray(300, backend=backend)
+        with engine.use_backend(backend):
+            checked = BitArray(300)
+            trusted = BitArray(300)
         checked.set_bits(indices)
-        trusted = BitArray(300, backend=backend)
         trusted.set_bits_unchecked(indices)
         trusted.set_bits_unchecked(indices[:0])  # empty batch is a no-op
         assert checked == trusted
@@ -234,12 +235,11 @@ class TestBitArrayKernelSurface:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_or_reduce_equals_pairwise_or(self, backend):
         rng = np.random.default_rng(7)
-        arrays = [
-            BitArray.from_indices(
-                96, rng.integers(0, 96, size=20), backend=backend
-            )
-            for _ in range(5)
-        ]
+        with engine.use_backend(backend):
+            arrays = [
+                BitArray.from_indices(96, rng.integers(0, 96, size=20))
+                for _ in range(5)
+            ]
         merged = BitArray.or_reduce(arrays)
         expected = arrays[0]
         for other in arrays[1:]:
@@ -260,19 +260,25 @@ class TestBitArrayKernelSurface:
             BitArray.or_reduce([BitArray(32)], size=64)
 
     def test_or_reduce_converts_mixed_backends(self):
-        a = BitArray.from_indices(40, [1, 7], backend="legacy")
-        b = BitArray.from_indices(40, [7, 31], backend="packed")
-        merged = BitArray.or_reduce([a, b], backend="packed")
-        assert merged.backend == "packed"
-        assert sorted(np.flatnonzero(merged.bits).tolist()) == [1, 7, 31]
+        with engine.use_backend("legacy"):
+            a = BitArray.from_indices(40, [1, 7])
+        with engine.use_backend("packed"):
+            b = BitArray.from_indices(40, [7, 31])
+        # The result takes the first array's backend.
+        for arrays, backend in (([b, a], "packed"), ([a, b], "legacy")):
+            merged = BitArray.or_reduce(arrays)
+            assert merged.backend == backend
+            assert sorted(np.flatnonzero(merged.bits).tolist()) == [1, 7, 31]
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_record_trusted_matches_record_many(self, backend):
         rng = np.random.default_rng(11)
         indices = rng.integers(0, 128, size=50).astype(np.int64)
-        checked = RsuState(rsu_id=1, array_size=128, engine=backend)
+        with engine.use_backend(backend):
+            checked = RsuState(rsu_id=1, array_size=128)
+            trusted = RsuState(rsu_id=1, array_size=128)
+        assert checked.bits.backend == trusted.bits.backend == backend
         checked.record_many(indices)
-        trusted = RsuState(rsu_id=1, array_size=128, engine=backend)
         trusted.record_trusted(indices)
         assert checked.counter == trusted.counter == 50
         assert checked.bits == trusted.bits
@@ -285,9 +291,10 @@ class TestSiouxFallsAcrossAllBackends:
     @pytest.fixture(scope="class")
     def schemes(self):
         import repro
-        from repro.traffic.network_workload import sioux_falls_workload
 
-        workload = sioux_falls_workload(total_trips=12_000, seed=11)
+        workload = repro.get_scenario("sioux-falls").workload(
+            total_trips=12_000, seed=11
+        )
         built = {}
         for backend in ALL_BACKENDS:
             scheme = repro.VlmScheme(
@@ -296,9 +303,9 @@ class TestSiouxFallsAcrossAllBackends:
                 load_factor=3.0,
                 hash_seed=7,
                 policy="clamp",
-                engine=backend,
             )
-            scheme.run_period(workload.passes())
+            with engine.use_backend(backend):
+                scheme.run_period(workload.passes())
             built[backend] = scheme
         return built
 
@@ -313,8 +320,9 @@ class TestSiouxFallsAcrossAllBackends:
                 ), (backend, rsu_id)
 
     def test_estimates_bit_identical_across_backends(self, schemes):
-        oracle = schemes[ORACLE].decoder.estimate_matrix()
+        with engine.use_backend(ORACLE):
+            oracle = schemes[ORACLE].decoder.estimate_matrix()
         for backend in ALL_BACKENDS:
-            assert schemes[backend].decoder.estimate_matrix() == oracle, (
-                backend
-            )
+            with engine.use_backend(backend):
+                matrix = schemes[backend].decoder.estimate_matrix()
+            assert matrix == oracle, backend

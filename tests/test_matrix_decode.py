@@ -16,9 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.decoder as decoder_module
 from repro.core.bitarray import BitArray
-from repro.core.config import SchemeConfig
 from repro.core.decoder import CentralDecoder, joint_zero_matrix
-from repro.engine import get_backend
+from repro.engine import use_backend
 from repro.errors import ConfigurationError, SaturatedArrayError
 from repro.core.reports import RsuReport
 from tests.streaming_oracle import tiled_joint_zeros
@@ -32,13 +31,11 @@ SPANNING = [1 << 18, 1 << 17, 1 << 17, 1 << 16, 1 << 12, 64, 32, 16, 8, 1 << 18]
 THREES = [3 << 16, 3 << 15, 3 << 10, 192, 48, 24, 3 << 16, 3 << 14]
 
 
-def fleet(engine, sizes, seed, *, policy="clamp"):
+def fleet(sizes, seed, *, policy="clamp"):
     """A decoder holding one random report per size, under shuffled
     RSU ids so key order and the smaller-first swap both matter."""
     rng = np.random.default_rng(seed)
-    decoder = CentralDecoder(
-        config=SchemeConfig(s=2, policy=policy, engine=engine)
-    )
+    decoder = CentralDecoder(2, policy=policy)
     ids = rng.permutation(len(sizes)) * 3 + 1
     for rsu_id, size in zip(ids.tolist(), sizes):
         bits = rng.random(size) < rng.uniform(0.05, 0.95)
@@ -46,7 +43,7 @@ def fleet(engine, sizes, seed, *, policy="clamp"):
             RsuReport(
                 rsu_id,
                 int(bits.sum()) + int(rng.integers(0, 50)),
-                BitArray.from_bits(bits, backend=engine),
+                BitArray.from_bits(bits),
             )
         )
     return decoder
@@ -55,10 +52,11 @@ def fleet(engine, sizes, seed, *, policy="clamp"):
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("sizes", [SPANNING, THREES], ids=["pow2", "threes"])
 def test_matrix_equals_all_pairs_in_key_order(engine, sizes):
-    decoder = fleet(engine, sizes, seed=len(sizes))
-    assert list(decoder.estimate_matrix().items()) == list(
-        decoder.all_pairs().items()
-    )
+    with use_backend(engine):
+        decoder = fleet(sizes, seed=len(sizes))
+        assert list(decoder.estimate_matrix().items()) == list(
+            decoder.all_pairs().items()
+        )
 
 
 @given(
@@ -76,17 +74,18 @@ def test_joint_zeros_equal_brute_force_at_any_tile_width(seed, engine, tile):
         for _ in range(int(rng.integers(2, 9)))
     ]
     arrays = [rng.random(size) < rng.uniform(0.0, 1.0) for size in sizes]
-    with mock.patch.object(decoder_module, "TILE_BITS", tile):
+    with use_backend(engine) as backend, mock.patch.object(
+        decoder_module, "TILE_BITS", tile
+    ):
         got = joint_zero_matrix(
-            [BitArray.from_bits(bits, backend=engine) for bits in arrays],
-            get_backend(engine),
+            [BitArray.from_bits(bits) for bits in arrays], backend
         )
     expected = tiled_joint_zeros(dict(enumerate(arrays)))
     assert got.tolist() == list(expected.values())
 
 
 def test_sizes_that_do_not_tile_are_rejected():
-    decoder = fleet("packed", [48, 64], seed=1)
+    decoder = fleet([48, 64], seed=1)
     with pytest.raises(ConfigurationError, match="not a multiple"):
         decoder.estimate_matrix()
 
@@ -107,7 +106,7 @@ def test_raise_names_the_first_saturated_pair():
 def test_invalid_scheme_size_raises_like_the_pair_path():
     """``s >= m_y`` fails in Eq. (5)'s denominator for the first pair,
     with the pair path's error."""
-    decoder = fleet("packed", [8, 16, 64], seed=2)
+    decoder = fleet([8, 16, 64], seed=2)
     decoder.s = 16
     with pytest.raises(ConfigurationError) as matrix_error:
         decoder.estimate_matrix()

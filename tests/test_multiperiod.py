@@ -62,10 +62,9 @@ class TestAggregateEstimates:
 
     def test_confidence_interval(self):
         agg = aggregate_estimates([fake_estimate(500)] * 4)
-        with pytest.warns(DeprecationWarning, match="confidence_interval"):
-            low, high = agg.confidence_interval()
+        low, high = agg.ci(0.95)
         assert low < 500 < high
-        assert high - low == pytest.approx(2 * 1.96 * agg.stderr)
+        assert high - low == pytest.approx(2 * 1.959964 * agg.stderr)
 
 
 class TestEndToEnd:

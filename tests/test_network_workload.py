@@ -3,7 +3,8 @@
 
 from repro.core.estimator import ZeroFractionPolicy
 from repro.core.scheme import VlmScheme
-from repro.traffic.network_workload import NetworkWorkload, sioux_falls_workload
+from repro.scenarios import get_scenario
+from repro.traffic.network_workload import NetworkWorkload
 from repro.roadnet.graph import Arc, RoadNetwork
 from repro.roadnet.trips import TripTable
 
@@ -22,7 +23,7 @@ class TestNetworkWorkload:
         )
 
     def test_sioux_falls_default(self):
-        workload = sioux_falls_workload(total_trips=20_000, seed=2)
+        workload = get_scenario("sioux-falls").workload(total_trips=20_000, seed=2)
         assert workload.network.num_nodes == 24
         volumes = workload.volumes()
         assert max(volumes, key=volumes.get) == 10
@@ -31,7 +32,7 @@ class TestNetworkWorkload:
     def test_end_to_end_measurement_accuracy(self):
         """Full pipeline: gravity trips -> routes -> encode -> decode;
         heavy pairs measured within ~15%."""
-        workload = sioux_falls_workload(total_trips=40_000, seed=3)
+        workload = get_scenario("sioux-falls").workload(total_trips=40_000, seed=3)
         volumes = workload.volumes()
         scheme = VlmScheme(
             volumes,

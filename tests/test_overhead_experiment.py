@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import use_backend
 from repro.experiments.overhead import run_overhead
 
 
@@ -33,7 +34,8 @@ class TestRunOverhead:
         # legacy backend, where every bit costs a byte of traffic.  The
         # packed backend's word parallelism hides the growth until far
         # larger m than a unit test should touch.
-        result = run_overhead(m_exponents=(12, 16), engine="legacy")
+        with use_backend("legacy"):
+            result = run_overhead(m_exponents=(12, 16))
         rows = result.rows_for("server decode")
         assert rows[-1].per_op_us > rows[0].per_op_us
 

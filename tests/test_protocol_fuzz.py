@@ -336,15 +336,15 @@ class TestPaddingRejectionFuzz:
     @settings(max_examples=60, deadline=None)
     def test_from_bytes_contract_on_every_backend(self, backend, payload):
         size, data = payload
-        if _padding_dirty(size, data):
-            with pytest.raises(ValidationError):
-                BitArray.from_bytes(data, size, backend=backend)
-        else:
-            array = BitArray.from_bytes(data, size, backend=backend)
-            assert array.to_bytes() == data
-            assert array.count_ones() == sum(
-                bin(byte).count("1") for byte in data
-            )
+        with engine.use_backend(backend):
+            if _padding_dirty(size, data):
+                with pytest.raises(ValidationError):
+                    BitArray.from_bytes(data, size)
+                return
+            array = BitArray.from_bytes(data, size)
+        assert array.backend == backend
+        assert array.to_bytes() == data
+        assert array.count_ones() == sum(bin(byte).count("1") for byte in data)
 
     @pytest.mark.parametrize("backend", engine.available_backends())
     @given(sized_payloads(), st.sampled_from([-2, -1, 1, 2]))
@@ -354,15 +354,16 @@ class TestPaddingRejectionFuzz:
     ):
         size, data = payload
         resized = data[:delta] if delta < 0 else data + b"\x00" * delta
-        with pytest.raises(ValidationError):
-            BitArray.from_bytes(resized, size, backend=backend)
+        with engine.use_backend(backend), pytest.raises(ValidationError):
+            BitArray.from_bytes(resized, size)
 
     @pytest.mark.parametrize("backend", engine.available_backends())
     @given(sized_payloads())
     @settings(max_examples=60, deadline=None)
     def test_or_bytes_contract_on_every_backend(self, backend, payload):
         size, data = payload
-        array = BitArray(size, backend=backend)
+        with engine.use_backend(backend):
+            array = BitArray(size)
         if _padding_dirty(size, data):
             with pytest.raises(ValidationError):
                 array.or_bytes(data)
@@ -411,8 +412,9 @@ class TestPaddingRejectionFuzz:
         macs[vendor] &= ~np.uint64(0x02_00_00_00_00_00)
         indices = rng.integers(0, 2 * m, size=count, dtype=np.uint32)
         ca = CertificateAuthority(seed=1)
-        validated = RoadsideUnit(1, m, ca.issue(1), engine=backend)
-        zero_copy = RoadsideUnit(1, m, ca.issue(1), engine=backend)
+        with engine.use_backend(backend):
+            validated = RoadsideUnit(1, m, ca.issue(1))
+            zero_copy = RoadsideUnit(1, m, ca.issue(1))
         validated.handle_index_batch(
             macs.astype(np.uint64), indices.astype(np.int64)
         )

@@ -91,35 +91,34 @@ class TestDocumentation:
                 assert inspect.getdoc(member), f"{cls.__name__}.{name} undocumented"
 
 
-class TestDeprecatedAliases:
-    """The pre-unification result field names still resolve — to the
-    canonical ``.value`` — but warn so callers migrate."""
+class TestRemovedSurface:
+    """The 1.x aliases deleted in 2.0.0 stay deleted (CHANGELOG 2.0.0
+    maps each to its replacement)."""
 
-    CASES = [
-        ("repro.core.estimator", "PairEstimate", "n_c_hat"),
-        ("repro.core.multiway", "TripleEstimate", "n_xyz_hat"),
-        ("repro.core.multiway", "MultiwayEstimate", "n_hat"),
-        ("repro.core.multiperiod", "AggregatedEstimate", "n_c_hat"),
-    ]
+    @pytest.mark.parametrize(
+        "module_name,path",
+        [
+            ("repro.core.estimator", "PairEstimate.n_c_hat"),
+            ("repro.core.multiway", "TripleEstimate.n_xyz_hat"),
+            ("repro.core.multiway", "MultiwayEstimate.n_hat"),
+            ("repro.core.multiperiod", "AggregatedEstimate.n_c_hat"),
+            ("repro.core.multiperiod", "AggregatedEstimate.confidence_interval"),
+            ("repro.core.results", "deprecated_alias"),
+            ("repro.core.sizing", "LoadFactorSizing"),
+            ("repro.core", "LoadFactorSizing"),
+            ("repro.traffic.network_workload", "sioux_falls_workload"),
+            ("repro.engine", "set_default_backend"),
+            ("repro.core.bitarray", "BitArray.with_backend"),
+            ("repro.core.config", "SchemeConfig.engine"),
+        ],
+    )
+    def test_name_is_gone(self, module_name, path):
+        owner = importlib.import_module(module_name)
+        *parents, name = path.split(".")
+        for parent in parents:
+            owner = getattr(owner, parent)
+        assert not hasattr(owner, name)
 
-    @pytest.mark.parametrize("module_name,class_name,alias", CASES)
-    def test_alias_resolves_to_value_and_warns(
-        self, module_name, class_name, alias
-    ):
-        module = importlib.import_module(module_name)
-        cls = getattr(module, class_name)
-        instance = object.__new__(cls)
-        object.__setattr__(instance, "value", 42.5)
-        with pytest.warns(DeprecationWarning, match=alias):
-            assert getattr(instance, alias) == 42.5
-
-    def test_aliases_do_not_warn_on_class_access(self):
-        """Introspection (help(), inspect) touches the descriptor on
-        the class without tripping the warning."""
-        import warnings
-
-        from repro.core.estimator import PairEstimate
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            PairEstimate.n_c_hat
+    def test_baseline_sizing_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.baseline.sizing")

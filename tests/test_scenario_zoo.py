@@ -18,7 +18,17 @@ from repro.scenarios import (
     render_scenario_list,
     scenario_names,
 )
-from repro.traffic.network_workload import sioux_falls_workload
+from repro.roadnet.gravity import gravity_trip_table
+from repro.roadnet.sioux_falls import sioux_falls_network
+from repro.traffic.network_workload import NetworkWorkload
+
+
+def _hardcoded_sioux_falls(total_trips, *, seed, gamma=1.0):
+    """The Sioux Falls workload as built before the scenario zoo:
+    gravity trips on the paper's network, routed and materialized."""
+    network = sioux_falls_network()
+    trips = gravity_trip_table(network, total_trips=total_trips, gamma=gamma)
+    return NetworkWorkload.build(network, trips, seed=seed)
 
 
 def _same_workload(w1, w2) -> bool:
@@ -119,18 +129,19 @@ class TestRegistry:
 
 class TestSiouxFallsBitIdentity:
     def test_matches_legacy_workload_exactly(self):
-        legacy = sioux_falls_workload(total_trips=8_000, seed=21)
+        legacy = _hardcoded_sioux_falls(8_000, seed=21)
         scenario = get_scenario("sioux-falls").workload(
             total_trips=8_000, seed=21
         )
         assert _same_workload(legacy, scenario)
 
-    def test_alias_still_honors_gamma(self):
-        steep = sioux_falls_workload(total_trips=8_000, gamma=2.0, seed=21)
+    def test_gamma_matches_legacy_workload(self):
+        steep = _hardcoded_sioux_falls(8_000, seed=21, gamma=2.0)
         direct = SiouxFallsScenario(gamma=2.0).workload(
             total_trips=8_000, seed=21
         )
         assert _same_workload(steep, direct)
+        assert not _same_workload(steep, _hardcoded_sioux_falls(8_000, seed=21))
 
 
 class TestScenarioDeterminism:
@@ -237,7 +248,7 @@ class TestDeploymentSpecScenario:
         from repro.service.runtime import DeploymentSpec
 
         spec = DeploymentSpec(total_trips=2_000, seed=3)
-        legacy = sioux_falls_workload(total_trips=2_000, seed=3)
+        legacy = _hardcoded_sioux_falls(2_000, seed=3)
         assert spec.scenario == "sioux-falls"
         assert _same_workload(spec.workload, legacy)
 

@@ -61,9 +61,11 @@ class TestMeasureScreenline:
         from repro.core.estimator import ZeroFractionPolicy
         from repro.core.scheme import VlmScheme
         from repro.roadnet.volumes import pair_common_volumes
-        from repro.traffic.network_workload import sioux_falls_workload
+        from repro.scenarios import get_scenario
 
-        workload = sioux_falls_workload(total_trips=40_000, seed=19)
+        workload = get_scenario("sioux-falls").workload(
+            total_trips=40_000, seed=19
+        )
         scheme = VlmScheme(
             workload.volumes(), s=2, load_factor=10.0, hash_seed=4,
             policy=ZeroFractionPolicy.CLAMP,

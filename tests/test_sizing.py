@@ -164,22 +164,3 @@ class TestAdaptiveSizing:
             self.policy(max_size=24)
         with pytest.raises(ConfigurationError):
             self.policy(min_size=64, max_size=32)
-
-
-class TestDeprecatedShims:
-    def test_load_factor_sizing_warns(self):
-        from repro.core.sizing import LoadFactorSizing
-
-        with pytest.deprecated_call():
-            sizing = LoadFactorSizing(3.0)
-        assert isinstance(sizing, StaticSizing)
-        assert sizing.size_for(10_000) == 32_768
-
-    def test_baseline_sizing_module_warns(self):
-        import repro.baseline.sizing as shim
-
-        with pytest.deprecated_call():
-            func = shim.fixed_array_size_for_privacy
-        from repro.core.sizing import fixed_array_size_for_privacy
-
-        assert func is fixed_array_size_for_privacy

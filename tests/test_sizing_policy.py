@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import SchemeConfig
 from repro.core.estimator import ZeroFractionPolicy
+from repro.engine import use_backend
 from repro.core.sizing import (
     MIN_ARRAY_SIZE,
     AdaptiveSizing,
@@ -170,12 +171,12 @@ class TestTrajectoryDeterminism:
 
     @pytest.mark.parametrize("engine", ["packed", "legacy"])
     def test_trajectory_independent_of_backend(self, engine):
-        spec = DeploymentSpec(
-            config=SchemeConfig(
-                s=2, policy=ZeroFractionPolicy.CLAMP, engine=engine
-            ),
-            adaptive=True,
-            **self.SPEC,
-        )
+        with use_backend(engine):
+            spec = DeploymentSpec(
+                config=SchemeConfig(s=2, policy=ZeroFractionPolicy.CLAMP),
+                adaptive=True,
+                **self.SPEC,
+            )
+            trajectory = spec.size_trajectory()
         baseline = DeploymentSpec(adaptive=True, **self.SPEC)
-        assert spec.size_trajectory() == baseline.size_trajectory()
+        assert trajectory == baseline.size_trajectory()

@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bitarray import BitArray
-from repro.core.config import SchemeConfig
 from repro.core.decoder import CentralDecoder
 from repro.core.estimator import ZeroFractionPolicy
 from repro.core.reports import RsuReport
 from repro.core.sizing import StaticSizing
+from repro.engine import use_backend
 from repro.errors import ConfigurationError
 from repro.federation.collector import FederatedCollector
 from repro.federation.wal import WriteAheadLog
@@ -63,24 +63,22 @@ def make_scenario(seed, *, rsus=3, windows=3, max_batch=40):
     return sizes, batches
 
 
-def batch_reference(sizes, batches, *, s=2, engine=None):
+def batch_reference(sizes, batches, *, s=2):
     """A fresh batch decode over exactly *batches* (the ground truth the
     streaming path must reproduce digit for digit)."""
-    decoder = CentralDecoder(
-        config=SchemeConfig(s=s, policy=ZeroFractionPolicy.CLAMP, engine=engine)
-    )
-    decoder.submit_many(reference_reports(sizes, batches, engine=engine))
+    decoder = CentralDecoder(s, policy=ZeroFractionPolicy.CLAMP)
+    decoder.submit_many(reference_reports(sizes, batches))
     return decoder.estimate_matrix(0)
 
 
-def reference_reports(sizes, batches, *, engine=None, period=0):
+def reference_reports(sizes, batches, *, period=0):
     """One whole-period report per RSU built from *batches*."""
     per_rsu = {rsu_id: [] for rsu_id in sizes}
     for rsu_id, idx, _window in batches:
         per_rsu[rsu_id].append(idx)
     reports = []
     for rsu_id, chunks in sorted(per_rsu.items()):
-        bits = BitArray(sizes[rsu_id], backend=engine)
+        bits = BitArray(sizes[rsu_id])
         counter = 0
         for idx in chunks:
             counter += int(idx.size)
@@ -112,12 +110,11 @@ def expected_joint_zeros(sizes, batches):
     return out
 
 
-def stream_scenario(sizes, batches, *, windows=3, engine=None):
+def stream_scenario(sizes, batches, *, windows=3):
     """Ingest *batches* one by one into a fresh streaming decoder."""
     decoder = StreamingDecoder(
         s=2,
         policy=ZeroFractionPolicy.CLAMP,
-        engine=engine,
         windows=windows,
         registry=MetricsRegistry(),
     )
@@ -147,10 +144,9 @@ class TestDifferentialPrefix:
         matrix equals a fresh batch decode over exactly that prefix."""
         sizes, batches = make_scenario(seed)
         prefix = batches[: int(round(cut * len(batches)))]
-        decoder = stream_scenario(sizes, prefix, engine=engine)
-        assert decoder.live_matrix() == batch_reference(
-            sizes, prefix, engine=engine
-        )
+        with use_backend(engine):
+            decoder = stream_scenario(sizes, prefix)
+            assert decoder.live_matrix() == batch_reference(sizes, prefix)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
@@ -161,25 +157,26 @@ class TestDifferentialPrefix:
         """The incremental per-pair counts equal brute-force tiling
         after every single batch, not just at the end."""
         sizes, batches = make_scenario(seed, rsus=3)
-        decoder = stream_scenario(sizes, [], engine=engine)
-        for stop in range(len(batches) + 1):
-            if stop:
-                rsu_id, idx, window = batches[stop - 1]
-                decoder.ingest(
-                    rsu_id, idx, window=window, size=sizes[rsu_id]
+        with use_backend(engine):
+            decoder = stream_scenario(sizes, [])
+            for stop in range(len(batches) + 1):
+                if stop:
+                    rsu_id, idx, window = batches[stop - 1]
+                    decoder.ingest(
+                        rsu_id, idx, window=window, size=sizes[rsu_id]
+                    )
+                assert decoder.joint_zeros() == expected_joint_zeros(
+                    sizes, batches[:stop]
                 )
-            assert decoder.joint_zeros() == expected_joint_zeros(
-                sizes, batches[:stop]
-            )
 
     @given(seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=10, deadline=None)
     def test_backends_agree_exactly(self, seed):
         sizes, batches = make_scenario(seed)
-        matrices = [
-            stream_scenario(sizes, batches, engine=engine).live_matrix()
-            for engine in ENGINES
-        ]
+        matrices = []
+        for engine in ENGINES:
+            with use_backend(engine):
+                matrices.append(stream_scenario(sizes, batches).live_matrix())
         assert matrices[0] == matrices[1]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -189,10 +186,9 @@ class TestDifferentialPrefix:
 
         def check(seed, engine):
             sizes, batches = make_scenario(seed)
-            decoder = stream_scenario(sizes, batches, engine=engine)
-            return decoder.live_matrix() == batch_reference(
-                sizes, batches, engine=engine
-            )
+            with use_backend(engine):
+                decoder = stream_scenario(sizes, batches)
+                return decoder.live_matrix() == batch_reference(sizes, batches)
 
         tasks = [
             task(check, seed, engine)
@@ -227,10 +223,11 @@ class TestWindowEdges:
     def test_empty_window_decodes_like_empty_reports(self, engine):
         sizes, batches = make_scenario(7, windows=3)
         only_w0 = [(r, idx, 0) for r, idx, _w in batches]
-        decoder = stream_scenario(sizes, only_w0, engine=engine)
-        empty = batch_reference(sizes, [], engine=engine)
-        assert decoder.window_matrix(window=1) == empty
-        assert decoder.window_matrix(window=2) == empty
+        with use_backend(engine):
+            decoder = stream_scenario(sizes, only_w0)
+            empty = batch_reference(sizes, [])
+            assert decoder.window_matrix(window=1) == empty
+            assert decoder.window_matrix(window=2) == empty
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_out_of_order_windows_decode_identically(self, engine):
@@ -239,11 +236,12 @@ class TestWindowEdges:
         sizes, batches = make_scenario(11, windows=3)
         shuffled = list(batches)
         np.random.default_rng(99).shuffle(shuffled)
-        a = stream_scenario(sizes, batches, engine=engine)
-        b = stream_scenario(sizes, shuffled, engine=engine)
-        assert a.live_matrix() == b.live_matrix()
-        for w in range(3):
-            assert a.window_matrix(window=w) == b.window_matrix(window=w)
+        with use_backend(engine):
+            a = stream_scenario(sizes, batches)
+            b = stream_scenario(sizes, shuffled)
+            assert a.live_matrix() == b.live_matrix()
+            for w in range(3):
+                assert a.window_matrix(window=w) == b.window_matrix(window=w)
         assert a.joint_zeros() == b.joint_zeros()
 
     def test_window_prefix_equals_batch_of_those_windows(self):

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bitarray import BitArray
-from repro.core.config import SchemeConfig
 from repro.core.decoder import CentralDecoder
 from repro.core.estimator import ZeroFractionPolicy
 from repro.core.reports import RsuReport
+from repro.engine import use_backend
 from repro.errors import SaturatedArrayError
 from repro.obs import MetricsRegistry
 from repro.streaming import StreamingDecoder
@@ -64,7 +64,7 @@ def random_day(seed, mode):
     return sizes, streamed + [seals[i] for i in order]
 
 
-def apply(op, decoder, oracle, sizes, engine):
+def apply(op, decoder, oracle, sizes):
     """Run one operation on both sides; return (decoder, oracle) newly
     set bit counts."""
     kind, rsu_id = op[0], op[1]
@@ -95,26 +95,22 @@ def apply(op, decoder, oracle, sizes, engine):
     report = RsuReport(
         rsu_id=rsu_id,
         counter=counter,
-        bits=BitArray.from_bits(bits, backend=engine),
+        bits=BitArray.from_bits(bits),
         period=0,
     )
     return decoder.observe_report(report), oracle.merge(rsu_id, bits)
 
 
-def batch_matrix(decoder, oracle, engine):
+def batch_matrix(decoder, oracle):
     """A batch decode of the oracle's arrays with the decoder's
     counters."""
-    batch = CentralDecoder(
-        config=SchemeConfig(
-            s=2, policy=ZeroFractionPolicy.CLAMP, engine=engine
-        )
-    )
+    batch = CentralDecoder(2, policy=ZeroFractionPolicy.CLAMP)
     for rsu_id, bits in oracle.arrays.items():
         batch.submit(
             RsuReport(
                 rsu_id=rsu_id,
                 counter=decoder.counter(rsu_id),
-                bits=BitArray.from_bits(bits, backend=engine),
+                bits=BitArray.from_bits(bits),
                 period=0,
             )
         )
@@ -130,23 +126,23 @@ class TestSealDifferential:
     @settings(max_examples=60, deadline=None)
     def test_every_step_matches_the_gather_oracle(self, seed, mode, engine):
         sizes, ops = random_day(seed, mode)
-        decoder = StreamingDecoder(
-            s=2,
-            policy=ZeroFractionPolicy.CLAMP,
-            engine=engine,
-            windows=2,
-            registry=MetricsRegistry(),
-        )
-        oracle = GatherOracle()
-        for op in ops:
-            got, expected = apply(op, decoder, oracle, sizes, engine)
-            assert got == expected
-            assert decoder.joint_zeros() == oracle.pairs
-            assert oracle.pairs == tiled_joint_zeros(oracle.arrays)
-        live = decoder.live_matrix()
-        assert list(live.items()) == list(
-            batch_matrix(decoder, oracle, engine).items()
-        )
+        with use_backend(engine):
+            decoder = StreamingDecoder(
+                s=2,
+                policy=ZeroFractionPolicy.CLAMP,
+                windows=2,
+                registry=MetricsRegistry(),
+            )
+            oracle = GatherOracle()
+            for op in ops:
+                got, expected = apply(op, decoder, oracle, sizes)
+                assert got == expected
+                assert decoder.joint_zeros() == oracle.pairs
+                assert oracle.pairs == tiled_joint_zeros(oracle.arrays)
+            live = decoder.live_matrix()
+            assert list(live.items()) == list(
+                batch_matrix(decoder, oracle).items()
+            )
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("peer_size", [16, 128])
@@ -158,33 +154,35 @@ class TestSealDifferential:
         sizes[7] = 2 * peer_size
         sizes[8] = 16 * peer_size
         decoder = StreamingDecoder(
-            s=2, policy="clamp", engine=engine, registry=MetricsRegistry()
+            s=2, policy="clamp", registry=MetricsRegistry()
         )
         oracle = GatherOracle()
-        for rsu_id, size in sizes.items():
-            bits = rng.random(size) < 0.4
-            op = ("seal", rsu_id, size, bits, int(bits.sum()))
-            apply(op, decoder, oracle, sizes, engine)
-        for rsu_id in (7, 8):  # re-seal the larger arrays with more bits
-            bits = rng.random(sizes[rsu_id]) < 0.6
-            op = ("seal", rsu_id, sizes[rsu_id], bits, int(bits.sum()))
-            apply(op, decoder, oracle, sizes, engine)
-            assert decoder.joint_zeros() == oracle.pairs
+        with use_backend(engine):
+            for rsu_id, size in sizes.items():
+                bits = rng.random(size) < 0.4
+                op = ("seal", rsu_id, size, bits, int(bits.sum()))
+                apply(op, decoder, oracle, sizes)
+            for rsu_id in (7, 8):  # re-seal the larger arrays with more bits
+                bits = rng.random(sizes[rsu_id]) < 0.6
+                op = ("seal", rsu_id, sizes[rsu_id], bits, int(bits.sum()))
+                apply(op, decoder, oracle, sizes)
+                assert decoder.joint_zeros() == oracle.pairs
         assert oracle.pairs == tiled_joint_zeros(oracle.arrays)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_resealing_the_same_report_changes_nothing(self, engine):
         sizes, ops = random_day(5, "seal-only")
         decoder = StreamingDecoder(
-            s=2, policy="clamp", engine=engine, registry=MetricsRegistry()
+            s=2, policy="clamp", registry=MetricsRegistry()
         )
         oracle = GatherOracle()
-        for op in ops:
-            apply(op, decoder, oracle, sizes, engine)
-        before = decoder.joint_zeros()
-        for op in ops:
-            got, _ = apply(op, decoder, oracle, sizes, engine)
-            assert got == 0
+        with use_backend(engine):
+            for op in ops:
+                apply(op, decoder, oracle, sizes)
+            before = decoder.joint_zeros()
+            for op in ops:
+                got, _ = apply(op, decoder, oracle, sizes)
+                assert got == 0
         assert decoder.joint_zeros() == before
 
 

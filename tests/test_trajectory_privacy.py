@@ -52,9 +52,11 @@ class TestRoutePrivacy:
     def test_on_real_network_routes(self):
         """Trajectory privacy along actual Sioux Falls shortest paths."""
         from repro.roadnet.volumes import node_volumes, pair_common_volumes
-        from repro.traffic.network_workload import sioux_falls_workload
+        from repro.scenarios import get_scenario
 
-        workload = sioux_falls_workload(total_trips=60_000, seed=3)
+        workload = get_scenario("sioux-falls").workload(
+            total_trips=60_000, seed=3
+        )
         volumes = node_volumes(workload.plan)
         common = pair_common_volumes(workload.plan)
         route = workload.plan.route(1, 20)
