@@ -2,8 +2,9 @@
 
 The live gateway's reason to exist is the batched fast path —
 :meth:`RoadsideUnit.handle_responses` turns N per-message
-validate/record calls into one vectorized bounds/MAC check, one
-counter bump, and one ``set_bits``.  This bench measures both paths in
+validate/record calls into one :meth:`RoadsideUnit.handle_wire_batch`
+call: one vectorized bounds/MAC check, one counter bump, and one
+scatter.  This bench measures both paths in
 responses/sec and publishes the speedup (the issue's acceptance bar is
 >= 5x).
 
@@ -96,10 +97,10 @@ def test_batched_speedup_at_least_5x(authority, responses):
     for _ in range(rounds):
         rsu = make_rsu(authority)
         start = time.perf_counter()
-        rsu.handle_index_batch(macs, indices)
+        rsu.handle_wire_batch(macs, indices)
         best = min(best, time.perf_counter() - start)
         assert rsu.counter == BATCH
-    timings["arrays handle_index_batch"] = best
+    timings["arrays handle_wire_batch"] = best
 
     table = AsciiTable(
         ["path", "time (ms)", "responses/sec", "speedup"],
@@ -139,7 +140,7 @@ def test_batched_speedup_at_least_5x(authority, responses):
 def test_metrics_overhead_under_5pct(authority):
     """Instrumentation must not tax the ingest hot path.
 
-    Replays the gateway's flush unit — one ``handle_index_batch`` per
+    Replays the gateway's flush unit — one ``handle_wire_batch`` per
     4096-response batch — bare, and then with exactly the metric
     operations :meth:`RsuGateway._flush` adds (two clock reads, two
     counter incs, one histogram observe).  The acceptance bar from the
@@ -156,7 +157,7 @@ def test_metrics_overhead_under_5pct(authority):
         rsu = make_rsu(authority)
         start = time.perf_counter()
         for _ in range(flushes):
-            rsu.handle_index_batch(macs, indices)
+            rsu.handle_wire_batch(macs, indices)
         return time.perf_counter() - start
 
     def run_instrumented():
@@ -168,7 +169,7 @@ def test_metrics_overhead_under_5pct(authority):
         start = time.perf_counter()
         for _ in range(flushes):
             t0 = registry.clock()
-            recorded = rsu.handle_index_batch(macs, indices)
+            recorded = rsu.handle_wire_batch(macs, indices)
             m_recorded.inc(recorded)
             m_rejected.inc(batch - recorded)
             m_flush.observe(registry.clock() - t0)

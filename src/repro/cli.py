@@ -921,28 +921,25 @@ def _deployment_spec(args: argparse.Namespace):
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    if args.shards > 0:
-        from repro.federation.runtime import run_federated_serve
-
-        return run_federated_serve(
-            _deployment_spec(args),
-            shards=args.shards,
-            host=args.host,
-            gateway_port=args.gateway_port,
-            collector_port=args.collector_port,
-            metrics_port=args.metrics_port,
-            wal_path=args.wal,
-            retention_periods=args.retention,
-            windows=args.window,
+    if args.wal is not None and args.shards == 0:
+        print(
+            "serve --wal needs --shards: the write-ahead log journals "
+            "shard partials, and an unsharded gateway uploads "
+            "whole-report snapshots, which have no WAL record type",
+            file=sys.stderr,
         )
+        return 2
     from repro.service.runtime import run_serve
 
     return run_serve(
         _deployment_spec(args),
+        shards=args.shards,
         host=args.host,
         gateway_port=args.gateway_port,
         collector_port=args.collector_port,
         metrics_port=args.metrics_port,
+        wal_path=args.wal,
+        retention_periods=args.retention,
         windows=args.window,
     )
 
@@ -1011,9 +1008,9 @@ def _run_loadgen(args: argparse.Namespace) -> int:
     if getattr(args, "trajectory_out", None) is not None:
         import json
 
-        trajectory = getattr(result, "size_trajectory", [])
+        trajectory = result.size_trajectory
         payload = {
-            "periods": getattr(result, "periods", 1),
+            "periods": result.periods,
             "adaptive": bool(getattr(args, "adaptive", False)),
             "trajectory": [
                 {str(rsu_id): plan[rsu_id] for rsu_id in sorted(plan)}

@@ -1,30 +1,29 @@
-"""Sharded, fault-tolerant collector federation.
+"""Sharding and durability for the live measurement plane.
 
-The single-gateway live plane of :mod:`repro.service` tops out at one
-process's ingest throughput and loses everything the collector held if
-the process dies.  This package scales and hardens it without changing
-the measurement math, by leaning on a property the paper's encoding
-already has: a VLM bit array is a **state-based CRDT** — ORing two
-partial arrays for the same RSU loses nothing, and the pass counters
-of disjoint response partitions are additive.  Concretely:
+The live plane of :mod:`repro.service` runs unsharded (``shards=0``:
+one gateway for the whole fleet) or as a federation of N gateway
+shards, with one implementation of each tier:
+:class:`~repro.service.gateway.RsuGateway` (``shard_id=i`` uploads
+:class:`~repro.service.wire.ShardSnapshot` partials and accepts
+mid-period :class:`~repro.service.wire.Handoff` frames),
+:class:`~repro.service.collector.CollectorService` (OR-merges shard
+partials under ``(shard, rsu, period, seq)`` dedup, journaling each
+to a write-ahead log first) and
+:func:`~repro.service.runtime.start_federation`.  Sharding changes no
+measurement math: a VLM bit array is a **state-based CRDT** — ORing
+two partial arrays for the same RSU loses nothing, and the pass
+counters of disjoint response partitions are additive.  This package
+holds what only a sharded deployment needs:
 
 * :mod:`~repro.federation.router` — deterministic RSU→shard
   assignment (``rsu_id % shard_count`` plus explicit rebalance
   overrides).
-* :mod:`~repro.federation.shards` — :class:`ShardGateway`, an
-  :class:`~repro.service.gateway.RsuGateway` that uploads
-  :class:`~repro.service.wire.ShardSnapshot` partials and accepts
-  mid-period :class:`~repro.service.wire.Handoff` frames.
-* :mod:`~repro.federation.collector` — :class:`FederatedCollector`,
-  which OR-merges shard partials under ``(shard, rsu, period, seq)``
-  dedup and journals every applied frame to a write-ahead log first.
 * :mod:`~repro.federation.wal` — the CRC'd append-only log and its
   replay, which rebuilds a killed collector to a bit-identical period
   matrix.
-* :mod:`~repro.federation.runtime` — start/stop a whole federation in
-  one event loop, the sharded load generator (with mid-period
-  rebalances), and the process-parallel shard slice the federation
-  benchmark drives through :func:`repro.runtime.run_tasks`.
+* :mod:`~repro.federation.runtime` — the sharded load generator (with
+  mid-period rebalances) and the process-parallel shard slice the
+  federation benchmark drives through :func:`repro.runtime.run_tasks`.
 * :mod:`~repro.federation.chaos` — the ``shard-kill`` scenario: kill a
   shard mid-period, restart, resend, then kill the collector and prove
   WAL replay reproduces the unsharded golden matrix exactly.
@@ -32,25 +31,13 @@ of disjoint response partitions are additive.  Concretely:
   scrape-and-render view of a live federation's metrics.
 """
 
-from repro.federation.collector import (
-    FederatedCollector,
-    merge_partial_reports,
-)
 from repro.federation.router import ShardRouter
-from repro.federation.shards import (
-    ShardGateway,
-    build_shard_rsus,
-    spec_provisioner,
-)
 from repro.federation.wal import WriteAheadLog, replay_wal
+from repro.service.collector import merge_partial_reports
 
 __all__ = [
-    "FederatedCollector",
-    "ShardGateway",
     "ShardRouter",
     "WriteAheadLog",
-    "build_shard_rsus",
     "merge_partial_reports",
     "replay_wal",
-    "spec_provisioner",
 ]

@@ -36,14 +36,11 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.core.estimator import PairEstimate
 from repro.core.sizing import AdaptiveSizing
-from repro.federation.collector import FederatedCollector
-from repro.federation.runtime import (
-    ShardClient,
-    plan_shard_batches,
-    start_federation,
-)
+from repro.federation.runtime import plan_shard_batches
 from repro.service import wire
-from repro.service.runtime import DeploymentSpec
+from repro.service.collector import CollectorService
+from repro.service.loadgen import send_phases
+from repro.service.runtime import DeploymentSpec, start_federation
 from repro.utils.logconfig import get_logger
 
 __all__ = ["ShardKillReport", "shard_kill_scenario", "run_shard_kill"]
@@ -160,49 +157,42 @@ async def shard_kill_scenario(
         spec, router, wire_batch=wire_batch
     )
     victim_batches = phase1[victim]
-    resent = 0
+
+    async def deliver(
+        shard: int, batches, close: Optional[wire.Message] = None
+    ) -> Tuple[int, int]:
+        return await send_phases(
+            [(batches, close)],
+            host=plane.host,
+            port=plane.shards[shard].port,
+            window=window,
+            close_timeout=120.0,
+        )
+
     try:
         # Survivors stream their whole day; the victim gets only half
         # before the crash.
-        clients = {
-            shard: ShardClient(plane.host, gateway.port)
-            for shard, gateway in plane.shards.items()
-        }
-        sent = 0
-
-        async def stream_full(shard: int) -> int:
-            return await clients[shard].send_batches(
-                phase1[shard], window=window
-            )
-
         half = victim_batches[: max(1, len(victim_batches) // 2)]
         results = await asyncio.gather(
-            *(stream_full(s) for s in range(shards) if s != victim),
-            clients[victim].send_batches(half, window=window),
+            *(deliver(s, phase1[s]) for s in range(shards) if s != victim),
+            deliver(victim, half),
         )
-        sent += sum(results)
-        await clients[victim].close()
+        sent = sum(streamed for streamed, _ in results)
 
         # Crash and resurrect the victim; its arrays come back zeroed,
         # so the sender must replay the shard's entire day.  Batches
         # it had already ingested are simply re-recorded into empty
         # arrays — not duplicates, the state they fed is gone.
         await plane.kill_shard(victim)
-        revived = await plane.restart_shard(victim)
-        clients[victim] = ShardClient(plane.host, revived.port)
-        resent = await clients[victim].send_batches(
-            victim_batches, window=window
-        )
+        await plane.restart_shard(victim)
+        resent, _ = await deliver(victim, victim_batches)
 
         # Period close: every shard uploads ShardSnapshot partials;
         # the collector journals then merges each one.
         snapshots = 0
         for shard in range(shards):
-            snapshots += await clients[shard].end_period(
-                period, timeout=120.0
-            )
-        for client in clients.values():
-            await client.close()
+            _, acked = await deliver(shard, [], wire.EndPeriod(period=period))
+            snapshots += acked
 
         live_matrix = plane.collector.server.decoder.estimate_matrix(
             period
@@ -231,7 +221,7 @@ async def shard_kill_scenario(
         await plane.stop()
 
     # Rebuild a collector from nothing but the journal.
-    recovered = FederatedCollector(spec.build_central_server())
+    recovered = CollectorService(spec.build_central_server())
     replayed = recovered.recover(wal_path)
     recovered_matrix = recovered.server.decoder.estimate_matrix(period)
     recovered_counters = {

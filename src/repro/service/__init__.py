@@ -3,26 +3,38 @@ running system.
 
 The in-memory simulation (:mod:`repro.vcps`) collapses the paper's
 three roles into one process.  This package pulls them apart over real
-sockets:
+sockets, as one plane that runs unsharded (``shards=0``: one gateway
+for the whole fleet) or as N gateway shards feeding one OR-merging
+collector — a single gateway is just the one-partition case of the
+federation, with one implementation of each tier:
 
 * :mod:`repro.service.wire` — length-prefixed binary codec for vehicle
-  responses, period snapshots, and decode queries;
+  responses, period snapshots (whole-report and shard partial), and
+  decode queries;
 * :mod:`repro.service.gateway` — asyncio RSU gateway: streams of
-  vehicle responses in, batched ``set_bits`` ingestion, per-period
-  snapshot upload with retry;
+  vehicle responses in, batched ingestion, per-period snapshot upload
+  with retry; with a ``shard_id`` it uploads shard partials and
+  accepts mid-period handoffs;
 * :mod:`repro.service.collector` — asyncio central collector: snapshot
-  ingestion into :class:`~repro.vcps.server.CentralServer`, query
-  answering over the same protocol;
-* :mod:`repro.service.loadgen` — load generator replaying a Sioux
-  Falls day against a live deployment and checking the answers against
-  the in-process decoder;
+  ingestion into :class:`~repro.vcps.server.CentralServer`, the
+  shard-partial OR-merge with its write-ahead journal and
+  ``recover()``, and query answering over the same protocol;
+* :mod:`repro.service.loadgen` — the one sender (phases of batches,
+  each closed by ``EndWindow``, ``EndPeriod`` or ``Handoff``) and the
+  load generator replaying a day against a live deployment and
+  checking the answers against the in-process decoder;
 * :mod:`repro.service.runtime` — the shared deployment spec that keeps
-  ``repro serve`` and ``repro loadgen`` bit-for-bit consistent;
+  ``repro serve`` and ``repro loadgen`` bit-for-bit consistent, the
+  one bring-up (:func:`~repro.service.runtime.start_federation`) and
+  the one serve loop;
 * :mod:`repro.service.faults` — deterministic fault-injection TCP
   proxy (``repro chaos``) for latency, drops, corruption, resets, and
   blackholes;
 * :mod:`repro.service.retry` — the shared jittered-exponential-backoff
   policy every reconnecting client uses.
+
+Sharding-only pieces (the router, the WAL format, the sharded load
+generator and the shard-kill drill) live in :mod:`repro.federation`.
 """
 
 from repro.service.collector import CollectorService
@@ -35,7 +47,11 @@ from repro.service.faults import (
 from repro.service.gateway import RsuGateway
 from repro.service.loadgen import LoadgenResult, run_loadgen
 from repro.service.retry import RetryPolicy, retry_async
-from repro.service.runtime import DeploymentSpec, run_serve
+from repro.service.runtime import (
+    DeploymentSpec,
+    run_serve,
+    start_federation,
+)
 
 __all__ = [
     "CollectorService",
@@ -44,6 +60,7 @@ __all__ = [
     "run_loadgen",
     "DeploymentSpec",
     "run_serve",
+    "start_federation",
     "FaultProfile",
     "FaultProxy",
     "PROFILES",

@@ -1,24 +1,58 @@
 """The asyncio central collector: the offline decoding phase as a
 service.
 
-Gateways upload :class:`~repro.service.wire.Snapshot` frames at period
-close; each becomes an :class:`~repro.core.reports.RsuReport` fed into
-the existing :class:`~repro.vcps.server.CentralServer` (history
-update, integrity check, decoder submission).  Analysts — or the load
-generator — then ask for point and point-to-point volumes over the
-same socket protocol and get the Eq. (5) MLE back, computed by exactly
-the code path the in-process experiments use.
+Gateways upload period snapshots at period close and the collector
+turns them into measurement state on the existing
+:class:`~repro.vcps.server.CentralServer`:
+
+* an unsharded gateway's whole-report
+  :class:`~repro.service.wire.Snapshot` goes through
+  :meth:`~repro.vcps.server.CentralServer.receive_report` (history
+  update, integrity check, decoder submission);
+* a gateway shard's :class:`~repro.service.wire.ShardSnapshot` partial
+  is OR-merged into one report per ``(rsu_id, period)`` — the
+  state-based-CRDT join the paper's encoding admits for free: bits are
+  word-wise ORed via the zero-copy
+  :meth:`~repro.core.bitarray.BitArray.or_bytes` path, counters summed
+  (shards count disjoint response partitions).  OR is commutative,
+  associative and idempotent, so partials may arrive in any order,
+  interleaved across shards, and duplicated;
+  ``tests/test_federation_crdt.py`` proves those laws.
+
+With a :class:`~repro.federation.wal.WriteAheadLog` attached, every
+shard partial, window partial and size announcement is appended
+*before* it is applied, so a collector killed at any point replays —
+:meth:`CollectorService.recover` — to bit-identical merge state and
+therefore a bit-identical period matrix.  Whole-report snapshots have
+no WAL record type.
+
+Analysts — or the load generator — then ask for point and
+point-to-point volumes over the same socket protocol and get the
+Eq. (5) MLE back, computed by exactly the code path the in-process
+experiments use.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Optional, Set, Tuple
+from pathlib import Path
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
+from repro.core.bitarray import BitArray
+from repro.core.reports import RsuReport
 from repro.errors import (
     ConfigurationError,
     EstimationError,
     ReproError,
+    ValidationError,
     WireError,
 )
 from repro.obs import MetricsRegistry
@@ -26,15 +60,62 @@ from repro.service import wire
 from repro.utils.logconfig import get_logger
 from repro.vcps.server import CentralServer
 
-__all__ = ["CollectorService"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.federation.wal import WriteAheadLog
+
+__all__ = ["CollectorService", "merge_partial_reports"]
 
 logger = get_logger("service.collector")
+
+
+def merge_partial_reports(
+    partials: Iterable[RsuReport],
+) -> RsuReport:
+    """OR-merge partial reports for one ``(rsu_id, period)``.
+
+    The pure-function form of the collector's shard merge, so the CRDT
+    property tests can exercise the join without sockets: bits are
+    OR-folded in one ``or_reduce`` kernel call, counters summed.  All
+    partials must agree on ``rsu_id``, ``period``, and array size; the
+    inputs are not mutated.
+    """
+    partials = list(partials)
+    if not partials:
+        raise ValidationError("cannot merge zero partial reports")
+    first = partials[0]
+    for partial in partials[1:]:
+        if (
+            partial.rsu_id != first.rsu_id
+            or partial.period != first.period
+        ):
+            raise ValidationError(
+                f"cannot merge partials for rsu {partial.rsu_id} period "
+                f"{partial.period} into rsu {first.rsu_id} period "
+                f"{first.period}"
+            )
+    return RsuReport(
+        rsu_id=first.rsu_id,
+        counter=sum(partial.counter for partial in partials),
+        bits=BitArray.or_reduce([partial.bits for partial in partials]),
+        period=first.period,
+    )
+
+
+class _MergeState:
+    """Accumulated join for one ``(rsu_id, period)``."""
+
+    __slots__ = ("counter", "bits", "partials")
+
+    def __init__(self, counter: int, bits: BitArray) -> None:
+        self.counter = counter
+        self.bits = bits
+        self.partials = 1
 
 
 class CollectorService:
     """One measurement back end behind a TCP socket.
 
-    Snapshot ingestion is idempotent: uploads are keyed by
+    Whole-report snapshot ingestion is idempotent: uploads are keyed by
     ``(rsu_id, period, seq)``.  A retransmission of an
     already-applied upload (same key) is acknowledged again without
     touching measurement state — safe because re-ORing identical
@@ -43,6 +124,18 @@ class CollectorService:
     ``(rsu_id, period)`` under a different seq is refused with
     ``E_DUPLICATE``.  That split is what makes gateway-side retries
     safe on a lossy link.
+
+    Shard partials take the merge path, deduplicated on ``(shard_id,
+    rsu_id, period, seq)`` — shard-scoped, because every shard numbers
+    its uploads independently from 1.  The two paths are mutually
+    exclusive per ``(rsu_id, period)``: once either has applied state
+    for a key, the other is refused with ``E_DUPLICATE``, because
+    mixing a whole-report overwrite into an ongoing OR-merge (or vice
+    versa) would corrupt the estimate.  Merged reports are submitted
+    straight to the decoder, *not* through
+    :meth:`~repro.vcps.server.CentralServer.receive_report`: the
+    history/anomaly layer compares a report's counter against expected
+    volume, and a half-merged partial would trip it spuriously.
 
     Parameters
     ----------
@@ -65,6 +158,11 @@ class CollectorService:
         configurable rather than fixed.  The
         ``collector.dedup_keys_retained`` gauge tracks the live key
         count.
+    wal:
+        The write-ahead journal; every shard partial, window partial
+        and size announcement is appended (and flushed) before it is
+        applied.  ``None`` (the default) disables journaling — then a
+        collector crash loses the period.
     """
 
     def __init__(
@@ -73,8 +171,10 @@ class CollectorService:
         *,
         registry: Optional[MetricsRegistry] = None,
         retention_periods: Optional[int] = None,
+        wal: Optional["WriteAheadLog"] = None,
     ) -> None:
         self.server = server
+        self.wal = wal
         self._server: Optional[asyncio.AbstractServer] = None
         self.port: Optional[int] = None
         if retention_periods is not None:
@@ -87,6 +187,10 @@ class CollectorService:
         self._max_period: Optional[int] = None
         #: (rsu_id, period) -> seq of the upload that was applied.
         self._applied: Dict[Tuple[int, int], int] = {}
+        #: (rsu_id, period) -> accumulated OR-merge of shard partials.
+        self._merged: Dict[Tuple[int, int], _MergeState] = {}
+        #: (rsu_id, period) -> {(shard_id, seq)} already merged.
+        self._merge_seqs: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}
         #: (rsu_id, period, window) -> {(shard_id, seq)} of the window
         #: partials already OR-merged (streaming tier; every shard
         #: contributes one partial per window, so the value is a set).
@@ -179,6 +283,16 @@ class CollectorService:
         """Dedup keys currently held (bounded by the retention window)."""
         return int(self._m_retained.value)
 
+    @property
+    def snapshots_merged(self) -> int:
+        """Shard partials merged into measurement state (all shards)."""
+        return sum(state.partials for state in self._merged.values())
+
+    @property
+    def wal_records_replayed(self) -> int:
+        """Journal records re-applied by :meth:`recover`."""
+        return int(self.registry.counter("federation.wal_replayed_total").value)
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -236,6 +350,8 @@ class CollectorService:
     # Message handling (synchronous — decoding is pure CPU)
     # ------------------------------------------------------------------
     def _handle(self, message: wire.Message) -> wire.Message:
+        if isinstance(message, wire.ShardSnapshot):
+            return self._handle_shard_snapshot(message)
         if isinstance(message, wire.Snapshot):
             return self._handle_snapshot(message)
         if isinstance(message, wire.WindowSnapshot):
@@ -258,6 +374,13 @@ class CollectorService:
 
     def _handle_snapshot(self, snapshot: wire.Snapshot) -> wire.Message:
         key = (snapshot.rsu_id, snapshot.period)
+        if key in self._merged:
+            self._m_conflicted.inc()
+            return wire.ErrorMsg(
+                wire.E_DUPLICATE,
+                f"rsu {snapshot.rsu_id} period {snapshot.period} is "
+                "being shard-merged; refusing a whole-report snapshot",
+            )
         applied_seq = self._applied.get(key)
         if applied_seq is not None:
             if applied_seq == snapshot.seq:
@@ -298,6 +421,80 @@ class CollectorService:
             rsu_id=snapshot.rsu_id, period=snapshot.period, seq=snapshot.seq
         )
 
+    def _handle_shard_snapshot(
+        self, snap: wire.ShardSnapshot, *, journal: bool = True
+    ) -> wire.Message:
+        """OR-merge one shard partial; *journal* is False on WAL
+        replay."""
+        key = (snap.rsu_id, snap.period)
+        if key in self._applied:
+            # A whole-report Snapshot already owns this key.
+            self._m_conflicted.inc()
+            return wire.ErrorMsg(
+                wire.E_DUPLICATE,
+                f"rsu {snap.rsu_id} period {snap.period} already applied "
+                "as a whole-report snapshot; refusing a shard partial",
+            )
+        seqs = self._merge_seqs.setdefault(key, set())
+        identity = (snap.shard_id, snap.seq)
+        if identity in seqs:
+            # Retransmission of a merged partial: ack again without
+            # re-adding the counter (OR-ing the bits again would be
+            # harmless; re-summing the counter would not).
+            self._m_deduped.inc()
+            return wire.SnapshotAck(
+                rsu_id=snap.rsu_id, period=snap.period, seq=snap.seq
+            )
+        state = self._merged.get(key)
+        if state is not None and state.bits.size != snap.array_size:
+            self._m_frames_rejected.inc()
+            return wire.ErrorMsg(
+                wire.E_MALFORMED,
+                f"shard {snap.shard_id} uploaded a {snap.array_size}-bit "
+                f"partial for rsu {snap.rsu_id} period {snap.period}, "
+                f"but {state.bits.size} bits are already merged",
+            )
+        if journal and self.wal is not None:
+            # Write-ahead: on disk before the merge, long before the
+            # ack.  A crash after this point replays the record; the
+            # unacked gateway retransmits and dedups against it.
+            self.wal.append(snap)
+        try:
+            if state is None:
+                bits = BitArray.from_bytes(snap.packed_bits, snap.array_size)
+                state = _MergeState(snap.counter, bits)
+                self._merged[key] = state
+            else:
+                state.bits.or_bytes(snap.packed_bits)
+                state.counter += snap.counter
+                state.partials += 1
+        except ReproError as exc:
+            self._m_frames_rejected.inc()
+            return wire.ErrorMsg(wire.E_MALFORMED, str(exc))
+        seqs.add(identity)
+        # Re-submit the merged report; submit() is latest-wins and
+        # invalidates the decoder's unfold cache for this key.  The
+        # streaming tier absorbs the same merged report (OR on bits,
+        # sealed counter latest-wins), so the adaptive controller's
+        # observed per-period volumes stay correct behind shards too.
+        merged = RsuReport(
+            rsu_id=snap.rsu_id,
+            counter=state.counter,
+            bits=state.bits,
+            period=snap.period,
+        )
+        self.server.decoder.submit(merged)
+        self.server.streaming.observe_report(merged)
+        self._m_received.inc()
+        self.registry.counter(
+            "federation.snapshots_merged_total", shard=snap.shard_id
+        ).inc()
+        self.registry.gauge("federation.merge_keys").set(len(self._merged))
+        self._observe_period(snap.period)
+        return wire.SnapshotAck(
+            rsu_id=snap.rsu_id, period=snap.period, seq=snap.seq
+        )
+
     def _handle_window_snapshot(
         self, partial: wire.WindowSnapshot, *, journal: bool = True
     ) -> wire.Message:
@@ -319,10 +516,11 @@ class CollectorService:
                 period=partial.period,
                 seq=partial.seq,
             )
-        if journal:
-            # Write-ahead: journaled before the merge, as for period
-            # snapshots; *journal* is False on WAL replay.
-            self._journal_window(partial)
+        if journal and self.wal is not None:
+            # Write-ahead: journaled before the merge (record type
+            # REC_WINDOW), so recover() also rebuilds the streaming
+            # tier's time-sliced overlay; *journal* is False on replay.
+            self.wal.append(partial)
         try:
             self.server.receive_window_partial(
                 partial.rsu_id,
@@ -344,18 +542,13 @@ class CollectorService:
             seq=partial.seq,
         )
 
-    def _journal_window(self, partial: wire.WindowSnapshot) -> None:
-        """Durability hook for an applied window partial.  The base
-        collector keeps streaming state in memory only; the federation
-        tier overrides this to append to its write-ahead log."""
-
     def _handle_size_query(self, query: wire.SizeQuery) -> wire.Message:
         """Answer one :class:`~repro.service.wire.SizeQuery` with the
         period's canonical :class:`~repro.service.wire.SizeAnnounce`.
 
         The first ask computes the plan
         (:meth:`~repro.vcps.server.CentralServer.plan_sizes`) and
-        journals the announcement (:meth:`_journal_sizes`) *before*
+        journals the announcement (record type ``REC_SIZES``) *before*
         publishing it — write-ahead, so a collector that crashes after
         answering re-announces identical sizes after recovery.  Every
         later ask (retry, second gateway, the loadgen verifier) gets
@@ -370,15 +563,57 @@ class CollectorService:
             except (ReproError, WireError) as exc:
                 self._m_frames_rejected.inc()
                 return wire.ErrorMsg(wire.E_ESTIMATION, str(exc))
-            self._journal_sizes(cached)
+            if self.wal is not None:
+                self.wal.append(cached)
             self._announced[period] = cached
         self._m_sizes_announced.inc()
         return cached
 
-    def _journal_sizes(self, announce: wire.SizeAnnounce) -> None:
-        """Durability hook for a size announcement about to publish.
-        The base collector keeps plans in memory only; the federation
-        tier overrides this to append to its write-ahead log."""
+    # ------------------------------------------------------------------
+    # Recovery
+    # ------------------------------------------------------------------
+    def recover(self, path: Optional[Union[str, Path]] = None) -> int:
+        """Replay a write-ahead log into this collector's state.
+
+        Reads *path* (default: this collector's own ``wal.path``) and
+        re-applies every intact record through the live paths —
+        without re-journaling — so the rebuilt state is bit-identical
+        to what the crashed collector held, including the dedup sets
+        that make post-recovery gateway retransmissions exactly-once.
+        Records the count in ``federation.wal_replayed_total`` and
+        returns the number of records applied (duplicates in the log
+        dedup against themselves and are not double-counted).
+        """
+        from repro.federation.wal import replay_wal
+
+        if path is None:
+            if self.wal is None:
+                raise ValidationError(
+                    "recover() needs a path when no WAL is attached"
+                )
+            path = self.wal.path
+        m_replayed = self.registry.counter("federation.wal_replayed_total")
+        applied = 0
+        for record in replay_wal(path, registry=self.registry):
+            m_replayed.inc()
+            if isinstance(record, wire.SizeAnnounce):
+                # Re-install the journaled plan as published.
+                self.server.adopt_size_plan(record.period, record.to_sizes())
+                self._announced[int(record.period)] = record
+                applied += 1
+                continue
+            if isinstance(record, wire.WindowSnapshot):
+                reply = self._handle_window_snapshot(record, journal=False)
+            else:
+                reply = self._handle_shard_snapshot(record, journal=False)
+            if isinstance(reply, wire.SnapshotAck):
+                applied += 1
+            else:  # pragma: no cover - requires a semantically bad log
+                logger.warning(
+                    "wal %s: replayed record refused: %r", path, reply
+                )
+        logger.info("wal %s: replayed %d records", path, applied)
+        return applied
 
     # ------------------------------------------------------------------
     # Dedup-state retention
@@ -402,23 +637,22 @@ class CollectorService:
 
     def _evict_before(self, horizon: int) -> int:
         """Drop dedup keys for periods ``<= horizon``; returns the
-        number evicted.  Subclasses with extra per-period dedup state
-        extend this."""
+        number evicted."""
         stale = [key for key in self._applied if key[1] <= horizon]
         for key in stale:
             del self._applied[key]
-        stale_windows = [
-            key for key in self._window_applied if key[1] <= horizon
-        ]
         evicted = len(stale)
-        for key in stale_windows:
-            evicted += len(self._window_applied.pop(key))
+        for keyed in (self._window_applied, self._merge_seqs):
+            for key in [key for key in keyed if key[1] <= horizon]:
+                evicted += len(keyed.pop(key))
         return evicted
 
     def _dedup_keys(self) -> int:
         """Current dedup key count (feeds the retained-keys gauge)."""
         return len(self._applied) + sum(
-            len(stamps) for stamps in self._window_applied.values()
+            len(stamps)
+            for keyed in (self._window_applied, self._merge_seqs)
+            for stamps in keyed.values()
         )
 
     def _handle_query(self, query: wire.VolumeQuery) -> wire.Message:

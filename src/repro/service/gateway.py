@@ -7,8 +7,8 @@ gateway routes them to the right
 :class:`~repro.vcps.rsu.RoadsideUnit`, but never records per message:
 responses accumulate in a bounded queue and a single ingest worker
 drains them into vectorized
-:meth:`~repro.vcps.rsu.RoadsideUnit.handle_index_batch` calls — one
-bounds/MAC check, one counter bump, one ``set_bits`` per flush.
+:meth:`~repro.vcps.rsu.RoadsideUnit.handle_wire_batch` calls — one
+bounds/MAC check, one counter bump, one scatter per flush.
 
 Backpressure is structural: the ingest queue is bounded, the reader
 coroutine ``await``-s on ``queue.put``, and while it waits it is not
@@ -18,18 +18,28 @@ On :class:`~repro.service.wire.EndPeriod` the gateway flushes, closes
 the period at every RSU, and uploads each snapshot to the collector
 with bounded retries and per-attempt timeouts before acknowledging.
 
+One class serves both deployments.  An unsharded gateway
+(``shard_id=None``) fronts the whole fleet and uploads whole-report
+:class:`~repro.service.wire.Snapshot` frames.  A gateway shard
+(``shard_id=i``) fronts its partition of the fleet, uploads
+:class:`~repro.service.wire.ShardSnapshot` partials for the collector
+to OR-merge, and accepts mid-period
+:class:`~repro.service.wire.Handoff` frames: it provisions a fresh
+zeroed RSU so it can record the rest of a rebalanced RSU's responses
+while the source shard keeps its partial array.
+
 Every stage records into the gateway's own
-:class:`~repro.obs.MetricsRegistry` (``gateway.*`` metrics; see
-``docs/observability.md``); the historical stat attributes
-(``responses_received`` etc.) remain as registry-backed integer
-properties.
+:class:`~repro.obs.MetricsRegistry` (``gateway.*`` metrics, plus
+``federation.handoffs_*`` on a shard; see ``docs/observability.md``);
+the historical stat attributes (``responses_received`` etc.) remain as
+registry-backed integer properties.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -94,12 +104,27 @@ class RsuGateway:
         The :class:`~repro.obs.MetricsRegistry` this gateway records
         into; a fresh private registry by default so concurrent
         gateways (and tests) never share counters.
+    shard_id:
+        ``None`` (the default) for an unsharded gateway; otherwise this
+        shard's id, stamped into every uploaded
+        :class:`~repro.service.wire.ShardSnapshot` so the collector
+        can scope upload-seq dedup per shard.
+    provisioner:
+        A shard's fleet builder,
+        :meth:`~repro.service.runtime.DeploymentSpec.build_rsus`: called
+        with ``[rsu_id]`` when a :class:`~repro.service.wire.Handoff`
+        names an RSU this shard does not own yet.  Without one, such
+        handoffs are refused with ``E_UNKNOWN_RSU``.
     """
 
     def __init__(
         self,
         rsus: Dict[int, RoadsideUnit],
         *,
+        shard_id: Optional[int] = None,
+        provisioner: Optional[
+            Callable[[Iterable[int]], Dict[int, RoadsideUnit]]
+        ] = None,
         collector_host: str = "127.0.0.1",
         collector_port: int = 8702,
         batch_size: int = 4096,
@@ -113,6 +138,8 @@ class RsuGateway:
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.rsus = dict(rsus)
+        self.shard_id = None if shard_id is None else int(shard_id)
+        self._provisioner = provisioner
         self.windows = int(windows)
         if self.windows > 0:
             for rsu in self.rsus.values():
@@ -206,6 +233,13 @@ class RsuGateway:
         self._m_close_seconds = self.registry.histogram(
             "gateway.period_close_seconds"
         )
+        if self.shard_id is not None:
+            self._m_handoffs = self.registry.counter(
+                "federation.handoffs_accepted_total"
+            )
+            self._m_handoffs_refused = self.registry.counter(
+                "federation.handoffs_refused_total"
+            )
 
     # ------------------------------------------------------------------
     # Stats (registry-backed; the attribute names predate the registry
@@ -280,6 +314,13 @@ class RsuGateway:
     def outage_dropped(self) -> int:
         """Responses dropped because their RSU's radio was down."""
         return int(self._m_outage_dropped.value)
+
+    @property
+    def handoffs_accepted(self) -> int:
+        """Mid-period rebalances this shard took ownership for."""
+        if self.shard_id is None:
+            return 0
+        return int(self._m_handoffs.value)
 
     # ------------------------------------------------------------------
     # Scheduled RSU outages (the chaos drill's switch; docs/scenarios.md)
@@ -403,8 +444,18 @@ class RsuGateway:
                                 period=message.period, applied=applied
                             ),
                         )
+                elif (
+                    isinstance(message, wire.Handoff)
+                    and self.shard_id is not None
+                ):
+                    await self._handle_handoff(message, writer)
                 else:
-                    await self._handle_extra(message, writer)
+                    self._m_frames_rejected.inc()
+                    await self._send_error(
+                        writer,
+                        wire.E_MALFORMED,
+                        f"gateway cannot handle {type(message).__name__}",
+                    )
         except (ConnectionError, OSError):
             pass  # peer vanished mid-exchange (reset, abort, …)
         finally:
@@ -414,22 +465,58 @@ class RsuGateway:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
-    async def _handle_extra(
-        self, message: wire.Message, writer: asyncio.StreamWriter
+    async def _handle_handoff(
+        self, message: wire.Handoff, writer: asyncio.StreamWriter
     ) -> None:
-        """Hook for message types the base gateway does not serve.
-
-        Subclasses (the federation tier's
-        :class:`~repro.federation.shards.ShardGateway`) override this
-        to accept e.g. :class:`~repro.service.wire.Handoff` frames; the
-        base behaviour is a nack.
-        """
-        self._m_frames_rejected.inc()
-        await self._send_error(
-            writer,
-            wire.E_MALFORMED,
-            f"gateway cannot handle {type(message).__name__}",
-        )
+        """Take ownership of a rebalanced RSU (shards only; an
+        unsharded gateway nacks ``Handoff`` like any frame it cannot
+        handle)."""
+        if message.to_shard != self.shard_id:
+            self._m_handoffs_refused.inc()
+            await self._send_error(
+                writer,
+                wire.E_MALFORMED,
+                f"handoff of rsu {message.rsu_id} addresses shard "
+                f"{message.to_shard}, but this is shard {self.shard_id}",
+            )
+            return
+        if message.rsu_id not in self.rsus:
+            if self._provisioner is None:
+                self._m_handoffs_refused.inc()
+                await self._send_error(
+                    writer,
+                    wire.E_UNKNOWN_RSU,
+                    f"shard {self.shard_id} cannot provision rsu "
+                    f"{message.rsu_id} (no provisioner)",
+                )
+                return
+            provisioned = self._provisioner([message.rsu_id])[message.rsu_id]
+            if self.windows > 0:
+                # A rebalanced-in RSU joins the streaming tier too, so
+                # its window partials keep flowing mid-period.
+                provisioned.track_windows()
+            self.rsus[message.rsu_id] = provisioned
+            self._m_handoffs.inc()
+            logger.info(
+                "shard %d accepted rsu %d from shard %d (period %d)",
+                self.shard_id,
+                message.rsu_id,
+                message.from_shard,
+                message.period,
+            )
+        # Otherwise a handoff retransmission (or a no-op rebalance):
+        # the RSU is already provisioned, so ack without zeroing state.
+        try:
+            await wire.write_message(
+                writer,
+                wire.HandoffAck(
+                    rsu_id=message.rsu_id,
+                    to_shard=self.shard_id,
+                    period=message.period,
+                ),
+            )
+        except (ConnectionError, OSError):  # pragma: no cover
+            pass
 
     async def _send_error(
         self, writer: asyncio.StreamWriter, code: int, text: str
@@ -570,9 +657,17 @@ class RsuGateway:
                 snapshots: Dict[int, wire.Snapshot] = {}
                 for rsu in self.rsus.values():
                     report = rsu.end_period()
-                    snapshots[report.rsu_id] = self._make_snapshot(
-                        report, self._next_upload_seq
-                    )
+                    if self.shard_id is None:
+                        snapshot = wire.Snapshot.from_report(
+                            report, seq=self._next_upload_seq
+                        )
+                    else:
+                        snapshot = wire.ShardSnapshot.from_report(
+                            report,
+                            shard_id=self.shard_id,
+                            seq=self._next_upload_seq,
+                        )
+                    snapshots[report.rsu_id] = snapshot
                     self._next_upload_seq += 1
                 self._period_uploads[period] = snapshots
                 self._period_acked[period] = set()
@@ -627,8 +722,11 @@ class RsuGateway:
             for rsu in sorted(self.rsus.values(), key=lambda r: r.rsu_id):
                 report = rsu.close_window()
                 partials.append(
-                    self._make_window_snapshot(
-                        report, int(window), self._next_upload_seq
+                    wire.WindowSnapshot.from_report(
+                        report,
+                        window=int(window),
+                        shard_id=self.shard_id or 0,
+                        seq=self._next_upload_seq,
                     )
                 )
                 self._next_upload_seq += 1
@@ -683,31 +781,6 @@ class RsuGateway:
             len(announce),
         )
         return applied
-
-    def _make_window_snapshot(
-        self, report, window: int, seq: int
-    ) -> wire.WindowSnapshot:
-        """Build the upload frame for one closed window *report*.
-
-        The shard id comes from the subclass when there is one (the
-        federation tier's gateways carry ``shard_id``); the base
-        gateway ships shard 0.
-        """
-        return wire.WindowSnapshot.from_report(
-            report,
-            window=window,
-            shard_id=int(getattr(self, "shard_id", 0)),
-            seq=seq,
-        )
-
-    def _make_snapshot(self, report, seq: int) -> wire.Snapshot:
-        """Build the upload frame for one period-end *report*.
-
-        Subclasses override to emit shard-aware frames (the federation
-        tier's :class:`~repro.service.wire.ShardSnapshot`); the upload
-        loop only relies on ``rsu_id`` / ``period`` matching the ack.
-        """
-        return wire.Snapshot.from_report(report, seq=seq)
 
     async def _upload_snapshots(
         self,

@@ -16,8 +16,10 @@ reset, a silent blackhole — the generator reconnects with jittered
 backoff and resends only the unacked batches.  Gateway-side seq dedup
 makes resends exactly-once, the idempotent ``EndPeriod`` makes the
 close retryable, and queries are read-only so they are simply
-reissued.  The result is the issue's headline property: estimates stay
-bit-identical to in-process decoding under every fault profile.
+reissued, so estimates stay bit-identical to in-process decoding
+under every fault profile.  :func:`send_phases` is the one sender:
+the unsharded replay, the sharded replay and the chaos drills all
+stream through it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from repro.vcps.ids import random_macs
 __all__ = [
     "LoadgenResult",
     "StreamStats",
+    "send_phases",
     "replay_day",
     "announce_sizes",
     "run_queries",
@@ -140,14 +143,15 @@ class StreamStats:
 
 @dataclass
 class LoadgenResult:
-    """What a load generation run achieved and whether it was correct."""
+    """What a load generation run achieved and whether it was correct —
+    for an unsharded replay and a sharded one alike."""
 
     responses_sent: int
     stream_seconds: float
     queries: int
     query_latencies_ms: np.ndarray = field(repr=False)
     estimates_checked: int
-    mismatches: List[Tuple[int, int]]
+    pair_mismatches: List[Tuple[int, int]]
     counters_checked: int
     counter_mismatches: List[int]
     snapshots_acked: int
@@ -168,12 +172,17 @@ class LoadgenResult:
     #: Periods whose announced sizes differed from the in-process
     #: golden trajectory — must be empty for a correct deployment.
     trajectory_mismatches: List[int] = field(default_factory=list)
+    #: Responses acknowledged per gateway shard (empty when unsharded).
+    per_shard: Dict[int, int] = field(default_factory=dict)
+    #: Mid-period RSU handoffs between shards.
+    handoffs: int = 0
 
     @property
     def throughput(self) -> float:
-        """Achieved ingest rate in responses per second."""
+        """Achieved ingest rate in responses per second (0 when no
+        streaming time was measured)."""
         if self.stream_seconds <= 0:
-            return float("inf")
+            return 0.0
         return self.responses_sent / self.stream_seconds
 
     @property
@@ -181,7 +190,7 @@ class LoadgenResult:
         """True iff every live answer matched the in-process decoder
         and every announced size plan matched the golden trajectory."""
         return (
-            not self.mismatches
+            not self.pair_mismatches
             and not self.counter_mismatches
             and not self.trajectory_mismatches
         )
@@ -201,6 +210,13 @@ class LoadgenResult:
         table = AsciiTable(
             ["metric", "value"], title="Live pipeline load generation"
         )
+        if self.per_shard:
+            cells = ", ".join(
+                f"s{shard}={count:,}"
+                for shard, count in sorted(self.per_shard.items())
+            )
+            table.add_row(["shards", f"{len(self.per_shard)} ({cells})"])
+            table.add_row(["mid-period handoffs", self.handoffs])
         if self.periods > 1:
             table.add_row(["periods replayed", self.periods])
             resizes = sum(
@@ -245,7 +261,7 @@ class LoadgenResult:
             "bit-identical to in-process decoding"
             if self.bit_identical
             else (
-                f"MISMATCHES: {len(self.mismatches)} pairs, "
+                f"MISMATCHES: {len(self.pair_mismatches)} pairs, "
                 f"{len(self.counter_mismatches)} counters"
             )
         )
@@ -263,41 +279,6 @@ def _close_connection(
             pass
 
 
-def _day_batches(
-    spec: DeploymentSpec, wire_batch: int, period: int = 0
-) -> List[wire.ResponseBatch]:
-    """Precompute day *period* as sequenced batches (seqs 1..N).
-
-    Seqs are assigned deterministically so a re-run of the same spec
-    produces the same frames — the dedup identity a resend relies on.
-    Seqs restart at 1 each period: the gateway's dedup window is
-    period-scoped (it resets when a period closes).  The MAC stream is
-    seeded ``spec.seed + period`` so period 0 replays byte-identically
-    to a single-period run.
-    """
-    mac_rng = as_generator(spec.seed + int(period))
-    batches: List[wire.ResponseBatch] = []
-    seq = 1
-    for rsu_id in spec.scheme.rsu_ids:
-        indices = spec.response_indices(rsu_id, period=period)
-        if indices.size == 0:
-            continue
-        macs = random_macs(indices.size, seed=mac_rng)
-        for lo in range(0, indices.size, wire_batch):
-            batches.append(
-                wire.ResponseBatch(
-                    rsu_id=rsu_id,
-                    macs=macs[lo : lo + wire_batch],
-                    bit_indices=indices[lo : lo + wire_batch].astype(
-                        np.uint32
-                    ),
-                    seq=seq,
-                )
-            )
-            seq += 1
-    return batches
-
-
 def _day_window_batches(
     spec: DeploymentSpec, wire_batch: int, windows: int, period: int = 0
 ) -> List[List[wire.ResponseBatch]]:
@@ -306,11 +287,14 @@ def _day_window_batches(
     Each RSU's day of responses is split into *windows* contiguous
     slices (``np.array_split``: near-equal, deterministic); slice *w*
     of every RSU forms phase *w* — the responses "observed during"
-    sub-period window *w*.  Seqs number the frames globally across
-    phases, matching the gateway's per-period dedup scope.  As in
-    :func:`_day_batches`, the MAC stream is seeded ``spec.seed +
-    period`` so period 0 replays byte-identically to the historical
-    single-period behaviour.
+    sub-period window *w*.  ``windows=1`` is the plain day: one phase.
+
+    Seqs number the frames 1..N globally across phases, so a re-run of
+    the same spec produces the same frames — the dedup identity a
+    resend relies on — and they restart at 1 each period, matching the
+    gateway's per-period dedup scope.  The MAC stream is seeded
+    ``spec.seed + period`` so period 0 replays byte-identically to a
+    single-period run.
     """
     mac_rng = as_generator(spec.seed + int(period))
     phases: List[List[wire.ResponseBatch]] = [[] for _ in range(windows)]
@@ -340,6 +324,154 @@ def _day_window_batches(
     return phases
 
 
+#: One delivery phase: the batches to stream, then the frame that
+#: closes it (``EndWindow``, ``EndPeriod`` or ``Handoff``; ``None``
+#: ends the phase once every batch is acked).
+Phase = Tuple[Sequence[wire.ResponseBatch], Optional[wire.Message]]
+
+
+def _closes(frame: wire.Message, answer: wire.Message) -> bool:
+    """Whether *answer* is the ack that completes closing *frame*."""
+    if isinstance(frame, wire.EndPeriod):
+        return isinstance(answer, wire.EndPeriodAck)
+    if isinstance(frame, wire.EndWindow):
+        return (
+            isinstance(answer, wire.EndWindowAck)
+            and answer.window == frame.window
+        )
+    return isinstance(answer, wire.HandoffAck) and answer.rsu_id == frame.rsu_id
+
+
+async def send_phases(
+    phases: Sequence[Phase],
+    *,
+    host: str = "127.0.0.1",
+    port: int = DEFAULT_GATEWAY_PORT,
+    window: int = 32,
+    ack_timeout: float = 5.0,
+    close_timeout: float = 30.0,
+    retry_policy: Optional[RetryPolicy] = None,
+    retry_seed: int = 0,
+    registry: Optional[MetricsRegistry] = None,
+) -> Tuple[int, int]:
+    """Deliver *phases* to one gateway: the plane's only sender.
+
+    Batches stream with a sliding window — one ack is read whenever
+    *window* frames are unacked — and each phase ends with its closing
+    frame, once every batch of the phase is acked.  A fault (a dropped
+    or corrupted frame, a nack, a reset, a silent blackhole) closes
+    the connection, reconnects under *retry_policy*, and resends only
+    the batches the gateway has not acknowledged; gateway-side seq
+    dedup makes resends exactly-once, and every closing frame is
+    idempotent gateway-side (``EndPeriod`` re-uploads unacked
+    snapshots, a re-sent ``EndWindow`` ships empty partials the
+    OR-merge absorbs, a re-sent ``Handoff`` re-acks without zeroing
+    state).  Raises :class:`~repro.errors.RetryExhaustedError` after
+    too many consecutive cycles with no forward progress.
+
+    Observations land in *registry* as ``loadgen.*`` metrics.  Returns
+    ``(responses acked, snapshots acked by the EndPeriod close)``.
+    """
+    policy = retry_policy if retry_policy is not None else RetryPolicy()
+    rng = random.Random(retry_seed)
+    stats = StreamStats(registry)
+    sent_once: set = set()
+    connection: Optional[
+        Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+    ] = None
+    sent = snapshots = stalls = 0
+    try:
+        for batches, close_frame in phases:
+            unacked = {batch.seq: batch for batch in batches}
+            phase_done = False
+            while not phase_done:
+                made_progress = False
+                try:
+                    if connection is None:
+
+                        async def connect():
+                            return await asyncio.wait_for(
+                                asyncio.open_connection(host, port),
+                                timeout=ack_timeout,
+                            )
+
+                        connection = await retry_async(
+                            connect,
+                            policy=policy,
+                            rng=rng,
+                            registry=stats.registry,
+                            op="gateway_connect",
+                        )
+                    reader, writer = connection
+
+                    async def read_ack() -> None:
+                        nonlocal sent, made_progress
+                        answer = await asyncio.wait_for(
+                            wire.read_message(reader), timeout=ack_timeout
+                        )
+                        if isinstance(answer, wire.BatchAck):
+                            if answer.duplicate:
+                                stats._m_dedup.inc()
+                            acked = unacked.pop(answer.seq, None)
+                            if acked is not None:
+                                stats._m_sent.inc(len(acked))
+                                sent += len(acked)
+                                made_progress = True
+                        elif isinstance(answer, wire.ErrorMsg):
+                            stats._m_nacks.inc()
+                            raise WireError(f"gateway nack: {answer.message}")
+                        else:
+                            raise WireError(f"unexpected ack frame {answer!r}")
+
+                    outstanding = 0
+                    for batch in list(unacked.values()):
+                        if batch.seq in sent_once:
+                            stats._m_resent.inc()
+                        else:
+                            sent_once.add(batch.seq)
+                        await wire.write_message(writer, batch)
+                        outstanding += 1
+                        if outstanding >= window:
+                            await read_ack()
+                            outstanding -= 1
+                    for _ in range(outstanding):
+                        await read_ack()
+                    if close_frame is not None:
+                        await wire.write_message(writer, close_frame)
+                        answer = await asyncio.wait_for(
+                            wire.read_message(reader), timeout=close_timeout
+                        )
+                        closing = type(close_frame).__name__
+                        if isinstance(answer, wire.ErrorMsg):
+                            stats._m_nacks.inc()
+                            raise WireError(
+                                f"gateway nack on {closing}: {answer.message}"
+                            )
+                        if not _closes(close_frame, answer):
+                            raise WireError(
+                                f"unexpected {closing} reply {answer!r}"
+                            )
+                        if isinstance(answer, wire.EndPeriodAck):
+                            snapshots = answer.snapshots
+                        elif isinstance(answer, wire.EndWindowAck):
+                            stats._m_windows.inc()
+                    phase_done = True
+                except _FAULTS as exc:
+                    _close_connection(connection)
+                    connection = None
+                    stats._m_reconnects.inc()
+                    stalls = 0 if made_progress else stalls + 1
+                    if stalls >= _MAX_STALLS:
+                        raise RetryExhaustedError(
+                            f"no streaming progress after {stalls} "
+                            f"consecutive reconnects: {exc}",
+                            attempts=stalls,
+                        ) from exc
+    finally:
+        _close_connection(connection)
+    return sent, snapshots
+
+
 async def replay_day(
     spec: DeploymentSpec,
     *,
@@ -355,14 +487,9 @@ async def replay_day(
     retry_seed: int = 0,
     registry: Optional[MetricsRegistry] = None,
 ) -> StreamStats:
-    """Stream the whole day's responses and close the period.
-
-    Batches are streamed in windows of *window* outstanding frames;
-    each window's acks are read back before the next is written.  A
-    fault mid-stream closes the connection, reconnects under
-    *retry_policy*, and resends only the batches the gateway has not
-    acknowledged.  Raises :class:`~repro.errors.RetryExhaustedError`
-    after too many consecutive cycles with no forward progress.
+    """Stream the whole day's responses to one gateway and close the
+    period, through :func:`send_phases` with at most *window* unacked
+    frames.
 
     With *windows* ``> 1`` (the sub-period window count — distinct
     from *window*, the outstanding-frame cap) the day is replayed in
@@ -375,148 +502,36 @@ async def replay_day(
     as ``loadgen.*`` metrics; the returned :class:`StreamStats` is a
     view over that registry.
     """
-    policy = retry_policy if retry_policy is not None else RetryPolicy()
-    rng = random.Random(retry_seed)
-    # The replay plan: phases of (unacked batches, closing frame).  A
-    # plain replay is one phase closed by EndPeriod; a windowed replay
-    # is one EndWindow-closed phase per sub-period window, then an
-    # empty EndPeriod phase.
-    plan: List[Tuple[Dict[int, wire.ResponseBatch], wire.Message]] = []
-    if windows and int(windows) > 1:
-        if int(period) != 0:
-            raise WireError(
-                "windowed replay supports a single period only; "
-                "run --periods without --window"
-            )
-        for w, phase in enumerate(
-            _day_window_batches(spec, wire_batch, int(windows))
-        ):
-            plan.append(
-                (
-                    {b.seq: b for b in phase},
-                    wire.EndWindow(period=period, window=w),
-                )
-            )
-        plan.append(({}, wire.EndPeriod(period=period)))
-    else:
-        plan.append(
-            (
-                {b.seq: b for b in _day_batches(spec, wire_batch, period)},
-                wire.EndPeriod(period=period),
-            )
+    windows = max(int(windows), 1)
+    if windows > 1 and int(period) != 0:
+        raise WireError(
+            "windowed replay supports a single period only; "
+            "run --periods without --window"
         )
-    sent_once: set = set()
+    days = _day_window_batches(spec, wire_batch, windows, period)
+    close = wire.EndPeriod(period=period)
+    if windows == 1:
+        phases: List[Phase] = [(days[0], close)]
+    else:
+        phases = [
+            (batches, wire.EndWindow(period=period, window=w))
+            for w, batches in enumerate(days)
+        ]
+        phases.append(([], close))
     stats = StreamStats(registry)
-    connection: Optional[
-        Tuple[asyncio.StreamReader, asyncio.StreamWriter]
-    ] = None
-    stalls = 0
     start = time.perf_counter()
-    try:
-        for unacked, close_frame in plan:
-            phase_done = False
-            while not phase_done:
-                made_progress = False
-                try:
-                    if connection is None:
-
-                        async def connect():
-                            return await asyncio.wait_for(
-                                asyncio.open_connection(host, gateway_port),
-                                timeout=ack_timeout,
-                            )
-
-                        connection = await retry_async(
-                            connect,
-                            policy=policy,
-                            rng=rng,
-                            registry=stats.registry,
-                            op="gateway_connect",
-                        )
-                    reader, writer = connection
-                    todo = list(unacked.values())
-                    for lo in range(0, len(todo), window):
-                        chunk = todo[lo : lo + window]
-                        for batch in chunk:
-                            if batch.seq in sent_once:
-                                stats._m_resent.inc()
-                            else:
-                                sent_once.add(batch.seq)
-                            await wire.write_message(writer, batch)
-                        for _ in chunk:
-                            answer = await asyncio.wait_for(
-                                wire.read_message(reader),
-                                timeout=ack_timeout,
-                            )
-                            if isinstance(answer, wire.BatchAck):
-                                if answer.duplicate:
-                                    stats._m_dedup.inc()
-                                acked = unacked.pop(answer.seq, None)
-                                if acked is not None:
-                                    stats._m_sent.inc(len(acked))
-                                    made_progress = True
-                            elif isinstance(answer, wire.ErrorMsg):
-                                stats._m_nacks.inc()
-                                raise WireError(
-                                    f"gateway nack: {answer.message}"
-                                )
-                            else:
-                                raise WireError(
-                                    f"unexpected ack frame {answer!r}"
-                                )
-                    # Everything acked: close the phase.  Both closes
-                    # are idempotent gateway-side — EndPeriod re-uploads
-                    # unacked snapshots, a re-sent EndWindow ships empty
-                    # partials the OR-merge absorbs — so a lost ack here
-                    # is simply retried on the next cycle.
-                    await wire.write_message(writer, close_frame)
-                    answer = await asyncio.wait_for(
-                        wire.read_message(reader), timeout=close_timeout
-                    )
-                    if isinstance(close_frame, wire.EndPeriod):
-                        if isinstance(answer, wire.EndPeriodAck):
-                            stats._m_snapshots.set(answer.snapshots)
-                            phase_done = True
-                        elif isinstance(answer, wire.ErrorMsg):
-                            stats._m_nacks.inc()
-                            raise WireError(
-                                f"gateway nack on EndPeriod: "
-                                f"{answer.message}"
-                            )
-                        else:
-                            raise WireError(
-                                f"unexpected close reply {answer!r}"
-                            )
-                    else:
-                        if (
-                            isinstance(answer, wire.EndWindowAck)
-                            and answer.window == close_frame.window
-                        ):
-                            stats._m_windows.inc()
-                            phase_done = True
-                        elif isinstance(answer, wire.ErrorMsg):
-                            stats._m_nacks.inc()
-                            raise WireError(
-                                f"gateway nack on EndWindow: "
-                                f"{answer.message}"
-                            )
-                        else:
-                            raise WireError(
-                                f"unexpected window close reply {answer!r}"
-                            )
-                except _FAULTS as exc:
-                    _close_connection(connection)
-                    connection = None
-                    stats._m_reconnects.inc()
-                    stalls = 0 if made_progress else stalls + 1
-                    if stalls >= _MAX_STALLS:
-                        raise RetryExhaustedError(
-                            f"no streaming progress after {stalls} "
-                            f"consecutive reconnects: {exc}",
-                            attempts=stalls,
-                        ) from exc
-    finally:
-        _close_connection(connection)
+    _sent, snapshots = await send_phases(
+        phases,
+        host=host,
+        port=gateway_port,
+        window=window,
+        ack_timeout=ack_timeout,
+        close_timeout=close_timeout,
+        retry_policy=retry_policy,
+        retry_seed=retry_seed,
+        registry=stats.registry,
+    )
+    stats._m_snapshots.set(snapshots)
     stats._m_elapsed.set(time.perf_counter() - start)
     return stats
 
@@ -876,7 +891,7 @@ async def run_loadgen(
         queries=int(latencies.size),
         query_latencies_ms=latencies,
         estimates_checked=checked,
-        mismatches=mismatches,
+        pair_mismatches=mismatches,
         counters_checked=counters_checked,
         counter_mismatches=counter_mismatches,
         snapshots_acked=snapshots_acked,

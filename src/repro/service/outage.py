@@ -45,9 +45,9 @@ from repro.core.decoder import CentralDecoder
 from repro.core.reports import RsuReport
 from repro.errors import ConfigurationError
 from repro.federation.chaos import matrix_json
-from repro.federation.runtime import ShardClient
 from repro.scenarios import Scenario
-from repro.service.loadgen import _day_window_batches
+from repro.service import wire
+from repro.service.loadgen import _day_window_batches, send_phases
 from repro.service.runtime import DeploymentSpec, start_services
 from repro.utils.logconfig import get_logger
 
@@ -272,21 +272,24 @@ async def rsu_outage_scenario(
         spec, gateway_port=0, collector_port=0
     )
     try:
-        client = ShardClient("127.0.0.1", gateway.port)
-        try:
-            sent = 0
-            for w, phase in enumerate(phases):
-                if w == outage_lo:
-                    gateway.set_outage(down)
-                elif w == outage_hi:
-                    gateway.clear_outage(down)
-                sent += await client.send_batches(phase, window=window)
-            gateway.clear_outage()
-            # The fresh fleet numbers its own periods from 0 no matter
-            # which scenario day the workload came from.
-            snapshots = await client.end_period(0, timeout=120.0)
-        finally:
-            await client.close()
+        sent = 0
+        for w, phase in enumerate(phases):
+            if w == outage_lo:
+                gateway.set_outage(down)
+            elif w == outage_hi:
+                gateway.clear_outage(down)
+            streamed, _ = await send_phases(
+                [(phase, None)], port=gateway.port, window=window
+            )
+            sent += streamed
+        gateway.clear_outage()
+        # The fresh fleet numbers its own periods from 0 no matter
+        # which scenario day the workload came from.
+        _, snapshots = await send_phases(
+            [([], wire.EndPeriod(period=0))],
+            port=gateway.port,
+            close_timeout=120.0,
+        )
         dropped = gateway.outage_dropped
         live_matrix = collector.server.decoder.estimate_matrix(0)
         live_counters = {

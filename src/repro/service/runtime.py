@@ -15,9 +15,20 @@ from __future__ import annotations
 import asyncio
 import signal
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from pathlib import Path
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.federation.wal import WriteAheadLog
     from repro.service.retry import RetryPolicy
 
 import numpy as np
@@ -35,8 +46,13 @@ from repro.core.sizing import (
     StaticSizing,
 )
 from repro.errors import ConfigurationError
+from repro.federation.router import ShardRouter
 from repro.hashing.logical_bitarray import select_indices
+from repro.obs import MetricsRegistry
+from repro.runtime import run_tasks, task
 from repro.scenarios import Scenario, get_scenario
+from repro.service.collector import CollectorService
+from repro.service.gateway import RsuGateway
 from repro.traffic.network_workload import NetworkWorkload
 from repro.utils.logconfig import get_logger
 from repro.vcps.history import VolumeHistory
@@ -48,7 +64,10 @@ __all__ = [
     "DeploymentSpec",
     "DEFAULT_GATEWAY_PORT",
     "DEFAULT_COLLECTOR_PORT",
+    "FederationPlane",
+    "start_federation",
     "start_services",
+    "shard_port_plan",
     "install_stop_handlers",
     "run_serve",
 ]
@@ -248,8 +267,17 @@ class DeploymentSpec:
     # ------------------------------------------------------------------
     # Server side
     # ------------------------------------------------------------------
-    def build_rsus(self) -> Dict[int, RoadsideUnit]:
-        """The gateway's RSU fleet, sized from the workload volumes."""
+    def build_rsus(
+        self, rsu_ids: Optional[Iterable[int]] = None
+    ) -> Dict[int, RoadsideUnit]:
+        """Fresh zeroed RSUs for *rsu_ids* (default: the whole fleet),
+        sized from the workload volumes.
+
+        The one fleet builder: a gateway's starting fleet, a shard's
+        partition of it, and the RSU a shard provisions on a
+        :class:`~repro.service.wire.Handoff` all get exactly the array
+        size and certificate every other replica would give them.
+        """
         authority = CertificateAuthority(seed=self.seed)
         return {
             rsu_id: RoadsideUnit(
@@ -257,7 +285,7 @@ class DeploymentSpec:
                 self.scheme.array_size(rsu_id),
                 authority.issue(rsu_id),
             )
-            for rsu_id in self.scheme.rsu_ids
+            for rsu_id in (self.scheme.rsu_ids if rsu_ids is None else rsu_ids)
         }
 
     def build_central_server(
@@ -324,68 +352,268 @@ class DeploymentSpec:
         return decoder
 
 
+# ----------------------------------------------------------------------
+# Bring-up: one plane for the unsharded and the sharded deployment
+# ----------------------------------------------------------------------
+def shard_port_plan(
+    base: int, shards: int, collector_port: int
+) -> List[int]:
+    """The deterministic shard ports both sides of a CLI deployment use.
+
+    Consecutive ports from *base*, skipping *collector_port* so the
+    default flag values never collide.  ``repro serve --shards N`` and
+    ``repro loadgen --shards N`` compute this independently from the
+    same flags, like everything else in a deployment spec.
+    """
+    ports: List[int] = []
+    port = int(base)
+    while len(ports) < shards:
+        if port != collector_port:
+            ports.append(port)
+        port += 1
+    return ports
+
+
+@dataclass
+class FederationPlane:
+    """A running measurement plane: gateways, collector, optional WAL.
+
+    ``shard_count == 0`` is the unsharded deployment — one gateway
+    (``shards[0]``, ``shard_id=None``) fronting the whole fleet and
+    uploading whole-report snapshots.  ``shard_count == N`` runs N
+    gateway shards that upload partials for the collector to OR-merge.
+    """
+
+    spec: DeploymentSpec
+    router: ShardRouter
+    shards: Dict[int, RsuGateway]
+    collector: CollectorService
+    shard_count: int = 0
+    host: str = "127.0.0.1"
+    wal: Optional["WriteAheadLog"] = None
+    #: Sub-period window count (0 = the streaming window tier is off).
+    windows: int = 0
+    #: Where gateways dial for uploads (default: the collector's port).
+    upload_port: Optional[int] = None
+    upload_retry_policy: Optional["RetryPolicy"] = field(
+        default=None, repr=False
+    )
+    upload_retry_seed: int = 0
+    upload_timeout: float = 5.0
+
+    def shard_ports(self) -> Dict[int, int]:
+        """``shard_id -> bound ingest port`` for every live gateway."""
+        return {
+            shard_id: gateway.port
+            for shard_id, gateway in sorted(self.shards.items())
+        }
+
+    async def stop(self) -> None:
+        """Drain and stop every gateway, the collector, and the WAL."""
+        for gateway in self.shards.values():
+            await gateway.stop()
+        await self.collector.stop()
+        if self.wal is not None:
+            self.wal.close()
+
+    async def kill_shard(self, shard_id: int) -> None:
+        """Stop gateway *shard_id* and discard its in-memory state.
+
+        Simulates a crash: the gateway object (and with it every
+        un-uploaded bit array and the batch dedup window) is dropped.
+        The socket is closed cleanly so the port can be rebound.
+        """
+        gateway = self.shards.pop(shard_id)
+        await gateway.stop()
+        logger.info("shard %d killed (state discarded)", shard_id)
+
+    async def restart_shard(
+        self, shard_id: int, *, port: int = 0
+    ) -> RsuGateway:
+        """Bring gateway *shard_id* back with fresh zeroed RSUs.
+
+        The revived gateway owns whatever the router currently assigns
+        it (rebalances included) and starts from empty arrays — its
+        senders must resend the period's responses, exactly as after a
+        real crash.
+        """
+        if shard_id in self.shards:
+            raise ConfigurationError(
+                f"shard {shard_id} is still running; kill it first"
+            )
+        owned = self.router.partition(self.spec.scheme.rsu_ids)[shard_id]
+        gateway = await self._start_gateway(
+            shard_id, self.spec.build_rsus(owned), port
+        )
+        logger.info(
+            "shard %d restarted on %s:%s", shard_id, self.host, gateway.port
+        )
+        return gateway
+
+    async def _start_gateway(
+        self, shard_id: int, fleet: Dict[int, RoadsideUnit], port: int
+    ) -> RsuGateway:
+        gateway = RsuGateway(
+            fleet,
+            shard_id=shard_id if self.shard_count else None,
+            provisioner=self.spec.build_rsus,
+            collector_host=self.host,
+            collector_port=(
+                self.collector.port
+                if self.upload_port is None
+                else self.upload_port
+            ),
+            upload_timeout=self.upload_timeout,
+            retry_policy=self.upload_retry_policy,
+            retry_seed=self.upload_retry_seed,
+            windows=self.windows,
+        )
+        await gateway.start(self.host, port)
+        self.shards[shard_id] = gateway
+        return gateway
+
+
+async def start_federation(
+    spec: DeploymentSpec,
+    *,
+    shards: int = 0,
+    host: str = "127.0.0.1",
+    gateway_ports: Union[int, Sequence[int], None] = None,
+    collector_port: int = 0,
+    wal_path: Union[str, Path, None] = None,
+    wal_fsync: bool = False,
+    retention_periods: Optional[int] = None,
+    build_workers: Optional[int] = None,
+    build_executor: Optional[str] = None,
+    windows: int = 0,
+    upload_port: Optional[int] = None,
+    upload_retry_policy: Optional["RetryPolicy"] = None,
+    upload_retry_seed: int = 0,
+    upload_timeout: float = 5.0,
+) -> FederationPlane:
+    """Start a collector and its gateways; returns the running plane.
+
+    ``shards=0`` starts one unsharded gateway for the whole fleet;
+    ``shards=N`` starts N gateway shards, RSU ``r`` homed on shard
+    ``r % N``.  *gateway_ports* may be ``None`` (every gateway
+    ephemeral), a base port (gateway *i* binds ``base + i``; base 0
+    means ephemeral), or an explicit per-gateway sequence.  With
+    *wal_path*, the collector journals every shard partial there (the
+    plane owns and closes the log); whole-report snapshots have no WAL
+    record type, so a WAL needs ``shards >= 1``.  Fleets are built
+    through :func:`repro.runtime.run_tasks` with *build_workers* /
+    *build_executor* (default: the ``REPRO_WORKERS`` /
+    ``REPRO_EXECUTOR`` plan).
+
+    *windows* ``> 0`` turns on the streaming window tier: every gateway
+    tracks sub-period accumulators and serves ``EndWindow``, and the
+    collector decodes time-sliced matrices.  *upload_port* overrides
+    where gateways dial for uploads — pass a
+    :class:`~repro.service.faults.FaultProxy` port to route the
+    gateway→collector path through injected faults — and the
+    remaining ``upload_*`` arguments set each gateway's upload retry
+    schedule and per-attempt timeout.
+    """
+    shards = int(shards)
+    if shards < 0:
+        raise ConfigurationError(f"shards must be >= 0, got {shards}")
+    if wal_path is not None and shards == 0:
+        raise ConfigurationError(
+            "a write-ahead log needs shards >= 1: whole-report "
+            "snapshots have no WAL record type"
+        )
+    gateways = max(shards, 1)
+    router = ShardRouter(gateways)
+    registry = MetricsRegistry()
+    wal = None
+    if wal_path is not None:
+        from repro.federation.wal import WriteAheadLog
+
+        wal = WriteAheadLog(wal_path, registry=registry, fsync=wal_fsync)
+    collector = CollectorService(
+        spec.build_central_server(windows=max(int(windows), 1)),
+        registry=registry,
+        retention_periods=retention_periods,
+        wal=wal,
+    )
+    await collector.start(host, collector_port)
+    owned = router.partition(spec.scheme.rsu_ids)
+    fleets = run_tasks(
+        [task(spec.build_rsus, owned[shard]) for shard in range(gateways)],
+        workers=build_workers,
+        executor=build_executor,
+    )
+    if gateway_ports is None or gateway_ports == 0:
+        ports: List[int] = [0] * gateways
+    elif isinstance(gateway_ports, int):
+        ports = [gateway_ports + i for i in range(gateways)]
+    else:
+        ports = list(gateway_ports)
+        if len(ports) != gateways:
+            raise ConfigurationError(
+                f"{len(ports)} gateway ports for {gateways} gateways"
+            )
+    plane = FederationPlane(
+        spec=spec,
+        router=router,
+        shards={},
+        collector=collector,
+        shard_count=shards,
+        host=host,
+        wal=wal,
+        windows=int(windows),
+        upload_port=upload_port,
+        upload_retry_policy=upload_retry_policy,
+        upload_retry_seed=upload_retry_seed,
+        upload_timeout=upload_timeout,
+    )
+    for shard_id, (fleet, port) in enumerate(zip(fleets, ports)):
+        await plane._start_gateway(shard_id, fleet, port)
+    logger.info(
+        "live plane up: %d gateway(s), %d shards -> collector %s:%s "
+        "(wal=%s)",
+        gateways,
+        shards,
+        host,
+        collector.port,
+        wal.path if wal is not None else "off",
+    )
+    return plane
+
+
 async def start_services(
     spec: DeploymentSpec,
     *,
     host: str = "127.0.0.1",
     gateway_port: int = DEFAULT_GATEWAY_PORT,
     collector_port: int = DEFAULT_COLLECTOR_PORT,
-    upload_port: Optional[int] = None,
-    upload_retry_policy: Optional["RetryPolicy"] = None,
-    upload_retry_seed: int = 0,
-    upload_timeout: float = 5.0,
-    windows: int = 0,
-) -> Tuple["RsuGateway", "CollectorService"]:
-    """Start collector and gateway servers; returns both (running).
+    **options: object,
+) -> Tuple[RsuGateway, CollectorService]:
+    """Start the unsharded plane; returns ``(gateway, collector)``,
+    both running.
 
-    *upload_port* overrides where the gateway dials for snapshot
-    uploads — pass a :class:`~repro.service.faults.FaultProxy` port to
-    route the gateway→collector path through injected faults while the
-    collector itself listens on *collector_port* as usual.
-
-    *windows* ``> 0`` enables the streaming tier: the gateway tracks
-    sub-period window accumulators and serves ``EndWindow``, and the
-    collector's server decodes time-sliced matrices.
+    A thin form of ``start_federation(spec, shards=0, ...)``: *options*
+    are its keyword arguments (``upload_port``, ``upload_retry_policy``,
+    ``upload_timeout``, ``windows``, ``retention_periods``, ...).
     """
-    from repro.service.collector import CollectorService
-    from repro.service.gateway import RsuGateway
-
-    collector = CollectorService(
-        spec.build_central_server(windows=max(int(windows), 1))
+    plane = await start_federation(
+        spec,
+        host=host,
+        gateway_ports=[gateway_port],
+        collector_port=collector_port,
+        **options,  # type: ignore[arg-type]
     )
-    await collector.start(host, collector_port)
-    gateway = RsuGateway(
-        spec.build_rsus(),
-        collector_host=host,
-        collector_port=(
-            collector.port if upload_port is None else upload_port
-        ),
-        upload_timeout=upload_timeout,
-        retry_policy=upload_retry_policy,
-        retry_seed=upload_retry_seed,
-        windows=int(windows),
-    )
-    await gateway.start(host, gateway_port)
-    logger.info(
-        "live plane up: gateway %s:%s (%d RSUs) -> collector %s:%s",
-        host,
-        gateway.port,
-        len(spec.scheme.rsu_ids),
-        host,
-        collector.port,
-    )
-    return gateway, collector
+    return plane.shards[0], plane.collector
 
 
 def install_stop_handlers(stop: "asyncio.Event") -> None:
     """Arrange for SIGTERM/SIGINT to set *stop* instead of killing the
-    process, so a live service can flush pending snapshots (and the
-    federation tier its WAL tail) before exiting.
+    process, so a live service can flush pending snapshots (and its
+    WAL tail) before exiting.
 
     On platforms without ``loop.add_signal_handler`` (Windows event
     loops) this is a no-op and Ctrl-C falls back to
-    :class:`KeyboardInterrupt`, which the serve entry points already
-    catch.
+    :class:`KeyboardInterrupt`, which :func:`run_serve` catches.
     """
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -397,54 +625,80 @@ def install_stop_handlers(stop: "asyncio.Event") -> None:
 
 async def _serve_forever(
     spec: DeploymentSpec,
+    *,
+    shards: int,
     host: str,
     gateway_port: int,
     collector_port: int,
-    metrics_port: Optional[int] = None,
-    windows: int = 0,
+    metrics_port: Optional[int],
+    wal_path: Union[str, Path, None],
+    retention_periods: Optional[int],
+    windows: int,
 ) -> None:
     from repro.obs import serve_metrics
 
     # Before any port opens: a SIGTERM during start-up still drains.
     stop = asyncio.Event()
     install_stop_handlers(stop)
-    gateway, collector = await start_services(
+    plane = await start_federation(
         spec,
+        shards=shards,
         host=host,
-        gateway_port=gateway_port,
+        gateway_ports=(
+            shard_port_plan(gateway_port, shards, collector_port)
+            if shards and gateway_port
+            else gateway_port
+        ),
         collector_port=collector_port,
+        wal_path=wal_path,
+        retention_periods=retention_periods,
         windows=windows,
     )
+    gateways = sorted(plane.shards.items())
     metrics = None
     if metrics_port is not None:
+        registries = {"collector": plane.collector.registry}
+        for shard_id, gateway in gateways:
+            name = f"shard{shard_id}" if shards else "gateway"
+            registries[name] = gateway.registry
         metrics = await serve_metrics(
-            {"gateway": gateway.registry, "collector": collector.registry},
-            host=host,
-            port=metrics_port,
+            registries, host=host, port=metrics_port
         )
-    print(
-        f"gateway listening on {host}:{gateway.port} "
-        f"({len(spec.scheme.rsu_ids)} RSUs, m_o={spec.scheme.m_o:,})"
-    )
-    print(f"collector listening on {host}:{collector.port}")
+    for shard_id, gateway in gateways:
+        if shards:
+            print(
+                f"shard {shard_id} listening on {host}:{gateway.port} "
+                f"({len(gateway.rsus)} RSUs)"
+            )
+        else:
+            print(
+                f"gateway listening on {host}:{gateway.port} "
+                f"({len(gateway.rsus)} RSUs, m_o={spec.scheme.m_o:,})"
+            )
+    print(f"collector listening on {host}:{plane.collector.port}")
+    if plane.wal is not None:
+        print(f"write-ahead log at {plane.wal.path}")
     if metrics is not None:
-        print(
-            f"metrics exposed at http://{host}:{metrics.port}/metrics"
-        )
+        print(f"metrics exposed at http://{host}:{metrics.port}/metrics")
     print("press Ctrl-C to stop", flush=True)
     try:
         await stop.wait()
     finally:
-        # Graceful drain: gateway.stop() waits for the ingest queue and
-        # flushes every pending batch into its RSU before returning, so
-        # a SIGTERM never loses accepted responses.
         if metrics is not None:
             await metrics.stop()
-        await gateway.stop()
-        await collector.stop()
+        # Graceful drain: plane.stop() waits for every ingest queue and
+        # flushes each pending batch into its RSU, then syncs the WAL
+        # tail, so a SIGTERM never loses accepted responses or
+        # journaled partials.
+        await plane.stop()
+    retained = sum(gateway.responses_recorded for _, gateway in gateways)
+    drained = f"{shards} shards drained" if shards else "ingest queue drained"
+    wal_note = ""
+    if plane.wal is not None:
+        wal_note = f", wal synced ({plane.wal.records_appended} records)"
     print(
-        "shutdown complete: ingest queue drained, "
-        f"{gateway.responses_recorded:,} responses retained",
+        f"shutdown complete: {drained}, "
+        f"{retained:,} responses retained{wal_note}",
         flush=True,
     )
 
@@ -452,31 +706,41 @@ async def _serve_forever(
 def run_serve(
     spec: Optional[DeploymentSpec] = None,
     *,
+    shards: int = 0,
     host: str = "127.0.0.1",
     gateway_port: int = DEFAULT_GATEWAY_PORT,
     collector_port: int = DEFAULT_COLLECTOR_PORT,
     metrics_port: Optional[int] = None,
+    wal_path: Union[str, Path, None] = None,
+    retention_periods: Optional[int] = None,
     windows: int = 0,
 ) -> int:
-    """Blocking entry point behind ``repro serve``.
+    """Blocking entry point behind ``repro serve [--shards N]``.
 
-    With *metrics_port*, a scrape endpoint serves the gateway's and
+    ``shards=0`` serves one unsharded gateway on *gateway_port*;
+    ``shards=N`` serves N gateway shards on
+    :func:`shard_port_plan` ports from *gateway_port*.  With
+    *metrics_port*, a scrape endpoint serves every gateway's and the
     collector's registries (plus the process-default registry's
     ``wire.*``/``core.*`` metrics) as Prometheus text.  SIGTERM and
-    SIGINT both trigger a graceful shutdown: the ingest queue is
-    drained and pending responses flushed before the process exits 0.
-    *windows* ``> 0`` enables the streaming tier end to end.
+    SIGINT both trigger a graceful shutdown: ingest queues are drained,
+    pending responses flushed and the WAL tail synced before the
+    process exits 0.  *retention_periods* bounds the collector's dedup
+    keys; *windows* ``> 0`` enables the streaming tier end to end.
     """
     spec = spec if spec is not None else DeploymentSpec()
     try:
         asyncio.run(
             _serve_forever(
                 spec,
-                host,
-                gateway_port,
-                collector_port,
-                metrics_port,
-                windows,
+                shards=shards,
+                host=host,
+                gateway_port=gateway_port,
+                collector_port=collector_port,
+                metrics_port=metrics_port,
+                wal_path=wal_path,
+                retention_periods=retention_periods,
+                windows=windows,
             )
         )
     except KeyboardInterrupt:  # pragma: no cover - non-unix fallback

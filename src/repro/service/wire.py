@@ -196,7 +196,7 @@ class ResponseBatch:
     ``rsu_id u32 | seq u64 | count u32 | macs u64[count] |
     indices u32[count]``.  Parallel arrays rather than interleaved
     records, so the gateway can hand both straight to
-    :meth:`RoadsideUnit.handle_index_batch`.
+    :meth:`RoadsideUnit.handle_wire_batch`.
 
     ``seq`` is a sender-assigned delivery sequence number.  ``seq == 0``
     means best-effort (no ack, no dedup — the original fire-and-forget

@@ -97,16 +97,13 @@ class RoadsideUnit:
     def handle_responses(self, responses: Sequence[Response]) -> int:
         """Admit a whole batch of responses in one vectorized pass.
 
-        The fast path for the live gateway and the fleet simulation:
-        one bounds/MAC check over the batch, one counter bump, one
-        :meth:`~repro.core.bitarray.BitArray.set_bits` call.  Unlike
+        Builds the ``(macs, indices)`` arrays and hands them to
+        :meth:`handle_wire_batch`, the one array ingest path.  Unlike
         :meth:`handle_response`, malformed entries do not raise — they
         are dropped and counted in :attr:`rejected_responses`, so one
         bad message can never poison the rest of its batch.  Returns
         the number of responses actually recorded.
         """
-        if not responses:
-            return 0
         count = len(responses)
         macs = np.fromiter(
             (r.mac for r in responses), dtype=np.uint64, count=count
@@ -114,57 +111,27 @@ class RoadsideUnit:
         indices = np.fromiter(
             (r.bit_index for r in responses), dtype=np.int64, count=count
         )
-        return self.handle_index_batch(macs, indices)
-
-    def handle_index_batch(
-        self, macs: np.ndarray, indices: np.ndarray
-    ) -> int:
-        """Array-level form of :meth:`handle_responses`.
-
-        Used directly by the wire gateway, which decodes responses
-        straight into parallel ``(macs, indices)`` arrays and never
-        materializes per-message objects.
-        """
-        macs = np.asarray(macs, dtype=np.uint64)
-        indices = np.asarray(indices, dtype=np.int64)
-        if macs.shape != indices.shape:
-            raise ProtocolError(
-                f"mac batch shape {macs.shape} != index batch shape "
-                f"{indices.shape}"
-            )
-        m = self._state.array_size
-        valid = (
-            (indices >= 0)
-            & (indices < m)
-            & locally_administered_mask(macs)
-        )
-        rejected = int(indices.size - int(valid.sum()))
-        if rejected:
-            self._rejected += rejected
-            indices = indices[valid]
-        self._state.record_many(indices)
-        if self._window_state is not None:
-            self._window_state.record_many(indices)
-        return int(indices.size)
+        return self.handle_wire_batch(macs, indices)
 
     def handle_wire_batch(
         self, macs: np.ndarray, indices: np.ndarray
     ) -> int:
-        """Zero-copy ingest of wire-decoded response views.
+        """Admit parallel ``(macs, indices)`` arrays: the one array
+        ingest path.
 
-        Takes the arrays a :class:`~repro.service.wire.ResponseBatch`
-        decode yields — big-endian ``>u8`` MAC and ``>u4`` index views
-        straight over the frame payload — and fuses the whole admission
-        into one pass: MAC validity via a strided byte read (no
-        byteswap copy; see
-        :func:`~repro.vcps.ids.locally_administered_mask`), one bounds
-        compare, one widening ``astype`` to ``int64``, and a trusted
-        scatter (:meth:`~repro.core.encoder.RsuState.record_trusted`)
-        instead of the three re-validations the
-        :meth:`handle_index_batch` path repeats.  Semantically
-        identical to :meth:`handle_index_batch` — same rejects, same
-        bits, same counter — just without the intermediate copies
-        (``benchmarks/bench_kernels.py`` gates the speedup).
+        Takes native arrays or the views a
+        :class:`~repro.service.wire.ResponseBatch` decode yields —
+        big-endian ``>u8`` MAC and ``>u4`` index views straight over
+        the frame payload — and fuses the whole admission into one
+        pass: MAC validity via a strided byte read (no byteswap copy;
+        see :func:`~repro.vcps.ids.locally_administered_mask`), one
+        bounds compare, one widening ``astype`` to ``int64``, and a
+        trusted scatter
+        (:meth:`~repro.core.encoder.RsuState.record_trusted`).
+        Malformed entries are dropped and counted, never raised;
+        returns the number recorded.  ``tests/rsu_oracle.py`` keeps the
+        earlier validated array path as the differential oracle, and
+        ``benchmarks/bench_kernels.py`` gates the speedup over it.
         """
         macs = np.asarray(macs)
         indices = np.asarray(indices)

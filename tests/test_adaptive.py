@@ -15,9 +15,9 @@ import pytest
 from repro.core.sizing import AdaptiveSizing, PrivacyOptimalSizing, StaticSizing
 from repro.errors import ConfigurationError, ProtocolError, WireError
 from repro.federation.chaos import shard_kill_scenario
-from repro.federation.collector import FederatedCollector
 from repro.federation.wal import WriteAheadLog, replay_wal
 from repro.service import wire
+from repro.service.collector import CollectorService
 from repro.service.loadgen import run_loadgen
 from repro.service.runtime import DeploymentSpec, start_services
 from repro.vcps.ids import random_mac
@@ -148,7 +148,7 @@ class TestRsuResize:
 
     def test_mid_period_resize_refused(self):
         rsu = self.make_rsu()
-        recorded = rsu.handle_index_batch(
+        recorded = rsu.handle_wire_batch(
             np.array([random_mac(np.random.default_rng(3))], dtype=np.uint64),
             np.array([5], dtype=np.int64),
         )
@@ -192,7 +192,7 @@ class TestFederatedStreamingFeed:
     def test_shard_merges_reach_the_streaming_tier(self, spec):
         """The adaptive planner reads per-period volumes from the
         streaming tier, so shard OR-merges must land there too."""
-        collector = FederatedCollector(spec.build_central_server())
+        collector = CollectorService(spec.build_central_server())
         report = next(iter(spec.reference_reports().values()))
         packed = report.bits.to_bytes()
         for shard, counter in ((0, 3), (1, 4)):
@@ -281,7 +281,7 @@ class TestLiveMultiPeriodLoadgen:
         assert result.trajectory_mismatches == []
         assert result.size_trajectory == spec.size_trajectory()
         assert result.counter_mismatches == []
-        assert result.mismatches == []
+        assert result.pair_mismatches == []
         assert result.bit_identical
 
 

@@ -220,7 +220,7 @@ class TestChaosBitIdentical:
         assert result.bit_identical
         assert result.snapshots_acked == len(spec.scheme.rsu_ids)
         assert result.counter_mismatches == []
-        assert result.mismatches == []
+        assert result.pair_mismatches == []
         assert result.estimates_checked > 0
         # The run was not secretly clean.
         assert ingress.stats.windows_dropped > 0

@@ -156,6 +156,35 @@ class TestFederationParser:
         assert [p.name for p in args.paths] == ["a.jsonl", "b.jsonl"]
 
 
+class TestServeFlags:
+    """``serve`` flags reach the plane (or are refused) without
+    --shards; ``run_serve`` is replaced so nothing binds a port."""
+
+    @pytest.fixture
+    def serve_calls(self, monkeypatch):
+        import repro.service.runtime as runtime
+
+        calls = []
+        monkeypatch.setattr(
+            runtime, "run_serve", lambda spec, **kw: calls.append(kw) or 0
+        )
+        return calls
+
+    def test_retention_reaches_the_unsharded_plane(self, serve_calls):
+        assert main(["serve", "--trips", "800", "--retention", "3"]) == 0
+        assert serve_calls[0]["shards"] == 0
+        assert serve_calls[0]["retention_periods"] == 3
+
+    def test_wal_without_shards_is_refused(
+        self, serve_calls, capsys, tmp_path
+    ):
+        wal = tmp_path / "log.wal"
+        assert main(["serve", "--trips", "800", "--wal", str(wal)]) == 2
+        assert "--wal needs --shards" in capsys.readouterr().err
+        assert serve_calls == []
+        assert not wal.exists()
+
+
 class TestStreamingParser:
     def test_matrix_live_flag(self):
         args = build_parser().parse_args(["matrix", "--live"])

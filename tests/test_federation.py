@@ -16,16 +16,16 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.federation.chaos import shard_kill_scenario
-from repro.federation.collector import FederatedCollector
 from repro.federation.router import ShardRouter
 from repro.federation.runtime import (
-    ShardClient,
     run_federated_loadgen,
     shard_port_plan,
     start_federation,
 )
-from repro.federation.shards import ShardGateway, spec_provisioner
 from repro.service import wire
+from repro.service.collector import CollectorService
+from repro.service.gateway import RsuGateway
+from repro.service.loadgen import send_phases
 from repro.service.runtime import DeploymentSpec
 
 
@@ -137,7 +137,7 @@ class TestFederatedMerge:
     def test_partial_retransmission_is_deduped_not_resummed(self, spec):
         """Re-uploading a merged partial must re-ack without touching
         the counter (summing it twice would corrupt n_x)."""
-        collector = FederatedCollector(spec.build_central_server())
+        collector = CollectorService(spec.build_central_server())
         report = next(iter(spec.reference_reports().values()))
         snap = wire.ShardSnapshot.from_report(report, shard_id=0, seq=7)
         assert isinstance(collector._handle(snap), wire.SnapshotAck)
@@ -151,7 +151,7 @@ class TestFederatedMerge:
 
     def test_mixing_plain_and_shard_snapshots_is_refused(self, spec):
         async def body():
-            collector = FederatedCollector(spec.build_central_server())
+            collector = CollectorService(spec.build_central_server())
             report = next(iter(spec.reference_reports().values()))
             shard_snap = wire.ShardSnapshot.from_report(
                 report, shard_id=0, seq=1
@@ -168,7 +168,7 @@ class TestFederatedMerge:
 
     def test_array_size_mismatch_is_nacked(self, spec):
         async def body():
-            collector = FederatedCollector(spec.build_central_server())
+            collector = CollectorService(spec.build_central_server())
             report = next(iter(spec.reference_reports().values()))
             good = wire.ShardSnapshot.from_report(
                 report, shard_id=0, seq=1
@@ -201,11 +201,14 @@ class TestShardGatewayHandoff:
                 )
                 target = plane.shards[1]
                 assert rsu_id not in target.rsus
-                client = ShardClient("127.0.0.1", target.port)
-                await client.handoff(rsu_id, 0, 1, 0)
-                # Retransmission acks again without zeroing state.
-                await client.handoff(rsu_id, 0, 1, 0)
-                await client.close()
+                handoff = wire.Handoff(
+                    rsu_id=rsu_id, from_shard=0, to_shard=1, period=0
+                )
+                # The second send is a retransmission: it acks again
+                # without zeroing state.
+                await send_phases(
+                    [([], handoff), ([], handoff)], port=target.port
+                )
                 return rsu_id in target.rsus, target.handoffs_accepted
             finally:
                 await plane.stop()
@@ -240,7 +243,7 @@ class TestShardGatewayHandoff:
         assert reply.code == wire.E_MALFORMED
 
     def test_plain_gateway_still_nacks_handoff(self, spec):
-        """The base gateway's _handle_extra hook refuses federation
+        """An unsharded gateway (shard_id=None) refuses federation
         frames instead of crashing the connection handler."""
         from repro.service.runtime import start_services
 
@@ -300,7 +303,7 @@ class TestShardKillRecovery:
 class TestRetentionWindow:
     def test_merge_dedup_keys_are_evicted(self, spec):
         async def body():
-            collector = FederatedCollector(
+            collector = CollectorService(
                 spec.build_central_server(), retention_periods=1
             )
             report = next(iter(spec.reference_reports().values()))
@@ -330,10 +333,9 @@ class TestRetentionWindow:
 
 class TestSpecProvisioner:
     def test_provisioned_rsu_matches_the_fleet(self, spec):
-        provision = spec_provisioner(spec)
         fleet = spec.build_rsus()
         rsu_id = sorted(fleet)[0]
-        fresh = provision(rsu_id)
+        fresh = spec.build_rsus([rsu_id])[rsu_id]
         assert fresh.array_size == fleet[rsu_id].array_size
         assert fresh.counter == 0
 
@@ -341,7 +343,7 @@ class TestSpecProvisioner:
         self, spec
     ):
         async def body():
-            gateway = ShardGateway(0, {}, provisioner=None)
+            gateway = RsuGateway({}, shard_id=0, provisioner=None)
             await gateway.start("127.0.0.1", 0)
             try:
                 reader, writer = await asyncio.open_connection(

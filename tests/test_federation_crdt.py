@@ -124,7 +124,7 @@ class TestPartitionInvariance:
 
         # Unsharded golden: one RSU sees every response.
         golden = make_rsu()
-        golden.handle_index_batch(macs, indices)
+        golden.handle_wire_batch(macs, indices)
         golden_report = golden.end_period()
 
         # Sharded: responses partitioned by the arbitrary assignment,
@@ -132,7 +132,7 @@ class TestPartitionInvariance:
         replicas = [make_rsu() for _ in range(shard_count)]
         for shard, replica in enumerate(replicas):
             mine = owners == shard
-            replica.handle_index_batch(macs[mine], indices[mine])
+            replica.handle_wire_batch(macs[mine], indices[mine])
         merged = merge_partial_reports(
             [replica.end_period() for replica in replicas]
         )

@@ -5,10 +5,10 @@ import struct
 import pytest
 
 from repro.errors import WalError
-from repro.federation.collector import FederatedCollector
 from repro.federation.wal import WriteAheadLog, replay_wal
 from repro.obs import MetricsRegistry
 from repro.service import wire
+from repro.service.collector import CollectorService
 from repro.service.runtime import DeploymentSpec
 
 
@@ -140,7 +140,7 @@ class TestRecovery:
         """A collector killed after journalling replays to the same
         matrix a never-killed collector computed."""
         path = tmp_path / "log.wal"
-        live = FederatedCollector(
+        live = CollectorService(
             spec.build_central_server(), wal=WriteAheadLog(path)
         )
         for snap in snapshots:
@@ -148,7 +148,7 @@ class TestRecovery:
         live_matrix = live.server.decoder.estimate_matrix(0)
         live.wal.close()
 
-        recovered = FederatedCollector(spec.build_central_server())
+        recovered = CollectorService(spec.build_central_server())
         applied = recovered.recover(path)
         assert applied == len(snapshots)
         assert recovered.wal_records_replayed == len(snapshots)
@@ -168,7 +168,7 @@ class TestRecovery:
                 wal.append(snap)
             wal.append(snapshots[0])  # crash-window duplicate
 
-        recovered = FederatedCollector(spec.build_central_server())
+        recovered = CollectorService(spec.build_central_server())
         recovered.recover(path)
         assert recovered.snapshots_deduped == 1
         golden = spec.reference_decoder().estimate_matrix(0)
@@ -177,6 +177,6 @@ class TestRecovery:
     def test_recover_without_configured_wal_requires_path(self, spec):
         from repro.errors import ValidationError
 
-        collector = FederatedCollector(spec.build_central_server())
+        collector = CollectorService(spec.build_central_server())
         with pytest.raises(ValidationError):
             collector.recover()

@@ -40,6 +40,7 @@ from repro.vcps.messages import Query, Response
 from repro.vcps.pki import CertificateAuthority
 from repro.vcps.rsu import RoadsideUnit
 from repro.vcps.vehicle import Vehicle
+from tests.rsu_oracle import index_batch_ingest
 
 ARRAY_SIZE = 64
 
@@ -403,7 +404,8 @@ class TestPaddingRejectionFuzz:
         self, backend, seed, count
     ):
         """The zero-copy admission path must make byte-identical
-        accept/reject decisions to the validated path, for any mix of
+        accept/reject decisions to the validated path
+        (``tests/rsu_oracle.py``), for any mix of
         vendor MACs and out-of-range indices, on every backend."""
         rng = np.random.default_rng(seed)
         m = 64
@@ -415,8 +417,8 @@ class TestPaddingRejectionFuzz:
         with engine.use_backend(backend):
             validated = RoadsideUnit(1, m, ca.issue(1))
             zero_copy = RoadsideUnit(1, m, ca.issue(1))
-        validated.handle_index_batch(
-            macs.astype(np.uint64), indices.astype(np.int64)
+        index_batch_ingest(
+            validated, macs.astype(np.uint64), indices.astype(np.int64)
         )
         zero_copy.handle_wire_batch(
             macs.astype(">u8"), indices.astype(">u4")

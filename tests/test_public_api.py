@@ -92,8 +92,9 @@ class TestDocumentation:
 
 
 class TestRemovedSurface:
-    """The 1.x aliases deleted in 2.0.0 stay deleted (CHANGELOG 2.0.0
-    maps each to its replacement)."""
+    """The 1.x aliases deleted in 2.0.0 and the duplicate live-plane
+    surface deleted in 3.0.0 stay deleted (each CHANGELOG maps them to
+    their replacements)."""
 
     @pytest.mark.parametrize(
         "module_name,path",
@@ -110,6 +111,20 @@ class TestRemovedSurface:
             ("repro.engine", "set_default_backend"),
             ("repro.core.bitarray", "BitArray.with_backend"),
             ("repro.core.config", "SchemeConfig.engine"),
+            ("repro.federation", "ShardGateway"),
+            ("repro.federation", "FederatedCollector"),
+            ("repro.federation", "build_shard_rsus"),
+            ("repro.federation", "spec_provisioner"),
+            ("repro.federation.runtime", "ShardClient"),
+            ("repro.federation.runtime", "FederatedLoadgenResult"),
+            ("repro.federation.runtime", "run_federated_serve"),
+            ("repro.federation.runtime", "DEFAULT_SHARD_BASE_PORT"),
+            ("repro.service.loadgen", "_day_batches"),
+            ("repro.service.gateway", "RsuGateway._handle_extra"),
+            ("repro.service.gateway", "RsuGateway._make_snapshot"),
+            ("repro.service.collector", "CollectorService._journal_window"),
+            ("repro.service.collector", "CollectorService._journal_sizes"),
+            ("repro.vcps.rsu", "RoadsideUnit.handle_index_batch"),
         ],
     )
     def test_name_is_gone(self, module_name, path):
@@ -122,3 +137,19 @@ class TestRemovedSurface:
     def test_baseline_sizing_module_is_gone(self):
         with pytest.raises(ImportError):
             importlib.import_module("repro.baseline.sizing")
+
+    @pytest.mark.parametrize(
+        "module_name", ["repro.federation.shards", "repro.federation.collector"]
+    )
+    def test_folded_federation_modules_are_gone(self, module_name):
+        """Folded into the service tier in 3.0.0 (CHANGELOG 3.0.0)."""
+        with pytest.raises(ImportError):
+            importlib.import_module(module_name)
+
+    def test_loadgen_result_field_renamed(self):
+        import dataclasses
+
+        from repro.service.loadgen import LoadgenResult
+
+        names = {f.name for f in dataclasses.fields(LoadgenResult)}
+        assert "pair_mismatches" in names and "mismatches" not in names

@@ -8,6 +8,7 @@ from repro.vcps.ids import random_mac
 from repro.vcps.messages import Response
 from repro.vcps.pki import CertificateAuthority
 from repro.vcps.rsu import RoadsideUnit
+from tests.rsu_oracle import index_batch_ingest
 
 
 @pytest.fixture
@@ -102,12 +103,17 @@ class TestBatchedCollection:
     def test_index_batch_arrays(self, rsu):
         macs = np.array([random_mac(i) for i in range(4)], dtype=np.uint64)
         indices = np.array([0, 1, 300, -1], dtype=np.int64)
-        assert rsu.handle_index_batch(macs, indices) == 2
+        oracle = RoadsideUnit(rsu.rsu_id, rsu.array_size, rsu.certificate)
+        assert rsu.handle_wire_batch(macs, indices) == 2
         assert rsu.rejected_responses == 2
+        # Same rejects, counter and bits as the validated array path.
+        assert index_batch_ingest(oracle, macs, indices) == 2
+        assert oracle.rejected_responses == 2
+        assert rsu.end_period().bits == oracle.end_period().bits
 
     def test_index_batch_shape_mismatch(self, rsu):
         with pytest.raises(ProtocolError):
-            rsu.handle_index_batch(
+            rsu.handle_wire_batch(
                 np.zeros(2, dtype=np.uint64), np.zeros(3, dtype=np.int64)
             )
 

@@ -57,7 +57,7 @@ class TestLiveDayMatchesInProcess:
         assert result.counters_checked == len(spec.scheme.rsu_ids)
         assert result.counter_mismatches == []
         assert result.estimates_checked > 200
-        assert result.mismatches == []
+        assert result.pair_mismatches == []
         assert result.bit_identical
         assert result.responses_sent > 0
         assert result.throughput > 0

@@ -23,7 +23,6 @@ from repro.core.reports import RsuReport
 from repro.core.sizing import StaticSizing
 from repro.engine import use_backend
 from repro.errors import ConfigurationError
-from repro.federation.collector import FederatedCollector
 from repro.federation.wal import WriteAheadLog
 from repro.obs import MetricsRegistry
 from repro.runtime import run_tasks, task
@@ -376,7 +375,7 @@ def make_server(windows=3):
 def fresh_collector(tmp_path=None, name="stream.wal"):
     server = make_server()
     wal = None if tmp_path is None else WriteAheadLog(tmp_path / name)
-    return FederatedCollector(
+    return CollectorService(
         server, registry=MetricsRegistry(), wal=wal
     )
 
