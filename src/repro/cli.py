@@ -23,8 +23,10 @@ Usage::
                                     # OR-merge collector
     python -m repro.cli loadgen     # replay a scenario day at them
     python -m repro.cli loadgen --shards 3 --rebalance 2
-                                    # sharded replay with mid-period
-                                    # handoffs
+                                    # the same load generator, sharded,
+                                    # with mid-period handoffs; add
+                                    # --window N or --periods N as
+                                    # unsharded
     python -m repro.cli chaos       # fault-injection proxy in front
     python -m repro.cli chaos --profile shard-kill
                                     # kill a shard + the collector,
@@ -58,8 +60,11 @@ experiment's independent tasks in parallel — results are bit-identical
 for every worker count and executor (see ``docs/parallel.md``); with
 ``repro all`` the independent artifacts themselves run concurrently.
 ``serve`` and ``loadgen`` must be given the same deployment flags
-(``--trips --seed --s --load-factor --hash-seed``) so both processes
-derive the identical fleet; see ``docs/protocol.md``.
+(``--trips --seed --s --load-factor --hash-seed``, and ``--shards
+--window --periods``) so both processes derive the identical fleet and
+port plan; see ``docs/protocol.md``.  ``loadgen`` exits 2 on a shape
+it cannot drive (``--rebalance`` without ``--shards``, a negative
+count, more rebalanced RSUs than the fleet has).
 """
 
 from __future__ import annotations
@@ -402,8 +407,9 @@ def _add_deployment_args(parser: argparse.ArgumentParser) -> None:
         default=0,
         metavar="N",
         help="run the federated plane with N gateway shards (shard i "
-        "binds --gateway-port + i; 0 = single unsharded gateway, "
-        "default %(default)s)",
+        "binds --gateway-port + i, skipping --collector-port; 0 = "
+        "single unsharded gateway, default %(default)s); serve and "
+        "loadgen must agree",
     )
     parser.add_argument(
         "--window",
@@ -636,9 +642,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="with --shards: hand N RSUs to their neighbour shard "
-        "mid-period, splitting their responses across two shards "
-        "(the collector's OR-merge must still be bit-identical)",
+        help="needs --shards: hand the N lowest RSU ids to their "
+        "neighbour shard mid-period (in every --window), splitting "
+        "their responses across two shards; the collector's OR-merge "
+        "must still be bit-identical (0..fleet size, default "
+        "%(default)s)",
     )
     scenarios = subparsers.add_parser(
         "scenarios",
@@ -947,63 +955,29 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _run_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro.errors import ConfigurationError
     from repro.obs import MetricsRegistry, get_registry, metric_rows, write_jsonl
     from repro.service.loadgen import run_loadgen
 
     registry = MetricsRegistry()
-    if args.shards > 0:
-        if args.periods > 1:
-            print(
-                "loadgen --periods is not supported together with "
-                "--shards; run the multi-period adaptive replay "
-                "against a single gateway (the federated size-plan "
-                "recovery path is exercised by `repro chaos --profile "
-                "shard-kill --adaptive`)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.window > 0:
-            print(
-                "loadgen --window is not supported together with "
-                "--shards; run the windowed replay against a single "
-                "gateway (the sharded window path is exercised by "
-                "tests/test_streaming.py in process)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.federation.runtime import (
-            run_federated_loadgen,
-            shard_port_plan,
-        )
-
-        result = asyncio.run(
-            run_federated_loadgen(
-                _deployment_spec(args),
-                shards=args.shards,
-                host=args.host,
-                shard_ports=shard_port_plan(
-                    args.gateway_port, args.shards, args.collector_port
-                ),
-                collector_port=args.collector_port,
-                wire_batch=args.wire_batch,
-                rebalance=args.rebalance,
-                max_queries=args.max_queries,
-                registry=registry,
-            )
-        )
-    else:
+    try:
         result = asyncio.run(
             run_loadgen(
                 _deployment_spec(args),
                 host=args.host,
                 gateway_port=args.gateway_port,
                 collector_port=args.collector_port,
+                shards=args.shards,
+                rebalance=args.rebalance,
                 wire_batch=args.wire_batch,
                 max_queries=args.max_queries,
                 windows=args.window,
                 registry=registry,
             )
         )
+    except ConfigurationError as exc:
+        print(f"loadgen: {exc}", file=sys.stderr)
+        return 2
     print(result.render())
     if getattr(args, "trajectory_out", None) is not None:
         import json

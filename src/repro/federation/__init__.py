@@ -21,8 +21,8 @@ holds what only a sharded deployment needs:
 * :mod:`~repro.federation.wal` — the CRC'd append-only log and its
   replay, which rebuilds a killed collector to a bit-identical period
   matrix.
-* :mod:`~repro.federation.runtime` — the sharded load generator (with
-  mid-period rebalances) and the process-parallel shard slice the
+* :mod:`~repro.federation.runtime` — re-exports of the plane and the
+  one load generator, and the process-parallel shard slice the
   federation benchmark drives through :func:`repro.runtime.run_tasks`.
 * :mod:`~repro.federation.chaos` — the ``shard-kill`` scenario: kill a
   shard mid-period, restart, resend, then kill the collector and prove

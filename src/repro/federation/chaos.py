@@ -36,10 +36,9 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.core.estimator import PairEstimate
 from repro.core.sizing import AdaptiveSizing
-from repro.federation.runtime import plan_shard_batches
 from repro.service import wire
 from repro.service.collector import CollectorService
-from repro.service.loadgen import send_phases
+from repro.service.loadgen import plan_phases, send_phases
 from repro.service.runtime import DeploymentSpec, start_federation
 from repro.utils.logconfig import get_logger
 
@@ -152,10 +151,14 @@ async def shard_kill_scenario(
     plane = await start_federation(
         spec, shards=shards, wal_path=wal_path
     )
-    router = plane.router
-    phase1, _moves = plan_shard_batches(
-        spec, router, wire_batch=wire_batch
-    )
+    # Each shard's home batches: the plan's first phase, whose
+    # EndPeriod this drill sends itself once the victim is back.
+    phase1 = {
+        shard: phases[0][0]
+        for shard, phases in plan_phases(
+            spec, router=plane.router, period=period, wire_batch=wire_batch
+        ).items()
+    }
     victim_batches = phase1[victim]
 
     async def deliver(

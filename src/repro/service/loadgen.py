@@ -1,9 +1,10 @@
-"""Load generator: replay a Sioux Falls day against a live deployment.
+"""Load generator: replay a scenario day against a live deployment.
 
 Computes every vehicle's wire response for the day locally (the same
 Eq. 2 arithmetic as the vectorized encoder), streams them to the
-gateway in sequenced :class:`~repro.service.wire.ResponseBatch` frames,
-closes the period, and then interrogates the collector pair by pair —
+gateway — or to every gateway shard at once — in sequenced
+:class:`~repro.service.wire.ResponseBatch` frames, closes the period,
+and then interrogates the collector pair by pair —
 recording achieved ingest throughput (responses/sec) and query latency
 percentiles, and checking every returned estimate bit-for-bit against
 the in-process :class:`~repro.core.decoder.CentralDecoder` on the same
@@ -17,9 +18,13 @@ backoff and resends only the unacked batches.  Gateway-side seq dedup
 makes resends exactly-once, the idempotent ``EndPeriod`` makes the
 close retryable, and queries are read-only so they are simply
 reissued, so estimates stay bit-identical to in-process decoding
-under every fault profile.  :func:`send_phases` is the one sender:
-the unsharded replay, the sharded replay and the chaos drills all
-stream through it.
+under every fault profile.
+
+One piece of each: :func:`plan_phases` plans a day for any plane
+shape (shards, windows, period, rebalance), :func:`send_phases`
+delivers one gateway's plan, :func:`replay_day` streams a day to
+every gateway concurrently, and :func:`run_loadgen` drives the
+periods.  The chaos drills plan and send through the same pieces.
 """
 
 from __future__ import annotations
@@ -32,7 +37,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import EstimationError, RetryExhaustedError, WireError
+from repro.errors import (
+    ConfigurationError,
+    EstimationError,
+    RetryExhaustedError,
+    WireError,
+)
+from repro.federation.router import ShardRouter
 from repro.obs import MetricsRegistry
 from repro.service import wire
 from repro.service.retry import RetryPolicy, retry_async
@@ -40,6 +51,7 @@ from repro.service.runtime import (
     DEFAULT_COLLECTOR_PORT,
     DEFAULT_GATEWAY_PORT,
     DeploymentSpec,
+    shard_port_plan,
 )
 from repro.utils.rng import as_generator
 from repro.utils.tables import AsciiTable
@@ -48,6 +60,7 @@ from repro.vcps.ids import random_macs
 __all__ = [
     "LoadgenResult",
     "StreamStats",
+    "plan_phases",
     "send_phases",
     "replay_day",
     "announce_sizes",
@@ -279,51 +292,6 @@ def _close_connection(
             pass
 
 
-def _day_window_batches(
-    spec: DeploymentSpec, wire_batch: int, windows: int, period: int = 0
-) -> List[List[wire.ResponseBatch]]:
-    """Day *period* as *windows* sequential phases of sequenced batches.
-
-    Each RSU's day of responses is split into *windows* contiguous
-    slices (``np.array_split``: near-equal, deterministic); slice *w*
-    of every RSU forms phase *w* — the responses "observed during"
-    sub-period window *w*.  ``windows=1`` is the plain day: one phase.
-
-    Seqs number the frames 1..N globally across phases, so a re-run of
-    the same spec produces the same frames — the dedup identity a
-    resend relies on — and they restart at 1 each period, matching the
-    gateway's per-period dedup scope.  The MAC stream is seeded
-    ``spec.seed + period`` so period 0 replays byte-identically to a
-    single-period run.
-    """
-    mac_rng = as_generator(spec.seed + int(period))
-    phases: List[List[wire.ResponseBatch]] = [[] for _ in range(windows)]
-    seq = 1
-    for rsu_id in spec.scheme.rsu_ids:
-        indices = spec.response_indices(rsu_id, period=period)
-        if indices.size == 0:
-            continue
-        macs = random_macs(indices.size, seed=mac_rng)
-        index_slices = np.array_split(indices, windows)
-        mac_slices = np.array_split(macs, windows)
-        for w in range(windows):
-            part = index_slices[w]
-            part_macs = mac_slices[w]
-            for lo in range(0, part.size, wire_batch):
-                phases[w].append(
-                    wire.ResponseBatch(
-                        rsu_id=rsu_id,
-                        macs=part_macs[lo : lo + wire_batch],
-                        bit_indices=part[lo : lo + wire_batch].astype(
-                            np.uint32
-                        ),
-                        seq=seq,
-                    )
-                )
-                seq += 1
-    return phases
-
-
 #: One delivery phase: the batches to stream, then the frame that
 #: closes it (``EndWindow``, ``EndPeriod`` or ``Handoff``; ``None``
 #: ends the phase once every batch is acked).
@@ -340,6 +308,117 @@ def _closes(frame: wire.Message, answer: wire.Message) -> bool:
             and answer.window == frame.window
         )
     return isinstance(answer, wire.HandoffAck) and answer.rsu_id == frame.rsu_id
+
+
+def plan_phases(
+    spec: DeploymentSpec,
+    *,
+    router: Optional[ShardRouter] = None,
+    rebalance: int = 0,
+    windows: int = 0,
+    period: int = 0,
+    wire_batch: int = 4096,
+) -> Dict[int, List[Phase]]:
+    """Day *period* as one :func:`send_phases` plan per gateway.
+
+    Each RSU's responses are split into ``max(windows, 1)`` contiguous
+    slices (``np.array_split``: near-equal, deterministic); slice *w*
+    of every RSU streams in window *w*, which closes with an
+    ``EndWindow`` when *windows* ``> 1``, and the day closes with
+    ``EndPeriod``.  Seqs number the frames 1..N across the whole day,
+    so a re-run produces the same frames — the dedup identity a resend
+    relies on, on whichever shard it lands — and restart at 1 each
+    period, matching the gateway's per-period dedup scope.  The MAC
+    stream is seeded ``spec.seed + period``.
+
+    Without a *router* the plan has one gateway, key ``0``.  With one,
+    key *i* is shard *i* and every batch goes to its RSU's shard,
+    except that the first *rebalance* RSU ids (sorted) are handed to
+    the neighbour shard inside every window: the home shard streams
+    the first half of the RSU's batches, the target a
+    :class:`~repro.service.wire.Handoff` and then the tail.  A shard's
+    window is its home batches, then a ``Handoff`` and tail per RSU
+    handed to it (by id), then the closing frame.  The handed-off RSUs
+    are then reassigned on *router*, so later periods route them to
+    their new shard.
+    """
+    rebalance = int(rebalance)
+    if rebalance and router is None:
+        raise ConfigurationError(
+            "rebalance needs shards: an unsharded gateway has no "
+            "neighbour to hand RSUs to"
+        )
+    if not 0 <= rebalance <= len(spec.scheme.rsu_ids):
+        raise ConfigurationError(
+            f"rebalance must be in [0, {len(spec.scheme.rsu_ids)}] "
+            f"(the fleet size), got {rebalance}"
+        )
+    windows = max(int(windows), 1)
+    router = router if router is not None else ShardRouter(1)
+    shards = router.shard_count
+    home = router.shard_for
+    moving = set(sorted(spec.scheme.rsu_ids)[:rebalance])
+    mac_rng = as_generator(spec.seed + int(period))
+    days: List[List[wire.ResponseBatch]] = [[] for _ in range(windows)]
+    seq = 1
+    for rsu_id in spec.scheme.rsu_ids:
+        indices = spec.response_indices(rsu_id, period=period)
+        if indices.size == 0:
+            continue
+        macs = random_macs(indices.size, seed=mac_rng)
+        for w, (part, part_macs) in enumerate(
+            zip(np.array_split(indices, windows), np.array_split(macs, windows))
+        ):
+            for lo in range(0, part.size, wire_batch):
+                days[w].append(
+                    wire.ResponseBatch(
+                        rsu_id=rsu_id,
+                        macs=part_macs[lo : lo + wire_batch],
+                        bit_indices=part[lo : lo + wire_batch].astype(
+                            np.uint32
+                        ),
+                        seq=seq,
+                    )
+                )
+                seq += 1
+    plans: Dict[int, List[Phase]] = {shard: [] for shard in range(shards)}
+    handed: Dict[int, int] = {}
+    for w, batches in enumerate(days):
+        pending: Dict[int, List[wire.ResponseBatch]] = {
+            shard: [] for shard in range(shards)
+        }
+        split: Dict[int, List[wire.ResponseBatch]] = {}
+        for batch in batches:
+            if batch.rsu_id in moving:
+                split.setdefault(batch.rsu_id, []).append(batch)
+            else:
+                pending[home(batch.rsu_id)].append(batch)
+        tails = []
+        for rsu_id in sorted(split):
+            cut = max(1, len(split[rsu_id]) // 2)
+            pending[home(rsu_id)].extend(split[rsu_id][:cut])
+            tails.append((rsu_id, split[rsu_id][cut:]))
+        for rsu_id, tail in tails:
+            source = home(rsu_id)
+            target = handed[rsu_id] = (source + 1) % shards
+            handoff = wire.Handoff(
+                rsu_id=rsu_id, from_shard=source, to_shard=target, period=period
+            )
+            plans[target].append((pending[target], handoff))
+            pending[target] = tail
+        close = (
+            wire.EndWindow(period=period, window=w)
+            if windows > 1
+            else wire.EndPeriod(period=period)
+        )
+        for shard in range(shards):
+            plans[shard].append((pending[shard], close))
+    if windows > 1:
+        for phases in plans.values():
+            phases.append(([], wire.EndPeriod(period=period)))
+    for rsu_id in sorted(handed):
+        router.reassign(rsu_id, handed[rsu_id])
+    return plans
 
 
 async def send_phases(
@@ -477,6 +556,9 @@ async def replay_day(
     *,
     host: str = "127.0.0.1",
     gateway_port: int = DEFAULT_GATEWAY_PORT,
+    shard_ports: Optional[Sequence[int]] = None,
+    router: Optional[ShardRouter] = None,
+    rebalance: int = 0,
     wire_batch: int = 4096,
     period: int = 0,
     window: int = 32,
@@ -487,51 +569,62 @@ async def replay_day(
     retry_seed: int = 0,
     registry: Optional[MetricsRegistry] = None,
 ) -> StreamStats:
-    """Stream the whole day's responses to one gateway and close the
-    period, through :func:`send_phases` with at most *window* unacked
-    frames.
+    """Stream day *period* to every gateway concurrently and close it.
 
-    With *windows* ``> 1`` (the sub-period window count — distinct
-    from *window*, the outstanding-frame cap) the day is replayed in
-    that many sequential phases, each fully acked and then closed with
-    an :class:`~repro.service.wire.EndWindow` frame before the next
-    begins, so the gateway ships one window-tagged partial per RSU per
-    phase (see ``docs/streaming.md``).
+    The day is planned by :func:`plan_phases` — one unsharded gateway
+    without a *router*, else one per shard, with *rebalance* RSUs
+    handed between shards — and each gateway's plan goes to its port
+    in *shard_ports* (default ``[gateway_port]``) through its own
+    :func:`send_phases` with at most *window* unacked frames.  With *windows* ``> 1`` (the
+    sub-period window count — distinct from *window*, the
+    outstanding-frame cap) every gateway closes each window with an
+    :class:`~repro.service.wire.EndWindow` before the next begins, so
+    it ships one window-tagged partial per RSU per window (see
+    ``docs/streaming.md``).
 
     Everything the run observes lands in *registry* (fresh if omitted)
-    as ``loadgen.*`` metrics; the returned :class:`StreamStats` is a
-    view over that registry.
+    as ``loadgen.*`` metrics, plus ``federation.loadgen_sent_total``
+    per shard; the returned :class:`StreamStats` is a view over that
+    registry.
     """
-    windows = max(int(windows), 1)
-    if windows > 1 and int(period) != 0:
-        raise WireError(
-            "windowed replay supports a single period only; "
-            "run --periods without --window"
-        )
-    days = _day_window_batches(spec, wire_batch, windows, period)
-    close = wire.EndPeriod(period=period)
-    if windows == 1:
-        phases: List[Phase] = [(days[0], close)]
-    else:
-        phases = [
-            (batches, wire.EndWindow(period=period, window=w))
-            for w, batches in enumerate(days)
-        ]
-        phases.append(([], close))
-    stats = StreamStats(registry)
-    start = time.perf_counter()
-    _sent, snapshots = await send_phases(
-        phases,
-        host=host,
-        port=gateway_port,
-        window=window,
-        ack_timeout=ack_timeout,
-        close_timeout=close_timeout,
-        retry_policy=retry_policy,
-        retry_seed=retry_seed,
-        registry=stats.registry,
+    plans = plan_phases(
+        spec,
+        router=router,
+        rebalance=rebalance,
+        windows=windows,
+        period=period,
+        wire_batch=wire_batch,
     )
-    stats._m_snapshots.set(snapshots)
+    ports = list(shard_ports) if shard_ports is not None else [gateway_port]
+    if len(ports) != len(plans):
+        raise ConfigurationError(
+            f"{len(ports)} gateway ports for {len(plans)} gateways"
+        )
+    stats = StreamStats(registry)
+
+    async def deliver(gateway: int, port: int) -> int:
+        sent, snapshots = await send_phases(
+            plans[gateway],
+            host=host,
+            port=port,
+            window=window,
+            ack_timeout=ack_timeout,
+            close_timeout=close_timeout,
+            retry_policy=retry_policy,
+            retry_seed=retry_seed,
+            registry=stats.registry,
+        )
+        if router is not None:
+            stats.registry.counter(
+                "federation.loadgen_sent_total", shard=gateway
+            ).inc(sent)
+        return snapshots
+
+    start = time.perf_counter()
+    snapshots = await asyncio.gather(
+        *(deliver(gateway, port) for gateway, port in enumerate(ports))
+    )
+    stats._m_snapshots.set(sum(snapshots))
     stats._m_elapsed.set(time.perf_counter() - start)
     return stats
 
@@ -541,7 +634,7 @@ async def announce_sizes(
     period: int,
     *,
     host: str = "127.0.0.1",
-    gateway_port: int = DEFAULT_GATEWAY_PORT,
+    gateway_ports: Sequence[int] = (DEFAULT_GATEWAY_PORT,),
     collector_port: int = DEFAULT_COLLECTOR_PORT,
     ack_timeout: float = 5.0,
     retry_policy: Optional[RetryPolicy] = None,
@@ -553,11 +646,12 @@ async def announce_sizes(
     Asks the collector for *period*'s size plan
     (:class:`~repro.service.wire.SizeQuery` →
     :class:`~repro.service.wire.SizeAnnounce`), then forwards the
-    announcement verbatim to the gateway, which drains its ingest
-    queue and re-sizes the fleet before acking.  Both legs are
-    idempotent — the collector journals and caches the announcement
-    (byte-identical re-asks), the gateway's resizes are no-ops when
-    already applied — so fault recovery simply reissues the exchange.
+    announcement verbatim to every gateway in *gateway_ports*, each of
+    which drains its ingest queue and re-sizes its fleet before
+    acking.  Both legs are idempotent — the collector journals and
+    caches the announcement (byte-identical re-asks), a gateway's
+    resizes are no-ops when already applied — so fault recovery simply
+    reissues the exchange.
     Returns the announced ``rsu_id -> m_x`` plan.
     """
     policy = retry_policy if retry_policy is not None else RetryPolicy()
@@ -616,15 +710,16 @@ async def announce_sizes(
             f"expected a SizeAnnounce for period {period}, "
             f"got {announce!r}"
         )
-    ack = await exchange(gateway_port, announce, "size_announce")
-    if not (
-        isinstance(ack, wire.SizeAnnounceAck)
-        and ack.period == int(period)
-    ):
-        raise WireError(
-            f"expected a SizeAnnounceAck for period {period}, "
-            f"got {ack!r}"
-        )
+    for port in gateway_ports:
+        ack = await exchange(port, announce, "size_announce")
+        if not (
+            isinstance(ack, wire.SizeAnnounceAck)
+            and ack.period == int(period)
+        ):
+            raise WireError(
+                f"expected a SizeAnnounceAck for period {period}, "
+                f"got {ack!r}"
+            )
     m_announced.inc()
     return announce.to_sizes()
 
@@ -779,6 +874,9 @@ async def run_loadgen(
     host: str = "127.0.0.1",
     gateway_port: int = DEFAULT_GATEWAY_PORT,
     collector_port: int = DEFAULT_COLLECTOR_PORT,
+    shards: int = 0,
+    rebalance: int = 0,
+    shard_ports: Optional[Sequence[int]] = None,
     wire_batch: int = 4096,
     max_queries: Optional[int] = None,
     period: int = 0,
@@ -790,42 +888,67 @@ async def run_loadgen(
     retry_seed: int = 0,
     registry: Optional[MetricsRegistry] = None,
 ) -> LoadgenResult:
-    """Full load generation run: stream the day(s), then verify queries.
+    """Full load generation run against any plane shape: for every
+    period, announce its sizes, stream the day, then verify queries.
 
-    One *registry* (fresh if omitted) collects both phases' metrics
-    and is attached to the result as ``result.registry``.  *windows*
-    ``> 1`` replays the day in that many window-closed phases (the
-    deployment must be serving with the same window count).
+    ``shards=0`` drives one unsharded gateway at *gateway_port*;
+    ``shards=N`` drives N gateway shards at *shard_ports* (default:
+    :func:`~repro.service.runtime.shard_port_plan`, the rule ``repro
+    serve --shards N`` binds by).  ``rebalance=K`` hands the first K
+    RSU ids (sorted) to their neighbour shard during period 0 (see
+    :func:`plan_phases`); later periods route them to their new shard.
+    *windows* ``> 1`` replays each day in that many window-closed
+    phases (the deployment must be serving with the same window
+    count).  Invalid shapes raise
+    :class:`~repro.errors.ConfigurationError` before any socket opens.
 
     A spec with ``periods > 1`` replays that many consecutive days.
-    Between day ``p-1``'s close and day ``p``'s traffic the generator
-    runs :func:`announce_sizes` — collector plan, gateway resize —
-    and diffs the announced plan against the spec's in-process
+    Before day ``p > 0`` the generator runs :func:`announce_sizes` —
+    collector plan, every gateway resized — and diffs the announced
+    plan against the spec's in-process
     :meth:`~repro.service.runtime.DeploymentSpec.size_trajectory`; a
     divergence fails :attr:`LoadgenResult.bit_identical` like any
-    estimate mismatch.  Every period's matrix is then verified.
+    estimate mismatch.  Each day's counters and matrix are verified by
+    :func:`run_queries` against the in-process decoder.  One
+    *registry* (fresh if omitted) collects every metric and is
+    attached to the result as ``result.registry``.
     """
     spec = spec if spec is not None else DeploymentSpec()
     registry = registry if registry is not None else MetricsRegistry()
     periods = max(1, int(getattr(spec, "periods", 1)))
-    if periods > 1 and windows and int(windows) > 1:
-        raise WireError(
+    shards = int(shards)
+    if shards < 0:
+        raise ConfigurationError(f"shards must be >= 0, got {shards}")
+    if periods > 1 and int(windows) > 1:
+        raise ConfigurationError(
             "multi-period replay does not support sub-period windows; "
             "drop --window or --periods"
+        )
+    router = ShardRouter(shards, registry=registry) if shards else None
+    if shard_ports is None:
+        shard_ports = (
+            shard_port_plan(gateway_port, shards, collector_port)
+            if shards
+            else [gateway_port]
         )
     golden = spec.size_trajectory()
     announced: List[Dict[int, int]] = [dict(golden[0])]
     trajectory_mismatches: List[int] = []
     stream_seconds = 0.0
     snapshots_acked = 0
-    stream = None
+    all_latencies: List[np.ndarray] = []
+    checked = 0
+    mismatches: List[Tuple[int, int]] = []
+    counters_checked = 0
+    counter_mismatches: List[int] = []
+    query_reconnects = 0
     for p in range(periods):
         if p > 0:
             sizes = await announce_sizes(
                 spec,
-                p,
+                period + p,
                 host=host,
-                gateway_port=gateway_port,
+                gateway_ports=shard_ports,
                 collector_port=collector_port,
                 ack_timeout=ack_timeout,
                 retry_policy=retry_policy,
@@ -838,7 +961,9 @@ async def run_loadgen(
         stream = await replay_day(
             spec,
             host=host,
-            gateway_port=gateway_port,
+            shard_ports=shard_ports,
+            router=router,
+            rebalance=rebalance if p == 0 else 0,
             wire_batch=wire_batch,
             period=period + p,
             window=window,
@@ -851,13 +976,6 @@ async def run_loadgen(
         )
         stream_seconds += stream.elapsed
         snapshots_acked += stream.snapshots_acked
-    all_latencies: List[np.ndarray] = []
-    checked = 0
-    mismatches: List[Tuple[int, int]] = []
-    counters_checked = 0
-    counter_mismatches: List[int] = []
-    query_reconnects = 0
-    for p in range(periods):
         (
             latencies,
             p_checked,
@@ -882,9 +1000,7 @@ async def run_loadgen(
         counters_checked += p_counters_checked
         counter_mismatches.extend(p_counter_mismatches)
         query_reconnects += p_reconnects
-    latencies = (
-        np.concatenate(all_latencies) if all_latencies else np.asarray([])
-    )
+    latencies = np.concatenate(all_latencies)
     return LoadgenResult(
         responses_sent=stream.sent,
         stream_seconds=stream_seconds,
@@ -903,4 +1019,11 @@ async def run_loadgen(
         periods=periods,
         size_trajectory=announced,
         trajectory_mismatches=trajectory_mismatches,
+        per_shard={
+            shard: int(
+                registry.value("federation.loadgen_sent_total", shard=shard)
+            )
+            for shard in range(shards)
+        },
+        handoffs=len(router.overrides) if router is not None else 0,
     )

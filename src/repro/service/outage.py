@@ -9,8 +9,8 @@ live plane:
 1. find the first period the scenario schedules an outage for, and
    build the in-process golden decode of that full day;
 2. start a real gateway + collector and stream the day in ``windows``
-   sequential delivery phases (:func:`repro.service.loadgen.
-   _day_window_batches` — deterministic ``np.array_split`` slices);
+   sequential delivery phases (the windows of :func:`repro.service.
+   loadgen.plan_phases` — deterministic ``np.array_split`` slices);
 3. for the middle third of those phases, flip the gateway's outage
    switch (:meth:`~repro.service.gateway.RsuGateway.set_outage`) for
    the scheduled RSUs — their frames are dropped at admission, exactly
@@ -47,7 +47,7 @@ from repro.errors import ConfigurationError
 from repro.federation.chaos import matrix_json
 from repro.scenarios import Scenario
 from repro.service import wire
-from repro.service.loadgen import _day_window_batches, send_phases
+from repro.service.loadgen import plan_phases, send_phases
 from repro.service.runtime import DeploymentSpec, start_services
 from repro.utils.logconfig import get_logger
 
@@ -267,7 +267,14 @@ async def rsu_outage_scenario(
         for rsu_id in down
     )
     start = time.perf_counter()
-    phases = _day_window_batches(spec, wire_batch, windows, period=period)
+    # The plan's window phases, without their EndWindow frames: the
+    # drill's gateway serves no windows and closes the day itself.
+    phases = [
+        batches
+        for batches, _close in plan_phases(
+            spec, windows=windows, period=period, wire_batch=wire_batch
+        )[0][:-1]
+    ]
     gateway, collector = await start_services(
         spec, gateway_port=0, collector_port=0
     )

@@ -19,7 +19,7 @@ from repro.federation.wal import WriteAheadLog, replay_wal
 from repro.service import wire
 from repro.service.collector import CollectorService
 from repro.service.loadgen import run_loadgen
-from repro.service.runtime import DeploymentSpec, start_services
+from repro.service.runtime import DeploymentSpec, start_federation
 from repro.vcps.ids import random_mac
 from repro.vcps.pki import CertificateAuthority
 from repro.vcps.rsu import RoadsideUnit
@@ -260,21 +260,25 @@ class TestDeploymentSpecMultiPeriod:
         assert made.sizing is policy
 
 
+@pytest.mark.parametrize("shards", [0, 2])
 class TestLiveMultiPeriodLoadgen:
-    def test_announced_sizes_match_the_golden_trajectory(self, spec):
+    def test_announced_sizes_match_the_golden_trajectory(self, spec, shards):
+        # The sharded run also hands two RSUs over in period 0, so
+        # later periods announce to and stream through the new owner.
+        rebalance = shards
+
         async def body():
-            gateway, collector = await start_services(
-                spec, gateway_port=0, collector_port=0
-            )
+            plane = await start_federation(spec, shards=shards)
             try:
                 return await run_loadgen(
                     spec,
-                    gateway_port=gateway.port,
-                    collector_port=collector.port,
+                    shards=shards,
+                    rebalance=rebalance,
+                    shard_ports=list(plane.shard_ports().values()),
+                    collector_port=plane.collector.port,
                 )
             finally:
-                await gateway.stop()
-                await collector.stop()
+                await plane.stop()
 
         result = run(body())
         assert result.periods == spec.periods
@@ -283,6 +287,10 @@ class TestLiveMultiPeriodLoadgen:
         assert result.counter_mismatches == []
         assert result.pair_mismatches == []
         assert result.bit_identical
+        assert result.handoffs == rebalance
+        assert sum(result.per_shard.values()) == (
+            result.responses_sent if shards else 0
+        )
 
 
 class TestGoldenTrajectoryFile:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import asyncio
 import json
 
 import pytest
@@ -185,6 +186,28 @@ class TestServeFlags:
         assert not wal.exists()
 
 
+class TestLoadgenShape:
+    """An invalid plane shape exits 2 before loadgen opens a socket,
+    like ``serve --wal`` without ``--shards``."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--shards", "3", "--rebalance", "-1"], "rebalance must be in"),
+            (["--shards", "3", "--rebalance", "25"], "rebalance must be in"),
+            (["--rebalance", "2"], "rebalance needs shards"),
+            (["--shards", "-1"], "shards must be >= 0"),
+        ],
+    )
+    def test_invalid_shape_exits_2(self, monkeypatch, capsys, flags, message):
+        async def no_socket(*args, **kwargs):
+            raise AssertionError("loadgen opened a socket")
+
+        monkeypatch.setattr(asyncio, "open_connection", no_socket)
+        assert main(["loadgen", "--trips", "800", *flags]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestStreamingParser:
     def test_matrix_live_flag(self):
         args = build_parser().parse_args(["matrix", "--live"])
@@ -214,10 +237,6 @@ class TestStreamingParser:
     def test_loadgen_window_flag(self):
         args = build_parser().parse_args(["loadgen", "--window", "6"])
         assert args.window == 6
-
-    def test_loadgen_window_with_shards_refused(self, capsys):
-        assert main(["loadgen", "--shards", "2", "--window", "2"]) == 2
-        assert "not supported together" in capsys.readouterr().err
 
     def test_matrix_live_quick_end_to_end(self, capsys, tmp_path):
         path = tmp_path / "live.json"

@@ -11,21 +11,19 @@ The headline properties, per the issue's acceptance criteria:
 """
 
 import asyncio
+import inspect
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.federation.chaos import shard_kill_scenario
 from repro.federation.router import ShardRouter
-from repro.federation.runtime import (
-    run_federated_loadgen,
-    shard_port_plan,
-    start_federation,
-)
+from repro.federation import runtime as federation_runtime
+from repro.federation.runtime import shard_port_plan, start_federation
 from repro.service import wire
 from repro.service.collector import CollectorService
 from repro.service.gateway import RsuGateway
-from repro.service.loadgen import send_phases
+from repro.service.loadgen import run_loadgen, send_phases
 from repro.service.runtime import DeploymentSpec
 
 
@@ -82,13 +80,66 @@ class TestShardPortPlan:
         assert shard_port_plan(8701, 3, 8702) == [8701, 8703, 8704]
 
 
+class TestLoadgenShapes:
+    """``run_loadgen`` refuses a plane shape it cannot drive before it
+    opens a socket."""
+
+    @pytest.mark.parametrize(
+        "shape, match",
+        [
+            pytest.param(
+                {"shards": -1}, "shards must be >= 0", id="negative-shards"
+            ),
+            pytest.param(
+                {"shards": 3, "rebalance": -1},
+                r"rebalance must be in \[0, 24\]",
+                id="negative-rebalance",
+            ),
+            pytest.param(
+                {"shards": 3, "rebalance": 25},
+                r"rebalance must be in \[0, 24\]",
+                id="rebalance-over-fleet",
+            ),
+            pytest.param(
+                {"rebalance": 2},
+                "rebalance needs shards",
+                id="rebalance-without-shards",
+            ),
+        ],
+    )
+    def test_invalid_shape_is_refused_before_any_socket(
+        self, spec, monkeypatch, shape, match
+    ):
+        async def no_socket(*args, **kwargs):
+            raise AssertionError("loadgen opened a socket")
+
+        monkeypatch.setattr(asyncio, "open_connection", no_socket)
+        with pytest.raises(ConfigurationError, match=match):
+            run(run_loadgen(spec, **shape))
+
+    def test_federated_name_is_the_one_loadgen(self, spec):
+        """``benchmarks/perf/child.py`` drives the sharded replay under
+        its pre-merge name with these keyword arguments."""
+        loadgen = federation_runtime.run_federated_loadgen
+        assert loadgen is run_loadgen
+        inspect.signature(loadgen).bind(
+            spec,
+            shards=2,
+            shard_ports=[8701, 8702],
+            collector_port=8710,
+            rebalance=2,
+            max_queries=0,
+            registry=None,
+        )
+
+
 class TestFederatedMerge:
     def test_sharded_day_is_bit_identical(self, spec):
         async def body():
             plane = await start_federation(spec, shards=3)
             try:
                 ports = plane.shard_ports()
-                return await run_federated_loadgen(
+                return await run_loadgen(
                     spec,
                     shards=3,
                     shard_ports=[ports[i] for i in range(3)],
@@ -113,7 +164,7 @@ class TestFederatedMerge:
             plane = await start_federation(spec, shards=3)
             try:
                 ports = plane.shard_ports()
-                result = await run_federated_loadgen(
+                result = await run_loadgen(
                     spec,
                     shards=3,
                     shard_ports=[ports[i] for i in range(3)],

@@ -2,8 +2,8 @@
 deterministic day bit-identically to the in-process reference.
 
 The unsharded plane is the zero-shard federation, so one row format
-covers it all: bring a plane up, stream the day through the one
-sender, and compare the collector's canonical period-matrix JSON and
+covers it all: bring a plane up, replay the day through the one load
+generator, and compare the collector's canonical period-matrix JSON and
 its point counters with ``spec.reference_decoder()``.  The
 ``shard-kill`` row compares a collector rebuilt from nothing but the
 write-ahead log.  At 1,500 trips every row takes well under a
@@ -15,9 +15,8 @@ import asyncio
 import pytest
 
 from repro.federation.chaos import matrix_json, shard_kill_scenario
-from repro.federation.runtime import run_federated_loadgen
 from repro.service.collector import CollectorService
-from repro.service.loadgen import replay_day
+from repro.service.loadgen import run_loadgen
 from repro.service.runtime import DeploymentSpec, start_federation
 
 
@@ -46,21 +45,17 @@ async def live_row(
         windows=windows,
     )
     try:
-        if shards:
-            result = await run_federated_loadgen(
-                spec,
-                shards=shards,
-                shard_ports=list(plane.shard_ports().values()),
-                collector_port=plane.collector.port,
-                rebalance=rebalance,
-                max_queries=0,
-            )
-            assert result.bit_identical
-            assert result.handoffs == rebalance
-        else:
-            await replay_day(
-                spec, gateway_port=plane.shards[0].port, windows=windows
-            )
+        result = await run_loadgen(
+            spec,
+            shards=shards,
+            shard_ports=list(plane.shard_ports().values()),
+            collector_port=plane.collector.port,
+            rebalance=rebalance,
+            windows=windows,
+            max_queries=0,
+        )
+        assert result.bit_identical
+        assert result.handoffs == rebalance
         return decoded(plane.collector)
     finally:
         await plane.stop()
@@ -85,6 +80,14 @@ ROWS = [
     pytest.param(
         lambda s, t: live_row(s, t, shards=0, windows=2),
         id="unsharded-windows-2",
+    ),
+    pytest.param(
+        lambda s, t: live_row(s, t, shards=2, windows=2),
+        id="shards-2-windows-2",
+    ),
+    pytest.param(
+        lambda s, t: live_row(s, t, shards=2, rebalance=2, windows=2),
+        id="shards-2-windows-2-rebalance-2",
     ),
     pytest.param(shard_kill_row, id="shard-kill-recover"),
 ]

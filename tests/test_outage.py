@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.scenarios import get_scenario
-from repro.service.loadgen import _day_window_batches
+from repro.service.loadgen import plan_phases
 from repro.service.outage import (
     OutageReport,
     _surviving_indices,
@@ -72,22 +72,24 @@ class TestDayWindowBatches:
     def test_period_parameter_selects_the_day(self, spec):
         from repro.service import wire
 
-        def flatten(phases):
+        def flatten(plan):
             return b"".join(
-                wire.encode_frame(frame)
-                for phase in phases
-                for frame in phase
+                wire.encode_frame(batch)
+                for batches, _close in plan[0]
+                for batch in batches
             )
 
-        day0 = _day_window_batches(spec, 4096, 3, period=0)
-        day5 = _day_window_batches(spec, 4096, 3, period=5)
-        assert len(day0) == len(day5) == 3
+        def day(period):
+            return plan_phases(spec, windows=3, period=period)
+
+        day0 = day(0)
+        day5 = day(5)
+        # Three window phases, then the period close.
+        assert len(day0[0]) == len(day5[0]) == 4
         # Different demand days produce different wire bytes.
         assert flatten(day0) != flatten(day5)
         # The same day is deterministic.
-        assert flatten(_day_window_batches(spec, 4096, 3, period=5)) == (
-            flatten(day5)
-        )
+        assert flatten(day(5)) == flatten(day5)
 
 
 class TestGuards:

@@ -92,9 +92,10 @@ class TestDocumentation:
 
 
 class TestRemovedSurface:
-    """The 1.x aliases deleted in 2.0.0 and the duplicate live-plane
-    surface deleted in 3.0.0 stay deleted (each CHANGELOG maps them to
-    their replacements)."""
+    """The 1.x aliases deleted in 2.0.0, the duplicate live-plane
+    surface deleted in 3.0.0 and the second load generator deleted in
+    4.0.0 stay deleted (each CHANGELOG maps them to their
+    replacements)."""
 
     @pytest.mark.parametrize(
         "module_name,path",
@@ -119,7 +120,9 @@ class TestRemovedSurface:
             ("repro.federation.runtime", "FederatedLoadgenResult"),
             ("repro.federation.runtime", "run_federated_serve"),
             ("repro.federation.runtime", "DEFAULT_SHARD_BASE_PORT"),
+            ("repro.federation.runtime", "plan_shard_batches"),
             ("repro.service.loadgen", "_day_batches"),
+            ("repro.service.loadgen", "_day_window_batches"),
             ("repro.service.gateway", "RsuGateway._handle_extra"),
             ("repro.service.gateway", "RsuGateway._make_snapshot"),
             ("repro.service.collector", "CollectorService._journal_window"),

@@ -249,10 +249,21 @@ class TestIncidence:
 
 
 def test_batch_matrix_never_imports_scipy():
-    """Routing and ground truth stay numpy + networkx: a small batch
-    OD matrix must not pull scipy in."""
+    """scipy is a test-only dependency: with it blocked, every
+    ``repro`` module imports, and routing and ground truth stay numpy
+    + networkx, so a small batch OD matrix must not pull scipy in."""
     code = (
-        "import sys\n"
+        "import importlib, pkgutil, sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "import repro\n"
+        "def fail(name):\n"
+        "    raise ImportError(name)\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.', fail):\n"
+        "    importlib.import_module(info.name)\n"
         "from repro.experiments.sioux_falls_matrix import run_od_matrix\n"
         "run_od_matrix(scenario='grid-4x4', total_trips=3000, min_truth=20, seed=3)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
