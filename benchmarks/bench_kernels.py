@@ -1,16 +1,12 @@
-"""Kernel dispatch + zero-copy wire ingest benchmarks.
+"""Word kernel + zero-copy wire ingest benchmarks.
 
 Two sections, one artifact:
 
-* **Kernel micro-benches** — every op in the
-  :mod:`repro.engine.kernels` dispatch table, timed per registered
-  backend on a ``2^20``-bit array, so a new backend (e.g. the optional
-  numba one) shows its per-op profile next to ``packed`` and
-  ``legacy`` in the same table.  A second table splits packed
-  ``set_bits`` into its three steps: a dense batch (more than
-  ``m / 256`` indices) takes legacy's bool scatter, then packs the
-  bools into words and ORs them in, so it costs legacy's scatter plus
-  the pack and the OR.  Reported, not gated.
+* **Kernel micro-benches** — every hot-path word kernel of
+  :mod:`repro.core.bitwords`, timed on a ``2^20``-bit array.  A second
+  table splits ``set_bits`` into its three steps: a dense batch (more
+  than ``m / 256`` indices) scatters into a bool vector, then packs
+  the bools into words and ORs them in.  Reported, not gated.
 * **Ingest comparison** — the gateway's old validated admission path
   (``index_batch_ingest`` below, a copy of the deleted
   ``RoadsideUnit.handle_index_batch``, which byteswap-copies the
@@ -30,7 +26,7 @@ import time
 import numpy as np
 
 from conftest import host_metadata, publish
-from repro import engine
+from repro.core import bitwords
 from repro.utils.tables import AsciiTable
 from repro.vcps.ids import locally_administered_mask, random_macs
 from repro.vcps.pki import CertificateAuthority
@@ -69,47 +65,44 @@ def index_batch_ingest(rsu, macs, indices):
     return int(indices.size)
 
 
-def _kernel_timings(backend_name, rng):
-    """Per-op best-of-N wall times for one registered backend."""
-    backend = engine.get_backend(backend_name)
-    kernels = engine.get_kernels(backend_name)
+def _kernel_timings(rng):
+    """Per-op best-of-N wall times of the word kernels."""
     indices = rng.integers(0, M, size=BATCH, dtype=np.int64)
-    filled = backend.zeros(M)
-    kernels.set_bits(filled, M, indices)
+    filled = bitwords.zeros(M)
+    bitwords.set_bits(filled, M, indices)
     others = []
     for _ in range(OR_ARRAYS):
-        storage = backend.zeros(M)
-        kernels.set_bits(
-            storage, M, rng.integers(0, M, size=BATCH // 8, dtype=np.int64)
+        words = bitwords.zeros(M)
+        bitwords.set_bits(
+            words, M, rng.integers(0, M, size=BATCH // 8, dtype=np.int64)
         )
-        others.append(storage)
-    rows = backend.stack(others[:PAIR_ROWS], M)
-    small = backend.zeros(M // 16)
-    kernels.set_bits(
+        others.append(words)
+    rows = np.stack(others[:PAIR_ROWS])
+    small = bitwords.zeros(M // 16)
+    bitwords.set_bits(
         small, M // 16, rng.integers(0, M // 16, size=256, dtype=np.int64)
     )
     return {
         "set_bits": _best(
-            lambda: kernels.set_bits(backend.zeros(M), M, indices)
+            lambda: bitwords.set_bits(bitwords.zeros(M), M, indices)
         ),
-        "or_reduce": _best(lambda: kernels.or_reduce(others, M)),
-        "popcount": _best(lambda: kernels.popcount(filled, M)),
-        "unfold": _best(lambda: kernels.unfold(small, M // 16, 16)),
+        "or_reduce": _best(lambda: bitwords.or_reduce(others, M)),
+        "popcount": _best(lambda: bitwords.popcount(filled)),
+        "unfold": _best(lambda: bitwords.unfold(small, M // 16, 16)),
         "joint_zero_counts": _best(
-            lambda: kernels.joint_zero_counts(filled, others[0], M)
+            lambda: bitwords.joint_zero_counts(filled, others[0], M)
         ),
         "pairwise_or_popcount": _best(
-            lambda: kernels.pairwise_or_popcount(filled, rows, M)
+            lambda: bitwords.pairwise_or_popcount(filled, rows)
         ),
     }
 
 
-def _packed_set_bits_split(rng):
-    """Best-of-N seconds of each step of packed's dense ``set_bits``:
-    the bool scatter legacy also runs, the pack to words, the OR."""
-    backend = engine.get_backend("packed")
+def _set_bits_split(rng):
+    """Best-of-N seconds of each step of the dense ``set_bits`` path:
+    the bool scatter, the pack to words, the OR."""
     indices = rng.integers(0, M, size=BATCH, dtype=np.int64)
-    storage = backend.zeros(M)
+    storage = bitwords.zeros(M)
 
     def scatter():
         bits = np.zeros(M, dtype=bool)
@@ -117,22 +110,19 @@ def _packed_set_bits_split(rng):
         return bits
 
     bits = scatter()
-    words = backend.from_bool(bits)
+    words = bitwords.from_bool(bits)
     return {
         "bool_scatter": _best(scatter),
-        "pack": _best(lambda: backend.from_bool(bits)),
+        "pack": _best(lambda: bitwords.from_bool(bits)),
         "or": _best(lambda: np.bitwise_or(storage, words, out=storage)),
     }
 
 
 def test_kernel_ops_and_zero_copy_ingest():
-    """Time every kernel op per backend, then gate the ingest speedup."""
+    """Time every word kernel, then gate the ingest speedup."""
     rng = np.random.default_rng(29)
-    per_backend = {
-        name: _kernel_timings(name, rng)
-        for name in engine.available_backends()
-    }
-    split = _packed_set_bits_split(np.random.default_rng(31))
+    kernels = _kernel_timings(rng)
+    split = _set_bits_split(np.random.default_rng(31))
 
     # The ingest comparison starts from identical wire-decoded views:
     # big-endian >u8 MACs and >u4 indices, exactly what a
@@ -164,19 +154,17 @@ def test_kernel_ops_and_zero_copy_ingest():
     speedup = index_s / wire_s
 
     table = AsciiTable(
-        ["backend"] + list(next(iter(per_backend.values()))),
+        ["op", "ms"],
         title=(
-            f"kernel ops, best-of-{ROUNDS} ms "
+            f"word kernels, best-of-{ROUNDS} "
             f"(m = {M:,} bits, {BATCH:,} indices)"
         ),
     )
-    for name, timings in per_backend.items():
-        table.add_row(
-            [name] + [f"{seconds * 1e3:.3f}" for seconds in timings.values()]
-        )
+    for op, seconds in kernels.items():
+        table.add_row([op, f"{seconds * 1e3:.3f}"])
     steps = AsciiTable(
         list(split) + ["sum"],
-        title=f"packed set_bits, dense path, best-of-{ROUNDS} ms (not gated)",
+        title=f"set_bits, dense path, best-of-{ROUNDS} ms (not gated)",
     )
     steps.add_row(
         [f"{seconds * 1e3:.3f}" for seconds in split.values()]
@@ -203,8 +191,8 @@ def test_kernel_ops_and_zero_copy_ingest():
             "m": M,
             "batch": BATCH,
             "rounds": ROUNDS,
-            "kernel_seconds": per_backend,
-            "packed_set_bits_split_seconds": split,
+            "kernel_seconds": kernels,
+            "set_bits_split_seconds": split,
             "ingest": {
                 "index_batch_seconds": index_s,
                 "wire_batch_seconds": wire_s,

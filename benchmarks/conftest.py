@@ -47,13 +47,15 @@ def host_metadata() -> dict:
     import networkx
     import numpy
 
-    from repro.engine import default_backend_name
-
     return {
         "cpu_count": os.cpu_count(),
-        "engine_backend": default_backend_name(),
         "networkx": networkx.__version__,
         "numpy": numpy.__version__,
+        # The word popcount: np.bitwise_count, or the byte lookup table
+        # on numpy < 2.0 (repro.core.bitwords).
+        "popcount": (
+            "bitwise_count" if hasattr(numpy, "bitwise_count") else "lookup_table"
+        ),
         "python": platform.python_version(),
     }
 

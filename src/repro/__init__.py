@@ -52,7 +52,7 @@ from repro.traffic import PairPopulation, VehicleFleet, make_pair_population
 from repro.scenarios import Scenario, get_scenario, scenario_names
 from repro.errors import ReproError
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "__version__",

@@ -21,7 +21,7 @@ wraps the resulting plans in ``SizeAnnounce`` wire frames (journalled
 to the federation WAL before first use, so crash recovery replays the
 same sizes); gateways apply them to their RSU fleets.  Because every
 input is a deterministic function of the workload, the size trajectory
-is identical at any worker count and on both engine backends.
+is identical at any worker count.
 
 Metrics (when a registry is attached):
 

@@ -2,6 +2,7 @@
 masking (VLM) scheme.
 
 * :mod:`repro.core.bitarray` — the physical bit array ``B_x``;
+* :mod:`repro.core.bitwords` — its ``uint64`` word layout and kernels;
 * :mod:`repro.core.unfolding` — the "unfolding" expansion (Eq. 3);
 * :mod:`repro.core.sizing` — power-of-two sizing from history (IV-B);
 * :mod:`repro.core.parameters` — validated scheme parameters;

@@ -20,9 +20,8 @@ Entry points still accept the individual keyword arguments; explicit
 keywords override the corresponding ``config`` field (see
 :func:`resolve_config`).
 
-The bit-storage backend is not a config field: it is a property of the
-process, chosen by ``REPRO_ENGINE`` or a scoped
-:func:`repro.engine.use_backend` (see :mod:`repro.engine`).
+There is no bit-storage setting: bit arrays have one representation,
+``uint64`` words (:mod:`repro.core.bitwords`).
 """
 
 from __future__ import annotations

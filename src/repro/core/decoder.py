@@ -33,7 +33,7 @@ from typing import (
 
 import numpy as np
 
-from repro import engine
+from repro.core import bitwords
 from repro.core.bitarray import BitArray
 from repro.core.estimator import (
     PairEstimate,
@@ -199,12 +199,9 @@ class CentralDecoder:
         from repro.errors import SaturatedArrayError
 
         unfolded = self._unfolded(report_x, report_y.array_size)
-        backend = engine.get_backend(unfolded.backend)
         m_y = report_y.array_size
-        zeros = engine.get_kernels(backend).joint_zero_counts(
-            unfolded._storage_as(backend),
-            report_y.bits._storage_as(backend),
-            m_y,
+        zeros = bitwords.joint_zero_counts(
+            unfolded.words, report_y.bits.words, m_y
         )
         if zeros == 0:
             if self.policy is ZeroFractionPolicy.RAISE:
@@ -260,24 +257,20 @@ class CentralDecoder:
         :func:`~repro.core.estimator.estimate_pair_matrix` turns the
         counts into estimates.  The counts, the fractions and so the
         :class:`PairEstimate` fields match the per-pair path digit for
-        digit under every storage backend.  The unfold memo is not
-        used.
+        digit.  The unfold memo is not used.
         """
         ids = self.rsu_ids(period) if rsu_ids is None else sorted(rsu_ids)
         if len(ids) < 2:
             return {}
-        backend = engine.get_backend()
         reports = [self.report_for(rsu_id, period) for rsu_id in ids]
-        zeros = joint_zero_matrix(
-            [report.bits for report in reports], backend
-        )
+        zeros = joint_zero_matrix([report.bits for report in reports])
         # Per-report statistics are shared by every pair they join.
         fractions = [
             _observed_fraction(report.bits, self.policy) for report in reports
         ]
-        get_registry().counter(
-            "decoder.matrix_pairs_total", backend=backend.name
-        ).inc(int(zeros.size))
+        get_registry().counter("decoder.matrix_pairs_total").inc(
+            int(zeros.size)
+        )
         return estimate_pair_matrix(
             ids,
             [report.array_size for report in reports],
@@ -289,7 +282,7 @@ class CentralDecoder:
         )
 
 
-def joint_zero_matrix(arrays: Sequence[BitArray], backend) -> np.ndarray:
+def joint_zero_matrix(arrays: Sequence[BitArray]) -> np.ndarray:
     """Every pair's ``U_c``, each at the pair's own size.
 
     Returns ``size - popcount(unfold(B_x) | B_y)`` for every pair of
@@ -299,21 +292,19 @@ def joint_zero_matrix(arrays: Sequence[BitArray], backend) -> np.ndarray:
 
     The pairs are blocked by that size ``S``: for each distinct size,
     one stack holds the size-``S`` arrays at native size, and every
-    array no larger than ``S`` is ORed against it with the backend's
-    ``pairwise_or_popcount`` kernel.  The stack is swept in column
-    tiles of :data:`TILE_BITS` bits, so a tile of the stack and the
-    broadcast temporary stay in cache across the rows.  A smaller
-    array is not unfolded to ``S``: the tile ``[c0, c1)`` of its
-    tiling is its own storage elements from ``c0`` modulo its length
-    (an array shorter than a tile is tiled to the tile width once).
-    Only an array whose size is not a whole number of storage
-    elements (sizes below 64 bits on a word backend), or whose length
-    and the tile width do not divide one another, is unfolded to
-    ``S``.
+    array no larger than ``S`` is ORed against it with
+    :func:`~repro.core.bitwords.pairwise_or_popcount`.  The stack is
+    swept in column tiles of :data:`TILE_BITS` bits, so a tile of the
+    stack and the broadcast temporary stay in cache across the rows.
+    A smaller array is not unfolded to ``S``: the tile ``[c0, c1)`` of
+    its tiling is its own words from ``c0`` modulo its length (an
+    array shorter than a tile is tiled to the tile width once).  Only
+    an array whose size is not a whole number of words (sizes below
+    64 bits), or whose length and the tile width do not divide one
+    another, is unfolded to ``S``.
     """
-    kernels = engine.get_kernels(backend)
-    unit = backend.unit_bits()
-    storages = [array._storage_as(backend) for array in arrays]
+    unit = bitwords.WORD_BITS
+    storages = [array.words for array in arrays]
     sizes = np.array([array.size for array in arrays], dtype=np.int64)
     k = len(arrays)
     # ones[i, j]: set bits of the joint of pair {i, j}, filled on
@@ -321,7 +312,7 @@ def joint_zero_matrix(arrays: Sequence[BitArray], backend) -> np.ndarray:
     ones = np.zeros((k, k), dtype=np.int64)
     for size in sorted_unique(sizes).tolist():
         members = np.flatnonzero(sizes == size)
-        block = backend.stack([storages[j] for j in members], size)
+        block = np.stack([storages[j] for j in members])
         units = block.shape[1]
         step = min(units, max(1, TILE_BITS // unit))
         rows, row_ids = [], []
@@ -342,22 +333,21 @@ def joint_zero_matrix(arrays: Sequence[BitArray], backend) -> np.ndarray:
                 )
             width = storage.shape[0]
             if width * unit != m_i or (width % step and step % width):
-                storage = kernels.unfold(storage, m_i, size // m_i)
+                storage = bitwords.unfold(storage, m_i, size // m_i)
             elif width < step:
                 # Shorter than a tile: pre-tile once to the tile width.
-                storage = kernels.unfold(storage, m_i, step // width)
+                storage = bitwords.unfold(storage, m_i, step // width)
             rows.append((storage, first))
             row_ids.append(i)
         acc = np.zeros((len(rows), members.size), dtype=np.int64)
         for c0 in range(0, units, step):
             c1 = min(units, c0 + step)
             tile = block[:, c0:c1]
-            tile_bits = min(size, c1 * unit) - c0 * unit
             for r, (storage, first) in enumerate(rows):
                 # The tile [c0, c1) of a row's tiling to `size`.
                 start = c0 % storage.shape[0]
-                acc[r, first:] += kernels.pairwise_or_popcount(
-                    storage[start : start + c1 - c0], tile[first:], tile_bits
+                acc[r, first:] += bitwords.pairwise_or_popcount(
+                    storage[start : start + c1 - c0], tile[first:]
                 )
         ones[np.ix_(row_ids, members)] = acc
     upper, lower = np.triu_indices(k, 1)

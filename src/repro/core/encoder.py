@@ -159,10 +159,8 @@ def encode_passes(
     indices = logical & (array_size - 1)
     bits = BitArray.from_indices(array_size, indices)
     registry = get_registry()
-    registry.counter("core.encode_calls_total", backend=bits.backend).inc()
-    registry.counter(
-        "core.encode_responses_total", backend=bits.backend
-    ).inc(int(ids.size))
+    registry.counter("core.encode_calls_total").inc()
+    registry.counter("core.encode_responses_total").inc(int(ids.size))
     return RsuReport(
         rsu_id=rsu_id, counter=int(ids.size), bits=bits, period=period
     )

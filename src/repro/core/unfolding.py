@@ -11,9 +11,10 @@ the unfolded array preserves the zero-bit *fraction* of the original —
 the property the estimator relies on ("the fraction of zero bits in
 ``B_x^u`` is the same as ``B_x``").
 
-The duplication itself happens at the storage level
-(:meth:`~repro.core.bitarray.BitArray.tile`): the packed backend tiles
-``uint64`` words directly, the legacy backend tiles bools.
+The duplication itself happens on the words
+(:meth:`~repro.core.bitarray.BitArray.tile`): whole ``uint64`` words
+when the size is a multiple of 64 bits, whole bytes when it is a
+multiple of 8 (:func:`repro.core.bitwords.unfold`).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def unfold(array: BitArray, target_size: int) -> BitArray:
             f"{array.size}; the scheme requires power-of-two lengths"
         )
     repeats = target_size // array.size
-    get_registry().counter("core.unfold_total", backend=array.backend).inc()
+    get_registry().counter("core.unfold_total").inc()
     return array.tile(repeats)
 
 
@@ -54,7 +55,5 @@ def unfolded_or(smaller: BitArray, larger: BitArray) -> BitArray:
     """
     if smaller.size > larger.size:
         smaller, larger = larger, smaller
-    get_registry().counter(
-        "core.unfolded_or_total", backend=larger.backend
-    ).inc()
+    get_registry().counter("core.unfolded_or_total").inc()
     return unfold(smaller, larger.size) | larger

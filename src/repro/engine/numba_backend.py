@@ -1,129 +1,10 @@
-"""Optional numba-jitted word backend (auto-registered when importable).
+"""A stub kept for the frozen benchmark harness.
 
-The ROADMAP's native-speed seam, realized as a third backend: identical
-``uint64`` word storage and serialization to
-:class:`~repro.engine.packed.PackedWordBackend` (so wire bytes stay
-byte-identical and the golden pins hold), with the popcount-heavy
-kernels compiled by numba — a SWAR popcount inner loop, a fused
-OR+popcount pair sweep (parallelized across rows with ``prange``), and
-a scalar scatter that skips numpy's ``ufunc.at`` overhead.
-
-numba is **not** a dependency of this repo: the module degrades to
-``HAVE_NUMBA = False`` when the import fails, and
-:mod:`repro.engine` only registers the backend when it is present
-(the CI numba leg installs it and re-runs the differential suite).
-Because the storage layout is inherited unchanged, every op the jit
-does not cover falls back to the packed implementation, and the
-Hypothesis battery in ``tests/test_kernels.py`` holds this backend to
-exact bit-identity with the legacy oracle like any other.
+The numba word backend is deleted: numba is not a dependency and never
+showed a measured win.  ``benchmarks/perf/child.py`` imports
+``HAVE_NUMBA`` to record in each run's host block, and its files stay
+unchanged until ``benchmarks/perf/baseline.json`` is next refreshed, so
+the flag stays until then.
 """
 
-from __future__ import annotations
-
-import numpy as np
-
-from repro.engine.packed import PackedWordBackend
-
-__all__ = ["HAVE_NUMBA", "NumbaWordBackend"]
-
-try:  # pragma: no cover - exercised only on the CI numba leg
-    import numba
-except ImportError:  # numba absent: module stays importable, inert
-    numba = None
-
-HAVE_NUMBA = numba is not None
-
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only on the CI numba leg
-    # SWAR popcount constants as uint64 scalars: numba promotes a
-    # uint64/int-literal mix to float64, which would silently destroy
-    # bit patterns, so every operand is typed explicitly.
-    _M1 = np.uint64(0x5555555555555555)
-    _M2 = np.uint64(0x3333333333333333)
-    _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    _H01 = np.uint64(0x0101010101010101)
-    _S1 = np.uint64(1)
-    _S2 = np.uint64(2)
-    _S4 = np.uint64(4)
-    _S56 = np.uint64(56)
-    _ONE = np.uint64(1)
-
-    @numba.njit(cache=True, inline="always")
-    def _popcount_word(word):
-        word = word - ((word >> _S1) & _M1)
-        word = (word & _M2) + ((word >> _S2) & _M2)
-        word = (word + (word >> _S4)) & _M4
-        return (word * _H01) >> _S56
-
-    @numba.njit(cache=True)
-    def _popcount_sum(words):
-        total = np.uint64(0)
-        for i in range(words.size):
-            total += _popcount_word(words[i])
-        return total
-
-    @numba.njit(cache=True)
-    def _scatter(storage, indices):
-        for i in range(indices.size):
-            index = indices[i]
-            storage[index >> 6] |= _ONE << np.uint64(63 - (index & 63))
-
-    @numba.njit(cache=True, parallel=True)
-    def _pairwise_or_popcount(row, rows):
-        n = rows.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        for j in numba.prange(n):
-            total = np.uint64(0)
-            for k in range(rows.shape[1]):
-                total += _popcount_word(row[k] | rows[j, k])
-            out[j] = np.int64(total)
-        return out
-
-    @numba.njit(cache=True)
-    def _joint_zero_count(a, b, size):
-        total = np.uint64(0)
-        for k in range(a.size):
-            total += _popcount_word(a[k] | b[k])
-        return np.int64(size) - np.int64(total)
-
-    class NumbaWordBackend(PackedWordBackend):
-        """Packed-word storage with numba-compiled hot kernels.
-
-        Storage, serialization, and every op not overridden here are
-        inherited from :class:`PackedWordBackend` verbatim — the two
-        backends are indistinguishable on the wire.
-        """
-
-        name = "numba"
-
-        def count_ones(self, storage: np.ndarray, size: int) -> int:
-            return int(_popcount_sum(storage))
-
-        def set_indices(
-            self, storage: np.ndarray, size: int, indices: np.ndarray
-        ) -> None:
-            _scatter(storage, indices)
-
-        def or_zero_counts(
-            self, row: np.ndarray, rows: np.ndarray, size: int
-        ) -> np.ndarray:
-            return int(size) - _pairwise_or_popcount(row, rows)
-
-    def kernel_table(backend: "NumbaWordBackend"):
-        """The numba backend's kernel table: defaults from the backend
-        (whose overridden methods are already jit-backed) plus a fused
-        allocation-free ``joint_zero_counts``."""
-        from repro.engine import kernels
-
-        def joint_zero_counts(a, b, size):
-            return int(_joint_zero_count(a, b, int(size)))
-
-        return kernels.table_from_backend(backend).with_overrides(
-            joint_zero_counts=joint_zero_counts
-        )
-
-else:
-    NumbaWordBackend = None  # type: ignore[assignment, misc]
-
-    def kernel_table(backend):  # noqa: ARG001 - mirror the jitted signature
-        raise ImportError("numba is not installed")
+HAVE_NUMBA = False

@@ -32,9 +32,9 @@ Three quantities are tracked per day and per policy:
   shrinks ``m_x`` to follow ``f*``.
 
 Every per-day decode is an independent :mod:`repro.runtime` task, and
-the run re-checks the final day's matrices against a serial re-decode
-and against the other bit-storage backend — ``bit_identical`` asserts
-digit-for-digit equality across worker counts and engines.
+the run re-checks the final day's matrices against a serial re-decode —
+``bit_identical`` asserts digit-for-digit equality across worker
+counts.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine import use_backend
 from repro.core.decoder import CentralDecoder
 from repro.core.encoder import encode_passes
 from repro.core.estimator import PairEstimate, ZeroFractionPolicy
@@ -84,7 +83,6 @@ def _decode_day(
     policy: ZeroFractionPolicy,
     sizes: Dict[int, int],
     period: int,
-    backend: str,
 ) -> Matrix:
     """Encode one drifted day at a given size plan and decode all pairs.
 
@@ -92,38 +90,33 @@ def _decode_day(
     re-routes the day's workload from its trip count and seed — names
     travel through pickled process-executor tasks where workload
     objects should not), consumes no ambient randomness, and is
-    therefore bit-identical at any worker count, on either backend.
-    The body runs under ``use_backend(backend)``, so the backend holds
-    in a process worker too.
+    therefore bit-identical at any worker count.
     """
-    with use_backend(backend):
-        workload = get_scenario(scenario).workload(
-            total_trips=trips, seed=workload_seed, period=period
-        )
-        decoder = CentralDecoder(params.s, policy=policy)
-        for rsu_id, (ids, keys) in sorted(workload.passes().items()):
-            decoder.submit(
-                encode_passes(
-                    ids,
-                    keys,
-                    int(rsu_id),
-                    sizes[int(rsu_id)],
-                    params,
-                    period=period,
-                )
+    workload = get_scenario(scenario).workload(
+        total_trips=trips, seed=workload_seed, period=period
+    )
+    decoder = CentralDecoder(params.s, policy=policy)
+    for rsu_id, (ids, keys) in sorted(workload.passes().items()):
+        decoder.submit(
+            encode_passes(
+                ids,
+                keys,
+                int(rsu_id),
+                sizes[int(rsu_id)],
+                params,
+                period=period,
             )
-        return decoder.estimate_matrix(period)
+        )
+    return decoder.estimate_matrix(period)
 
 
 def _day_task(
     spec: DeploymentSpec,
     sizes: Dict[int, int],
     period: int,
-    backend: str,
     label: str,
 ) -> Task:
-    """The decode task for day *period* of *spec* at plan *sizes*, run
-    on the *backend* named."""
+    """The decode task for day *period* of *spec* at plan *sizes*."""
     return Task(
         fn=_decode_day,
         args=(
@@ -134,7 +127,6 @@ def _day_task(
             spec.policy,
             dict(sizes),
             period,
-            backend,
         ),
         label=label,
     )
@@ -230,9 +222,8 @@ class AdaptiveSizingResult:
     attacker_truth: int
     adaptive_empirical_privacy: float
     static_empirical_privacy: float
-    #: Final-day matrices re-checked serially and on the other backend.
+    #: Final-day matrices re-checked serially.
     serial_identical: bool
-    engines_identical: bool
     size_trajectory: List[Dict[int, int]] = field(repr=False, default_factory=list)
     scenario: str = "sioux-falls"
 
@@ -248,8 +239,8 @@ class AdaptiveSizingResult:
 
     @property
     def bit_identical(self) -> bool:
-        """Final matrices identical serially and across backends?"""
-        return self.serial_identical and self.engines_identical
+        """Final matrices identical serially and in parallel?"""
+        return self.serial_identical
 
     def render(self) -> str:
         table = AsciiTable(
@@ -311,9 +302,7 @@ class AdaptiveSizingResult:
         lines.append(
             "determinism       : final matrices "
             + ("bit-identical" if self.serial_identical else "MISMATCH")
-            + " serial vs parallel, "
-            + ("bit-identical" if self.engines_identical else "MISMATCH")
-            + " packed vs legacy backend"
+            + " serial vs parallel"
         )
         return "\n".join(lines)
 
@@ -357,34 +346,24 @@ def run_adaptive_sizing(
     trajectory = spec.size_trajectory()
     static_sizes = trajectory[0]
 
-    # One decode task per (policy, day), plus the final day again on
-    # the legacy backend for the cross-engine check.
+    # One decode task per (policy, day).
     last = periods - 1
     tasks = [
-        _day_task(spec, trajectory[p], p, "packed", f"adaptive:day{p}")
+        _day_task(spec, trajectory[p], p, f"adaptive:day{p}")
         for p in range(periods)
     ]
     tasks += [
-        _day_task(spec, static_sizes, p, "packed", f"static:day{p}")
+        _day_task(spec, static_sizes, p, f"static:day{p}")
         for p in range(periods)
-    ]
-    tasks += [
-        _day_task(spec, trajectory[last], last, "legacy", "adaptive:legacy"),
-        _day_task(spec, static_sizes, last, "legacy", "static:legacy"),
     ]
     decoded = run_tasks(tasks, workers=workers, executor=executor)
     adaptive_matrices = decoded[:periods]
-    static_matrices = decoded[periods : 2 * periods]
-    legacy_adaptive, legacy_static = decoded[2 * periods :]
+    static_matrices = decoded[periods:]
 
     # Determinism: the final day re-decoded inline (serial, one
-    # worker) and on the other backend must match digit for digit.
-    serial = _decode_day(*_day_task(spec, trajectory[last], last, "packed", "x").args)
+    # worker) must match digit for digit.
+    serial = _decode_day(*tasks[last].args)
     serial_identical = serial == adaptive_matrices[last]
-    engines_identical = (
-        legacy_adaptive == adaptive_matrices[last]
-        and legacy_static == static_matrices[last]
-    )
 
     outcomes: List[PeriodOutcome] = []
     for p in range(periods):
@@ -478,7 +457,6 @@ def run_adaptive_sizing(
         adaptive_empirical_privacy=empirical["adaptive"],
         static_empirical_privacy=empirical["static"],
         serial_identical=serial_identical,
-        engines_identical=engines_identical,
         size_trajectory=trajectory,
         scenario=spec.scenario,
     )
@@ -496,14 +474,13 @@ class AdaptiveMatrixResult:
     mean_errors: List[float]
     pairs: List[int]
     serial_identical: bool
-    engines_identical: bool
     size_trajectory: List[Dict[int, int]] = field(repr=False, default_factory=list)
     scenario: str = "sioux-falls"
 
     @property
     def bit_identical(self) -> bool:
-        """Final matrix identical serially and across backends?"""
-        return self.serial_identical and self.engines_identical
+        """Final matrix identical serially and in parallel?"""
+        return self.serial_identical
 
     def render(self) -> str:
         table = AsciiTable(
@@ -535,9 +512,7 @@ class AdaptiveMatrixResult:
         lines.append(
             "determinism       : final matrix "
             + ("bit-identical" if self.serial_identical else "MISMATCH")
-            + " serial vs parallel, "
-            + ("bit-identical" if self.engines_identical else "MISMATCH")
-            + " packed vs legacy backend"
+            + " serial vs parallel"
         )
         return "\n".join(lines)
 
@@ -560,8 +535,7 @@ def run_adaptive_matrix(
     privacy-optimal target, hysteresis 1, max step 1, clamped to
     ``m_o``) so the trajectory matches ``repro loadgen --adaptive``
     for the same flags; per-day decodes are independent runtime tasks
-    and the final day is re-checked serially and on the legacy
-    backend."""
+    and the final day is re-checked serially."""
     spec = DeploymentSpec(
         total_trips=total_trips,
         seed=seed,
@@ -574,14 +548,10 @@ def run_adaptive_matrix(
     trajectory = spec.size_trajectory()
     last = periods - 1
     tasks = [
-        _day_task(spec, trajectory[p], p, "packed", f"matrix:day{p}")
+        _day_task(spec, trajectory[p], p, f"matrix:day{p}")
         for p in range(periods)
     ]
-    tasks.append(
-        _day_task(spec, trajectory[last], last, "legacy", "matrix:legacy")
-    )
-    decoded = run_tasks(tasks, workers=workers, executor=executor)
-    matrices, legacy = decoded[:periods], decoded[periods]
+    matrices = run_tasks(tasks, workers=workers, executor=executor)
     serial = _decode_day(*tasks[last].args)
 
     mean_errors: List[float] = []
@@ -610,7 +580,6 @@ def run_adaptive_matrix(
         mean_errors=mean_errors,
         pairs=pairs,
         serial_identical=serial == matrices[last],
-        engines_identical=legacy == matrices[last],
         size_trajectory=trajectory,
         scenario=spec.scenario,
     )

@@ -89,11 +89,9 @@ def run_overhead(
 ) -> OverheadResult:
     """Measure the three roles across the given array-size exponents.
 
-    Every array is built on the current backend (see
-    :mod:`repro.engine`).  The paper's O(m_y) server-decode claim is
-    about per-bit work, which the ``legacy`` backend exposes directly;
-    under ``packed`` the same sweep shows how far word parallelism
-    pushes out the size at which m dominates fixed costs.
+    The paper's O(m_y) server-decode claim is about per-bit work; on
+    ``uint64`` words, 64 bits per operation, it shows only once m is
+    large enough to outweigh the fixed per-call costs (around 2^20).
     """
     rng = as_generator(seed)
     rows: List[OverheadRow] = []

@@ -31,14 +31,11 @@ Executor semantics
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  Effective when
     tasks release the GIL (numpy-heavy encode/decode); zero pickling
-    cost.  Tasks run in the submitter's :mod:`contextvars` context.
+    cost.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor`.  True
     parallelism for Python-bound work; task functions, arguments and
-    results must be picklable (module-level functions only).  A
-    :func:`repro.engine.use_backend` scope does not cross the process
-    boundary: a task that needs a backend carries its name and enters
-    the scope itself.
+    results must be picklable (module-level functions only).
 
 Nested calls degrade to serial: a ``run_tasks`` reached *inside* a
 worker (thread or process) runs its tasks inline rather than forking a
@@ -58,8 +55,6 @@ per-batch wall-clock histogram, and a last-used worker-count gauge.
 
 from __future__ import annotations
 
-import contextvars
-import functools
 import os
 import threading
 import time
@@ -218,16 +213,11 @@ def resolve_plan(
     return workers, executor
 
 
-def _thread_worker(context: contextvars.Context, task_: Task) -> Any:
-    """Run one task in a thread-pool worker, flagged for the guard.
-
-    The task runs in a copy of the submitter's *context*, so a
-    :func:`repro.engine.use_backend` scope around :func:`run_tasks`
-    holds in thread workers exactly as it does serially.
-    """
+def _thread_worker(task_: Task) -> Any:
+    """Run one task in a thread-pool worker, flagged for the guard."""
     _WORKER_TLS.active = True
     try:
-        return context.copy().run(task_.run)
+        return task_.run()
     finally:
         _WORKER_TLS.active = False
 
@@ -328,10 +318,7 @@ def run_tasks(
         elif executor == "thread":
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 try:
-                    worker = functools.partial(
-                        _thread_worker, contextvars.copy_context()
-                    )
-                    results = _run_pool(pool, worker, task_list)
+                    results = _run_pool(pool, _thread_worker, task_list)
                     completed = len(results)
                 except BaseException:
                     failed += 1

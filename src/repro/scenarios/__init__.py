@@ -12,8 +12,8 @@ tasks.
 
 Determinism contract: ``scenario.workload(total_trips=t, seed=s,
 period=p)`` is a pure function of its arguments, so every scenario
-replays bit-identically across worker counts, executors, and engine
-backends.  ``sioux-falls`` specifically reproduces the historical
+replays bit-identically across worker counts and executors.
+``sioux-falls`` specifically reproduces the historical
 hardcoded Sioux Falls workload byte for byte.
 """
 

@@ -13,7 +13,7 @@ runners, the CLI) now resolves a scenario through
 Determinism is part of the contract: ``workload(total_trips=t,
 seed=s, period=p)`` must be a pure function of its arguments (and the
 scenario's own frozen configuration), so any scenario replays
-bit-identically across worker counts, executors, and engine backends.
+bit-identically across worker counts and executors.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ too, and both hand their counts to one finisher
 (:func:`repro.core.estimator.estimate_pair_matrix`), so
 ``tests/test_streaming.py`` can pin ``live_matrix()`` bit-identical
 to a fresh :meth:`repro.core.decoder.CentralDecoder.estimate_matrix`
-over the same prefix, on both engine backends.
+over the same prefix.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import engine
+from repro.core import bitwords
 from repro.core.bitarray import BitArray
 from repro.core.decoder import CentralDecoder
 from repro.core.estimator import (
@@ -392,9 +392,7 @@ class StreamingDecoder:
         newly = state.ones - before
         if not newly:
             return 0
-        backend = engine.get_backend(state.bits.backend)
-        kernels = engine.get_kernels(backend)
-        own = state.bits._storage_as(backend)
+        own = state.bits.words
         peers_by_size: Dict[int, List[_RsuStream]] = {}
         for other in self._streams[period].values():
             if other is not state:
@@ -402,20 +400,18 @@ class StreamingDecoder:
         pairs = self._pair_zeros[period]
         peers = 0
         for size, group in peers_by_size.items():
-            storages = [other.bits._storage_as(backend) for other in group]
+            storages = [other.bits.words for other in group]
             if size >= state.size:
                 # The merging array, unfolded to the pair size once,
                 # against a stack of the peers: one kernel call.
                 row = own
                 if size > state.size:
-                    row = kernels.unfold(own, state.size, size // state.size)
-                ones = kernels.pairwise_or_popcount(
-                    row, backend.stack(storages, size), size
+                    row = bitwords.unfold(own, state.size, size // state.size)
+                ones = bitwords.pairwise_or_popcount(
+                    row, np.stack(storages)
                 ).tolist()
             else:
-                ones = _tiled_peer_popcounts(
-                    backend, storages, size, own, state.size
-                )
+                ones = _tiled_peer_popcounts(storages, size, own, state.size)
             target = max(state.size, size)
             for other, count in zip(group, ones):
                 pairs[_pair_key(state.rsu_id, other.rsu_id)] = target - count
@@ -616,36 +612,35 @@ class StreamingDecoder:
         return self._decode_reports(period, reports)
 
 
-def _tiled_peer_popcounts(backend, storages, size, large, large_size):
+def _tiled_peer_popcounts(storages, size, large, large_size):
     """Set bits of ``unfold(peer) | large`` for each same-size peer
     smaller than the ``large`` array, without unfolding the peers.
 
     ``unfold(peer) | large`` is ``peer | chunk`` summed over the
     ``large_size / size`` chunks of ``large``.  With the peer size a
-    whole number of storage elements, the chunks are rows of a reshape
-    view, and the kernel calls run over whichever of peers or chunks
-    is fewer.  Otherwise each peer is unfolded.
+    whole number of words, the chunks are rows of a reshape view, and
+    the kernel calls run over whichever of peers or chunks is fewer.
+    Otherwise each peer is unfolded.
     """
-    kernels = engine.get_kernels(backend)
     repeats = large_size // size
-    if size % backend.unit_bits():
+    if size % bitwords.WORD_BITS:
         return [
             large_size
-            - kernels.joint_zero_counts(
-                kernels.unfold(storage, size, repeats), large, large_size
+            - bitwords.joint_zero_counts(
+                bitwords.unfold(storage, size, repeats), large, large_size
             )
             for storage in storages
         ]
     chunks = large.reshape(repeats, -1)
     if len(storages) <= repeats:
         return [
-            int(kernels.pairwise_or_popcount(storage, chunks, size).sum())
+            int(bitwords.pairwise_or_popcount(storage, chunks).sum())
             for storage in storages
         ]
-    stack = backend.stack(storages, size)
-    total = kernels.pairwise_or_popcount(chunks[0], stack, size)
+    stack = np.stack(storages)
+    total = bitwords.pairwise_or_popcount(chunks[0], stack)
     for chunk in chunks[1:]:
-        total = total + kernels.pairwise_or_popcount(chunk, stack, size)
+        total = total + bitwords.pairwise_or_popcount(chunk, stack)
     return total.tolist()
 
 

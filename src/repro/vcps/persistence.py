@@ -15,12 +15,10 @@ Layout::
       reports/p<period>_r<rsu>.bin
 
 Round-trip fidelity (bit arrays byte-identical, estimates equal) is
-pinned by ``tests/test_persistence.py``.  The on-disk format is
-storage-representation agnostic: reports serialize through the wire
-codec regardless of bit-engine backend, and a restored server decodes
-them under the process-default backend (see :mod:`repro.engine`), so a
-directory written under ``legacy`` loads unchanged under ``packed``
-and vice versa.
+pinned by ``tests/test_persistence.py``.  Reports are stored as the
+wire codec's ``np.packbits``-order bytes, not as the in-memory word
+vectors, so the on-disk format does not depend on how
+:class:`~repro.core.bitarray.BitArray` holds its bits.
 """
 
 from __future__ import annotations

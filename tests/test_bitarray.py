@@ -93,6 +93,95 @@ class TestMutation:
         assert array.count_ones() == 0
 
 
+
+class TestNonIntegral:
+    """Sizes, counts and indices are never truncated: ``2.5`` is not
+    ``2``.  Every index entry point rejects exactly as ``set_bits``
+    does, with the same message."""
+
+    @staticmethod
+    def set_bits_message(indices, size=8):
+        with pytest.raises(ValidationError) as caught:
+            BitArray(size).set_bits(indices)
+        return str(caught.value)
+
+    def test_size(self):
+        for build in (
+            lambda: BitArray(2.5),
+            lambda: BitArray.from_bytes(b"\x00", 2.5),
+            lambda: BitArray.or_reduce([], size=2.5),
+            lambda: BitArray("8"),
+        ):
+            with pytest.raises(ConfigurationError, match="must be integral"):
+                build()
+        assert BitArray(np.int64(8)).size == BitArray(8.0).size == 8
+
+    def test_tile_repeats(self):
+        with pytest.raises(ConfigurationError, match="must be integral"):
+            BitArray.from_indices(8, [1]).tile(2.5)
+        assert BitArray.from_indices(8, [1]).tile(2.0).size == 16
+
+    def test_set_bit_matches_set_bits(self):
+        array = BitArray(8)
+        for index in (1.5, 8, -1, "x"):
+            with pytest.raises(ValidationError) as caught:
+                array.set_bit(index)
+            assert str(caught.value) == self.set_bits_message([index])
+        assert array.count_ones() == 0
+        array.set_bit(np.int64(3))
+        array.set_bit(2.0)
+        assert np.flatnonzero(array.bits).tolist() == [2, 3]
+
+    def test_getitem_and_get_bits_match_set_bits(self):
+        array = BitArray.from_indices(8, [1, 7])
+        with pytest.raises(ValidationError) as caught:
+            array[1.7]
+        assert str(caught.value) == self.set_bits_message([1.7])
+        with pytest.raises(ValidationError) as caught:
+            array.get_bits([1.7])
+        assert str(caught.value) == self.set_bits_message([1.7])
+        with pytest.raises(ValidationError) as caught:
+            array.get_bits([8])
+        assert str(caught.value) == self.set_bits_message([8])
+        # Reads wrap negative indices; the range message says so.
+        assert array[-1] == array[7] == 1 and array[np.int64(-7)] == 1
+        with pytest.raises(IndexError, match=r"\[-8, 8\); got range \[-9, -9\]"):
+            array[-9]
+        with pytest.raises(IndexError, match=r"got range \[8, 8\]"):
+            array[8]
+
+    @given(
+        st.one_of(
+            st.integers(-20, 20),
+            st.floats(-20, 20, allow_nan=False),
+            st.integers(-20, 20).map(np.int64),
+        )
+    )
+    def test_set_bit_is_set_bits_of_one(self, index):
+        """The scalar entry point (with its plain-int shortcut) accepts,
+        rejects and sets exactly as the batch entry point."""
+        one, batch = BitArray(16), BitArray(16)
+        try:
+            batch.set_bits([index])
+        except ValidationError as expected:
+            with pytest.raises(ValidationError) as caught:
+                one.set_bit(index)
+            assert str(caught.value) == str(expected)
+        else:
+            one.set_bit(index)
+        assert one == batch
+
+    def test_payload_checks_are_shared(self):
+        # from_bytes and or_bytes reject the same payloads, alike.
+        for data in (b"\x00", b"\x00\x00\x00", b"\xff\xf8"):
+            with pytest.raises(ValidationError) as built:
+                BitArray.from_bytes(data, 12)
+            target = BitArray(12)
+            with pytest.raises(ValidationError) as merged:
+                target.or_bytes(data)
+            assert str(built.value) == str(merged.value)
+            assert target.count_ones() == 0
+
 class TestStatistics:
     def test_zero_fraction(self):
         array = BitArray.from_indices(10, [0, 1, 2])

@@ -2,9 +2,9 @@
 
 ``CentralDecoder.estimate_matrix`` counts every pair's joint zeros at
 the pair's own size, in column tiles gathered from native-size
-storage; ``all_pairs`` unfolds and ORs one pair at a time.  The two
+words; ``all_pairs`` unfolds and ORs one pair at a time.  The two
 must return equal dicts in equal key order, on fleets whose sizes span
-several column tiles, sizes below one storage word, and sizes that
+several column tiles, sizes below one word, and sizes that
 tile without being powers of two.
 """
 
@@ -15,14 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.decoder as decoder_module
+from repro.core import bitwords
 from repro.core.bitarray import BitArray
 from repro.core.decoder import CentralDecoder, joint_zero_matrix
-from repro.engine import use_backend
 from repro.errors import ConfigurationError, SaturatedArrayError
 from repro.core.reports import RsuReport
+from tests.bit_oracle import KERNEL_SETS, kernels
 from tests.streaming_oracle import tiled_joint_zeros
-
-ENGINES = ["packed", "legacy"]
 
 #: Several 2**16-bit column tiles, one word, and sub-word sizes.
 SPANNING = [1 << 18, 1 << 17, 1 << 17, 1 << 16, 1 << 12, 64, 32, 16, 8, 1 << 18]
@@ -49,10 +48,10 @@ def fleet(sizes, seed, *, policy="clamp"):
     return decoder
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", KERNEL_SETS)
 @pytest.mark.parametrize("sizes", [SPANNING, THREES], ids=["pow2", "threes"])
 def test_matrix_equals_all_pairs_in_key_order(engine, sizes):
-    with use_backend(engine):
+    with kernels(engine):
         decoder = fleet(sizes, seed=len(sizes))
         assert list(decoder.estimate_matrix().items()) == list(
             decoder.all_pairs().items()
@@ -61,7 +60,7 @@ def test_matrix_equals_all_pairs_in_key_order(engine, sizes):
 
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
-    engine=st.sampled_from(ENGINES),
+    engine=st.sampled_from(KERNEL_SETS),
     tile=st.sampled_from([64, 128, 1 << 10, 1 << 16]),
 )
 @settings(max_examples=40, deadline=None)
@@ -74,12 +73,8 @@ def test_joint_zeros_equal_brute_force_at_any_tile_width(seed, engine, tile):
         for _ in range(int(rng.integers(2, 9)))
     ]
     arrays = [rng.random(size) < rng.uniform(0.0, 1.0) for size in sizes]
-    with use_backend(engine) as backend, mock.patch.object(
-        decoder_module, "TILE_BITS", tile
-    ):
-        got = joint_zero_matrix(
-            [BitArray.from_bits(bits) for bits in arrays], backend
-        )
+    with kernels(engine), mock.patch.object(decoder_module, "TILE_BITS", tile):
+        got = joint_zero_matrix([BitArray.from_bits(bits) for bits in arrays])
     expected = tiled_joint_zeros(dict(enumerate(arrays)))
     assert got.tolist() == list(expected.values())
 
@@ -118,12 +113,8 @@ def test_invalid_scheme_size_raises_like_the_pair_path():
 @pytest.mark.parametrize("words", [1023, 1024, 4096])
 def test_full_rows_do_not_overflow_the_popcount_accumulator(words):
     """All-ones rows either side of the uint16 accumulator's reach."""
-    from repro.engine import kernels
-
     size = 64 * words
     row = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
     rows = np.stack([row, np.zeros(words, dtype=np.uint64)])
-    counts = kernels.get_kernels("packed").pairwise_or_popcount(
-        row, rows, size
-    )
+    counts = bitwords.pairwise_or_popcount(row, rows)
     assert counts.tolist() == [size, size]

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import engine
 from repro.core.bitarray import BitArray
 from repro.core.parameters import SchemeParameters
 from repro.core.reports import RsuReport
@@ -40,6 +39,7 @@ from repro.vcps.messages import Query, Response
 from repro.vcps.pki import CertificateAuthority
 from repro.vcps.rsu import RoadsideUnit
 from repro.vcps.vehicle import Vehicle
+from tests.bit_oracle import KERNEL_SETS, BoolBits, kernels
 from tests.rsu_oracle import index_batch_ingest
 
 ARRAY_SIZE = 64
@@ -309,7 +309,7 @@ class TestRandomGarbage:
 
 # ----------------------------------------------------------------------
 # Padding contract: from_bytes / or_bytes / zero-copy ingest, fuzzed
-# across every registered kernel backend
+# against the bool oracle on both kernel sets
 # ----------------------------------------------------------------------
 @st.composite
 def sized_payloads(draw):
@@ -328,26 +328,27 @@ def _padding_dirty(size, data):
 
 class TestPaddingRejectionFuzz:
     """Deserialization must reject payloads whose padding bits past
-    ``size`` are set — on every registered backend, because an accepted
-    dirty pad would skew the zero-bit statistics differently per
-    backend and break bit-identity."""
+    ``size`` are set: an accepted dirty pad would skew the zero-bit
+    statistics.  Accepted payloads must decode to the bool oracle's
+    bits, on the word kernels and on the bool ones."""
 
-    @pytest.mark.parametrize("backend", engine.available_backends())
+    @pytest.mark.parametrize("backend", KERNEL_SETS)
     @given(sized_payloads())
     @settings(max_examples=60, deadline=None)
     def test_from_bytes_contract_on_every_backend(self, backend, payload):
         size, data = payload
-        with engine.use_backend(backend):
+        with kernels(backend):
             if _padding_dirty(size, data):
                 with pytest.raises(ValidationError):
                     BitArray.from_bytes(data, size)
                 return
             array = BitArray.from_bytes(data, size)
-        assert array.backend == backend
-        assert array.to_bytes() == data
+        oracle = BoolBits.from_bytes(data, size)
+        assert array.to_bytes() == oracle.to_bytes() == data
+        assert np.array_equal(array.bits, oracle.bits)
         assert array.count_ones() == sum(bin(byte).count("1") for byte in data)
 
-    @pytest.mark.parametrize("backend", engine.available_backends())
+    @pytest.mark.parametrize("backend", KERNEL_SETS)
     @given(sized_payloads(), st.sampled_from([-2, -1, 1, 2]))
     @settings(max_examples=40, deadline=None)
     def test_wrong_length_rejected_on_every_backend(
@@ -355,23 +356,27 @@ class TestPaddingRejectionFuzz:
     ):
         size, data = payload
         resized = data[:delta] if delta < 0 else data + b"\x00" * delta
-        with engine.use_backend(backend), pytest.raises(ValidationError):
+        with kernels(backend), pytest.raises(ValidationError):
             BitArray.from_bytes(resized, size)
 
-    @pytest.mark.parametrize("backend", engine.available_backends())
-    @given(sized_payloads())
+    @pytest.mark.parametrize("backend", KERNEL_SETS)
+    @given(sized_payloads(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_or_bytes_contract_on_every_backend(self, backend, payload):
-        size, data = payload
-        with engine.use_backend(backend):
-            array = BitArray(size)
-        if _padding_dirty(size, data):
-            with pytest.raises(ValidationError):
-                array.or_bytes(data)
-            assert array.count_ones() == 0, "rejected payload mutated state"
-        else:
-            array.or_bytes(data)
-            assert array.to_bytes() == data
+    def test_or_bytes_contract_on_every_backend(self, backend, payload, data):
+        size, incoming = payload
+        indices = data.draw(st.lists(st.integers(0, size - 1), max_size=size))
+        oracle = BoolBits.from_indices(size, indices)
+        with kernels(backend):
+            array = BitArray.from_indices(size, indices)
+            before = array.to_bytes()
+            if _padding_dirty(size, incoming):
+                with pytest.raises(ValidationError):
+                    array.or_bytes(incoming)
+                assert array.to_bytes() == before, "rejected payload mutated state"
+                return
+            array.or_bytes(incoming)
+        oracle.or_bytes(incoming)
+        assert array.to_bytes() == oracle.to_bytes()
 
     def test_snapshot_with_dirty_padding_is_rejected(self):
         """A hostile period snapshot whose pad bits are set dies in the
@@ -394,7 +399,7 @@ class TestPaddingRejectionFuzz:
         decoded, _ = wire.decode_frame(wire.encode_frame(clean))
         assert decoded.to_report().bits == _report().bits
 
-    @pytest.mark.parametrize("backend", engine.available_backends())
+    @pytest.mark.parametrize("backend", KERNEL_SETS)
     @given(
         st.integers(min_value=0, max_value=2**31),
         st.integers(min_value=1, max_value=200),
@@ -406,7 +411,7 @@ class TestPaddingRejectionFuzz:
         """The zero-copy admission path must make byte-identical
         accept/reject decisions to the validated path
         (``tests/rsu_oracle.py``), for any mix of
-        vendor MACs and out-of-range indices, on every backend."""
+        vendor MACs and out-of-range indices, on both kernel sets."""
         rng = np.random.default_rng(seed)
         m = 64
         macs = random_macs(count, seed=rng)
@@ -414,15 +419,15 @@ class TestPaddingRejectionFuzz:
         macs[vendor] &= ~np.uint64(0x02_00_00_00_00_00)
         indices = rng.integers(0, 2 * m, size=count, dtype=np.uint32)
         ca = CertificateAuthority(seed=1)
-        with engine.use_backend(backend):
+        with kernels(backend):
             validated = RoadsideUnit(1, m, ca.issue(1))
             zero_copy = RoadsideUnit(1, m, ca.issue(1))
-        index_batch_ingest(
-            validated, macs.astype(np.uint64), indices.astype(np.int64)
-        )
-        zero_copy.handle_wire_batch(
-            macs.astype(">u8"), indices.astype(">u4")
-        )
+            index_batch_ingest(
+                validated, macs.astype(np.uint64), indices.astype(np.int64)
+            )
+            zero_copy.handle_wire_batch(
+                macs.astype(">u8"), indices.astype(">u4")
+            )
         assert zero_copy.counter == validated.counter
         assert (
             zero_copy.rejected_responses == validated.rejected_responses

@@ -93,9 +93,9 @@ class TestDocumentation:
 
 class TestRemovedSurface:
     """The 1.x aliases deleted in 2.0.0, the duplicate live-plane
-    surface deleted in 3.0.0 and the second load generator deleted in
-    4.0.0 stay deleted (each CHANGELOG maps them to their
-    replacements)."""
+    surface deleted in 3.0.0, the second load generator deleted in
+    4.0.0 and the bit-engine backends deleted in 5.0.0 stay deleted
+    (each CHANGELOG maps them to their replacements)."""
 
     @pytest.mark.parametrize(
         "module_name,path",
@@ -128,6 +128,17 @@ class TestRemovedSurface:
             ("repro.service.collector", "CollectorService._journal_window"),
             ("repro.service.collector", "CollectorService._journal_sizes"),
             ("repro.vcps.rsu", "RoadsideUnit.handle_index_batch"),
+            ("repro.engine", "use_backend"),
+            ("repro.engine", "get_backend"),
+            ("repro.engine", "get_kernels"),
+            ("repro.engine", "register_backend"),
+            ("repro.engine", "available_backends"),
+            ("repro.engine", "BitBackend"),
+            ("repro.engine", "KernelTable"),
+            ("repro.engine", "ENV_VAR"),
+            ("repro.engine.numba_backend", "NumbaWordBackend"),
+            ("repro.core.bitarray", "BitArray.backend"),
+            ("repro.core.bitarray", "BitArray._storage_as"),
         ],
     )
     def test_name_is_gone(self, module_name, path):
@@ -136,6 +147,20 @@ class TestRemovedSurface:
         for parent in parents:
             owner = getattr(owner, parent)
         assert not hasattr(owner, name)
+
+    @pytest.mark.parametrize(
+        "module_name",
+        [
+            "repro.engine.backend",
+            "repro.engine.kernels",
+            "repro.engine.legacy",
+            "repro.engine.packed",
+        ],
+    )
+    def test_engine_modules_are_gone(self, module_name):
+        """One word representation since 5.0.0 (CHANGELOG 5.0.0)."""
+        with pytest.raises(ImportError):
+            importlib.import_module(module_name)
 
     def test_baseline_sizing_module_is_gone(self):
         with pytest.raises(ImportError):
@@ -156,3 +181,16 @@ class TestRemovedSurface:
 
         names = {f.name for f in dataclasses.fields(LoadgenResult)}
         assert "pair_mismatches" in names and "mismatches" not in names
+
+    def test_adaptive_results_have_no_engine_verdict(self):
+        import dataclasses
+
+        from repro.experiments.adaptive_sizing import (
+            AdaptiveMatrixResult,
+            AdaptiveSizingResult,
+        )
+
+        for result in (AdaptiveSizingResult, AdaptiveMatrixResult):
+            names = {f.name for f in dataclasses.fields(result)}
+            assert "serial_identical" in names
+            assert "engines_identical" not in names

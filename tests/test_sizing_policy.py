@@ -13,7 +13,7 @@ hand-picked volumes):
 
 The second half pins the multi-period *size trajectory* and the
 decoded matrices: identical for any worker count, any executor, and
-both bit-storage backends.
+on both kernel sets (the word kernels and the bool oracle's).
 """
 
 import pytest
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import SchemeConfig
 from repro.core.estimator import ZeroFractionPolicy
-from repro.engine import use_backend
 from repro.core.sizing import (
     MIN_ARRAY_SIZE,
     AdaptiveSizing,
@@ -32,6 +31,7 @@ from repro.core.sizing import (
 )
 from repro.experiments.adaptive_sizing import run_adaptive_matrix
 from repro.service.runtime import DeploymentSpec
+from tests.bit_oracle import kernels
 
 volumes = st.floats(min_value=0.0, max_value=1e7, allow_nan=False)
 load_factors = st.floats(min_value=0.05, max_value=64.0, allow_nan=False)
@@ -143,7 +143,7 @@ class TestAdaptiveGuards:
 
 class TestTrajectoryDeterminism:
     """ISSUE acceptance: identical size trajectories and bit-identical
-    matrices at any worker count, on any executor, on both backends."""
+    matrices at any worker count, on any executor, on both kernel sets."""
 
     SPEC = dict(total_trips=900, seed=13, periods=3, drift=-0.5)
 
@@ -164,14 +164,13 @@ class TestTrajectoryDeterminism:
         assert result.bit_identical
 
     def test_golden_is_bit_identical(self, golden):
-        # run_adaptive_matrix itself re-checks the final day serially
-        # and on the legacy backend.
+        # run_adaptive_matrix itself re-checks the final day serially.
         assert golden.serial_identical
-        assert golden.engines_identical
 
     @pytest.mark.parametrize("engine", ["packed", "legacy"])
     def test_trajectory_independent_of_backend(self, engine):
-        with use_backend(engine):
+        # ``legacy`` runs the whole trajectory on the bool kernels.
+        with kernels(engine):
             spec = DeploymentSpec(
                 config=SchemeConfig(s=2, policy=ZeroFractionPolicy.CLAMP),
                 adaptive=True,

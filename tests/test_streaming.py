@@ -2,7 +2,8 @@
 
 The tentpole claim is exact: any prefix or window of a streaming
 decode must be **bit-identical** to a batch decode over the same
-responses — no tolerance, on both engine backends.  Hypothesis drives
+responses — no tolerance, on both kernel sets (the word kernels and
+the bool oracle's, ``tests/bit_oracle.py``).  Hypothesis drives
 randomized response sequences and batch splits against that claim;
 the remaining classes pin window-boundary semantics, out-of-order
 arrival, period rotation, the federation OR-merge path (with WAL
@@ -21,7 +22,6 @@ from repro.core.decoder import CentralDecoder
 from repro.core.estimator import ZeroFractionPolicy
 from repro.core.reports import RsuReport
 from repro.core.sizing import StaticSizing
-from repro.engine import use_backend
 from repro.errors import ConfigurationError
 from repro.federation.wal import WriteAheadLog
 from repro.obs import MetricsRegistry
@@ -30,9 +30,9 @@ from repro.service import wire
 from repro.service.collector import CollectorService
 from repro.streaming import StreamingDecoder, window_for
 from repro.vcps.server import CentralServer
+from tests.bit_oracle import KERNEL_SETS, kernels
 
 DATA = pathlib.Path(__file__).parent / "data"
-ENGINES = ["packed", "legacy"]
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +134,7 @@ def stream_scenario(sizes, batches, *, windows=3):
 class TestDifferentialPrefix:
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
-        engine=st.sampled_from(ENGINES),
+        engine=st.sampled_from(KERNEL_SETS),
         cut=st.floats(min_value=0.0, max_value=1.0),
     )
     @settings(max_examples=20, deadline=None)
@@ -143,20 +143,20 @@ class TestDifferentialPrefix:
         matrix equals a fresh batch decode over exactly that prefix."""
         sizes, batches = make_scenario(seed)
         prefix = batches[: int(round(cut * len(batches)))]
-        with use_backend(engine):
+        with kernels(engine):
             decoder = stream_scenario(sizes, prefix)
             assert decoder.live_matrix() == batch_reference(sizes, prefix)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
-        engine=st.sampled_from(ENGINES),
+        engine=st.sampled_from(KERNEL_SETS),
     )
     @settings(max_examples=20, deadline=None)
     def test_running_joint_zeros_track_ground_truth(self, seed, engine):
         """The incremental per-pair counts equal brute-force tiling
         after every single batch, not just at the end."""
         sizes, batches = make_scenario(seed, rsus=3)
-        with use_backend(engine):
+        with kernels(engine):
             decoder = stream_scenario(sizes, [])
             for stop in range(len(batches) + 1):
                 if stop:
@@ -173,8 +173,8 @@ class TestDifferentialPrefix:
     def test_backends_agree_exactly(self, seed):
         sizes, batches = make_scenario(seed)
         matrices = []
-        for engine in ENGINES:
-            with use_backend(engine):
+        for engine in KERNEL_SETS:
+            with kernels(engine):
                 matrices.append(stream_scenario(sizes, batches).live_matrix())
         assert matrices[0] == matrices[1]
 
@@ -183,17 +183,12 @@ class TestDifferentialPrefix:
         """The whole differential check runs clean through run_tasks at
         1 and 2 workers — streaming state is per-task, never shared."""
 
-        def check(seed, engine):
+        def check(seed):
             sizes, batches = make_scenario(seed)
-            with use_backend(engine):
-                decoder = stream_scenario(sizes, batches)
-                return decoder.live_matrix() == batch_reference(sizes, batches)
+            decoder = stream_scenario(sizes, batches)
+            return decoder.live_matrix() == batch_reference(sizes, batches)
 
-        tasks = [
-            task(check, seed, engine)
-            for seed in range(6)
-            for engine in ENGINES
-        ]
+        tasks = [task(check, seed) for seed in range(12)]
         results = run_tasks(tasks, workers=workers, executor="thread")
         assert results == [True] * len(tasks)
 
@@ -218,24 +213,24 @@ class TestWindowEdges:
         with pytest.raises(ConfigurationError):
             window_for(1.0, 0.0, 4)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", KERNEL_SETS)
     def test_empty_window_decodes_like_empty_reports(self, engine):
         sizes, batches = make_scenario(7, windows=3)
         only_w0 = [(r, idx, 0) for r, idx, _w in batches]
-        with use_backend(engine):
+        with kernels(engine):
             decoder = stream_scenario(sizes, only_w0)
             empty = batch_reference(sizes, [])
             assert decoder.window_matrix(window=1) == empty
             assert decoder.window_matrix(window=2) == empty
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", KERNEL_SETS)
     def test_out_of_order_windows_decode_identically(self, engine):
         """Late and out-of-order batches within a period change no
         answer — the running state is an OR."""
         sizes, batches = make_scenario(11, windows=3)
         shuffled = list(batches)
         np.random.default_rng(99).shuffle(shuffled)
-        with use_backend(engine):
+        with kernels(engine):
             a = stream_scenario(sizes, batches)
             b = stream_scenario(sizes, shuffled)
             assert a.live_matrix() == b.live_matrix()

@@ -5,7 +5,8 @@ running state and recount each of its pairs with word operations.
 Every step of a random day must leave ``joint_zeros()`` equal to both
 the per-bit gather the seal used to run (``tests/streaming_oracle.py``)
 and a brute-force unfold + OR + count, and the live matrix equal to a
-batch decode of the same arrays, key order included.
+batch decode of the same arrays, key order included, on both kernel
+sets (the word kernels and the bool oracle's, ``tests/bit_oracle.py``).
 """
 
 import numpy as np
@@ -16,13 +17,12 @@ from repro.core.bitarray import BitArray
 from repro.core.decoder import CentralDecoder
 from repro.core.estimator import ZeroFractionPolicy
 from repro.core.reports import RsuReport
-from repro.engine import use_backend
 from repro.errors import SaturatedArrayError
 from repro.obs import MetricsRegistry
 from repro.streaming import StreamingDecoder
+from tests.bit_oracle import KERNEL_SETS, kernels
 from tests.streaming_oracle import GatherOracle, tiled_joint_zeros
 
-ENGINES = ["packed", "legacy"]
 MODES = ["seal-only", "stream-then-seal", "partials", "resize"]
 
 
@@ -121,12 +121,12 @@ class TestSealDifferential:
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
         mode=st.sampled_from(MODES),
-        engine=st.sampled_from(ENGINES),
+        engine=st.sampled_from(KERNEL_SETS),
     )
     @settings(max_examples=60, deadline=None)
     def test_every_step_matches_the_gather_oracle(self, seed, mode, engine):
         sizes, ops = random_day(seed, mode)
-        with use_backend(engine):
+        with kernels(engine):
             decoder = StreamingDecoder(
                 s=2,
                 policy=ZeroFractionPolicy.CLAMP,
@@ -144,7 +144,7 @@ class TestSealDifferential:
                 batch_matrix(decoder, oracle).items()
             )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", KERNEL_SETS)
     @pytest.mark.parametrize("peer_size", [16, 128])
     def test_many_smaller_peers(self, engine, peer_size):
         """More same-size smaller peers than tile repeats, at a word
@@ -157,7 +157,7 @@ class TestSealDifferential:
             s=2, policy="clamp", registry=MetricsRegistry()
         )
         oracle = GatherOracle()
-        with use_backend(engine):
+        with kernels(engine):
             for rsu_id, size in sizes.items():
                 bits = rng.random(size) < 0.4
                 op = ("seal", rsu_id, size, bits, int(bits.sum()))
@@ -169,14 +169,14 @@ class TestSealDifferential:
                 assert decoder.joint_zeros() == oracle.pairs
         assert oracle.pairs == tiled_joint_zeros(oracle.arrays)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", KERNEL_SETS)
     def test_resealing_the_same_report_changes_nothing(self, engine):
         sizes, ops = random_day(5, "seal-only")
         decoder = StreamingDecoder(
             s=2, policy="clamp", registry=MetricsRegistry()
         )
         oracle = GatherOracle()
-        with use_backend(engine):
+        with kernels(engine):
             for op in ops:
                 apply(op, decoder, oracle, sizes)
             before = decoder.joint_zeros()
