@@ -90,7 +90,7 @@ def _kernel_timings(rng):
         "popcount": _best(lambda: bitwords.popcount(filled)),
         "unfold": _best(lambda: bitwords.unfold(small, M // 16, 16)),
         "joint_zero_counts": _best(
-            lambda: bitwords.joint_zero_counts(filled, others[0], M)
+            lambda: bitwords.joint_zero_counts(filled, M, others[0], M)
         ),
         "pairwise_or_popcount": _best(
             lambda: bitwords.pairwise_or_popcount(filled, rows)

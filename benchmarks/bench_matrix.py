@@ -56,7 +56,7 @@ def _decode_fleet(*, k, max_exponent, seed=29):
     """A decoder loaded with *k* random reports (sizes spanning a
     16x range up to ``2**max_exponent``)."""
     rng = np.random.default_rng(seed)
-    decoder = CentralDecoder(2, policy="clamp", memo_capacity=4 * k)
+    decoder = CentralDecoder(2, policy="clamp")
     for rsu_id in range(1, k + 1):
         size = 1 << (max_exponent - (rsu_id % 5))
         bits = rng.random(size) < 0.35
@@ -85,7 +85,6 @@ def test_all_pairs_decode_speedup():
     max_exponent = 16 if smoke else 20
     repeats = 2 if smoke else 3
     decoder = _decode_fleet(k=k, max_exponent=max_exponent)
-    decoder.all_pairs()  # warm the unfold memos before timing
     t_scalar, ref = _best_of(decoder.all_pairs, repeats)
     t_matrix, out = _best_of(decoder.estimate_matrix, repeats)
     assert out == ref, "estimate_matrix diverged from all_pairs"

@@ -28,6 +28,9 @@ Costs
 * OR / AND: one vectorized word op over ``m / 64`` words;
 * zero count: vectorized popcount (``np.bitwise_count`` where numpy
   provides it, a byte lookup table otherwise);
+* joint zero count (``U_c``): the larger array viewed in chunks of the
+  smaller one's words, ORed and counted; only sizes below 64 bits are
+  unfolded first;
 * unfold (Eq. 3): word tile when ``m % 64 == 0``, byte tile when
   ``m % 8 == 0``, bool round trip for odd ablation sizes;
 * index scatter (Eq. 2): ``bitwise_or.at`` for sparse batches, a
@@ -47,6 +50,7 @@ __all__ = [
     "get_bit",
     "get_bits",
     "joint_zero_counts",
+    "joint_zero_stack",
     "or_bytes",
     "or_reduce",
     "pairwise_or_popcount",
@@ -185,9 +189,57 @@ def _popcount_rows(matrix: np.ndarray) -> np.ndarray:
     return _POPCOUNT_TABLE[as_bytes].sum(axis=1, dtype=np.int64)
 
 
-def joint_zero_counts(a: np.ndarray, b: np.ndarray, size: int) -> int:
-    """Zero bits of ``a | b``: one pair's ``U_c``, inputs untouched."""
-    return int(size) - popcount(a | b)
+def _tiling(small: np.ndarray, small_size: int, large_size: int) -> np.ndarray:
+    """The row whose repeats tile *small* out to *large_size* bits: its
+    own words when *small_size* is a whole number of words, else (sizes
+    below 64 bits) the full unfolding, one repeat."""
+    if int(small_size) % WORD_BITS:
+        return unfold(small, small_size, int(large_size) // int(small_size))
+    return small
+
+
+def joint_zero_counts(
+    small: np.ndarray, small_size: int, large: np.ndarray, large_size: int
+) -> int:
+    """One pair's ``U_c``: zero bits of ``unfold(small) | large``.
+
+    ``unfold(small)[i] = small[i mod m_small]`` (Eq. 3), so the joint
+    array is *large* cut into ``m_large / m_small`` chunks of *small*'s
+    word length, each ORed with *small*: a reshape view, no unfolded
+    copy.  *small_size* must divide *large_size* (equal sizes are one
+    OR); the inputs are untouched.
+    """
+    row = _tiling(small, small_size, large_size)
+    return int(large_size) - popcount(large.reshape(-1, row.size) | row)
+
+
+def joint_zero_stack(
+    row: np.ndarray, row_size: int, stack: np.ndarray, stack_size: int
+) -> np.ndarray:
+    """:func:`joint_zero_counts` of *row* against every row of the 2-D
+    word *stack* (``int64``), each pair at the larger of the two sizes.
+
+    When *row* is the smaller side, every stack row is viewed in
+    chunks of *row*'s tiling and the stack is counted in one pass.
+    When the stack rows are the smaller side, the work loops over
+    whichever of stack rows or *row*'s chunks is fewer, so no
+    temporary outgrows the larger of the stack and *row*.
+    """
+    if row_size <= stack_size:
+        tile = _tiling(row, row_size, stack_size)
+        joint = stack.reshape(stack.shape[0], -1, tile.size) | tile
+        return int(stack_size) - _popcount_rows(joint.reshape(stack.shape[0], -1))
+    repeats = int(row_size) // int(stack_size)
+    if int(stack_size) % WORD_BITS or stack.shape[0] <= repeats:
+        return np.array(
+            [joint_zero_counts(small, stack_size, row, row_size) for small in stack],
+            dtype=np.int64,
+        )
+    chunks = row.reshape(repeats, -1)
+    ones = pairwise_or_popcount(chunks[0], stack)
+    for chunk in chunks[1:]:
+        ones += pairwise_or_popcount(chunk, stack)
+    return int(row_size) - ones
 
 
 def pairwise_or_popcount(row: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ drive it directly.
 Two decode paths produce bit-identical :class:`PairEstimate` values:
 
 * :meth:`CentralDecoder.pair_estimate` / :meth:`CentralDecoder.all_pairs`
-  — the scalar reference path, one unfold-OR-count per pair;
+  — the scalar reference path, one tiled OR-count per pair
+  (:func:`~repro.core.estimator.estimate_intersection`);
 * :meth:`CentralDecoder.estimate_matrix` — the vectorized path: the
   pairs are blocked by their size ``m_y``, each block's arrays are
   stacked at native size, and every pair's ``U_c`` at ``m_y`` falls
@@ -20,7 +21,6 @@ Two decode paths produce bit-identical :class:`PairEstimate` values:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -38,10 +38,10 @@ from repro.core.bitarray import BitArray
 from repro.core.estimator import (
     PairEstimate,
     _observed_fraction,
+    estimate_intersection,
     estimate_pair_matrix,
 )
 from repro.core.reports import RsuReport
-from repro.core.unfolding import unfold
 from repro.errors import ConfigurationError, EstimationError
 from repro.obs import get_registry
 from repro.utils.arrays import sorted_unique
@@ -51,8 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["CentralDecoder", "joint_zero_matrix"]
 
-#: Default bound on memoized unfolded arrays (see ``memo_capacity``).
-DEFAULT_MEMO_CAPACITY = 128
+_DISTINCT_RSUS = (
+    "point-to-point volume requires two distinct RSUs; the point "
+    "volume of a single RSU is its counter"
+)
 
 #: Column tile of :func:`joint_zero_matrix`, in bits: 1,024 packed
 #: words, 8 KiB a row, so a tile of a few dozen rows plus its
@@ -63,15 +65,12 @@ TILE_BITS = 1 << 16
 class CentralDecoder:
     """Stores RSU reports and computes pairwise intersection estimates.
 
-    Repeated pair queries re-unfold each array once per *target size*
-    rather than once per pair: unfolded arrays are memoized per
-    ``(period, rsu_id, size)`` in a small LRU (capacity
-    ``memo_capacity``), which turns the ``O(k² · m)`` matrix pass into
-    ``O(k² · m)`` ORs plus only ``O(k · log(sizes) · m)`` unfolds.
-    Evictions are visible as the ``core.decoder_memo_evictions_total``
-    counter.  For the full matrix, prefer :meth:`estimate_matrix`,
-    which batches the per-pair work into a handful of vectorized numpy
-    passes (``benchmarks/bench_matrix.py`` measures both paths).
+    A pair query is :func:`~repro.core.estimator.estimate_intersection`
+    over the two stored reports: one reshape-tiled OR + popcount over
+    the larger array's words, with nothing unfolded or cached.  For
+    the full matrix, prefer :meth:`estimate_matrix`, which batches the
+    per-pair work into a handful of vectorized numpy passes
+    (``benchmarks/bench_matrix.py`` measures both paths).
 
     Parameters
     ----------
@@ -83,8 +82,6 @@ class CentralDecoder:
         A :class:`~repro.core.config.SchemeConfig` providing defaults
         for ``s`` and ``policy``; explicit arguments
         override it.
-    memo_capacity:
-        Maximum number of unfolded arrays kept in the LRU memo.
     """
 
     def __init__(
@@ -93,24 +90,14 @@ class CentralDecoder:
         *,
         policy: Optional["PolicyLike"] = None,
         config: Optional["SchemeConfig"] = None,
-        memo_capacity: int = DEFAULT_MEMO_CAPACITY,
     ) -> None:
         from repro.core.config import resolve_config
 
         resolved = resolve_config(config, s=s, policy=policy)
         self.s = int(resolved.s)
         self.policy = resolved.policy
-        if memo_capacity < 1:
-            raise ConfigurationError(
-                f"memo_capacity must be >= 1, got {memo_capacity}"
-            )
-        self.memo_capacity = int(memo_capacity)
         # (period, rsu_id) -> report
         self._reports: Dict[Tuple[int, int], RsuReport] = {}
-        # (period, rsu_id, target_size) -> unfolded bit array, LRU order
-        self._unfold_cache: "OrderedDict[Tuple[int, int, int], BitArray]" = (
-            OrderedDict()
-        )
 
     # ------------------------------------------------------------------
     # Report ingestion
@@ -118,34 +105,6 @@ class CentralDecoder:
     def submit(self, report: RsuReport) -> None:
         """Store one RSU's report for its period (latest wins)."""
         self._reports[(report.period, report.rsu_id)] = report
-        # A replaced report invalidates its cached unfoldings.
-        stale = [
-            key
-            for key in self._unfold_cache
-            if key[0] == report.period and key[1] == report.rsu_id
-        ]
-        for key in stale:
-            del self._unfold_cache[key]
-
-    def _unfolded(self, report: RsuReport, target_size: int) -> BitArray:
-        """Memoized ``unfold(report.bits, target_size)`` (bounded LRU)."""
-        if target_size == report.array_size:
-            return report.bits
-        key = (report.period, report.rsu_id, target_size)
-        cached = self._unfold_cache.get(key)
-        if cached is None:
-            get_registry().counter("decoder.unfold_cache_misses_total").inc()
-            cached = unfold(report.bits, target_size)
-            self._unfold_cache[key] = cached
-            while len(self._unfold_cache) > self.memo_capacity:
-                self._unfold_cache.popitem(last=False)
-                get_registry().counter(
-                    "core.decoder_memo_evictions_total"
-                ).inc()
-        else:
-            get_registry().counter("decoder.unfold_cache_hits_total").inc()
-            self._unfold_cache.move_to_end(key)
-        return cached
 
     def submit_many(self, reports: Iterable[RsuReport]) -> None:
         """Store a batch of reports."""
@@ -171,6 +130,18 @@ class CentralDecoder:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _query_ids(
+        self, period: int, rsu_ids: Optional[List[int]]
+    ) -> List[int]:
+        """The sorted RSUs a matrix query covers: *rsu_ids*, or every
+        reporter in *period*.  A repeated id would be a self-pair."""
+        if rsu_ids is None:
+            return self.rsu_ids(period)
+        ids = sorted(rsu_ids)
+        if any(a == b for a, b in zip(ids, ids[1:])):
+            raise EstimationError(_DISTINCT_RSUS)
+        return ids
+
     def point_volume(self, rsu_id: int, period: int = 0) -> int:
         """The exact point volume ``n_x`` from the RSU counter."""
         return self.report_for(rsu_id, period).counter
@@ -180,52 +151,12 @@ class CentralDecoder:
     ) -> PairEstimate:
         """Estimate the point-to-point volume between two RSUs (Eq. 5)."""
         if rsu_x == rsu_y:
-            raise EstimationError(
-                "point-to-point volume requires two distinct RSUs; the point "
-                "volume of a single RSU is its counter"
-            )
-        report_x = self.report_for(rsu_x, period)
-        report_y = self.report_for(rsu_y, period)
-        if report_x.array_size > report_y.array_size:
-            report_x, report_y = report_y, report_x
-        # Same computation as estimate_intersection, but the unfolding
-        # of the smaller array is memoized across queries and the joint
-        # statistic comes from one fused OR+popcount kernel — no joint
-        # BitArray is materialized.
-        from repro.core.estimator import (
-            ZeroFractionPolicy,
-            estimate_from_fractions,
-        )
-        from repro.errors import SaturatedArrayError
-
-        unfolded = self._unfolded(report_x, report_y.array_size)
-        m_y = report_y.array_size
-        zeros = bitwords.joint_zero_counts(
-            unfolded.words, report_y.bits.words, m_y
-        )
-        if zeros == 0:
-            if self.policy is ZeroFractionPolicy.RAISE:
-                raise SaturatedArrayError(
-                    f"bit array of size {m_y} is saturated (no zero bits)"
-                )
-            v_c = 0.5 / m_y
-        else:
-            v_c = zeros / m_y
-        v_x = _observed_fraction(report_x.bits, self.policy)
-        v_y = _observed_fraction(report_y.bits, self.policy)
-        n_c_hat = estimate_from_fractions(
-            v_c, v_x, v_y, report_y.array_size, self.s
-        )
-        return PairEstimate(
-            value=n_c_hat,
-            v_c=v_c,
-            v_x=v_x,
-            v_y=v_y,
-            m_x=report_x.array_size,
-            m_y=report_y.array_size,
-            n_x=report_x.counter,
-            n_y=report_y.counter,
-            s=self.s,
+            raise EstimationError(_DISTINCT_RSUS)
+        return estimate_intersection(
+            self.report_for(rsu_x, period),
+            self.report_for(rsu_y, period),
+            self.s,
+            policy=self.policy,
         )
 
     def all_pairs(
@@ -239,7 +170,7 @@ class CentralDecoder:
         bit) with vectorized batch work and should be preferred for
         full-matrix consumers.
         """
-        ids = self.rsu_ids(period) if rsu_ids is None else sorted(rsu_ids)
+        ids = self._query_ids(period, rsu_ids)
         results: Dict[Tuple[int, int], PairEstimate] = {}
         for i, rsu_x in enumerate(ids):
             for rsu_y in ids[i + 1 :]:
@@ -257,9 +188,9 @@ class CentralDecoder:
         :func:`~repro.core.estimator.estimate_pair_matrix` turns the
         counts into estimates.  The counts, the fractions and so the
         :class:`PairEstimate` fields match the per-pair path digit for
-        digit.  The unfold memo is not used.
+        digit.
         """
-        ids = self.rsu_ids(period) if rsu_ids is None else sorted(rsu_ids)
+        ids = self._query_ids(period, rsu_ids)
         if len(ids) < 2:
             return {}
         reports = [self.report_for(rsu_id, period) for rsu_id in ids]

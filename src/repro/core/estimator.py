@@ -30,10 +30,10 @@ from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core import bitwords
 from repro.core.bitarray import BitArray
 from repro.core.reports import RsuReport
 from repro.core.results import Estimate
-from repro.core.unfolding import unfolded_or
 from repro.errors import ConfigurationError, EstimationError, SaturatedArrayError
 from repro.utils.arrays import sorted_unique
 from repro.utils.mathx import log_pow_one_minus
@@ -241,16 +241,20 @@ def estimate_pair_matrix(
     return results
 
 
-def _observed_fraction(bits: BitArray, policy: ZeroFractionPolicy) -> float:
-    """Zero fraction of *bits*, applying the saturation *policy*."""
-    zeros = bits.count_zeros()
+def _zero_fraction(zeros: int, size: int, policy: ZeroFractionPolicy) -> float:
+    """``zeros / size``, applying the saturation *policy* at zero."""
     if zeros == 0:
         if policy is ZeroFractionPolicy.RAISE:
             raise SaturatedArrayError(
-                f"bit array of size {bits.size} is saturated (no zero bits)"
+                f"bit array of size {size} is saturated (no zero bits)"
             )
-        return 0.5 / bits.size
-    return zeros / bits.size
+        return 0.5 / size
+    return zeros / size
+
+
+def _observed_fraction(bits: BitArray, policy: ZeroFractionPolicy) -> float:
+    """Zero fraction of *bits*, applying the saturation *policy*."""
+    return _zero_fraction(bits.count_zeros(), bits.size, policy)
 
 
 @dataclass(frozen=True)
@@ -325,8 +329,10 @@ def estimate_intersection(
 ) -> PairEstimate:
     """Decode a pair of RSU reports into ``n̂_c`` (paper Eqs. 3-5).
 
-    Orders the reports so the first has the smaller array, unfolds it
-    to the larger size, ORs, counts zeros, and applies the MLE.
+    Orders the reports so the first has the smaller array, counts the
+    zeros of its unfolding ORed with the larger one
+    (:func:`repro.core.bitwords.joint_zero_counts`, no joint array is
+    built), and applies the MLE.
 
     Parameters
     ----------
@@ -345,18 +351,26 @@ def estimate_intersection(
         )
     if report_x.array_size > report_y.array_size:
         report_x, report_y = report_y, report_x
-    joint = unfolded_or(report_x.bits, report_y.bits)
-    v_c = _observed_fraction(joint, policy)
+    m_x, m_y = report_x.array_size, report_y.array_size
+    if m_y % m_x:
+        raise ConfigurationError(
+            f"target size {m_y} is not a multiple of source size {m_x}; "
+            "the scheme requires power-of-two lengths"
+        )
+    zeros = bitwords.joint_zero_counts(
+        report_x.bits.words, m_x, report_y.bits.words, m_y
+    )
+    v_c = _zero_fraction(zeros, m_y, policy)
     v_x = _observed_fraction(report_x.bits, policy)
     v_y = _observed_fraction(report_y.bits, policy)
-    n_c_hat = estimate_from_fractions(v_c, v_x, v_y, report_y.array_size, s)
+    n_c_hat = estimate_from_fractions(v_c, v_x, v_y, m_y, s)
     return PairEstimate(
         value=n_c_hat,
         v_c=v_c,
         v_x=v_x,
         v_y=v_y,
-        m_x=report_x.array_size,
-        m_y=report_y.array_size,
+        m_x=m_x,
+        m_y=m_y,
         n_x=report_x.counter,
         n_y=report_y.counter,
         s=s,

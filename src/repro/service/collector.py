@@ -472,8 +472,7 @@ class CollectorService:
             self._m_frames_rejected.inc()
             return wire.ErrorMsg(wire.E_MALFORMED, str(exc))
         seqs.add(identity)
-        # Re-submit the merged report; submit() is latest-wins and
-        # invalidates the decoder's unfold cache for this key.  The
+        # Re-submit the merged report; submit() is latest-wins.  The
         # streaming tier absorbs the same merged report (OR on bits,
         # sealed counter latest-wins), so the adaptive controller's
         # observed per-period volumes stay correct behind shards too.

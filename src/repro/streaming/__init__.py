@@ -381,10 +381,10 @@ class StreamingDecoder:
         """OR a whole array into *state*'s running array and recount
         every pair it joins; returns the number of bits newly set.
 
-        The period-close seal: the pair counts are recomputed with
-        word-level OR + popcount at each pair size ``max(m_x, m_y)``,
-        so the cost is O(peers x pair size / word) however many bits
-        the array sets.
+        The period-close seal: the pair counts are recomputed per peer
+        size by :func:`repro.core.bitwords.joint_zero_stack` at each
+        pair size ``max(m_x, m_y)``, so the cost is
+        O(peers x pair size / word) however many bits the array sets.
         """
         before = state.ones
         state.bits |= incoming
@@ -400,21 +400,10 @@ class StreamingDecoder:
         pairs = self._pair_zeros[period]
         peers = 0
         for size, group in peers_by_size.items():
-            storages = [other.bits.words for other in group]
-            if size >= state.size:
-                # The merging array, unfolded to the pair size once,
-                # against a stack of the peers: one kernel call.
-                row = own
-                if size > state.size:
-                    row = bitwords.unfold(own, state.size, size // state.size)
-                ones = bitwords.pairwise_or_popcount(
-                    row, np.stack(storages)
-                ).tolist()
-            else:
-                ones = _tiled_peer_popcounts(storages, size, own, state.size)
-            target = max(state.size, size)
-            for other, count in zip(group, ones):
-                pairs[_pair_key(state.rsu_id, other.rsu_id)] = target - count
+            stack = np.stack([other.bits.words for other in group])
+            zeros = bitwords.joint_zero_stack(own, state.size, stack, size)
+            for other, count in zip(group, zeros.tolist()):
+                pairs[_pair_key(state.rsu_id, other.rsu_id)] = count
             peers += len(group)
         self._reg().counter("stream.pair_updates_total").inc(peers)
         return newly
@@ -610,38 +599,6 @@ class StreamingDecoder:
             )
         self._reg().counter("stream.window_queries_total").inc()
         return self._decode_reports(period, reports)
-
-
-def _tiled_peer_popcounts(storages, size, large, large_size):
-    """Set bits of ``unfold(peer) | large`` for each same-size peer
-    smaller than the ``large`` array, without unfolding the peers.
-
-    ``unfold(peer) | large`` is ``peer | chunk`` summed over the
-    ``large_size / size`` chunks of ``large``.  With the peer size a
-    whole number of words, the chunks are rows of a reshape view, and
-    the kernel calls run over whichever of peers or chunks is fewer.
-    Otherwise each peer is unfolded.
-    """
-    repeats = large_size // size
-    if size % bitwords.WORD_BITS:
-        return [
-            large_size
-            - bitwords.joint_zero_counts(
-                bitwords.unfold(storage, size, repeats), large, large_size
-            )
-            for storage in storages
-        ]
-    chunks = large.reshape(repeats, -1)
-    if len(storages) <= repeats:
-        return [
-            int(bitwords.pairwise_or_popcount(storage, chunks).sum())
-            for storage in storages
-        ]
-    stack = np.stack(storages)
-    total = bitwords.pairwise_or_popcount(chunks[0], stack)
-    for chunk in chunks[1:]:
-        total = total + bitwords.pairwise_or_popcount(chunk, stack)
-    return total.tolist()
 
 
 def _pair_key(a: int, b: int) -> Tuple[int, int]:

@@ -85,9 +85,21 @@ def or_reduce(arrays: Sequence[BoolBits], size: int) -> BoolBits:
     return merged
 
 
-def joint_zero_counts(a: BoolBits, b: BoolBits) -> int:
-    """Zero bits of ``a | b``: one pair's ``U_c``."""
-    return a.size - (a | b).count_ones()
+def joint_zero_counts(small: BoolBits, large: BoolBits) -> int:
+    """Zero bits of ``unfold(small) | large``: one pair's ``U_c``."""
+    return large.size - (small.tile(large.size // small.size) | large).count_ones()
+
+
+def joint_zero_stack(row: BoolBits, stack: Sequence[BoolBits]) -> np.ndarray:
+    """``U_c`` of *row* with every array of *stack*, the smaller of
+    each pair unfolded to the larger."""
+    return np.array(
+        [
+            joint_zero_counts(*sorted((row, other), key=lambda a: a.size))
+            for other in stack
+        ],
+        dtype=np.int64,
+    )
 
 
 def pairwise_or_popcount(row: BoolBits, rows: Sequence[BoolBits]) -> np.ndarray:
@@ -134,8 +146,18 @@ def _bool_popcount(words):
     return int(_bools(words).sum())
 
 
-def _bool_joint_zero_counts(a, b, size):
-    return int(size) - int((_bools(a, size) | _bools(b, size)).sum())
+def _bool_joint_zero_counts(small, small_size, large, large_size):
+    return joint_zero_counts(
+        BoolBits(small_size, _bools(small, small_size)),
+        BoolBits(large_size, _bools(large, large_size)),
+    )
+
+
+def _bool_joint_zero_stack(row, row_size, stack, stack_size):
+    return joint_zero_stack(
+        BoolBits(row_size, _bools(row, row_size)),
+        [BoolBits(stack_size, _bools(words, stack_size)) for words in stack],
+    )
 
 
 def _bool_pairwise_or_popcount(row, rows):
@@ -179,6 +201,7 @@ LEGACY_KERNELS = {
     "get_bit": _bool_get_bit,
     "get_bits": _bool_get_bits,
     "joint_zero_counts": _bool_joint_zero_counts,
+    "joint_zero_stack": _bool_joint_zero_stack,
     "or_bytes": _bool_or_bytes,
     "or_reduce": _bool_or_reduce,
     "pairwise_or_popcount": _bool_pairwise_or_popcount,

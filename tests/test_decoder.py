@@ -1,11 +1,15 @@
 """Tests for the central decoder pipeline."""
 
+import numpy as np
 import pytest
 
+from repro.core.bitarray import BitArray
 from repro.core.decoder import CentralDecoder
 from repro.core.encoder import encode_passes
+from repro.core.estimator import estimate_intersection
 from repro.core.parameters import SchemeParameters
-from repro.errors import EstimationError
+from repro.core.reports import RsuReport
+from repro.errors import ConfigurationError, EstimationError, SaturatedArrayError
 from repro.traffic.population import VehicleFleet
 
 
@@ -79,3 +83,68 @@ class TestQueries:
         decoder, _ = loaded_decoder
         matrix = decoder.all_pairs(rsu_ids=[1, 3])
         assert set(matrix) == {(1, 3)}
+        # A repeated id is a self-pair: both matrix paths refuse it.
+        for query in (decoder.all_pairs, decoder.estimate_matrix):
+            with pytest.raises(EstimationError, match="two distinct RSUs"):
+                query(rsu_ids=[1, 1, 2])
+
+
+class TestPairPathsAgree:
+    """``pair_estimate``, ``estimate_intersection`` and
+    ``estimate_matrix`` give the same :class:`PairEstimate`, every
+    field exactly, at equal and unequal sizes."""
+
+    @staticmethod
+    def _decoder(sizes):
+        rng = np.random.default_rng(5)
+        decoder = CentralDecoder(2, policy="clamp")
+        for rsu_id, size in sizes.items():
+            bits = rng.random(size) < 0.3
+            decoder.submit(
+                RsuReport(rsu_id, int(bits.sum()), BitArray.from_bits(bits))
+            )
+        return decoder
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {1: 1 << 8, 2: 1 << 10, 3: 1 << 12, 4: 1 << 12},
+            # A 32-bit array is not a whole word: the kernel unfolds it.
+            {1: 32, 2: 1 << 6, 3: 1 << 9},
+        ],
+        ids=["word-sizes", "sub-word"],
+    )
+    def test_pair_estimate_matches_intersection_and_matrix(self, sizes):
+        decoder = self._decoder(sizes)
+        matrix = decoder.estimate_matrix()
+        assert len(matrix) == len(sizes) * (len(sizes) - 1) // 2
+        for (a, b), batched in matrix.items():
+            reference = estimate_intersection(
+                decoder.report_for(a),
+                decoder.report_for(b),
+                2,
+                policy=decoder.policy,
+            )
+            assert decoder.pair_estimate(a, b) == reference == batched
+
+    def test_non_dividing_sizes_rejected(self):
+        decoder = CentralDecoder(2)
+        decoder.submit(RsuReport(1, 3, BitArray.from_indices(48, [1, 2, 3])))
+        decoder.submit(RsuReport(2, 3, BitArray.from_indices(64, [1, 2, 3])))
+        with pytest.raises(ConfigurationError) as raised:
+            decoder.pair_estimate(1, 2)
+        assert str(raised.value) == (
+            "target size 64 is not a multiple of source size 48; "
+            "the scheme requires power-of-two lengths"
+        )
+
+    def test_saturated_joint_raises(self):
+        # Neither array is saturated, but their tiled OR is.
+        decoder = CentralDecoder(2, policy="raise")
+        decoder.submit(RsuReport(1, 3, BitArray.from_indices(32, range(0, 32, 2))))
+        decoder.submit(RsuReport(2, 3, BitArray.from_indices(64, range(1, 64, 2))))
+        with pytest.raises(SaturatedArrayError) as raised:
+            decoder.pair_estimate(1, 2)
+        assert str(raised.value) == (
+            "bit array of size 64 is saturated (no zero bits)"
+        )

@@ -94,8 +94,9 @@ class TestDocumentation:
 class TestRemovedSurface:
     """The 1.x aliases deleted in 2.0.0, the duplicate live-plane
     surface deleted in 3.0.0, the second load generator deleted in
-    4.0.0 and the bit-engine backends deleted in 5.0.0 stay deleted
-    (each CHANGELOG maps them to their replacements)."""
+    4.0.0, the bit-engine backends deleted in 5.0.0 and the decoder's
+    unfold memo deleted in 6.0.0 stay deleted (each CHANGELOG maps them
+    to their replacements)."""
 
     @pytest.mark.parametrize(
         "module_name,path",
@@ -139,6 +140,9 @@ class TestRemovedSurface:
             ("repro.engine.numba_backend", "NumbaWordBackend"),
             ("repro.core.bitarray", "BitArray.backend"),
             ("repro.core.bitarray", "BitArray._storage_as"),
+            ("repro.core.decoder", "DEFAULT_MEMO_CAPACITY"),
+            ("repro.core.decoder", "CentralDecoder._unfolded"),
+            ("repro.streaming", "_tiled_peer_popcounts"),
         ],
     )
     def test_name_is_gone(self, module_name, path):
@@ -161,6 +165,15 @@ class TestRemovedSurface:
         """One word representation since 5.0.0 (CHANGELOG 5.0.0)."""
         with pytest.raises(ImportError):
             importlib.import_module(module_name)
+
+    def test_decoder_takes_no_memo_capacity(self):
+        """No unfold memo since 6.0.0 (CHANGELOG 6.0.0)."""
+        from repro.core.decoder import CentralDecoder
+
+        params = inspect.signature(CentralDecoder.__init__).parameters
+        assert list(params) == ["self", "s", "policy", "config"]
+        with pytest.raises(TypeError):
+            CentralDecoder(2, memo_capacity=8)
 
     def test_baseline_sizing_module_is_gone(self):
         with pytest.raises(ImportError):
