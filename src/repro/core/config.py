@@ -1,14 +1,12 @@
 """One frozen tuning config shared by every entry point.
 
-The in-process facade (:class:`~repro.core.scheme.VlmScheme`), the
-offline decoder (:class:`~repro.core.decoder.CentralDecoder`) and the
-live-plane runtime (:class:`~repro.service.runtime.DeploymentSpec`)
-all need the same small set of tuning knobs — ``s``, ``f̄``, the hash
+The in-process facade (:class:`~repro.core.scheme.VlmScheme`) and the
+offline decoder (:class:`~repro.core.decoder.CentralDecoder`) both
+need the same small set of tuning knobs — ``s``, ``f̄``, the hash
 seed, the saturation policy — and before this module each spelled them
 as its own positional/keyword mix, so the knobs could silently drift
-between the in-process and service paths.  :class:`SchemeConfig` is
-the single source of truth; build one with :func:`configure` and pass
-it everywhere::
+between them.  :class:`SchemeConfig` is the single source of truth;
+build one with :func:`configure` and pass it to both::
 
     import repro
 
@@ -127,9 +125,9 @@ def configure(
     """Build a validated :class:`SchemeConfig`.
 
     The quickstart spelling for tuning the scheme once and threading
-    the result through ``VlmScheme``, ``CentralDecoder``, and
-    ``DeploymentSpec`` — instead of repeating loose ``s=...,
-    load_factor=...`` keywords at each call site.
+    the result through ``VlmScheme`` and ``CentralDecoder`` — instead
+    of repeating loose ``s=..., load_factor=...`` keywords at each
+    call site.
     """
     return SchemeConfig(
         s=s,

@@ -70,6 +70,14 @@ REC_WINDOW = 2
 #: Record type of a journaled :class:`~repro.service.wire.SizeAnnounce`.
 REC_SIZES = 3
 
+#: Record type -> the frame class journaled under it.
+_RECORDS = {
+    REC_SNAPSHOT: wire.ShardSnapshot,
+    REC_WINDOW: wire.WindowSnapshot,
+    REC_SIZES: wire.SizeAnnounce,
+}
+_RECORD_TYPES = {frame: rec_type for rec_type, frame in _RECORDS.items()}
+
 
 class WriteAheadLog:
     """Appender for the collector's snapshot journal.
@@ -121,12 +129,7 @@ class WriteAheadLog:
         announcement; flushed before this returns."""
         if self._fh.closed:
             raise WalError(f"write-ahead log {self.path} is closed")
-        if isinstance(snapshot, wire.WindowSnapshot):
-            rec_type = REC_WINDOW
-        elif isinstance(snapshot, wire.SizeAnnounce):
-            rec_type = REC_SIZES
-        else:
-            rec_type = REC_SNAPSHOT
+        rec_type = _RECORD_TYPES[type(snapshot)]
         payload = snapshot.payload()
         record = (
             _HEADER.pack(
@@ -213,7 +216,8 @@ def replay_wal(
                 f"wal {path}: bad record magic {magic!r} at offset "
                 f"{offset}"
             )
-        if rec_type not in (REC_SNAPSHOT, REC_WINDOW, REC_SIZES):
+        frame = _RECORDS.get(rec_type)
+        if frame is None:
             raise WalError(
                 f"wal {path}: unknown record type {rec_type} at offset "
                 f"{offset}"
@@ -248,10 +252,5 @@ def replay_wal(
                 f"wal {path}: CRC mismatch at offset {offset} with "
                 "intact records after it — log is corrupt"
             )
-        if rec_type == REC_WINDOW:
-            yield wire.WindowSnapshot.decode(payload)
-        elif rec_type == REC_SIZES:
-            yield wire.SizeAnnounce.decode(payload)
-        else:
-            yield wire.ShardSnapshot.decode(payload)
+        yield frame.decode(payload)
         offset = end

@@ -189,13 +189,11 @@ class CollectorService:
         self._applied: Dict[Tuple[int, int], int] = {}
         #: (rsu_id, period) -> accumulated OR-merge of shard partials.
         self._merged: Dict[Tuple[int, int], _MergeState] = {}
-        #: (rsu_id, period) -> {(shard_id, seq)} already merged.
-        self._merge_seqs: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}
-        #: (rsu_id, period, window) -> {(shard_id, seq)} of the window
-        #: partials already OR-merged (streaming tier; every shard
-        #: contributes one partial per window, so the value is a set).
-        self._window_applied: Dict[
-            Tuple[int, int, int], Set[Tuple[int, int]]
+        #: (rsu_id, period, window) -> {(shard_id, seq)} of the
+        #: partials already OR-merged; window is None for a shard
+        #: partial.
+        self._stamps: Dict[
+            Tuple[int, int, Optional[int]], Set[Tuple[int, int]]
         ] = {}
         #: period -> the SizeAnnounce already published for it.  Plans
         #: are deterministic, but caching the frame keeps re-asks
@@ -350,12 +348,10 @@ class CollectorService:
     # Message handling (synchronous — decoding is pure CPU)
     # ------------------------------------------------------------------
     def _handle(self, message: wire.Message) -> wire.Message:
-        if isinstance(message, wire.ShardSnapshot):
-            return self._handle_shard_snapshot(message)
+        if isinstance(message, (wire.ShardSnapshot, wire.WindowSnapshot)):
+            return self._handle_partial(message)
         if isinstance(message, wire.Snapshot):
             return self._handle_snapshot(message)
-        if isinstance(message, wire.WindowSnapshot):
-            return self._handle_window_snapshot(message)
         if isinstance(message, wire.SizeQuery):
             return self._handle_size_query(message)
         if isinstance(message, (wire.VolumeQuery, wire.PointQuery)):
@@ -421,125 +417,133 @@ class CollectorService:
             rsu_id=snapshot.rsu_id, period=snapshot.period, seq=snapshot.seq
         )
 
-    def _handle_shard_snapshot(
-        self, snap: wire.ShardSnapshot, *, journal: bool = True
+    def _handle_partial(
+        self,
+        partial: Union[wire.ShardSnapshot, wire.WindowSnapshot],
+        *,
+        journal: bool = True,
     ) -> wire.Message:
-        """OR-merge one shard partial; *journal* is False on WAL
-        replay."""
-        key = (snap.rsu_id, snap.period)
-        if key in self._applied:
+        """OR-merge one shard or window partial; *journal* is False on
+        WAL replay.
+
+        Many partials legitimately target one ``(rsu_id, period,
+        window)`` — one per shard, more after a handoff — so dedup is
+        per ``(shard_id, seq)`` within that key (``window`` is None for
+        a shard partial) and a fresh stamp is always merged.  The
+        partial is deduplicated, size-checked, journaled, applied and
+        acknowledged, in that order: a refused partial is never
+        journaled.
+        """
+        window = getattr(partial, "window", None)
+        key = (partial.rsu_id, partial.period)
+        if window is None and key in self._applied:
             # A whole-report Snapshot already owns this key.
             self._m_conflicted.inc()
             return wire.ErrorMsg(
                 wire.E_DUPLICATE,
-                f"rsu {snap.rsu_id} period {snap.period} already applied "
-                "as a whole-report snapshot; refusing a shard partial",
+                f"rsu {partial.rsu_id} period {partial.period} already "
+                "applied as a whole-report snapshot; refusing a shard "
+                "partial",
             )
-        seqs = self._merge_seqs.setdefault(key, set())
-        identity = (snap.shard_id, snap.seq)
-        if identity in seqs:
+        stamps = self._stamps.setdefault((*key, window), set())
+        stamp = (partial.shard_id, partial.seq)
+        ack = wire.SnapshotAck(
+            rsu_id=partial.rsu_id, period=partial.period, seq=partial.seq
+        )
+        if stamp in stamps:
             # Retransmission of a merged partial: ack again without
             # re-adding the counter (OR-ing the bits again would be
             # harmless; re-summing the counter would not).
-            self._m_deduped.inc()
-            return wire.SnapshotAck(
-                rsu_id=snap.rsu_id, period=snap.period, seq=snap.seq
-            )
-        state = self._merged.get(key)
-        if state is not None and state.bits.size != snap.array_size:
+            (self._m_deduped if window is None else self._m_windows_deduped).inc()
+            return ack
+        try:
+            self._check_partial_size(partial, window)
+        except ReproError as exc:
             self._m_frames_rejected.inc()
-            return wire.ErrorMsg(
-                wire.E_MALFORMED,
-                f"shard {snap.shard_id} uploaded a {snap.array_size}-bit "
-                f"partial for rsu {snap.rsu_id} period {snap.period}, "
-                f"but {state.bits.size} bits are already merged",
-            )
+            return wire.ErrorMsg(wire.E_MALFORMED, str(exc))
         if journal and self.wal is not None:
             # Write-ahead: on disk before the merge, long before the
             # ack.  A crash after this point replays the record; the
             # unacked gateway retransmits and dedups against it.
-            self.wal.append(snap)
+            self.wal.append(partial)
         try:
-            if state is None:
-                bits = BitArray.from_bytes(snap.packed_bits, snap.array_size)
-                state = _MergeState(snap.counter, bits)
-                self._merged[key] = state
-            else:
-                state.bits.or_bytes(snap.packed_bits)
-                state.counter += snap.counter
-                state.partials += 1
+            self._apply_partial(partial, window)
         except ReproError as exc:
             self._m_frames_rejected.inc()
             return wire.ErrorMsg(wire.E_MALFORMED, str(exc))
-        seqs.add(identity)
-        # Re-submit the merged report; submit() is latest-wins.  The
-        # streaming tier absorbs the same merged report (OR on bits,
-        # sealed counter latest-wins), so the adaptive controller's
-        # observed per-period volumes stay correct behind shards too.
-        merged = RsuReport(
-            rsu_id=snap.rsu_id,
-            counter=state.counter,
-            bits=state.bits,
-            period=snap.period,
-        )
-        self.server.decoder.submit(merged)
-        self.server.streaming.observe_report(merged)
-        self._m_received.inc()
-        self.registry.counter(
-            "federation.snapshots_merged_total", shard=snap.shard_id
-        ).inc()
-        self.registry.gauge("federation.merge_keys").set(len(self._merged))
-        self._observe_period(snap.period)
-        return wire.SnapshotAck(
-            rsu_id=snap.rsu_id, period=snap.period, seq=snap.seq
-        )
+        stamps.add(stamp)
+        self._observe_period(partial.period)
+        return ack
 
-    def _handle_window_snapshot(
-        self, partial: wire.WindowSnapshot, *, journal: bool = True
-    ) -> wire.Message:
-        """OR-merge one window-tagged shard partial (streaming tier).
-
-        Unlike period snapshots, many uploads legitimately target the
-        same ``(rsu_id, period, window)`` — one per shard — so dedup is
-        per ``(shard_id, seq)`` within the window key and a fresh seq
-        is always merged (OR is commutative and idempotent, so replays
-        and reorderings cannot corrupt the live matrix).
-        """
-        key = (partial.rsu_id, partial.period, partial.window)
-        applied = self._window_applied.setdefault(key, set())
-        stamp = (partial.shard_id, partial.seq)
-        if stamp in applied:
-            self._m_windows_deduped.inc()
-            return wire.SnapshotAck(
-                rsu_id=partial.rsu_id,
+    def _check_partial_size(
+        self,
+        partial: Union[wire.ShardSnapshot, wire.WindowSnapshot],
+        window: Optional[int],
+    ) -> None:
+        """Raise :class:`~repro.errors.ReproError` if *partial* cannot
+        merge into the state it targets; changes no state."""
+        if window is not None:
+            self.server.streaming.check_partial(
+                partial.rsu_id,
+                partial.array_size,
                 period=partial.period,
-                seq=partial.seq,
+                window=window,
             )
-        if journal and self.wal is not None:
-            # Write-ahead: journaled before the merge (record type
-            # REC_WINDOW), so recover() also rebuilds the streaming
-            # tier's time-sliced overlay; *journal* is False on replay.
-            self.wal.append(partial)
-        try:
+            return
+        state = self._merged.get((partial.rsu_id, partial.period))
+        if state is not None and state.bits.size != partial.array_size:
+            raise ValidationError(
+                f"shard {partial.shard_id} uploaded a "
+                f"{partial.array_size}-bit partial for rsu "
+                f"{partial.rsu_id} period {partial.period}, but "
+                f"{state.bits.size} bits are already merged"
+            )
+
+    def _apply_partial(
+        self,
+        partial: Union[wire.ShardSnapshot, wire.WindowSnapshot],
+        window: Optional[int],
+    ) -> None:
+        """OR a window partial into the streaming tier, or a shard
+        partial into its ``(rsu_id, period)`` merge."""
+        if window is not None:
             self.server.receive_window_partial(
                 partial.rsu_id,
                 partial.packed_bits,
                 partial.array_size,
                 partial.counter,
                 period=partial.period,
-                window=partial.window,
+                window=window,
             )
-        except ReproError as exc:
-            self._m_frames_rejected.inc()
-            return wire.ErrorMsg(wire.E_MALFORMED, str(exc))
-        applied.add(stamp)
-        self._m_windows_received.inc()
-        self._observe_period(partial.period)
-        return wire.SnapshotAck(
+            self._m_windows_received.inc()
+            return
+        key = (partial.rsu_id, partial.period)
+        state = self._merged.get(key)
+        if state is None:
+            bits = BitArray.from_bytes(partial.packed_bits, partial.array_size)
+            state = _MergeState(partial.counter, bits)
+            self._merged[key] = state
+        else:
+            state.bits.or_bytes(partial.packed_bits)
+            state.counter += partial.counter
+            state.partials += 1
+        # Re-submit the merged report; submit() is latest-wins.  The
+        # streaming tier absorbs the same merged report (OR on bits,
+        # sealed counter latest-wins), so the adaptive controller's
+        # observed per-period volumes stay correct behind shards too.
+        merged = RsuReport(
             rsu_id=partial.rsu_id,
+            counter=state.counter,
+            bits=state.bits,
             period=partial.period,
-            seq=partial.seq,
         )
+        self.server.decoder.submit(merged)
+        self.server.streaming.observe_report(merged)
+        self._m_received.inc()
+        self.registry.counter(
+            "federation.snapshots_merged_total", shard=partial.shard_id
+        ).inc()
+        self.registry.gauge("federation.merge_keys").set(len(self._merged))
 
     def _handle_size_query(self, query: wire.SizeQuery) -> wire.Message:
         """Answer one :class:`~repro.service.wire.SizeQuery` with the
@@ -601,10 +605,7 @@ class CollectorService:
                 self._announced[int(record.period)] = record
                 applied += 1
                 continue
-            if isinstance(record, wire.WindowSnapshot):
-                reply = self._handle_window_snapshot(record, journal=False)
-            else:
-                reply = self._handle_shard_snapshot(record, journal=False)
+            reply = self._handle_partial(record, journal=False)
             if isinstance(reply, wire.SnapshotAck):
                 applied += 1
             else:  # pragma: no cover - requires a semantically bad log
@@ -641,18 +642,13 @@ class CollectorService:
         for key in stale:
             del self._applied[key]
         evicted = len(stale)
-        for keyed in (self._window_applied, self._merge_seqs):
-            for key in [key for key in keyed if key[1] <= horizon]:
-                evicted += len(keyed.pop(key))
+        for key in [key for key in self._stamps if key[1] <= horizon]:
+            evicted += len(self._stamps.pop(key))
         return evicted
 
     def _dedup_keys(self) -> int:
         """Current dedup key count (feeds the retained-keys gauge)."""
-        return len(self._applied) + sum(
-            len(stamps)
-            for keyed in (self._window_applied, self._merge_seqs)
-            for stamps in keyed.values()
-        )
+        return len(self._applied) + sum(map(len, self._stamps.values()))
 
     def _handle_query(self, query: wire.VolumeQuery) -> wire.Message:
         try:

@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 import numpy as np
 
-from repro.core.config import SchemeConfig
 from repro.core.decoder import CentralDecoder
 from repro.core.encoder import encode_passes
 from repro.core.estimator import ZeroFractionPolicy
@@ -82,13 +81,9 @@ DEFAULT_COLLECTOR_PORT = 8702
 class DeploymentSpec:
     """Everything both sides of a live deployment must agree on.
 
-    Tuning knobs may be given individually (``s``, ``load_factor``,
-    ``hash_seed``) or via one :class:`~repro.core.config.SchemeConfig`
-    in ``config`` — the same object the in-process entry points accept
-    — which then overrides the individual fields so both processes of
-    a deployment can share a single config value.  The saturation
-    policy defaults to CLAMP (the live plane must keep answering under
-    extreme load) unless a ``config`` explicitly chooses otherwise.
+    The tuning knobs are the fields ``s``, ``load_factor`` and
+    ``hash_seed``.  The saturation policy is always CLAMP: the live
+    plane must keep answering under extreme load.
 
     ``scenario`` names the workload through the scenario zoo
     (:func:`repro.scenarios.get_scenario`): ``sioux-falls`` (the
@@ -116,7 +111,6 @@ class DeploymentSpec:
     s: int = 2
     load_factor: float = 3.0
     hash_seed: int = 7
-    config: Optional[SchemeConfig] = None
     periods: int = 1
     drift: float = 0.0
     sizing: Optional[SizingPolicy] = None
@@ -126,15 +120,7 @@ class DeploymentSpec:
     scheme: VlmScheme = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.config is not None:
-            self.s = self.config.s
-            self.load_factor = self.config.load_factor
-            self.hash_seed = self.config.hash_seed
-            self.policy = self.config.policy
-            if self.sizing is None:
-                self.sizing = self.config.sizing
-        else:
-            self.policy = ZeroFractionPolicy.CLAMP
+        self.policy = ZeroFractionPolicy.CLAMP
         self.periods = int(self.periods)
         if self.periods < 1:
             raise ConfigurationError(

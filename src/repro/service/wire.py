@@ -54,7 +54,7 @@ import asyncio
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -300,334 +300,6 @@ class BatchAck:
         return cls(seq=seq, duplicate=bool(flags))
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """An RSU's period-end report.
-
-    ``rsu_id u32 | period u32 | seq u64 | counter u64 | array_size u32
-    | packed_bits u8[ceil(array_size / 8)]`` — the bit array is
-    ``np.packbits`` output (big-endian bit order) and any padding bits
-    past ``array_size`` must be zero.
-
-    ``seq`` identifies the *upload*, not the report: a gateway
-    retransmitting the same snapshot after a lost ack reuses the seq,
-    and the collector dedups on ``(rsu_id, period, seq)`` — safe,
-    because re-ORing identical snapshot bits is idempotent and the
-    counter is not re-observed.  A different seq for an already-stored
-    ``(rsu_id, period)`` is a conflict and is nacked.
-    """
-
-    rsu_id: int
-    period: int
-    counter: int
-    array_size: int
-    packed_bits: bytes = field(repr=False)
-    seq: int = 0
-
-    _HEAD = struct.Struct(">IIQQI")
-    type = T_SNAPSHOT
-
-    def payload(self) -> bytes:
-        expected = (self.array_size + 7) // 8
-        if len(self.packed_bits) != expected:
-            raise WireError(
-                f"snapshot of {self.array_size} bits needs {expected} "
-                f"packed bytes, got {len(self.packed_bits)}"
-            )
-        return (
-            self._HEAD.pack(
-                _check_u32(self.rsu_id, "rsu_id"),
-                _check_u32(self.period, "period"),
-                _check_u64(self.seq, "seq"),
-                _check_u64(self.counter, "counter"),
-                _check_u32(self.array_size, "array_size"),
-            )
-            + self.packed_bits
-        )
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "Snapshot":
-        if len(payload) < cls._HEAD.size:
-            raise WireError("truncated snapshot header")
-        rsu_id, period, seq, counter, size = cls._HEAD.unpack_from(payload)
-        if size == 0:
-            raise WireError("snapshot array_size must be positive")
-        packed = payload[cls._HEAD.size :]
-        expected = (size + 7) // 8
-        if len(packed) != expected:
-            raise WireError(
-                f"snapshot of {size} bits needs {expected} packed bytes, "
-                f"got {len(packed)}"
-            )
-        if size % 8:
-            tail = packed[-1] & ((1 << (8 - size % 8)) - 1)
-            if tail:
-                raise WireError("snapshot padding bits past array_size are set")
-        return cls(
-            rsu_id=rsu_id,
-            period=period,
-            counter=counter,
-            array_size=size,
-            packed_bits=packed,
-            seq=seq,
-        )
-
-    # -- conversions to/from the in-process report type ----------------
-    @classmethod
-    def from_report(cls, report: RsuReport, *, seq: int = 0) -> "Snapshot":
-        return cls(
-            rsu_id=report.rsu_id,
-            period=report.period,
-            counter=report.counter,
-            array_size=report.array_size,
-            packed_bits=report.bits.to_bytes(),
-            seq=seq,
-        )
-
-    def to_report(self) -> RsuReport:
-        bits = BitArray.from_bytes(self.packed_bits, self.array_size)
-        return RsuReport(
-            rsu_id=self.rsu_id,
-            counter=self.counter,
-            bits=bits,
-            period=self.period,
-        )
-
-
-@dataclass(frozen=True)
-class ShardSnapshot:
-    """A gateway shard's *partial* period-end report.
-
-    ``shard_id u32 | rsu_id u32 | period u32 | seq u64 | counter u64 |
-    array_size u32 | packed_bits u8[ceil(array_size / 8)]`` — the same
-    packed-bit payload as :class:`Snapshot`, prefixed with the
-    uploading shard's id.
-
-    Unlike a :class:`Snapshot`, several ShardSnapshots for one
-    ``(rsu_id, period)`` are *expected*: after a mid-period handoff the
-    vehicle responses for an RSU land on two shards, and each uploads
-    the portion it recorded.  The federated collector OR-merges the
-    bit arrays (a lossless state-based CRDT join) and sums the
-    counters, deduplicating retransmissions on
-    ``(shard_id, rsu_id, period, seq)`` — shard-scoped, because each
-    shard numbers its uploads independently.  Acknowledged with the
-    ordinary :class:`SnapshotAck` echoing the upload seq.
-    """
-
-    shard_id: int
-    rsu_id: int
-    period: int
-    counter: int
-    array_size: int
-    packed_bits: bytes = field(repr=False)
-    seq: int = 0
-
-    _HEAD = struct.Struct(">IIIQQI")
-    type = T_SHARD_SNAPSHOT
-
-    def payload(self) -> bytes:
-        expected = (self.array_size + 7) // 8
-        if len(self.packed_bits) != expected:
-            raise WireError(
-                f"shard snapshot of {self.array_size} bits needs "
-                f"{expected} packed bytes, got {len(self.packed_bits)}"
-            )
-        return (
-            self._HEAD.pack(
-                _check_u32(self.shard_id, "shard_id"),
-                _check_u32(self.rsu_id, "rsu_id"),
-                _check_u32(self.period, "period"),
-                _check_u64(self.seq, "seq"),
-                _check_u64(self.counter, "counter"),
-                _check_u32(self.array_size, "array_size"),
-            )
-            + self.packed_bits
-        )
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "ShardSnapshot":
-        if len(payload) < cls._HEAD.size:
-            raise WireError("truncated shard snapshot header")
-        shard_id, rsu_id, period, seq, counter, size = cls._HEAD.unpack_from(
-            payload
-        )
-        if size == 0:
-            raise WireError("shard snapshot array_size must be positive")
-        packed = payload[cls._HEAD.size :]
-        expected = (size + 7) // 8
-        if len(packed) != expected:
-            raise WireError(
-                f"shard snapshot of {size} bits needs {expected} packed "
-                f"bytes, got {len(packed)}"
-            )
-        if size % 8:
-            tail = packed[-1] & ((1 << (8 - size % 8)) - 1)
-            if tail:
-                raise WireError(
-                    "shard snapshot padding bits past array_size are set"
-                )
-        return cls(
-            shard_id=shard_id,
-            rsu_id=rsu_id,
-            period=period,
-            counter=counter,
-            array_size=size,
-            packed_bits=packed,
-            seq=seq,
-        )
-
-    # -- conversions to/from the in-process report type ----------------
-    @classmethod
-    def from_report(
-        cls, report: RsuReport, *, shard_id: int, seq: int = 0
-    ) -> "ShardSnapshot":
-        """Wrap a partial :class:`~repro.core.reports.RsuReport`."""
-        return cls(
-            shard_id=shard_id,
-            rsu_id=report.rsu_id,
-            period=report.period,
-            counter=report.counter,
-            array_size=report.array_size,
-            packed_bits=report.bits.to_bytes(),
-            seq=seq,
-        )
-
-    def to_report(self) -> RsuReport:
-        """The partial report this frame carries."""
-        bits = BitArray.from_bytes(self.packed_bits, self.array_size)
-        return RsuReport(
-            rsu_id=self.rsu_id,
-            counter=self.counter,
-            bits=bits,
-            period=self.period,
-        )
-
-
-@dataclass(frozen=True)
-class WindowSnapshot:
-    """A sub-period *window* partial of one RSU's bit array.
-
-    ``shard_id u32 | rsu_id u32 | period u32 | window u32 | seq u64 |
-    counter u64 | array_size u32 |
-    packed_bits u8[ceil(array_size / 8)]`` — a
-    :class:`ShardSnapshot` with a window index.  An unsharded gateway
-    uploads with ``shard_id == 0``.
-
-    Window partials are an *overlay* on the period-close upload, not a
-    replacement: the gateway still ships its whole
-    :class:`Snapshot` / :class:`ShardSnapshot` at period close, so the
-    authoritative batch decode is untouched.  The collector OR-merges
-    window partials per ``(rsu_id, period, window)`` into the server's
-    streaming decoder — the same state-based CRDT join as shard
-    partials, deduplicated on ``(shard_id, seq)``, so rebalanced RSUs
-    whose window landed on two shards merge losslessly.  Acknowledged
-    with the ordinary :class:`SnapshotAck` echoing the upload seq.
-    """
-
-    shard_id: int
-    rsu_id: int
-    period: int
-    window: int
-    counter: int
-    array_size: int
-    packed_bits: bytes = field(repr=False)
-    seq: int = 0
-
-    _HEAD = struct.Struct(">IIIIQQI")
-    type = T_WINDOW_SNAPSHOT
-
-    def payload(self) -> bytes:
-        expected = (self.array_size + 7) // 8
-        if len(self.packed_bits) != expected:
-            raise WireError(
-                f"window snapshot of {self.array_size} bits needs "
-                f"{expected} packed bytes, got {len(self.packed_bits)}"
-            )
-        return (
-            self._HEAD.pack(
-                _check_u32(self.shard_id, "shard_id"),
-                _check_u32(self.rsu_id, "rsu_id"),
-                _check_u32(self.period, "period"),
-                _check_u32(self.window, "window"),
-                _check_u64(self.seq, "seq"),
-                _check_u64(self.counter, "counter"),
-                _check_u32(self.array_size, "array_size"),
-            )
-            + self.packed_bits
-        )
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "WindowSnapshot":
-        if len(payload) < cls._HEAD.size:
-            raise WireError("truncated window snapshot header")
-        (
-            shard_id,
-            rsu_id,
-            period,
-            window,
-            seq,
-            counter,
-            size,
-        ) = cls._HEAD.unpack_from(payload)
-        if size == 0:
-            raise WireError("window snapshot array_size must be positive")
-        packed = payload[cls._HEAD.size :]
-        expected = (size + 7) // 8
-        if len(packed) != expected:
-            raise WireError(
-                f"window snapshot of {size} bits needs {expected} packed "
-                f"bytes, got {len(packed)}"
-            )
-        if size % 8:
-            tail = packed[-1] & ((1 << (8 - size % 8)) - 1)
-            if tail:
-                raise WireError(
-                    "window snapshot padding bits past array_size are set"
-                )
-        return cls(
-            shard_id=shard_id,
-            rsu_id=rsu_id,
-            period=period,
-            window=window,
-            counter=counter,
-            array_size=size,
-            packed_bits=packed,
-            seq=seq,
-        )
-
-    # -- conversions to/from the in-process report type ----------------
-    @classmethod
-    def from_report(
-        cls,
-        report: RsuReport,
-        *,
-        window: int,
-        shard_id: int = 0,
-        seq: int = 0,
-    ) -> "WindowSnapshot":
-        """Wrap one window's partial :class:`~repro.core.reports.RsuReport`."""
-        return cls(
-            shard_id=shard_id,
-            rsu_id=report.rsu_id,
-            period=report.period,
-            window=window,
-            counter=report.counter,
-            array_size=report.array_size,
-            packed_bits=report.bits.to_bytes(),
-            seq=seq,
-        )
-
-    def to_report(self) -> RsuReport:
-        """The window partial this frame carries."""
-        bits = BitArray.from_bytes(self.packed_bits, self.array_size)
-        return RsuReport(
-            rsu_id=self.rsu_id,
-            counter=self.counter,
-            bits=bits,
-            period=self.period,
-        )
-
-
 def _simple(name, code, fmt, fields_doc, field_names):
     """Build a fixed-layout message class (header-only payload)."""
     layout = struct.Struct(fmt)
@@ -657,6 +329,168 @@ def _simple(name, code, fmt, fields_doc, field_names):
         "__annotations__": {fname: int for fname in field_names},
     }
     return dataclass(frozen=True)(type(name, (), namespace))
+
+
+class _PackedReport:
+    """The codec of the three report frames.
+
+    A payload is the frame's leading ``u32`` routing fields
+    (``_LEAD``), then the packed-report tail ``seq u64 | counter u64 |
+    array_size u32 | packed_bits u8[ceil(array_size / 8)]``.  The bit
+    array is ``np.packbits`` output (big-endian bit order) and any
+    padding bits past ``array_size`` must be zero.  Every
+    :class:`~repro.errors.WireError` text starts with the frame's
+    ``_LABEL``.
+    """
+
+    _LABEL: str
+    _LEAD: Tuple[str, ...]
+    _HEAD: struct.Struct
+    rsu_id: int
+    period: int
+    counter: int
+    array_size: int
+    packed_bits: bytes
+    seq: int
+
+    @classmethod
+    def _check_packed(cls, size: int, packed: bytes) -> None:
+        expected = (size + 7) // 8
+        if len(packed) != expected:
+            raise WireError(
+                f"{cls._LABEL} of {size} bits needs {expected} packed "
+                f"bytes, got {len(packed)}"
+            )
+
+    def payload(self) -> bytes:
+        self._check_packed(self.array_size, self.packed_bits)
+        return (
+            self._HEAD.pack(
+                *(_check_u32(getattr(self, name), name) for name in self._LEAD),
+                _check_u64(self.seq, "seq"),
+                _check_u64(self.counter, "counter"),
+                _check_u32(self.array_size, "array_size"),
+            )
+            + self.packed_bits
+        )
+
+    @classmethod
+    def decode(cls, payload: bytes):
+        if len(payload) < cls._HEAD.size:
+            raise WireError(f"truncated {cls._LABEL} header")
+        *lead, seq, counter, size = cls._HEAD.unpack_from(payload)
+        if size == 0:
+            raise WireError(f"{cls._LABEL} array_size must be positive")
+        packed = payload[cls._HEAD.size :]
+        cls._check_packed(size, packed)
+        if size % 8 and packed[-1] & ((1 << (8 - size % 8)) - 1):
+            raise WireError(f"{cls._LABEL} padding bits past array_size are set")
+        return cls(
+            *lead, counter=counter, array_size=size, packed_bits=packed, seq=seq
+        )
+
+    # -- conversions to/from the in-process report type ----------------
+    @classmethod
+    def from_report(cls, report: RsuReport, *, seq: int = 0, **routing: int):
+        """Wrap a :class:`~repro.core.reports.RsuReport`; *routing*
+        gives the leading fields a report does not carry (``shard_id``,
+        ``window``)."""
+        return cls(
+            rsu_id=report.rsu_id,
+            period=report.period,
+            counter=report.counter,
+            array_size=report.array_size,
+            packed_bits=report.bits.to_bytes(),
+            seq=seq,
+            **routing,
+        )
+
+    def to_report(self) -> RsuReport:
+        """The (whole or partial) report this frame carries."""
+        return RsuReport(
+            rsu_id=self.rsu_id,
+            counter=self.counter,
+            bits=BitArray.from_bytes(self.packed_bits, self.array_size),
+            period=self.period,
+        )
+
+
+def _packed_report(name, code, label, lead, doc):
+    """Build a report frame class: the *lead* ``u32`` fields, then the
+    :class:`_PackedReport` tail; fields in that order, ``seq`` last."""
+    annotations = {fname: int for fname in lead}
+    annotations.update(counter=int, array_size=int, packed_bits=bytes, seq=int)
+    namespace = {
+        "__doc__": doc,
+        "__annotations__": annotations,
+        "packed_bits": field(repr=False),
+        "seq": 0,
+        "type": code,
+        "_LABEL": label,
+        "_LEAD": lead,
+        "_HEAD": struct.Struct(">" + "I" * len(lead) + "QQI"),
+    }
+    return dataclass(frozen=True)(type(name, (_PackedReport,), namespace))
+
+
+Snapshot = _packed_report(
+    "Snapshot",
+    T_SNAPSHOT,
+    "snapshot",
+    ("rsu_id", "period"),
+    """An RSU's period-end report: ``rsu_id u32 | period u32`` and the
+    packed-report tail.
+
+    ``seq`` identifies the *upload*, not the report: a gateway
+    retransmitting the same snapshot after a lost ack reuses the seq,
+    and the collector dedups on ``(rsu_id, period, seq)`` — safe,
+    because re-ORing identical snapshot bits is idempotent and the
+    counter is not re-observed.  A different seq for an already-stored
+    ``(rsu_id, period)`` is a conflict and is nacked.
+    """,
+)
+
+ShardSnapshot = _packed_report(
+    "ShardSnapshot",
+    T_SHARD_SNAPSHOT,
+    "shard snapshot",
+    ("shard_id", "rsu_id", "period"),
+    """A gateway shard's *partial* period-end report: ``shard_id u32 |
+    rsu_id u32 | period u32`` and the packed-report tail.
+
+    Unlike a :class:`Snapshot`, several ShardSnapshots for one
+    ``(rsu_id, period)`` are *expected*: after a mid-period handoff the
+    vehicle responses for an RSU land on two shards, and each uploads
+    the portion it recorded.  The federated collector OR-merges the
+    bit arrays (a lossless state-based CRDT join) and sums the
+    counters, deduplicating retransmissions on
+    ``(shard_id, rsu_id, period, seq)`` — shard-scoped, because each
+    shard numbers its uploads independently.  Acknowledged with the
+    ordinary :class:`SnapshotAck` echoing the upload seq.
+    """,
+)
+
+WindowSnapshot = _packed_report(
+    "WindowSnapshot",
+    T_WINDOW_SNAPSHOT,
+    "window snapshot",
+    ("shard_id", "rsu_id", "period", "window"),
+    """A sub-period *window* partial of one RSU's bit array:
+    ``shard_id u32 | rsu_id u32 | period u32 | window u32`` and the
+    packed-report tail.  An unsharded gateway uploads with
+    ``shard_id == 0``.
+
+    Window partials are an *overlay* on the period-close upload, not a
+    replacement: the gateway still ships its whole
+    :class:`Snapshot` / :class:`ShardSnapshot` at period close, so the
+    authoritative batch decode is untouched.  The collector OR-merges
+    window partials per ``(rsu_id, period, window)`` into the server's
+    streaming decoder — the same state-based CRDT join as shard
+    partials, deduplicated on ``(shard_id, seq)``, so rebalanced RSUs
+    whose window landed on two shards merge losslessly.  Acknowledged
+    with the ordinary :class:`SnapshotAck` echoing the upload seq.
+    """,
+)
 
 
 SnapshotAck = _simple(
@@ -940,7 +774,8 @@ class ErrorMsg:
         return cls(code=code, message=text)
 
 
-Message = Union[
+#: Every frame class, one per message type code.
+_FRAMES = (
     ResponseMsg,
     ResponseBatch,
     BatchAck,
@@ -962,34 +797,11 @@ Message = Union[
     SizeAnnounce,
     SizeAnnounceAck,
     ErrorMsg,
-]
+)
 
-_DECODERS = {
-    cls.type: cls
-    for cls in (
-        ResponseMsg,
-        ResponseBatch,
-        BatchAck,
-        Snapshot,
-        SnapshotAck,
-        ShardSnapshot,
-        WindowSnapshot,
-        Handoff,
-        HandoffAck,
-        EndWindow,
-        EndWindowAck,
-        EndPeriod,
-        EndPeriodAck,
-        VolumeQuery,
-        EstimateMsg,
-        PointQuery,
-        PointVolume,
-        SizeQuery,
-        SizeAnnounce,
-        SizeAnnounceAck,
-        ErrorMsg,
-    )
-}
+Message = Union[_FRAMES]
+
+_DECODERS = {cls.type: cls for cls in _FRAMES}
 
 
 # ----------------------------------------------------------------------

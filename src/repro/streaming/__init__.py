@@ -220,10 +220,22 @@ class StreamingDecoder:
                 del pairs[key]
             self._reg().gauge("stream.tracked_pairs").set(len(pairs))
 
-    def _state(
+    def _check_window(self, window: int) -> None:
+        if not 0 <= int(window) < self.windows:
+            raise ConfigurationError(
+                f"window {window} out of range [0, {self.windows})"
+            )
+
+    def _check_size(
         self, period: int, rsu_id: int, size: Optional[int]
-    ) -> _RsuStream:
-        streams = self._streams.setdefault(period, {})
+    ) -> Optional[_RsuStream]:
+        """The RSU's stream state, or None for a newcomer.
+
+        Raises :class:`~repro.errors.ConfigurationError` when *size*
+        conflicts with the state's size or, for a newcomer, is missing
+        or does not tile a peer's size.
+        """
+        streams = self._streams.get(period, {})
         state = streams.get(rsu_id)
         if state is not None:
             if size is not None and int(size) != state.size:
@@ -238,15 +250,26 @@ class StreamingDecoder:
                 "declare its array size"
             )
         size = int(size)
-        state = _RsuStream(rsu_id, size, BitArray(size))
-        pairs = self._pair_zeros.setdefault(period, {})
         for other in streams.values():
-            target = max(size, other.size)
-            if target % min(size, other.size):
+            if max(size, other.size) % min(size, other.size):
                 raise ConfigurationError(
                     f"array sizes {other.size} and {size} do not tile; "
                     "the unfolding of Eq. (3) needs an integer ratio"
                 )
+        return None
+
+    def _state(
+        self, period: int, rsu_id: int, size: Optional[int]
+    ) -> _RsuStream:
+        state = self._check_size(period, rsu_id, size)
+        if state is not None:
+            return state
+        size = int(size)
+        streams = self._streams.setdefault(period, {})
+        state = _RsuStream(rsu_id, size, BitArray(size))
+        pairs = self._pair_zeros.setdefault(period, {})
+        for other in streams.values():
+            target = max(size, other.size)
             # The newcomer's array is all zero, so the pair's joint
             # zeros are wherever the peer's tiled array is zero.
             zeros = target - other.ones * (
@@ -279,10 +302,7 @@ class StreamingDecoder:
         late or out-of-order windows are fine — the running state is an
         OR, so arrival order never changes any answer.
         """
-        if not 0 <= int(window) < self.windows:
-            raise ConfigurationError(
-                f"window {window} out of range [0, {self.windows})"
-            )
+        self._check_window(window)
         idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
         state = self._state(int(period), int(rsu_id), size)
         state.running_counter += int(idx.size)
@@ -316,6 +336,15 @@ class StreamingDecoder:
         registry.counter("stream.new_bits_total").inc(newly)
         return newly
 
+    def check_partial(
+        self, rsu_id: int, size: int, *, period: int = 0, window: int = 0
+    ) -> None:
+        """Raise :class:`~repro.errors.ConfigurationError` if
+        :meth:`ingest_partial` would refuse a *size*-bit partial for
+        this RSU and window; changes no state."""
+        self._check_window(window)
+        self._check_size(int(period), int(rsu_id), int(size))
+
     def ingest_partial(
         self,
         rsu_id: int,
@@ -333,10 +362,7 @@ class StreamingDecoder:
         idempotent on bits, additive on counters (the caller dedups
         redeliveries).  Returns the number of bits newly set.
         """
-        if not 0 <= int(window) < self.windows:
-            raise ConfigurationError(
-                f"window {window} out of range [0, {self.windows})"
-            )
+        self.check_partial(rsu_id, size, period=period, window=window)
         partial = BitArray.from_bytes(data, int(size))
         state = self._state(int(period), int(rsu_id), int(size))
         newly = self._merge(int(period), state, partial)

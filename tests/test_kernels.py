@@ -5,10 +5,10 @@ streaming's window merges and federation's CRDT join all run on these
 functions over raw ``uint64`` word vectors.  The Hypothesis battery
 holds each one to exact agreement with ``tests/bit_oracle.py``, on the
 ``np.bitwise_count`` popcount and on the byte lookup table that numpy
-< 2.0 installs use.  The ``BitArray`` entry points the kernels back and
-a full Sioux Falls period then run on both kernel sets (``legacy``: the
-bool kernels patched into ``bitwords``; ``packed``: the word kernels),
-which must agree bit for bit.
+< 2.0 installs use.  The ``BitArray`` entry points the kernels back
+then run on both kernel sets (``legacy``: the bool kernels patched into
+``bitwords``; ``packed``: the word kernels), which must agree bit for
+bit; ``tests/test_engine.py`` runs a full Sioux Falls period on both.
 """
 
 import sys
@@ -29,8 +29,6 @@ from repro.errors import ConfigurationError
 from repro.streaming import StreamingDecoder
 from tests import bit_oracle
 from tests.bit_oracle import KERNEL_SETS, BoolBits, kernels
-
-ORACLE = "legacy"
 
 sizes = st.integers(min_value=1, max_value=520)
 
@@ -347,48 +345,3 @@ class TestBitArrayKernelSurface:
             trusted.record_trusted(indices)
         assert checked.counter == trusted.counter == 50
         assert checked.bits == trusted.bits
-
-
-# ----------------------------------------------------------------------
-# A full Sioux Falls period, bit-identical on both kernel sets
-# ----------------------------------------------------------------------
-class TestSiouxFallsAcrossAllBackends:
-    @pytest.fixture(scope="class")
-    def schemes(self):
-        import repro
-
-        workload = repro.get_scenario("sioux-falls").workload(
-            total_trips=12_000, seed=11
-        )
-        built = {}
-        for name in KERNEL_SETS:
-            scheme = repro.VlmScheme(
-                workload.volumes(),
-                s=2,
-                load_factor=3.0,
-                hash_seed=7,
-                policy="clamp",
-            )
-            with kernels(name):
-                scheme.run_period(workload.passes())
-            built[name] = scheme
-        return built
-
-    def test_wire_bytes_identical_across_backends(self, schemes):
-        oracle = schemes[ORACLE].decoder
-        for name in KERNEL_SETS:
-            decoder = schemes[name].decoder
-            assert decoder.rsu_ids() == oracle.rsu_ids()
-            for rsu_id in oracle.rsu_ids():
-                assert (
-                    decoder.report_for(rsu_id).bits.to_bytes()
-                    == oracle.report_for(rsu_id).bits.to_bytes()
-                ), (name, rsu_id)
-
-    def test_estimates_bit_identical_across_backends(self, schemes):
-        with kernels(ORACLE):
-            oracle = schemes[ORACLE].decoder.estimate_matrix()
-        for name in KERNEL_SETS:
-            with kernels(name):
-                matrix = schemes[name].decoder.estimate_matrix()
-            assert matrix == oracle, name

@@ -94,9 +94,10 @@ class TestDocumentation:
 class TestRemovedSurface:
     """The 1.x aliases deleted in 2.0.0, the duplicate live-plane
     surface deleted in 3.0.0, the second load generator deleted in
-    4.0.0, the bit-engine backends deleted in 5.0.0 and the decoder's
-    unfold memo deleted in 6.0.0 stay deleted (each CHANGELOG maps them
-    to their replacements)."""
+    4.0.0, the bit-engine backends deleted in 5.0.0, the decoder's
+    unfold memo deleted in 6.0.0 and ``DeploymentSpec.config`` deleted
+    in 7.0.0 stay deleted (each CHANGELOG maps them to their
+    replacements)."""
 
     @pytest.mark.parametrize(
         "module_name,path",
@@ -174,6 +175,19 @@ class TestRemovedSurface:
         assert list(params) == ["self", "s", "policy", "config"]
         with pytest.raises(TypeError):
             CentralDecoder(2, memo_capacity=8)
+
+    def test_deployment_spec_takes_no_config(self):
+        """No ``config`` override since 7.0.0 (CHANGELOG 7.0.0): the
+        live plane always clamps."""
+        import dataclasses
+
+        from repro.core.estimator import ZeroFractionPolicy
+        from repro.service.runtime import DeploymentSpec
+
+        names = {f.name for f in dataclasses.fields(DeploymentSpec)}
+        assert "config" not in names
+        spec = DeploymentSpec(total_trips=600)
+        assert spec.policy is ZeroFractionPolicy.CLAMP
 
     def test_baseline_sizing_module_is_gone(self):
         with pytest.raises(ImportError):

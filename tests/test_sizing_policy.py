@@ -20,8 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import SchemeConfig
-from repro.core.estimator import ZeroFractionPolicy
 from repro.core.sizing import (
     MIN_ARRAY_SIZE,
     AdaptiveSizing,
@@ -171,11 +169,7 @@ class TestTrajectoryDeterminism:
     def test_trajectory_independent_of_backend(self, engine):
         # ``legacy`` runs the whole trajectory on the bool kernels.
         with kernels(engine):
-            spec = DeploymentSpec(
-                config=SchemeConfig(s=2, policy=ZeroFractionPolicy.CLAMP),
-                adaptive=True,
-                **self.SPEC,
-            )
+            spec = DeploymentSpec(adaptive=True, **self.SPEC)
             trajectory = spec.size_trajectory()
         baseline = DeploymentSpec(adaptive=True, **self.SPEC)
         assert trajectory == baseline.size_trajectory()

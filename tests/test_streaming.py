@@ -475,6 +475,42 @@ class TestFederationStreaming:
         reference = stream_scenario(sizes, batches, windows=3)
         assert recovered.server.live_matrix() == reference.live_matrix()
 
+    @pytest.mark.parametrize(
+        "rsu_id, array_size, window",
+        [(1, 16, 0), (2, 12, 0), (1, 8, 3)],
+        ids=["size-conflict", "no-tiling", "window-out-of-range"],
+    )
+    def test_refused_partial_is_not_journaled(
+        self, tmp_path, rsu_id, array_size, window
+    ):
+        """A partial the collector refuses never reaches the WAL, so
+        recovery applies every journaled record."""
+        collector = fresh_collector(tmp_path)
+
+        def partial(rsu_id, size, window, seq):
+            report = RsuReport(
+                rsu_id=rsu_id,
+                counter=1,
+                bits=BitArray.from_indices(size, [seq % size]),
+            )
+            return wire.WindowSnapshot.from_report(
+                report, window=window, shard_id=0, seq=seq
+            )
+
+        assert isinstance(
+            collector._handle(partial(1, 8, 0, seq=1)), wire.SnapshotAck
+        )
+        refused = collector._handle(partial(rsu_id, array_size, window, seq=2))
+        assert isinstance(refused, wire.ErrorMsg)
+        assert refused.code == wire.E_MALFORMED
+        assert collector.wal.records_appended == 1
+        assert isinstance(
+            collector._handle(partial(3, 16, 1, seq=3)), wire.SnapshotAck
+        )
+        collector.wal.close()
+        replayed = fresh_collector().recover(tmp_path / "stream.wal")
+        assert replayed == collector.wal.records_appended == 2
+
 
 # ----------------------------------------------------------------------
 # Server query surface

@@ -72,6 +72,14 @@ class TestResponseRoundTrip:
             msg.payload()
 
 
+#: The three report frames and the leading fields each adds to a report.
+SNAPSHOT_ROUTING = {
+    wire.Snapshot: {},
+    wire.ShardSnapshot: {"shard_id": 2},
+    wire.WindowSnapshot: {"shard_id": 2, "window": 4},
+}
+
+
 class TestSnapshotRoundTrip:
     @given(
         rsu_id=u32,
@@ -85,8 +93,8 @@ class TestSnapshotRoundTrip:
     def test_arbitrary_reports(
         self, rsu_id, period, counter, seq, log_m, data
     ):
-        """Counters, power-of-two sizes, and bit patterns all survive
-        the wire (the satellite property test from the issue)."""
+        """Counters, power-of-two sizes, bit patterns and routing
+        fields all survive the wire, for every report frame."""
         size = 1 << log_m
         ones = data.draw(
             st.lists(
@@ -101,7 +109,11 @@ class TestSnapshotRoundTrip:
             else BitArray(size),
             period=period,
         )
-        snap = roundtrip(wire.Snapshot.from_report(report, seq=seq))
+        cls = data.draw(st.sampled_from(list(SNAPSHOT_ROUTING)))
+        routing = {name: data.draw(u32) for name in SNAPSHOT_ROUTING[cls]}
+        frame = cls.from_report(report, seq=seq, **routing)
+        snap = roundtrip(frame)
+        assert snap == frame
         assert snap.seq == seq
         back = snap.to_report()
         assert back.rsu_id == report.rsu_id
@@ -110,19 +122,74 @@ class TestSnapshotRoundTrip:
         assert back.bits == report.bits
 
     def test_padding_bits_must_be_zero(self):
-        snap = wire.Snapshot.from_report(
-            RsuReport(rsu_id=1, counter=0, bits=BitArray(4))
-        )
-        frame = bytearray(wire.encode_frame(snap))
-        frame[-1] |= 0x0F  # set the 4 padding bits past array_size
-        with pytest.raises(WireError):
-            wire.decode_frame(bytes(frame))
+        report = RsuReport(rsu_id=1, counter=0, bits=BitArray(4))
+        for cls, routing in SNAPSHOT_ROUTING.items():
+            frame = bytearray(
+                wire.encode_frame(cls.from_report(report, **routing))
+            )
+            frame[-1] |= 0x0F  # set the 4 padding bits past array_size
+            payload = bytes(frame[12:])
+            frame[8:12] = struct.pack(">I", zlib.crc32(payload))
+            with pytest.raises(WireError, match="padding bits"):
+                wire.decode_frame(bytes(frame))
 
     def test_wrong_packed_length_rejected(self):
-        with pytest.raises(WireError):
-            wire.Snapshot(
-                rsu_id=1, period=0, counter=0, array_size=16, packed_bits=b"\0"
-            ).payload()
+        for cls, routing in SNAPSHOT_ROUTING.items():
+            frame = cls(
+                rsu_id=1,
+                period=0,
+                counter=0,
+                array_size=16,
+                packed_bits=b"\0",
+                **routing,
+            )
+            with pytest.raises(WireError, match="needs 2 packed bytes"):
+                frame.payload()
+
+
+class TestSnapshotGolden:
+    """The report frames' bytes, pinned from before they shared one
+    codec: a fixture report encoded with seq 9, shard 2 and window 4."""
+
+    REPORT = RsuReport(
+        rsu_id=7,
+        counter=5,
+        bits=BitArray.from_indices(21, [0, 5, 8, 13, 20]),
+        period=3,
+    )
+    FRAMES = {
+        wire.Snapshot: "565702030000001f704a37fd0000000700000003000000000000"
+        "0009000000000000000500000015848408",
+        wire.ShardSnapshot: "5657020c00000023287ec16f00000002000000070000"
+        "00030000000000000009000000000000000500000015848408",
+        wire.WindowSnapshot: "5657020f00000027e77b11900000000200000007000"
+        "00003000000040000000000000009000000000000000500000015848408",
+    }
+
+    def frame(self, cls):
+        return cls.from_report(self.REPORT, seq=9, **SNAPSHOT_ROUTING[cls])
+
+    @pytest.mark.parametrize(
+        "cls", list(FRAMES), ids=lambda cls: cls.__name__
+    )
+    def test_frame_bytes(self, cls):
+        assert wire.encode_frame(self.frame(cls)).hex() == self.FRAMES[cls]
+
+    def test_wal_bytes(self, tmp_path):
+        from repro.federation.wal import WriteAheadLog
+
+        path = tmp_path / "golden.wal"
+        with WriteAheadLog(path) as wal:
+            wal.append(self.frame(wire.ShardSnapshot))
+            wal.append(self.frame(wire.WindowSnapshot))
+            wal.append(wire.SizeAnnounce.from_sizes(3, {7: 32, 9: 64}))
+        assert path.read_bytes().hex() == (
+            "574c0100000023287ec16f000000020000000700000003000000000000"
+            "0009000000000000000500000015848408574c0200000027e77b119000"
+            "0000020000000700000003000000040000000000000009000000000000"
+            "000500000015848408574c03000000186a2e06930000000300000002000"
+            "00007000000090000002000000040"
+        )
 
 
 class TestControlAndQueryRoundTrip:
