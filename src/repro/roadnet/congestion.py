@@ -25,11 +25,18 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import CalibrationError, NetworkDataError
-from repro.roadnet.graph import RoadNetwork, shortest_path_tree, tree_path
+from repro.roadnet.graph import (
+    RoadNetwork,
+    adjacency,
+    shortest_path_sweep,
+    sweep_paths,
+)
 from repro.roadnet.routing import RoutePlan
 from repro.roadnet.trips import TripTable
+from repro.utils.arrays import sorted_unique
 
 __all__ = ["bpr_travel_time", "EquilibriumAssignment", "assign_equilibrium"]
 
@@ -86,24 +93,42 @@ class EquilibriumAssignment:
 
 
 def _all_or_nothing(
-    graph: nx.DiGraph, trips: TripTable, weight: str
-) -> Tuple[Dict[ArcKey, float], Dict[Tuple[int, int], list]]:
+    network: RoadNetwork, graph: nx.DiGraph, trips: TripTable, weight: str
+) -> Tuple[Dict[ArcKey, float], RoutePlan]:
     """One shortest-path assignment; returns link flows and routes.
 
-    Routes come from one Dijkstra tree per origin under *weight*, with
-    the tie-break :meth:`RoadNetwork.shortest_path` uses.
+    Routes come from one :func:`shortest_path_sweep` per origin under
+    *weight*, with the tie-break :meth:`RoadNetwork.shortest_path` uses.
     """
-    flows: Dict[ArcKey, float] = {}
-    routes: Dict[Tuple[int, int], list] = {}
-    trees: Dict[int, Dict[int, int]] = {}
-    for (origin, destination), demand in trips.pairs():
-        if origin not in trees:
-            trees[origin] = shortest_path_tree(graph, origin, weight)
-        path = tree_path(trees[origin], origin, destination)
-        routes[(origin, destination)] = path
-        for arc in zip(path, path[1:]):
-            flows[arc] = flows.get(arc, 0.0) + demand
-    return flows, routes
+    ids = network.nodes
+    nodes = np.asarray(ids, dtype=np.int64)
+    succ = adjacency(graph, ids, weight)
+    origins, destinations, demand = trips.columns()
+    positions, offsets = sweep_paths(
+        lambda origin: shortest_path_sweep(succ, origin),
+        nodes,
+        network.positions(origins),
+        network.positions(destinations),
+    )
+    # Demand on every arc the routes take, an arc coded tail * n + head
+    # (a route's last node opens no arc).
+    n = nodes.size
+    opens = np.ones(positions.size, dtype=bool)
+    opens[offsets[1:] - 1] = False
+    tails = np.flatnonzero(opens)
+    codes = positions[tails].astype(np.int64) * n + positions[tails + 1]
+    used = sorted_unique(codes)
+    volume = np.bincount(
+        np.searchsorted(used, codes),
+        weights=np.repeat(demand, np.diff(offsets) - 1),
+        minlength=used.size,
+    )
+    flows = {
+        (ids[code // n], ids[code % n]): flow
+        for code, flow in zip(used.tolist(), volume.tolist())
+    }
+    plan = RoutePlan(trips=trips, nodes=nodes[positions], offsets=offsets)
+    return flows, plan
 
 
 def assign_equilibrium(
@@ -132,7 +157,7 @@ def assign_equilibrium(
     iterations = 0
     for k in range(1, max_iterations + 1):
         iterations = k
-        aon_flows, _ = _all_or_nothing(graph, trips, "congested_time")
+        aon_flows, _ = _all_or_nothing(network, graph, trips, "congested_time")
         step = 1.0 / k
         for arc in flows:
             target = aon_flows.get(arc, 0.0)
@@ -155,8 +180,7 @@ def assign_equilibrium(
                 break
         previous_cost = total_cost
 
-    _, final_routes = _all_or_nothing(graph, trips, "congested_time")
-    plan = RoutePlan(routes=final_routes, trips=trips)
+    _, plan = _all_or_nothing(network, graph, trips, "congested_time")
     link_times = {
         (u, v): graph.edges[u, v]["congested_time"] for u, v in graph.edges
     }

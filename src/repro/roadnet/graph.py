@@ -4,54 +4,159 @@ A :class:`RoadNetwork` is a thin domain wrapper over a
 :class:`networkx.DiGraph`: nodes are intersections (where RSUs are
 installed), arcs are one-way road segments with free-flow travel time
 and capacity attributes.  The wrapper owns validation and the
-adjacency queries the rest of the library needs, while exposing the
-underlying graph for algorithms (shortest paths, connectivity).
+adjacency queries the rest of the library needs; the graph stores the
+arcs and answers connectivity.
 
-Shortest paths come from one Dijkstra tree per origin
-(:func:`shortest_path_tree`), so every route out of an origin agrees
-with every other on how ties are broken: each node keeps the first
-predecessor that reaches its final distance.
+Shortest paths come from one Dijkstra sweep per origin
+(:func:`shortest_path_sweep`) over positional adjacency lists, so every
+route out of an origin agrees with every other on how ties are broken:
+each node keeps the first predecessor that reaches its final distance.
+A node's *position* is its index in the sorted node list.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from heapq import heappop, heappush
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import NetworkDataError
+from repro.utils.arrays import sorted_unique
 
-__all__ = ["Arc", "RoadNetwork", "shortest_path_tree", "tree_path"]
+__all__ = [
+    "Arc",
+    "RoadNetwork",
+    "ShortestPathTree",
+    "adjacency",
+    "shortest_path_sweep",
+    "sweep_paths",
+]
 
-#: ``node -> predecessor`` on every shortest path out of one origin.
-Tree = Dict[int, int]
+#: ``adjacency[i]`` lists ``(j, weight)`` for every arc from position
+#: ``i`` to position ``j``.
+Adjacency = List[List[Tuple[int, float]]]
 
 
-def shortest_path_tree(graph: nx.DiGraph, origin: int, weight: str) -> Tree:
-    """The Dijkstra shortest-path tree of *origin* under arc attribute
-    *weight*, as ``node -> predecessor`` for every reachable node.
+class ShortestPathTree(NamedTuple):
+    """One origin's shortest-path tree over node positions.
 
-    Among tied predecessors a node keeps the first one that reached its
-    final distance — the same choice
-    :func:`networkx.single_source_dijkstra_path` makes.
+    Attributes
+    ----------
+    dist:
+        ``float64`` distance per position (``inf`` if unreachable).
+    pred:
+        ``int32`` predecessor position on the tree; ``-1`` at the
+        origin and at unreachable positions.
     """
-    pred, _ = nx.dijkstra_predecessor_and_distance(graph, origin, weight=weight)
-    return {node: preds[0] for node, preds in pred.items() if preds}
+
+    dist: np.ndarray
+    pred: np.ndarray
 
 
-def tree_path(tree: Tree, origin: int, destination: int) -> List[int]:
-    """The *origin* -> *destination* path of *origin*'s *tree*.
+def adjacency(graph: nx.DiGraph, nodes: Sequence[int], weight: str) -> Adjacency:
+    """*graph*'s arcs as positional successor lists under arc attribute
+    *weight*, each list in the graph's own successor order (the order
+    networkx's Dijkstra explores)."""
+    position = {node: i for i, node in enumerate(nodes)}
+    return [
+        [(position[head], data[weight]) for head, data in graph.succ[node].items()]
+        for node in nodes
+    ]
 
-    Raises :class:`NetworkDataError` if *destination* is unreachable.
+
+def shortest_path_sweep(adjacency: Adjacency, origin: int) -> ShortestPathTree:
+    """The Dijkstra shortest-path tree of position *origin*.
+
+    A replica of networkx's ``_dijkstra_multisource`` for positive
+    weights: heap keys are ``(dist, push counter, node)`` and a node's
+    predecessor is set on each strict improvement, so among tied
+    predecessors a node keeps the first one that reached its final
+    distance — the tree, and every distance, that
+    :func:`networkx.dijkstra_predecessor_and_distance` gives.
     """
-    if destination != origin and destination not in tree:
-        raise NetworkDataError(f"no path from {origin} to {destination}")
-    path = [destination]
-    while path[-1] != origin:
-        path.append(tree[path[-1]])
-    path.reverse()
-    return path
+    n = len(adjacency)
+    dist = [math.inf] * n
+    pred = [-1] * n
+    dist[origin] = 0.0
+    fringe = [(0.0, 0, origin)]
+    pushes = 0
+    while fringe:
+        d, _, v = heappop(fringe)
+        if d > dist[v]:
+            continue  # superseded by a later, shorter push
+        for u, cost in adjacency[v]:
+            du = d + cost
+            if du < dist[u]:
+                dist[u] = du
+                pred[u] = v
+                pushes += 1
+                heappush(fringe, (du, pushes, u))
+    return ShortestPathTree(np.array(dist), np.array(pred, dtype=np.int32))
+
+
+def _hops(pred: np.ndarray) -> np.ndarray:
+    """Arcs from each position back to its tree's root, for stacked
+    ``pred`` rows (pointer doubling; 0 at roots and unreachable
+    positions)."""
+    rows, n = pred.shape
+    base = np.arange(rows, dtype=np.int64)[:, None] * n
+    up = (np.where(pred < 0, np.arange(n), pred) + base).ravel()
+    hops = (pred >= 0).astype(np.int64).ravel()
+    while True:
+        upup = up[up]
+        if np.array_equal(upup, up):
+            return hops
+        hops += hops[up]
+        up = upup
+
+
+def sweep_paths(
+    tree: Callable[[int], ShortestPathTree],
+    nodes: np.ndarray,
+    sources: np.ndarray,
+    targets: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ``sources[k] -> targets[k]`` shortest path, read off
+    ``tree(source)`` (called once per distinct source position).
+
+    Returns ``(positions, offsets)``: path ``k`` is
+    ``positions[offsets[k]:offsets[k + 1]]``, source first.  The paths
+    are walked back from their targets all at once, one predecessor
+    gather per hop.  *nodes* maps positions to node ids for the error
+    raised when a target is unreachable.
+    """
+    if sources.size == 0:
+        return np.empty(0, dtype=np.int32), np.zeros(1, dtype=np.int64)
+    starts = sorted_unique(sources)
+    rows = np.searchsorted(starts, sources)
+    pred = np.stack([tree(p).pred for p in starts.tolist()])
+    n = nodes.size
+    lengths = _hops(pred)[rows * n + targets] + 1
+    # One node but two ends: the target is unreachable.
+    lost = np.flatnonzero((lengths == 1) & (sources != targets))
+    if lost.size:
+        k = lost[0]
+        raise NetworkDataError(
+            f"no path from {nodes[sources[k]]} to {nodes[targets[k]]}"
+        )
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    positions = np.empty(int(offsets[-1]), dtype=np.int32)
+    ends = offsets[1:] - 1
+    base = rows * n
+    pred = pred.ravel()
+    live = np.arange(lengths.size)
+    here = np.asarray(targets, dtype=np.int64)
+    for hop in range(int(lengths.max(initial=0))):
+        positions[ends[live] - hop] = here
+        more = lengths[live] > hop + 1
+        live = live[more]
+        here = pred[base[live] + here[more]]
+    return positions, offsets
 
 
 @dataclass(frozen=True)
@@ -110,7 +215,11 @@ class RoadNetwork:
             )
         if self._graph.number_of_nodes() == 0:
             raise NetworkDataError(f"network {name!r} has no arcs")
-        self._trees: Dict[int, Tree] = {}
+        #: Node ids by position, and back.
+        self._ids = np.array(sorted(self._graph.nodes), dtype=np.int64)
+        self._position = {node: i for i, node in enumerate(self._ids.tolist())}
+        self._free_flow = adjacency(self._graph, self.nodes, "free_flow_time")
+        self._trees: Dict[int, ShortestPathTree] = {}
 
     # ------------------------------------------------------------------
     # Structure
@@ -122,8 +231,8 @@ class RoadNetwork:
 
     @property
     def nodes(self) -> List[int]:
-        """All node ids, sorted."""
-        return sorted(self._graph.nodes)
+        """All node ids, sorted (node ``nodes[i]`` is at position ``i``)."""
+        return self._ids.tolist()
 
     @property
     def num_nodes(self) -> int:
@@ -164,15 +273,48 @@ class RoadNetwork:
         """Whether every node can reach every other node."""
         return nx.is_strongly_connected(self._graph)
 
-    def shortest_path_tree(self, origin: int) -> Tree:
-        """*origin*'s free-flow-time :func:`shortest_path_tree`, built on
-        first use and cached (shared, do not mutate)."""
-        tree = self._trees.get(origin)
+    # ------------------------------------------------------------------
+    # Shortest paths
+    # ------------------------------------------------------------------
+    def positions(self, nodes: Sequence[int]) -> np.ndarray:
+        """The position of every node in *nodes*; raises
+        :class:`NetworkDataError` for the first unknown one."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        at = np.searchsorted(self._ids, nodes)
+        known = self._ids[np.minimum(at, self._ids.size - 1)] == nodes
+        if not known.all():
+            self._require(int(nodes[np.argmin(known)]))
+        return at
+
+    def _tree_at(self, position: int) -> ShortestPathTree:
+        tree = self._trees.get(position)
         if tree is None:
-            self._require(origin)
-            tree = shortest_path_tree(self._graph, origin, "free_flow_time")
-            self._trees[origin] = tree
+            tree = shortest_path_sweep(self._free_flow, position)
+            self._trees[position] = tree
         return tree
+
+    def shortest_path_tree(self, origin: int) -> ShortestPathTree:
+        """*origin*'s free-flow-time :func:`shortest_path_sweep` tree,
+        built on first use and cached (shared, do not mutate)."""
+        self._require(origin)
+        return self._tree_at(self._position[origin])
+
+    def shortest_paths(
+        self, origins: Sequence[int], destinations: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The minimum free-flow-time path of every
+        ``origins[k] -> destinations[k]`` pair, read off the origins'
+        cached trees.
+
+        Returns ``(nodes, offsets)``: path ``k`` is the node-id run
+        ``nodes[offsets[k]:offsets[k + 1]]``, both endpoints included.
+        Raises :class:`NetworkDataError` for an unknown node or a
+        disconnected pair.
+        """
+        sources = self.positions(origins)
+        targets = self.positions(destinations)
+        positions, offsets = sweep_paths(self._tree_at, self._ids, sources, targets)
+        return self._ids[positions], offsets
 
     def shortest_path(self, origin: int, destination: int) -> List[int]:
         """Minimum free-flow-time path as a node sequence: the path in
@@ -180,8 +322,16 @@ class RoadNetwork:
 
         Raises :class:`NetworkDataError` if no path exists.
         """
+        self._require(origin)
         self._require(destination)
-        return tree_path(self.shortest_path_tree(origin), origin, destination)
+        start, end = self._position[origin], self._position[destination]
+        pred = self._tree_at(start).pred
+        if end != start and pred[end] < 0:
+            raise NetworkDataError(f"no path from {origin} to {destination}")
+        path = [end]
+        while path[-1] != start:
+            path.append(int(pred[path[-1]]))
+        return self._ids[path[::-1]].tolist()
 
     def path_time(self, path: List[int]) -> float:
         """Total free-flow time along a node sequence."""

@@ -15,13 +15,14 @@ scaled so total daily demand matches a target.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
-import networkx as nx
+import numpy as np
 
 from repro.errors import CalibrationError, NetworkDataError
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.trips import TripTable
+from repro.utils.arrays import sorted_unique
 
 __all__ = ["gravity_trip_table", "DEFAULT_NODE_WEIGHTS"]
 
@@ -67,26 +68,28 @@ def gravity_trip_table(
         if missing:
             raise NetworkDataError(f"weights missing for nodes {missing}")
 
-    times = dict(
-        nx.all_pairs_dijkstra_path_length(network.graph, weight="free_flow_time")
-    )
-    raw: Dict[Tuple[int, int], float] = {}
-    for origin in nodes:
-        for destination in nodes:
-            if origin == destination:
-                continue
-            t = times[origin].get(destination)
-            if t is None:
-                raise NetworkDataError(
-                    f"nodes {origin} and {destination} are disconnected"
-                )
-            raw[(origin, destination)] = (
-                weights[origin] * weights[destination] / max(t, 1e-9) ** gamma
-            )
-    raw_total = sum(raw.values())
-    scale = total_trips / raw_total
-    demand = {pair: int(round(value * scale)) for pair, value in raw.items()}
-    table = TripTable(demand)
+    ids = np.asarray(nodes, dtype=np.int64)
+    n = ids.size
+    off = ~np.eye(n, dtype=bool)
+    origins, destinations = np.nonzero(off)
+    # Pairs in (origin, destination) order; one Dijkstra row per origin.
+    times = np.stack([network.shortest_path_tree(node).dist for node in nodes])[off]
+    lost = np.flatnonzero(np.isinf(times))
+    if lost.size:
+        k = lost[0]
+        raise NetworkDataError(
+            f"nodes {nodes[origins[k]]} and {nodes[destinations[k]]} are disconnected"
+        )
+    # Python's float ``**`` over the distinct times, then gathered:
+    # ``np.power`` rounds differently on some inputs.
+    distinct = sorted_unique(times)
+    friction = np.array([max(t, 1e-9) ** gamma for t in distinct.tolist()])
+    mass = np.array([float(weights[node]) for node in nodes])
+    raw = mass[origins] * mass[destinations] / friction[np.searchsorted(distinct, times)]
+    # A Python ``sum`` in pair order, as the scale factor always had.
+    scale = total_trips / sum(raw.tolist())
+    demand = np.rint(raw * scale).astype(np.int64)
+    table = TripTable.from_columns(ids[origins], ids[destinations], demand)
     if table.total_trips == 0:
         raise CalibrationError(
             "gravity table rounded to zero everywhere; raise total_trips"

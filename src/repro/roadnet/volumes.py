@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -74,23 +73,22 @@ def pair_common_volumes(plan: RoutePlan) -> Dict[OdPair, int]:
     n = nodes.size
     total = np.zeros(n * n, dtype=np.int64)
     first = np.full(n * n, _UNSEEN, dtype=np.int64)
-    pairs = [pair for pair, _ in plan.trips.pairs()]
+    ranks = np.searchsorted(nodes, plan.nodes)
+    bounds = plan.offsets
     opened = 0
-    for lo in range(0, len(pairs), _ROUTE_CHUNK):
-        routes = [plan.routes[pair] for pair in pairs[lo : lo + _ROUTE_CHUNK]]
-        lengths = np.fromiter(map(len, routes), dtype=np.int64, count=len(routes))
-        flat = np.fromiter(
-            chain.from_iterable(routes), dtype=np.int64, count=int(lengths.sum())
-        )
-        rank = np.searchsorted(nodes, flat)
+    for lo in range(0, len(plan), _ROUTE_CHUNK):
+        hi = min(lo + _ROUTE_CHUNK, len(plan))
+        lengths = np.diff(bounds[lo : hi + 1])
+        rank = ranks[bounds[lo] : bounds[hi]]
         # Pairs each route position opens with the positions after it.
-        later = np.repeat(np.cumsum(lengths), lengths) - np.arange(flat.size) - 1
-        a = np.repeat(np.arange(flat.size), later)
+        later = np.repeat(bounds[lo + 1 : hi + 1] - bounds[lo], lengths)
+        later -= np.arange(rank.size) + 1
+        a = np.repeat(np.arange(rank.size), later)
         seq = np.arange(a.size)
         b = a + 1 + seq - np.repeat(np.cumsum(later) - later, later)
         ra, rb = rank[a], rank[b]
         code = np.minimum(ra, rb) * n + np.maximum(ra, rb)
-        weight = np.repeat(incidence.trips[lo : lo + len(routes)], lengths)
+        weight = np.repeat(incidence.trips[lo:hi], lengths)
         np.add.at(total, code, weight[a])
         np.minimum.at(first, code, opened + seq)
         opened += a.size
@@ -111,19 +109,22 @@ class TrafficAssignment:
 
     plan: RoutePlan
     fleet: VehicleFleet
-    spans: Dict[OdPair, Tuple[int, int]]
 
     @classmethod
     def materialize(cls, plan: RoutePlan, *, seed: SeedLike = None) -> "TrafficAssignment":
         """Create one vehicle per trip, in deterministic OD order."""
-        total = plan.trips.total_trips
-        fleet = VehicleFleet.random(total, seed=seed)
-        spans: Dict[OdPair, Tuple[int, int]] = {}
-        cursor = 0
-        for pair, trips in plan.trips.pairs():
-            spans[pair] = (cursor, cursor + trips)
-            cursor += trips
-        return cls(plan=plan, fleet=fleet, spans=spans)
+        fleet = VehicleFleet.random(plan.trips.total_trips, seed=seed)
+        return cls(plan=plan, fleet=fleet)
+
+    @cached_property
+    def spans(self) -> Dict[OdPair, Tuple[int, int]]:
+        """``(origin, destination) -> (start, stop)``: the fleet slots
+        of each OD pair's vehicles."""
+        bounds = self._bounds.tolist()
+        return {
+            pair: (bounds[k], bounds[k + 1])
+            for k, (pair, _) in enumerate(self.plan.trips.pairs())
+        }
 
     @property
     def total_vehicles(self) -> int:
@@ -133,8 +134,9 @@ class TrafficAssignment:
     def _bounds(self) -> np.ndarray:
         """Vehicle offsets per OD pair: pair ``k`` owns fleet slots
         ``bounds[k]:bounds[k + 1]``."""
-        bounds = np.zeros(self.plan.incidence.trips.size + 1, dtype=np.int64)
-        np.cumsum(self.plan.incidence.trips, out=bounds[1:])
+        trips = self.plan.trips.columns()[2]
+        bounds = np.zeros(trips.size + 1, dtype=np.int64)
+        np.cumsum(trips, out=bounds[1:])
         return bounds
 
     def passes_at(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -178,10 +180,11 @@ class TrafficAssignment:
         per-node arrays instead.
         """
         routes: Dict[int, List[int]] = {}
-        for pair, (start, stop) in self.spans.items():
-            route = self.plan.routes[pair]
-            for vid in self.fleet.ids[start:stop]:
-                routes[int(vid)] = list(route)
+        bounds = self._bounds.tolist()
+        for k in range(len(self.plan)):
+            route = self.plan.route_at(k)
+            for vid in self.fleet.ids[bounds[k] : bounds[k + 1]].tolist():
+                routes[vid] = list(route)
         return routes
 
 
@@ -190,7 +193,8 @@ def calibrate_to_node_volumes(
 ) -> RoutePlan:
     """Scale a plan's trip table so node *anchor* hits its target volume.
 
-    Returns a new plan over the scaled table (routes unchanged).  Used
+    Returns a new plan over the scaled table, keeping the routes of the
+    OD pairs whose scaled demand is still nonzero.  Used
     to pin the synthesized Sioux Falls workload to the paper's
     ``n_y = 451,000`` at node 10; the remaining targets are then
     reported (not forced) so EXPERIMENTS.md can show how close the
@@ -205,4 +209,4 @@ def calibrate_to_node_volumes(
     scaled = plan.trips.scaled(factor)
     if scaled.total_trips == 0:
         raise CalibrationError("calibration scaled the trip table to zero")
-    return RoutePlan(routes=dict(plan.routes), trips=scaled)
+    return RoutePlan.from_routes(plan.routes, scaled)

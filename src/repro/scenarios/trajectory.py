@@ -158,7 +158,7 @@ class TrajectoryReplayScenario(Scenario):
                 routes[(origin, destination)] = self.route_for(
                     origin, destination
                 )
-        return RoutePlan(routes=routes, trips=trips)
+        return RoutePlan.from_routes(routes, trips)
 
     # ------------------------------------------------------------------
     # Workload assembly (overridden: routes are replayed, not assigned)

@@ -5,6 +5,8 @@ off one Dijkstra tree per origin and ground truth off an OD × node
 incidence.  They are kept here, unoptimized, as the differential
 oracle the vectorized code must match exactly:
 
+* shortest-path trees: networkx's own Dijkstra, which
+  ``repro.roadnet.graph.shortest_path_sweep`` replicates;
 * routing: one networkx bidirectional Dijkstra search per OD pair;
 * passes: scan every OD span and keep it if ``node in route``;
 * ground truth: nested loops over each route's nodes and node pairs.
@@ -23,6 +25,34 @@ from repro.roadnet.trips import TripTable
 from repro.roadnet.volumes import TrafficAssignment
 
 OdPair = Tuple[int, int]
+
+
+def dijkstra_tree(
+    graph: nx.DiGraph, origin: int, weight: str
+) -> Tuple[Dict[int, int], Dict[int, float]]:
+    """``(first predecessor, distance)`` per node networkx's Dijkstra
+    from *origin* reaches (the origin has no predecessor)."""
+    pred, _ = nx.dijkstra_predecessor_and_distance(graph, origin, weight=weight)
+    dist = nx.single_source_dijkstra_path_length(graph, origin, weight=weight)
+    return {node: preds[0] for node, preds in pred.items() if preds}, dist
+
+
+def gravity_demand(
+    network: RoadNetwork, total_trips: int, gamma: float, weights: Dict[int, float]
+) -> Dict[OdPair, int]:
+    """The gravity table as one dict loop over networkx's all-pairs
+    distances (zero entries included)."""
+    times = dict(
+        nx.all_pairs_dijkstra_path_length(network.graph, weight="free_flow_time")
+    )
+    raw = {
+        (o, d): weights[o] * weights[d] / max(times[o][d], 1e-9) ** gamma
+        for o in network.nodes
+        for d in network.nodes
+        if o != d
+    }
+    scale = total_trips / sum(raw.values())
+    return {pair: int(round(value * scale)) for pair, value in raw.items()}
 
 
 def bidirectional_path(

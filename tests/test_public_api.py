@@ -95,9 +95,9 @@ class TestRemovedSurface:
     """The 1.x aliases deleted in 2.0.0, the duplicate live-plane
     surface deleted in 3.0.0, the second load generator deleted in
     4.0.0, the bit-engine backends deleted in 5.0.0, the decoder's
-    unfold memo deleted in 6.0.0 and ``DeploymentSpec.config`` deleted
-    in 7.0.0 stay deleted (each CHANGELOG maps them to their
-    replacements)."""
+    unfold memo deleted in 6.0.0, ``DeploymentSpec.config`` deleted
+    in 7.0.0 and the dict-tree routing helpers deleted in 8.0.0 stay
+    deleted (each CHANGELOG maps them to their replacements)."""
 
     @pytest.mark.parametrize(
         "module_name,path",
@@ -144,6 +144,8 @@ class TestRemovedSurface:
             ("repro.core.decoder", "DEFAULT_MEMO_CAPACITY"),
             ("repro.core.decoder", "CentralDecoder._unfolded"),
             ("repro.streaming", "_tiled_peer_popcounts"),
+            ("repro.roadnet.graph", "shortest_path_tree"),
+            ("repro.roadnet.graph", "tree_path"),
         ],
     )
     def test_name_is_gone(self, module_name, path):
@@ -166,6 +168,16 @@ class TestRemovedSurface:
         """One word representation since 5.0.0 (CHANGELOG 5.0.0)."""
         with pytest.raises(ImportError):
             importlib.import_module(module_name)
+
+    def test_route_plan_stores_flat_routes(self):
+        """Routes are one node array plus offsets since 8.0.0; build a
+        plan from a route dict with ``RoutePlan.from_routes``."""
+        import dataclasses
+
+        from repro.roadnet.routing import RoutePlan
+
+        fields = [f.name for f in dataclasses.fields(RoutePlan)]
+        assert fields == ["trips", "nodes", "offsets"]
 
     def test_decoder_takes_no_memo_capacity(self):
         """No unfold memo since 6.0.0 (CHANGELOG 6.0.0)."""

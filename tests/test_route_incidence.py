@@ -118,7 +118,7 @@ class TestDifferentialBattery:
         the ones the trees pick."""
         network, trips = workload
         routes = oracle.bidirectional_routes(network, trips)
-        plan = RoutePlan(routes=routes, trips=trips)
+        plan = RoutePlan.from_routes(routes, trips)
         _assert_ground_truth_matches(plan, network, seed)
 
 
@@ -200,13 +200,13 @@ class TestTieBreak:
         network = grid_network(3, 3)
         trips = _all_pairs(network)
         calls = []
-        real = congestion.shortest_path_tree
+        real = congestion.shortest_path_sweep
 
-        def counted(graph, origin, weight):
+        def counted(adjacency, origin):
             calls.append(origin)
-            return real(graph, origin, weight)
+            return real(adjacency, origin)
 
-        monkeypatch.setattr(congestion, "shortest_path_tree", counted)
+        monkeypatch.setattr(congestion, "shortest_path_sweep", counted)
         result = congestion.assign_equilibrium(network, trips, max_iterations=3)
         assert len(calls) == (result.iterations + 1) * len(trips.origins())
 
@@ -227,7 +227,7 @@ class TestIncidence:
 
     def test_revisiting_route_rejected(self):
         trips = TripTable({(1, 3): 1})
-        plan = RoutePlan(routes={(1, 3): [1, 2, 1, 3]}, trips=trips)
+        plan = RoutePlan.from_routes({(1, 3): [1, 2, 1, 3]}, trips)
         with pytest.raises(NetworkDataError, match="revisits node 1"):
             plan.incidence
 
@@ -235,12 +235,12 @@ class TestIncidence:
         network = grid_network(2, 3)
         trips = TripTable({(1, 6): 3})
         routes = {pair: network.shortest_path(*pair) for pair in [(1, 6), (4, 3)]}
-        plan = RoutePlan(routes=routes, trips=trips)
+        plan = RoutePlan.from_routes(routes, trips)
         assert node_volumes(plan) == oracle.node_volumes(plan)
         assert pair_common_volumes(plan) == oracle.pair_common_volumes(plan)
 
     def test_empty_plan(self):
-        plan = RoutePlan(routes={}, trips=TripTable({}))
+        plan = RoutePlan.from_routes({}, TripTable({}))
         assert node_volumes(plan) == {}
         assert pair_common_volumes(plan) == {}
         assert plan.vehicles_through(1) == 0

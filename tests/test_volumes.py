@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import CalibrationError
+from repro.errors import CalibrationError, NetworkDataError
+from repro.roadnet.generators import grid_network
 from repro.roadnet.graph import Arc, RoadNetwork
 from repro.roadnet.routing import assign_routes
 from repro.roadnet.trips import TripTable
@@ -97,3 +98,15 @@ class TestCalibration:
     def test_anchor_without_traffic(self, plan):
         with pytest.raises(CalibrationError):
             calibrate_to_node_volumes(plan, {99: 10}, anchor=99)
+
+    def test_pairs_scaled_to_zero_lose_their_routes(self):
+        plan = assign_routes(
+            grid_network(3, 3), TripTable({(1, 9): 100, (2, 8): 1, (3, 7): 1})
+        )
+        scaled = calibrate_to_node_volumes(plan, {1: 40}, anchor=1)
+        assert len(scaled.trips) == 1
+        assert len(scaled) == len(scaled.trips)
+        assert list(scaled.routes) == [(1, 9)]
+        assert scaled.route(1, 9) == plan.route(1, 9)
+        with pytest.raises(NetworkDataError):
+            scaled.route(2, 8)
