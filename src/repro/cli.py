@@ -62,347 +62,311 @@ for every worker count and executor (see ``docs/parallel.md``); with
 ``serve`` and ``loadgen`` must be given the same deployment flags
 (``--trips --seed --s --load-factor --hash-seed``, and ``--shards
 --window --periods``) so both processes derive the identical fleet and
-port plan; see ``docs/protocol.md``.  ``loadgen`` exits 2 on a shape
-it cannot drive (``--rebalance`` without ``--shards``, a negative
-count, more rebalanced RSUs than the fleet has).
+port plan; see ``docs/protocol.md``.  Every command exits 2 with
+``<command>: <reason>`` on stderr for a configuration it refuses, such
+as ``loadgen --rebalance`` without ``--shards``, ``serve --shards -1``
+or a ``chaos --kill-shard`` outside the fleet.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-import time
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.errors import ConfigurationError
+from repro.obs import trace
 from repro.runtime import EXECUTOR_ENV, EXECUTORS, WORKERS_ENV, Task, run_tasks
+from repro.traffic.scenarios import FIG45_SWEEP
 from repro.utils.serialization import dump_json
 
 __all__ = ["main", "build_parser"]
 
-#: Experiment runner signature: (quick, workers=None, executor=None).
-Runner = Callable[..., object]
+#: The run-plan options of an experiment that fans out tasks.
+_PLAN = ("workers", "executor")
 
 
-def _run_table1(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-) -> object:
-    from repro.experiments.table1 import run_table1
+@dataclass(frozen=True)
+class Experiment:
+    """One row of :data:`EXPERIMENTS`: the function behind an artifact.
 
-    return run_table1(
-        repetitions=2 if quick else 10, workers=workers, executor=executor
-    )
+    *target* is ``module:function``.  Calling the row runs it with the
+    *quick* or *full* keyword arguments, the run plan if the function
+    ``accepts`` ``workers``/``executor``, and any *options* (the
+    ``scenario``/``scenarios`` it accepts)::
 
+        EXPERIMENTS["table1"](True)  # run_table1(repetitions=2, ...)
+    """
 
-def _run_fig1(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-) -> object:
-    from repro.experiments.figure1 import run_figure1
+    target: str
+    quick: Mapping[str, object] = field(default_factory=dict)
+    full: Mapping[str, object] = field(default_factory=dict)
+    accepts: Tuple[str, ...] = _PLAN
 
-    return run_figure1()
-
-
-def _run_fig2(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-) -> object:
-    from repro.experiments.figure2 import run_figure2
-
-    return run_figure2(
-        grid_points=100 if quick else 400, empirical_checks=not quick
-    )
+    def __call__(
+        self,
+        quick: bool,
+        workers: Optional[int] = None,
+        executor: Optional[str] = None,
+        **options: object,
+    ) -> object:
+        module, function = self.target.split(":")
+        run = getattr(importlib.import_module(module), function)
+        plan = {"workers": workers, "executor": executor}
+        plan = {name: value for name, value in plan.items() if name in self.accepts}
+        return run(**(self.quick if quick else self.full), **plan, **options)
 
 
-class _Fig3Result:
-    """Adapter giving the network map the runner interface."""
+@dataclass(frozen=True)
+class _Rendered:
+    """A diagram artifact; its JSON is ``{"rendered": <text>}``."""
 
-    def __init__(self) -> None:
-        from repro.roadnet.layout import ascii_map
-        from repro.roadnet.sioux_falls import sioux_falls_network
-
-        self.text = ascii_map(sioux_falls_network())
+    rendered: str
 
     def render(self) -> str:
-        """The ASCII Sioux Falls map (paper Fig. 3)."""
-        return self.text
+        return self.rendered
 
 
-def _run_fig3(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-) -> object:
-    return _Fig3Result()
+def _figure3() -> _Rendered:
+    """Paper Fig. 3: the ASCII map of the Sioux Falls network."""
+    from repro.roadnet.layout import ascii_map
+    from repro.roadnet.sioux_falls import sioux_falls_network
+
+    return _Rendered(ascii_map(sioux_falls_network()))
 
 
-def _sweep_points(quick: bool) -> Optional[List[int]]:
-    if not quick:
-        return None  # the paper's full 491-point grid
-    from repro.traffic.scenarios import FIG45_SWEEP
+#: Quick ``fig4``/``fig5`` runs sweep every tenth point of the paper's
+#: 491-point grid (full runs sweep all of it).
+_QUICK_SWEEP = list(FIG45_SWEEP.n_c_values())[::10]
 
-    return list(FIG45_SWEEP.n_c_values())[::10]
-
-
-def _run_fig4(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-) -> object:
-    from repro.experiments.figure4 import run_figure4
-
-    return run_figure4(
-        n_c_values=_sweep_points(quick), workers=workers, executor=executor
-    )
-
-
-def _run_fig5(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-) -> object:
-    from repro.experiments.figure5 import run_figure5
-
-    return run_figure5(
-        n_c_values=_sweep_points(quick), workers=workers, executor=executor
-    )
-
-
-def _run_accuracy(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-) -> object:
-    from repro.experiments.accuracy_analysis import run_accuracy_analysis
-
-    return run_accuracy_analysis(
-        repetitions=5 if quick else 30, workers=workers, executor=executor
-    )
-
-
-def _run_ablations(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-) -> object:
-    from repro.experiments.ablations import run_ablations
-
-    return run_ablations(
-        repetitions=3 if quick else 10, workers=workers, executor=executor
-    )
-
-
-def _run_multiperiod(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-) -> object:
-    from repro.experiments.multiperiod import run_multiperiod
-
-    return run_multiperiod(
-        trials=3 if quick else 8, workers=workers, executor=executor
-    )
-
-
-def _run_tradeoff(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-) -> object:
-    from repro.experiments.tradeoff import run_tradeoff
-
-    return run_tradeoff()
-
-
-def _run_matrix(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-    scenario: str = "sioux-falls",
-) -> object:
-    from repro.experiments.sioux_falls_matrix import run_od_matrix
-
-    return run_od_matrix(
-        scenario=scenario,
-        total_trips=60_000 if quick else 360_600,
-        workers=workers,
-        executor=executor,
-    )
-
-
-def _run_attacks(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-) -> object:
-    from repro.experiments.attack_resilience import run_attack_resilience
-
-    return run_attack_resilience(
-        n_honest=5_000 if quick else 20_000,
-        workers=workers,
-        executor=executor,
-    )
-
-
-def _run_overhead(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-) -> object:
-    from repro.experiments.overhead import run_overhead
-
-    return run_overhead(m_exponents=(14, 17) if quick else (14, 17, 20))
-
-
-def _run_calibration(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-) -> object:
-    from repro.experiments.calibration import run_calibration
-
-    return run_calibration(
-        fractions=(0.05, 0.1, 0.2) if quick else (0.02, 0.05, 0.1, 0.2, 0.3),
-        workers=workers,
-        executor=executor,
-    )
-
-
-def _run_scaling(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-    scenarios: Optional[Tuple[str, ...]] = None,
-) -> object:
-    from repro.experiments.scaling import run_scaling
-
-    sizes = ((2, 6), (3, 8)) if quick else ((2, 6), (3, 8), (4, 10), (5, 12))
-    return run_scaling(
-        city_sizes=sizes,
-        scenarios=scenarios,
-        workers=workers,
-        executor=executor,
-    )
-
-
-def _run_adaptive(
-    quick: bool,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-    scenario: str = "sioux-falls",
-) -> object:
-    from repro.experiments.adaptive_sizing import run_adaptive_sizing
-
-    return run_adaptive_sizing(
-        total_trips=6_000 if quick else 24_000,
-        periods=3 if quick else 5,
-        scenario=scenario,
-        workers=workers,
-        executor=executor,
-    )
-
-
-EXPERIMENTS: Dict[str, Runner] = {
-    "adaptive": _run_adaptive,
-    "table1": _run_table1,
-    "fig1": _run_fig1,
-    "fig2": _run_fig2,
-    "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "fig5": _run_fig5,
-    "accuracy": _run_accuracy,
-    "ablations": _run_ablations,
-    "multiperiod": _run_multiperiod,
-    "tradeoff": _run_tradeoff,
-    "matrix": _run_matrix,
-    "attacks": _run_attacks,
-    "scaling": _run_scaling,
-    "calibration": _run_calibration,
-    "overhead": _run_overhead,
+#: Every artifact ``repro <name>`` regenerates; ``repro all`` runs them
+#: all.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "adaptive": Experiment(
+        "repro.experiments.adaptive_sizing:run_adaptive_sizing",
+        quick=dict(total_trips=6_000, periods=3),
+        full=dict(total_trips=24_000, periods=5),
+        accepts=_PLAN + ("scenario",),
+    ),
+    "table1": Experiment(
+        "repro.experiments.table1:run_table1",
+        quick=dict(repetitions=2),
+        full=dict(repetitions=10),
+    ),
+    "fig1": Experiment("repro.experiments.figure1:run_figure1", accepts=()),
+    "fig2": Experiment(
+        "repro.experiments.figure2:run_figure2",
+        quick=dict(grid_points=100, empirical_checks=False),
+        full=dict(grid_points=400, empirical_checks=True),
+        accepts=(),
+    ),
+    "fig3": Experiment("repro.cli:_figure3", accepts=()),
+    "fig4": Experiment(
+        "repro.experiments.figure4:run_figure4",
+        quick=dict(n_c_values=_QUICK_SWEEP),
+    ),
+    "fig5": Experiment(
+        "repro.experiments.figure5:run_figure5",
+        quick=dict(n_c_values=_QUICK_SWEEP),
+    ),
+    "accuracy": Experiment(
+        "repro.experiments.accuracy_analysis:run_accuracy_analysis",
+        quick=dict(repetitions=5),
+        full=dict(repetitions=30),
+    ),
+    "ablations": Experiment(
+        "repro.experiments.ablations:run_ablations",
+        quick=dict(repetitions=3),
+        full=dict(repetitions=10),
+    ),
+    "multiperiod": Experiment(
+        "repro.experiments.multiperiod:run_multiperiod",
+        quick=dict(trials=3),
+        full=dict(trials=8),
+    ),
+    "tradeoff": Experiment("repro.experiments.tradeoff:run_tradeoff", accepts=()),
+    "matrix": Experiment(
+        "repro.experiments.sioux_falls_matrix:run_od_matrix",
+        quick=dict(total_trips=60_000),
+        full=dict(total_trips=360_600),
+        accepts=_PLAN + ("scenario",),
+    ),
+    "attacks": Experiment(
+        "repro.experiments.attack_resilience:run_attack_resilience",
+        quick=dict(n_honest=5_000),
+        full=dict(n_honest=20_000),
+    ),
+    "scaling": Experiment(
+        "repro.experiments.scaling:run_scaling",
+        quick=dict(city_sizes=((2, 6), (3, 8))),
+        full=dict(city_sizes=((2, 6), (3, 8), (4, 10), (5, 12))),
+        accepts=_PLAN + ("scenarios",),
+    ),
+    "calibration": Experiment(
+        "repro.experiments.calibration:run_calibration",
+        quick=dict(fractions=(0.05, 0.1, 0.2)),
+        full=dict(fractions=(0.02, 0.05, 0.1, 0.2, 0.3)),
+    ),
+    "overhead": Experiment(
+        "repro.experiments.overhead:run_overhead",
+        quick=dict(m_exponents=(14, 17)),
+        full=dict(m_exponents=(14, 17, 20)),
+        accepts=(),
+    ),
 }
 
+#: ``--verbose``, which every command takes.
+_VERBOSE = dict(action="store_true", help="enable library debug logging on stderr")
 
-def _add_deployment_args(parser: argparse.ArgumentParser) -> None:
-    """Flags ``serve`` and ``loadgen`` must share to stay consistent."""
-    parser.add_argument(
-        "--scenario",
+_SCENARIO_HELP = (
+    "workload scenario: a registered name (`repro scenarios list`), "
+    "grid-NxM, ring-R[xS], or tntp:<net>[:<trips>] (default %(default)s)"
+)
+
+#: Arguments of every experiment command and ``repro all``.
+_COMMON_ARGS = {
+    "--quick": dict(
+        action="store_true", help="reduced repetitions/grids for a fast smoke run"
+    ),
+    "--json": dict(
+        type=Path,
+        default=None,
+        metavar="PATH",
+        help="also dump structured results as JSON",
+    ),
+    "--verbose": _VERBOSE,
+    "--workers": dict(
+        type=int,
+        default=None,
+        metavar="N",
+        help="parallel workers for the experiment's independent tasks "
+        f"(default: ${WORKERS_ENV} or 1); results are bit-identical "
+        "for every worker count",
+    ),
+    "--executor": dict(
+        choices=EXECUTORS,
+        default=None,
+        help=f"task executor (default: ${EXECUTOR_ENV}, else serial at one "
+        "worker and process beyond)",
+    ),
+}
+
+#: The experiment options ``Experiment.accepts`` can name, as flags.
+_OPTION_ARGS = {
+    "scenario": dict(default="sioux-falls", metavar="SPEC", help=_SCENARIO_HELP),
+    "scenarios": dict(
+        nargs="+",
+        default=None,
+        metavar="SPEC",
+        help="scenario specs to sweep instead of the default "
+        "ring-radial ladder, e.g. --scenarios grid-8x8 "
+        "grid-12x12 grid-16x16 (hundreds of RSUs)",
+    ),
+}
+
+#: ``repro matrix``'s streaming and adaptive decode modes.
+_MATRIX_MODE_ARGS = {
+    "--live": dict(
+        action="store_true",
+        help="decode the OD matrix incrementally while the day "
+        "streams in (repro.streaming), verifying the live "
+        "answer bit-for-bit against the batch decode",
+    ),
+    "--window": dict(
+        type=int,
+        default=None,
+        metavar="W",
+        help="also print the time-sliced OD matrix of "
+        "sub-period window W (implies --live)",
+    ),
+    "--windows": dict(
+        type=int,
+        default=4,
+        metavar="N",
+        help="sub-period windows per period for --live/--window "
+        "(default %(default)s)",
+    ),
+    "--adaptive": dict(
+        action="store_true",
+        help="decode a multi-period day sequence with the "
+        "adaptive array-sizing control loop, printing the "
+        "size trajectory and the final period's OD matrix "
+        "(see docs/adaptive.md)",
+    ),
+    "--periods": dict(
+        type=int,
+        default=5,
+        metavar="P",
+        help="measurement periods for --adaptive (default %(default)s)",
+    ),
+    "--drift": dict(
+        type=float,
+        default=-0.35,
+        metavar="D",
+        help="per-period demand drift for --adaptive (default %(default)s)",
+    ),
+}
+
+#: Flags ``serve`` and ``loadgen`` must share to stay consistent.
+_DEPLOYMENT_ARGS = {
+    "--scenario": dict(
         default="sioux-falls",
         metavar="SPEC",
-        help="workload scenario: a registered name (`repro scenarios "
-        "list`), grid-NxM, ring-R[xS], or tntp:<net>[:<trips>] "
-        "(default %(default)s); serve and loadgen must agree",
-    )
-    parser.add_argument(
-        "--trips",
-        type=int,
-        default=60_000,
-        help="scenario trips per day (default %(default)s)",
-    )
-    parser.add_argument(
-        "--quick",
+        help=_SCENARIO_HELP + "; serve and loadgen must agree",
+    ),
+    "--trips": dict(
+        type=int, default=60_000, help="scenario trips per day (default %(default)s)"
+    ),
+    "--quick": dict(
         action="store_true",
         help="shrink the day to a fast smoke run (caps --trips at "
         "5000); serve and loadgen must agree",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=13, help="deployment seed (default %(default)s)"
-    )
-    parser.add_argument(
-        "--s", type=int, default=2, help="logical bit array size (default %(default)s)"
-    )
-    parser.add_argument(
-        "--load-factor",
-        type=float,
-        default=3.0,
-        help="global load factor f̄ (default %(default)s)",
-    )
-    parser.add_argument(
-        "--hash-seed", type=int, default=7, help="shared hash seed (default %(default)s)"
-    )
-    parser.add_argument(
-        "--periods",
+    ),
+    "--seed": dict(type=int, default=13, help="deployment seed (default %(default)s)"),
+    "--s": dict(
+        type=int, default=2, help="logical bit array size (default %(default)s)"
+    ),
+    "--load-factor": dict(
+        type=float, default=3.0, help="global load factor f̄ (default %(default)s)"
+    ),
+    "--hash-seed": dict(
+        type=int, default=7, help="shared hash seed (default %(default)s)"
+    ),
+    "--periods": dict(
         type=int,
         default=1,
         metavar="P",
         help="consecutive measurement periods (days) to run "
         "(default %(default)s); serve and loadgen must agree",
-    )
-    parser.add_argument(
-        "--drift",
+    ),
+    "--drift": dict(
         type=float,
         default=0.0,
         metavar="D",
         help="geometric demand drift: day p carries trips*(1+D)**p "
         "trips (default %(default)s)",
-    )
-    parser.add_argument(
-        "--adaptive",
+    ),
+    "--adaptive": dict(
         action="store_true",
         help="enable the between-period adaptive array-sizing control "
         "loop (collector plans per-period sizes toward the "
         "privacy-optimal load factor; see docs/adaptive.md)",
-    )
-    parser.add_argument(
-        "--host", default="127.0.0.1", help="bind/connect address (default %(default)s)"
-    )
-    parser.add_argument(
-        "--gateway-port",
-        type=int,
-        default=8701,
-        help="RSU gateway TCP port (default %(default)s)",
-    )
-    parser.add_argument(
-        "--collector-port",
+    ),
+    "--host": dict(
+        default="127.0.0.1", help="bind/connect address (default %(default)s)"
+    ),
+    "--gateway-port": dict(
+        type=int, default=8701, help="RSU gateway TCP port (default %(default)s)"
+    ),
+    "--collector-port": dict(
         type=int,
         default=8702,
         help="central collector TCP port (default %(default)s)",
-    )
-    parser.add_argument(
-        "--shards",
+    ),
+    "--shards": dict(
         type=int,
         default=0,
         metavar="N",
@@ -410,9 +374,8 @@ def _add_deployment_args(parser: argparse.ArgumentParser) -> None:
         "binds --gateway-port + i, skipping --collector-port; 0 = "
         "single unsharded gateway, default %(default)s); serve and "
         "loadgen must agree",
-    )
-    parser.add_argument(
-        "--window",
+    ),
+    "--window": dict(
         type=int,
         default=0,
         metavar="N",
@@ -420,16 +383,35 @@ def _add_deployment_args(parser: argparse.ArgumentParser) -> None:
         "(0 = off, default %(default)s); serve and loadgen must "
         "agree, like every other deployment flag — see "
         "docs/streaming.md",
-    )
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="enable library debug logging on stderr",
-    )
+    ),
+    "--verbose": _VERBOSE,
+}
+
+#: ``repro chaos`` overrides of the named fault profile: the
+#: ``profile_from_args`` keyword -> (type, help) of its ``--flag``.
+_FAULT_FLAGS = {
+    "seed": (int, "fault decision seed"),
+    "latency": (float, "added delay per read (s)"),
+    "latency_jitter": (float, "uniform extra delay in [0, J] per read (s)"),
+    "bandwidth": (float, "bytes/sec cap"),
+    "drop_rate": (float, "per-512B-window probability of dropping its bytes"),
+    "corrupt_rate": (float, "per-window probability of flipping one bit"),
+    "reset_rate": (float, "per-window probability of a hard connection reset"),
+    "blackhole_rate": (float, "per-window probability the direction goes silent"),
+    "max_chunk": (int, "fragment forwarded writes to at most this many bytes"),
+}
+
+
+def _add_args(
+    parser: argparse.ArgumentParser, table: Mapping[str, Mapping[str, object]]
+) -> None:
+    for name, spec in table.items():
+        parser.add_argument(name, **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for testing)."""
+    """The CLI argument parser (exposed for testing), built from
+    :data:`EXPERIMENTS` and :data:`_COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -446,497 +428,50 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact to regenerate, or serve/loadgen for the live plane",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced repetitions/grids for a fast smoke run",
-    )
-    common.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="also dump structured results as JSON",
-    )
-    common.add_argument(
-        "--verbose",
-        action="store_true",
-        help="enable library debug logging on stderr",
-    )
-    common.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "parallel workers for the experiment's independent tasks "
-            f"(default: ${WORKERS_ENV} or 1); results are bit-identical "
-            "for every worker count"
-        ),
-    )
-    common.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default=None,
-        help=(
-            f"task executor (default: ${EXECUTOR_ENV}, else serial at one "
-            "worker and process beyond)"
-        ),
-    )
-    for name in sorted(EXPERIMENTS) + ["all"]:
+    _add_args(common, _COMMON_ARGS)
+    for name in sorted(EXPERIMENTS):
         sub = subparsers.add_parser(
-            name,
-            parents=[common],
-            help=(
-                "every registered artifact"
-                if name == "all"
-                else f"regenerate {name}"
-            ),
+            name, parents=[common], help=f"regenerate {name}"
         )
-        if name in ("matrix", "adaptive"):
-            sub.add_argument(
-                "--scenario",
-                default="sioux-falls",
-                metavar="SPEC",
-                help="workload scenario: a registered name (`repro "
-                "scenarios list`), grid-NxM, ring-R[xS], or "
-                "tntp:<net>[:<trips>] (default %(default)s)",
-            )
-        if name == "scaling":
-            sub.add_argument(
-                "--scenarios",
-                nargs="+",
-                default=None,
-                metavar="SPEC",
-                help="scenario specs to sweep instead of the default "
-                "ring-radial ladder, e.g. --scenarios grid-8x8 "
-                "grid-12x12 grid-16x16 (hundreds of RSUs)",
-            )
+        for option in EXPERIMENTS[name].accepts:
+            if option in _OPTION_ARGS:
+                sub.add_argument(f"--{option}", **_OPTION_ARGS[option])
         if name == "matrix":
-            sub.add_argument(
-                "--live",
-                action="store_true",
-                help="decode the OD matrix incrementally while the day "
-                "streams in (repro.streaming), verifying the live "
-                "answer bit-for-bit against the batch decode",
-            )
-            sub.add_argument(
-                "--window",
-                type=int,
-                default=None,
-                metavar="W",
-                help="also print the time-sliced OD matrix of "
-                "sub-period window W (implies --live)",
-            )
-            sub.add_argument(
-                "--windows",
-                type=int,
-                default=4,
-                metavar="N",
-                help="sub-period windows per period for --live/"
-                "--window (default %(default)s)",
-            )
-            sub.add_argument(
-                "--adaptive",
-                action="store_true",
-                help="decode a multi-period day sequence with the "
-                "adaptive array-sizing control loop, printing the "
-                "size trajectory and the final period's OD matrix "
-                "(see docs/adaptive.md)",
-            )
-            sub.add_argument(
-                "--periods",
-                type=int,
-                default=5,
-                metavar="P",
-                help="measurement periods for --adaptive "
-                "(default %(default)s)",
-            )
-            sub.add_argument(
-                "--drift",
-                type=float,
-                default=-0.35,
-                metavar="D",
-                help="per-period demand drift for --adaptive "
-                "(default %(default)s)",
-            )
-    serve = subparsers.add_parser(
-        "serve",
-        help="run the live RSU gateway + central collector",
-        description=(
-            "Start the asyncio RSU gateway and central collector on "
-            "localhost TCP ports.  Run `repro loadgen` with the same "
-            "deployment flags in another terminal to replay a day."
-        ),
+            _add_args(sub, _MATRIX_MODE_ARGS)
+    subparsers.add_parser(
+        "all", parents=[common], help="every registered artifact"
     )
-    _add_deployment_args(serve)
-    serve.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="also expose gateway/collector metrics as Prometheus "
-        "text on this port (GET /metrics)",
-    )
-    serve.add_argument(
-        "--wal",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="with --shards: journal every shard partial to this "
-        "write-ahead log before merging, so a killed collector "
-        "replays to bit-identical state",
-    )
-    serve.add_argument(
-        "--retention",
-        type=int,
-        default=None,
-        metavar="N",
-        help="keep snapshot dedup keys for only the N most recent "
-        "periods (default: keep everything)",
-    )
-    loadgen = subparsers.add_parser(
-        "loadgen",
-        help="replay a scenario day against a running `repro serve`",
-        description=(
-            "Stream one scenario day of vehicle responses at a live "
-            "gateway, close the period, query the collector for the "
-            "full point-to-point matrix, and verify every answer "
-            "bit-for-bit against in-process decoding.  Pick the "
-            "workload with --scenario (default sioux-falls); serve "
-            "must be started with the same spec."
-        ),
-    )
-    _add_deployment_args(loadgen)
-    loadgen.add_argument(
-        "--wire-batch",
-        type=int,
-        default=4096,
-        help="responses per wire frame (default %(default)s)",
-    )
-    loadgen.add_argument(
-        "--max-queries",
-        type=int,
-        default=None,
-        help="cap on point-to-point queries (default: the full matrix)",
-    )
-    loadgen.add_argument(
-        "--metrics-out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the run's metrics (loadgen, retry, wire, core) as "
-        "JSON lines; inspect with `repro metrics summarize PATH`",
-    )
-    loadgen.add_argument(
-        "--trajectory-out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the announced per-period size plans as canonical "
-        "JSON (diffable against a golden trajectory; see "
-        "docs/adaptive.md)",
-    )
-    loadgen.add_argument(
-        "--rebalance",
-        type=int,
-        default=0,
-        metavar="N",
-        help="needs --shards: hand the N lowest RSU ids to their "
-        "neighbour shard mid-period (in every --window), splitting "
-        "their responses across two shards; the collector's OR-merge "
-        "must still be bit-identical (0..fleet size, default "
-        "%(default)s)",
-    )
-    scenarios = subparsers.add_parser(
-        "scenarios",
-        help="list or describe the workload scenario zoo",
-        description=(
-            "Scenario zoo tooling.  `list` tabulates every registered "
-            "scenario (node/arc/RSU counts, demand profile, vehicle "
-            "classes); `describe SPEC` prints one scenario in detail. "
-            "SPEC accepts parametric specs too: grid-NxM, ring-R[xS], "
-            "tntp:<net.tntp>[:<trips.tntp>]."
-        ),
-    )
-    scenarios.add_argument(
-        "action",
-        choices=["list", "describe"],
-        help="what to do",
-    )
-    scenarios.add_argument(
-        "spec",
-        nargs="?",
-        default=None,
-        metavar="SPEC",
-        help="scenario spec for `describe`",
-    )
-    scenarios.add_argument(
-        "--verbose",
-        action="store_true",
-        help="enable library debug logging on stderr",
-    )
-    metrics = subparsers.add_parser(
-        "metrics",
-        help="inspect metrics dumps written by `loadgen --metrics-out`",
-        description=(
-            "Offline metrics tooling.  `summarize` renders one or more "
-            "JSON-lines metrics dumps as a human-readable table; with "
-            "several inputs, label-compatible series are aggregated "
-            "(counters/gauges sum, histograms merge per bucket)."
-        ),
-    )
-    metrics.add_argument(
-        "action",
-        choices=["summarize"],
-        help="what to do with the dump",
-    )
-    metrics.add_argument(
-        "paths",
-        type=Path,
-        nargs="+",
-        metavar="path",
-        help="JSON-lines file(s) written by --metrics-out; several "
-        "files (e.g. one per shard) are aggregated",
-    )
-    metrics.add_argument(
-        "--verbose",
-        action="store_true",
-        help="enable library debug logging on stderr",
-    )
-    federation = subparsers.add_parser(
-        "federation",
-        help="inspect a running federated deployment",
-        description=(
-            "Federation tooling.  `status` scrapes the metrics "
-            "endpoint of a `repro serve --shards N --metrics-port P` "
-            "process and tabulates the federation/collector/gateway "
-            "series (WAL depth, merges per shard, handoffs, ...)."
-        ),
-    )
-    federation.add_argument(
-        "action",
-        choices=["status"],
-        help="what to inspect",
-    )
-    federation.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="serve process address (default %(default)s)",
-    )
-    federation.add_argument(
-        "--metrics-port",
-        type=int,
-        required=True,
-        metavar="PORT",
-        help="the serve process's --metrics-port",
-    )
-    federation.add_argument(
-        "--verbose",
-        action="store_true",
-        help="enable library debug logging on stderr",
-    )
-    chaos = subparsers.add_parser(
-        "chaos",
-        help="fault-injection TCP proxy in front of serve's ports",
-        description=(
-            "Relay TCP traffic to an upstream service while injecting "
-            "deterministic, seeded faults: latency, bandwidth caps, "
-            "partial writes, byte corruption, dropped ranges, resets "
-            "and blackholes.  Point `repro loadgen --gateway-port` at "
-            "the listen port to chaos-test the live plane; see the "
-            "README's chaos-testing section."
-        ),
-    )
-    chaos.add_argument(
-        "--listen-host", default="127.0.0.1", help="bind address (default %(default)s)"
-    )
-    chaos.add_argument(
-        "--listen-port",
-        type=int,
-        default=9701,
-        help="port clients connect to (default %(default)s)",
-    )
-    chaos.add_argument(
-        "--upstream-host",
-        default="127.0.0.1",
-        help="service to relay to (default %(default)s)",
-    )
-    chaos.add_argument(
-        "--upstream-port",
-        type=int,
-        default=8701,
-        help="upstream TCP port (default: the gateway, %(default)s)",
-    )
-    chaos.add_argument(
-        "--profile",
-        default="lossy",
-        help="named fault profile: clean, lossy, flaky, slow "
-        "(default %(default)s); individual flags below override it.  "
-        "The special profile `shard-kill` instead runs the federation "
-        "crash scenario in process: kill a shard mid-period, restart "
-        "and resend, kill the collector, replay its write-ahead log, "
-        "and exit 0 only if both the live and the recovered matrix "
-        "equal the unsharded golden run bit for bit.  The special "
-        "profile `rsu-outage` realizes the scenario's scheduled RSU "
-        "maintenance windows against a live gateway: frames for the "
-        "downed RSUs are dropped mid-period, and the drill exits 0 "
-        "only if the damage is exactly the scheduled slices "
-        "(unaffected pairs bit-identical, affected pairs' accuracy "
-        "delta reported)",
-    )
-    chaos.add_argument(
-        "--scenario",
-        default=None,
-        metavar="SPEC",
-        help="(shard-kill/rsu-outage) workload scenario spec "
-        "(default: sioux-falls; trajectory-replay for rsu-outage, "
-        "which needs a scenario that schedules outages)",
-    )
-    chaos.add_argument(
-        "--trips",
-        type=int,
-        default=1_500,
-        help="(shard-kill/rsu-outage) scenario trips per day "
-        "(default %(default)s)",
-    )
-    chaos.add_argument(
-        "--windows",
-        type=int,
-        default=6,
-        metavar="W",
-        help="(rsu-outage) sequential delivery phases the day is "
-        "split into; the middle third is the outage window "
-        "(default %(default)s)",
-    )
-    chaos.add_argument(
-        "--shards",
-        type=int,
-        default=3,
-        metavar="N",
-        help="(shard-kill) gateway shards (default %(default)s)",
-    )
-    chaos.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="(shard-kill) run the adaptive-sizing variant: the "
-        "collector plans and journals next period's sizes before the "
-        "crash, and the WAL-recovered collector must re-announce the "
-        "identical per-period size plan (docs/adaptive.md)",
-    )
-    chaos.add_argument(
-        "--kill-shard",
-        type=int,
-        default=None,
-        metavar="I",
-        help="(shard-kill) which shard to kill "
-        "(default: the highest id)",
-    )
-    chaos.add_argument(
-        "--wal",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="(shard-kill) write-ahead log location "
-        "(default: a temporary file)",
-    )
-    chaos.add_argument(
-        "--matrix-out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="(shard-kill) write the WAL-recovered period matrix as "
-        "canonical JSON",
-    )
-    chaos.add_argument(
-        "--golden-out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="(shard-kill) write the unsharded golden matrix as "
-        "canonical JSON (diffable against --matrix-out)",
-    )
-    chaos.add_argument(
-        "--seed", type=int, default=None, help="fault decision seed"
-    )
-    chaos.add_argument(
-        "--latency", type=float, default=None, help="added delay per read (s)"
-    )
-    chaos.add_argument(
-        "--latency-jitter",
-        type=float,
-        default=None,
-        help="uniform extra delay in [0, J] per read (s)",
-    )
-    chaos.add_argument(
-        "--bandwidth", type=float, default=None, help="bytes/sec cap"
-    )
-    chaos.add_argument(
-        "--drop-rate",
-        type=float,
-        default=None,
-        help="per-512B-window probability of dropping its bytes",
-    )
-    chaos.add_argument(
-        "--corrupt-rate",
-        type=float,
-        default=None,
-        help="per-window probability of flipping one bit",
-    )
-    chaos.add_argument(
-        "--reset-rate",
-        type=float,
-        default=None,
-        help="per-window probability of a hard connection reset",
-    )
-    chaos.add_argument(
-        "--blackhole-rate",
-        type=float,
-        default=None,
-        help="per-window probability the direction goes silent",
-    )
-    chaos.add_argument(
-        "--max-chunk",
-        type=int,
-        default=None,
-        help="fragment forwarded writes to at most this many bytes",
-    )
-    chaos.add_argument(
-        "--verbose",
-        action="store_true",
-        help="enable library debug logging on stderr",
-    )
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(
+            name, help=command.help, description=command.description
+        )
+        _add_args(sub, command.args)
     return parser
 
 
 def _deployment_spec(args: argparse.Namespace):
     from repro.service.runtime import DeploymentSpec
 
-    trips = args.trips
-    if getattr(args, "quick", False):
-        trips = min(trips, 5_000)
     return DeploymentSpec(
-        total_trips=trips,
+        total_trips=min(args.trips, 5_000) if args.quick else args.trips,
         seed=args.seed,
         s=args.s,
         load_factor=args.load_factor,
         hash_seed=args.hash_seed,
-        periods=getattr(args, "periods", 1),
-        drift=getattr(args, "drift", 0.0),
-        adaptive=getattr(args, "adaptive", False),
-        scenario=getattr(args, "scenario", "sioux-falls"),
+        periods=args.periods,
+        drift=args.drift,
+        adaptive=args.adaptive,
+        scenario=args.scenario,
     )
 
 
 def _run_serve(args: argparse.Namespace) -> int:
     if args.wal is not None and args.shards == 0:
-        print(
-            "serve --wal needs --shards: the write-ahead log journals "
+        raise ConfigurationError(
+            "--wal needs --shards: the write-ahead log journals "
             "shard partials, and an unsharded gateway uploads "
-            "whole-report snapshots, which have no WAL record type",
-            file=sys.stderr,
+            "whole-report snapshots, which have no WAL record type"
         )
-        return 2
     from repro.service.runtime import run_serve
 
     return run_serve(
@@ -955,40 +490,34 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _run_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.errors import ConfigurationError
     from repro.obs import MetricsRegistry, get_registry, metric_rows, write_jsonl
     from repro.service.loadgen import run_loadgen
 
     registry = MetricsRegistry()
-    try:
-        result = asyncio.run(
-            run_loadgen(
-                _deployment_spec(args),
-                host=args.host,
-                gateway_port=args.gateway_port,
-                collector_port=args.collector_port,
-                shards=args.shards,
-                rebalance=args.rebalance,
-                wire_batch=args.wire_batch,
-                max_queries=args.max_queries,
-                windows=args.window,
-                registry=registry,
-            )
+    result = asyncio.run(
+        run_loadgen(
+            _deployment_spec(args),
+            host=args.host,
+            gateway_port=args.gateway_port,
+            collector_port=args.collector_port,
+            shards=args.shards,
+            rebalance=args.rebalance,
+            wire_batch=args.wire_batch,
+            max_queries=args.max_queries,
+            windows=args.window,
+            registry=registry,
         )
-    except ConfigurationError as exc:
-        print(f"loadgen: {exc}", file=sys.stderr)
-        return 2
+    )
     print(result.render())
-    if getattr(args, "trajectory_out", None) is not None:
+    if args.trajectory_out is not None:
         import json
 
-        trajectory = result.size_trajectory
         payload = {
             "periods": result.periods,
-            "adaptive": bool(getattr(args, "adaptive", False)),
+            "adaptive": args.adaptive,
             "trajectory": [
                 {str(rsu_id): plan[rsu_id] for rsu_id in sorted(plan)}
-                for plan in trajectory
+                for plan in result.size_trajectory
             ],
         }
         with open(args.trajectory_out, "w", encoding="utf-8") as fh:
@@ -1005,59 +534,45 @@ def _run_loadgen(args: argparse.Namespace) -> int:
     return 0 if result.bit_identical else 1
 
 
-def _run_matrix_live(args: argparse.Namespace) -> int:
-    """``repro matrix --live [--window W]``: the streaming decode."""
-    from repro.experiments.streaming_matrix import run_streaming_matrix
+def _run_matrix_mode(args: argparse.Namespace) -> int:
+    """``repro matrix --adaptive`` (the multi-period adaptive decode)
+    or ``--live``/``--window W`` (the streaming decode); exits 1 unless
+    the answer is bit-identical to the batch decode."""
+    trips = 6_000 if args.quick else 60_000
+    if args.adaptive:
+        from repro.experiments.adaptive_sizing import run_adaptive_matrix
 
-    result = run_streaming_matrix(
-        total_trips=6_000 if args.quick else 60_000,
-        windows=args.windows,
-        window=args.window,
-        scenario=args.scenario,
-    )
+        key, result = "matrix_adaptive", run_adaptive_matrix(
+            total_trips=trips,
+            periods=args.periods,
+            drift=args.drift,
+            scenario=args.scenario,
+        )
+    else:
+        from repro.experiments.streaming_matrix import run_streaming_matrix
+
+        key, result = "matrix_live", run_streaming_matrix(
+            total_trips=trips,
+            windows=args.windows,
+            window=args.window,
+            scenario=args.scenario,
+        )
     print(result.render())
     if args.json is not None:
-        from repro.utils.serialization import to_jsonable
-
-        dump_json({"matrix_live": to_jsonable(result)}, args.json)
-        print(f"structured results written to {args.json}")
-    return 0 if result.bit_identical else 1
-
-
-def _run_matrix_adaptive(args: argparse.Namespace) -> int:
-    """``repro matrix --adaptive``: the multi-period adaptive decode."""
-    from repro.experiments.adaptive_sizing import run_adaptive_matrix
-
-    result = run_adaptive_matrix(
-        total_trips=6_000 if args.quick else 60_000,
-        periods=args.periods,
-        drift=args.drift,
-        scenario=args.scenario,
-    )
-    print(result.render())
-    if args.json is not None:
-        from repro.utils.serialization import to_jsonable
-
-        dump_json({"matrix_adaptive": to_jsonable(result)}, args.json)
+        dump_json({key: result}, args.json)
         print(f"structured results written to {args.json}")
     return 0 if result.bit_identical else 1
 
 
 def _run_scenarios(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
     from repro.scenarios import render_scenario_detail, render_scenario_list
 
     if args.action == "list":
         print(render_scenario_list())
-        return 0
-    if args.spec is None:
-        print("scenarios describe needs a SPEC argument", file=sys.stderr)
-        return 2
-    try:
+    elif args.spec is None:
+        raise ConfigurationError("describe needs a SPEC argument")
+    else:
         print(render_scenario_detail(args.spec))
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -1086,66 +601,65 @@ def _run_federation(args: argparse.Namespace) -> int:
     )
 
 
+def _drill_spec(args: argparse.Namespace, scenario: str, **fields: object):
+    """The ``DeploymentSpec`` of an in-process chaos drill."""
+    from repro.service.runtime import DeploymentSpec
+
+    seed = args.seed if args.seed is not None else 13
+    return DeploymentSpec(
+        total_trips=args.trips, seed=seed, scenario=scenario, **fields
+    )
+
+
+def _shard_kill_drill(args: argparse.Namespace) -> int:
+    from repro.federation.chaos import run_shard_kill
+
+    return run_shard_kill(
+        _drill_spec(
+            args,
+            args.scenario or "sioux-falls",
+            periods=2 if args.adaptive else 1,
+            adaptive=args.adaptive,
+        ),
+        shards=args.shards,
+        wal_path=args.wal,
+        kill_shard=args.kill_shard,
+        matrix_out=args.matrix_out,
+        golden_out=args.golden_out,
+    )
+
+
+def _rsu_outage_drill(args: argparse.Namespace) -> int:
+    from repro.scenarios import get_scenario
+    from repro.service.outage import first_outage_period, run_rsu_outage
+
+    scenario = args.scenario or "trajectory-replay"
+    period = first_outage_period(get_scenario(scenario))
+    if period is None:
+        raise ConfigurationError(
+            f"scenario {scenario!r} schedules no RSU outages; "
+            "try --scenario trajectory-replay"
+        )
+    return run_rsu_outage(
+        _drill_spec(args, scenario, periods=period + 1),
+        windows=args.windows,
+        matrix_out=args.matrix_out,
+        golden_out=args.golden_out,
+    )
+
+
+#: The in-process chaos drills, by ``--profile``; any other profile
+#: names the fault mix of the TCP proxy.
+_DRILLS = {"shard-kill": _shard_kill_drill, "rsu-outage": _rsu_outage_drill}
+
+
 def _run_chaos(args: argparse.Namespace) -> int:
-    if args.profile == "rsu-outage":
-        from repro.scenarios import get_scenario
-        from repro.service.outage import (
-            first_outage_period,
-            run_rsu_outage,
-        )
-        from repro.service.runtime import DeploymentSpec
-
-        scenario = args.scenario or "trajectory-replay"
-        period = first_outage_period(get_scenario(scenario))
-        if period is None:
-            print(
-                f"scenario {scenario!r} schedules no RSU outages; "
-                "try --scenario trajectory-replay",
-                file=sys.stderr,
-            )
-            return 2
-        return run_rsu_outage(
-            DeploymentSpec(
-                total_trips=args.trips,
-                seed=args.seed if args.seed is not None else 13,
-                periods=period + 1,
-                scenario=scenario,
-            ),
-            windows=args.windows,
-            matrix_out=args.matrix_out,
-            golden_out=args.golden_out,
-        )
-    if args.profile == "shard-kill":
-        from repro.federation.chaos import run_shard_kill
-        from repro.service.runtime import DeploymentSpec
-
-        return run_shard_kill(
-            DeploymentSpec(
-                total_trips=args.trips,
-                seed=args.seed if args.seed is not None else 13,
-                periods=2 if args.adaptive else 1,
-                adaptive=args.adaptive,
-                scenario=args.scenario or "sioux-falls",
-            ),
-            shards=args.shards,
-            wal_path=args.wal,
-            kill_shard=args.kill_shard,
-            matrix_out=args.matrix_out,
-            golden_out=args.golden_out,
-        )
+    if args.profile in _DRILLS:
+        return _DRILLS[args.profile](args)
     from repro.service.faults import profile_from_args, run_chaos
 
     profile = profile_from_args(
-        args.profile,
-        seed=args.seed,
-        latency=args.latency,
-        latency_jitter=args.latency_jitter,
-        bandwidth=args.bandwidth,
-        drop_rate=args.drop_rate,
-        corrupt_rate=args.corrupt_rate,
-        reset_rate=args.reset_rate,
-        blackhole_rate=args.blackhole_rate,
-        max_chunk=args.max_chunk,
+        args.profile, **{name: getattr(args, name) for name in _FAULT_FLAGS}
     )
     return run_chaos(
         listen_host=args.listen_host,
@@ -1156,88 +670,64 @@ def _run_chaos(args: argparse.Namespace) -> int:
     )
 
 
-def _timed_experiment(
+def _timed_artifact(
     name: str,
     quick: bool,
     workers: Optional[int] = None,
     executor: Optional[str] = None,
-    **extra: object,
+    **options: object,
 ) -> Tuple[object, float]:
-    """Run one registered experiment and time it (a runtime task; when
+    """Run one registered experiment in a ``cli.artifact`` span and
+    return it with the span's seconds.  This is a runtime task: when
     ``repro all`` fans artifacts out to workers, the nested-plan guard
-    makes each experiment's internal task batch run serial).  *extra*
-    carries per-experiment options (e.g. ``scenario=...``) that only
-    the single-experiment path supplies."""
-    start = time.time()
-    result = EXPERIMENTS[name](
-        quick, workers=workers, executor=executor, **extra
-    )
-    return result, time.time() - start
+    makes each experiment's internal task batch run serial."""
+    with trace.span("cli.artifact", artifact=name) as span:
+        result = EXPERIMENTS[name](
+            quick, workers=workers, executor=executor, **options
+        )
+    return result, span.duration
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    if args.verbose:
-        from repro.utils.logconfig import configure_logging
-
-        configure_logging(verbose=True)
-    if args.experiment == "serve":
-        return _run_serve(args)
-    if args.experiment == "loadgen":
-        return _run_loadgen(args)
-    if args.experiment == "scenarios":
-        return _run_scenarios(args)
-    if args.experiment == "metrics":
-        return _run_metrics(args)
-    if args.experiment == "federation":
-        return _run_federation(args)
-    if args.experiment == "chaos":
-        return _run_chaos(args)
-    if args.experiment == "matrix" and args.adaptive:
-        return _run_matrix_adaptive(args)
+def _run_experiments(args: argparse.Namespace) -> int:
+    """``repro <experiment>`` and ``repro all``: print each artifact
+    and its time, and dump them all with ``--json``."""
     if args.experiment == "matrix" and (
-        args.live or args.window is not None
+        args.adaptive or args.live or args.window is not None
     ):
-        return _run_matrix_live(args)
+        return _run_matrix_mode(args)
     if args.experiment == "all":
         # Independent artifacts run concurrently; each one's internal
         # batch then degrades to serial on the workers (nested guard),
         # so the numbers match a per-experiment parallel run exactly.
         names = sorted(EXPERIMENTS)
-        outcomes = run_tasks(
-            [
-                Task(fn=_timed_experiment, args=(name, args.quick), label=name)
-                for name in names
-            ],
-            workers=args.workers,
-            executor=args.executor,
-        )
+        tasks = [
+            Task(fn=_timed_artifact, args=(name, args.quick), label=name)
+            for name in names
+        ]
+        outcomes = run_tasks(tasks, workers=args.workers, executor=args.executor)
     else:
         names = [args.experiment]
-        extra: Dict[str, object] = {}
-        if getattr(args, "scenario", None) is not None:
-            extra["scenario"] = args.scenario
-        if getattr(args, "scenarios", None) is not None:
-            extra["scenarios"] = tuple(args.scenarios)
+        options = {
+            name: getattr(args, name)
+            for name in EXPERIMENTS[args.experiment].accepts
+            if name in _OPTION_ARGS and getattr(args, name) is not None
+        }
         outcomes = [
-            _timed_experiment(
+            _timed_artifact(
                 names[0], args.quick,
                 workers=args.workers, executor=args.executor,
-                **extra,
+                **options,
             )
         ]
-    collected = {}
     for name, (result, elapsed) in zip(names, outcomes):
         print(result.render())
         print(f"[{name} finished in {elapsed:.1f}s]")
         print()
-        collected[name] = result
     if args.json is not None:
         from repro.utils.serialization import to_jsonable
 
         payload = {}
-        for name, result in collected.items():
+        for name, (result, _) in zip(names, outcomes):
             try:
                 payload[name] = to_jsonable(result)
             except TypeError:
@@ -1246,6 +736,293 @@ def main(argv: Optional[List[str]] = None) -> int:
         dump_json(payload, args.json)
         print(f"structured results written to {args.json}")
     return 0
+
+
+@dataclass(frozen=True)
+class Command:
+    """One row of :data:`_COMMANDS`: a subcommand that is not an
+    experiment.  *args* maps each flag or positional name to its
+    ``add_argument`` keywords, in help order."""
+
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    description: str
+    args: Mapping[str, Mapping[str, object]]
+
+
+#: The subcommands beyond the experiments, in help order.
+_COMMANDS: Dict[str, Command] = {
+    "serve": Command(
+        _run_serve,
+        help="run the live RSU gateway + central collector",
+        description="Start the asyncio RSU gateway and central collector on "
+        "localhost TCP ports.  Run `repro loadgen` with the same "
+        "deployment flags in another terminal to replay a day.",
+        args={
+            **_DEPLOYMENT_ARGS,
+            "--metrics-port": dict(
+                type=int,
+                default=None,
+                metavar="PORT",
+                help="also expose gateway/collector metrics as Prometheus "
+                "text on this port (GET /metrics)",
+            ),
+            "--wal": dict(
+                type=Path,
+                default=None,
+                metavar="PATH",
+                help="with --shards: journal every shard partial to this "
+                "write-ahead log before merging, so a killed collector "
+                "replays to bit-identical state",
+            ),
+            "--retention": dict(
+                type=int,
+                default=None,
+                metavar="N",
+                help="keep snapshot dedup keys for only the N most recent "
+                "periods (default: keep everything)",
+            ),
+        },
+    ),
+    "loadgen": Command(
+        _run_loadgen,
+        help="replay a scenario day against a running `repro serve`",
+        description="Stream one scenario day of vehicle responses at a live "
+        "gateway, close the period, query the collector for the "
+        "full point-to-point matrix, and verify every answer "
+        "bit-for-bit against in-process decoding.  Pick the "
+        "workload with --scenario (default sioux-falls); serve "
+        "must be started with the same spec.",
+        args={
+            **_DEPLOYMENT_ARGS,
+            "--wire-batch": dict(
+                type=int,
+                default=4096,
+                help="responses per wire frame (default %(default)s)",
+            ),
+            "--max-queries": dict(
+                type=int,
+                default=None,
+                help="cap on point-to-point queries (default: the full matrix)",
+            ),
+            "--metrics-out": dict(
+                type=Path,
+                default=None,
+                metavar="PATH",
+                help="write the run's metrics (loadgen, retry, wire, core) as "
+                "JSON lines; inspect with `repro metrics summarize PATH`",
+            ),
+            "--trajectory-out": dict(
+                type=Path,
+                default=None,
+                metavar="PATH",
+                help="write the announced per-period size plans as canonical "
+                "JSON (diffable against a golden trajectory; see "
+                "docs/adaptive.md)",
+            ),
+            "--rebalance": dict(
+                type=int,
+                default=0,
+                metavar="N",
+                help="needs --shards: hand the N lowest RSU ids to their "
+                "neighbour shard mid-period (in every --window), splitting "
+                "their responses across two shards; the collector's OR-merge "
+                "must still be bit-identical (0..fleet size, default "
+                "%(default)s)",
+            ),
+        },
+    ),
+    "scenarios": Command(
+        _run_scenarios,
+        help="list or describe the workload scenario zoo",
+        description="Scenario zoo tooling.  `list` tabulates every registered "
+        "scenario (node/arc/RSU counts, demand profile, vehicle "
+        "classes); `describe SPEC` prints one scenario in detail. "
+        "SPEC accepts parametric specs too: grid-NxM, ring-R[xS], "
+        "tntp:<net.tntp>[:<trips.tntp>].",
+        args={
+            "action": dict(choices=["list", "describe"], help="what to do"),
+            "spec": dict(
+                nargs="?",
+                default=None,
+                metavar="SPEC",
+                help="scenario spec for `describe`",
+            ),
+            "--verbose": _VERBOSE,
+        },
+    ),
+    "metrics": Command(
+        _run_metrics,
+        help="inspect metrics dumps written by `loadgen --metrics-out`",
+        description="Offline metrics tooling.  `summarize` renders one or more "
+        "JSON-lines metrics dumps as a human-readable table; with "
+        "several inputs, label-compatible series are aggregated "
+        "(counters/gauges sum, histograms merge per bucket).",
+        args={
+            "action": dict(choices=["summarize"], help="what to do with the dump"),
+            "paths": dict(
+                type=Path,
+                nargs="+",
+                metavar="path",
+                help="JSON-lines file(s) written by --metrics-out; several "
+                "files (e.g. one per shard) are aggregated",
+            ),
+            "--verbose": _VERBOSE,
+        },
+    ),
+    "federation": Command(
+        _run_federation,
+        help="inspect a running federated deployment",
+        description="Federation tooling.  `status` scrapes the metrics "
+        "endpoint of a `repro serve --shards N --metrics-port P` "
+        "process and tabulates the federation/collector/gateway "
+        "series (WAL depth, merges per shard, handoffs, ...).",
+        args={
+            "action": dict(choices=["status"], help="what to inspect"),
+            "--host": dict(
+                default="127.0.0.1",
+                help="serve process address (default %(default)s)",
+            ),
+            "--metrics-port": dict(
+                type=int,
+                required=True,
+                metavar="PORT",
+                help="the serve process's --metrics-port",
+            ),
+            "--verbose": _VERBOSE,
+        },
+    ),
+    "chaos": Command(
+        _run_chaos,
+        help="fault-injection TCP proxy in front of serve's ports",
+        description="Relay TCP traffic to an upstream service while injecting "
+        "deterministic, seeded faults: latency, bandwidth caps, "
+        "partial writes, byte corruption, dropped ranges, resets "
+        "and blackholes.  Point `repro loadgen --gateway-port` at "
+        "the listen port to chaos-test the live plane; see the "
+        "README's chaos-testing section.",
+        args={
+            "--listen-host": dict(
+                default="127.0.0.1", help="bind address (default %(default)s)"
+            ),
+            "--listen-port": dict(
+                type=int,
+                default=9701,
+                help="port clients connect to (default %(default)s)",
+            ),
+            "--upstream-host": dict(
+                default="127.0.0.1",
+                help="service to relay to (default %(default)s)",
+            ),
+            "--upstream-port": dict(
+                type=int,
+                default=8701,
+                help="upstream TCP port (default: the gateway, %(default)s)",
+            ),
+            "--profile": dict(
+                default="lossy",
+                help="named fault profile: clean, lossy, flaky, slow "
+                "(default %(default)s); individual flags below override it.  "
+                "The special profile `shard-kill` instead runs the federation "
+                "crash scenario in process: kill a shard mid-period, restart "
+                "and resend, kill the collector, replay its write-ahead log, "
+                "and exit 0 only if both the live and the recovered matrix "
+                "equal the unsharded golden run bit for bit.  The special "
+                "profile `rsu-outage` realizes the scenario's scheduled RSU "
+                "maintenance windows against a live gateway: frames for the "
+                "downed RSUs are dropped mid-period, and the drill exits 0 "
+                "only if the damage is exactly the scheduled slices "
+                "(unaffected pairs bit-identical, affected pairs' accuracy "
+                "delta reported)",
+            ),
+            "--scenario": dict(
+                default=None,
+                metavar="SPEC",
+                help="(shard-kill/rsu-outage) workload scenario spec "
+                "(default: sioux-falls; trajectory-replay for rsu-outage, "
+                "which needs a scenario that schedules outages)",
+            ),
+            "--trips": dict(
+                type=int,
+                default=1_500,
+                help="(shard-kill/rsu-outage) scenario trips per day "
+                "(default %(default)s)",
+            ),
+            "--windows": dict(
+                type=int,
+                default=6,
+                metavar="W",
+                help="(rsu-outage) sequential delivery phases the day is "
+                "split into; the middle third is the outage window "
+                "(default %(default)s)",
+            ),
+            "--shards": dict(
+                type=int,
+                default=3,
+                metavar="N",
+                help="(shard-kill) gateway shards (default %(default)s)",
+            ),
+            "--adaptive": dict(
+                action="store_true",
+                help="(shard-kill) run the adaptive-sizing variant: the "
+                "collector plans and journals next period's sizes before the "
+                "crash, and the WAL-recovered collector must re-announce the "
+                "identical per-period size plan (docs/adaptive.md)",
+            ),
+            "--kill-shard": dict(
+                type=int,
+                default=None,
+                metavar="I",
+                help="(shard-kill) which shard to kill (default: the highest id)",
+            ),
+            "--wal": dict(
+                type=Path,
+                default=None,
+                metavar="PATH",
+                help="(shard-kill) write-ahead log location "
+                "(default: a temporary file)",
+            ),
+            "--matrix-out": dict(
+                type=Path,
+                default=None,
+                metavar="PATH",
+                help="(shard-kill) write the WAL-recovered period matrix as "
+                "canonical JSON",
+            ),
+            "--golden-out": dict(
+                type=Path,
+                default=None,
+                metavar="PATH",
+                help="(shard-kill) write the unsharded golden matrix as "
+                "canonical JSON (diffable against --matrix-out)",
+            ),
+            **{
+                "--" + name.replace("_", "-"): dict(
+                    type=kind, default=None, help=text
+                )
+                for name, (kind, text) in _FAULT_FLAGS.items()
+            },
+            "--verbose": _VERBOSE,
+        },
+    ),
+}
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Entry point; returns a process exit code.  A refused
+    configuration exits 2 with ``<command>: <reason>`` on stderr."""
+    args = build_parser().parse_args(argv)
+    if args.verbose:
+        from repro.utils.logconfig import configure_logging
+
+        configure_logging(verbose=True)
+    command = args.experiment
+    run = _COMMANDS[command].run if command in _COMMANDS else _run_experiments
+    try:
+        return run(args)
+    except ConfigurationError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -36,6 +36,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.core.estimator import PairEstimate
 from repro.core.sizing import AdaptiveSizing
+from repro.errors import ConfigurationError
 from repro.service import wire
 from repro.service.collector import CollectorService
 from repro.service.loadgen import plan_phases, send_phases
@@ -141,25 +142,25 @@ async def shard_kill_scenario(
 ) -> ShardKillReport:
     """Run the kill/restart/replay scenario; see the module docstring.
 
-    *kill_shard* defaults to the highest shard id.  The WAL at
-    *wal_path* must not already exist (a stale journal would replay
-    foreign state into the comparison).
+    *kill_shard* defaults to the highest shard id; a victim outside
+    ``[0, shards)`` is a :class:`ConfigurationError` raised before any
+    socket opens.  The WAL at *wal_path* must not already exist (a
+    stale journal would replay foreign state into the comparison).
     """
     wal_path = Path(wal_path)
     start = time.perf_counter()
     victim = shards - 1 if kill_shard is None else int(kill_shard)
+    if shards < 1:
+        raise ConfigurationError(
+            f"the shard-kill drill needs shards >= 1, got {shards}"
+        )
+    if not 0 <= victim < shards:
+        raise ConfigurationError(
+            f"kill_shard must be in [0, {shards}), got {victim}"
+        )
     plane = await start_federation(
         spec, shards=shards, wal_path=wal_path
     )
-    # Each shard's home batches: the plan's first phase, whose
-    # EndPeriod this drill sends itself once the victim is back.
-    phase1 = {
-        shard: phases[0][0]
-        for shard, phases in plan_phases(
-            spec, router=plane.router, period=period, wire_batch=wire_batch
-        ).items()
-    }
-    victim_batches = phase1[victim]
 
     async def deliver(
         shard: int, batches, close: Optional[wire.Message] = None
@@ -173,6 +174,15 @@ async def shard_kill_scenario(
         )
 
     try:
+        # Each shard's home batches: the plan's first phase, whose
+        # EndPeriod this drill sends itself once the victim is back.
+        phase1 = {
+            shard: phases[0][0]
+            for shard, phases in plan_phases(
+                spec, router=plane.router, period=period, wire_batch=wire_batch
+            ).items()
+        }
+        victim_batches = phase1[victim]
         # Survivors stream their whole day; the victim gets only half
         # before the crash.
         half = victim_batches[: max(1, len(victim_batches) // 2)]

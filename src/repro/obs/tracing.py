@@ -14,16 +14,18 @@ span durations — and therefore histogram snapshots — deterministic::
         ...
     span.duration  # seconds, on registry.clock
 
-Nested spans are tracked per-tracer; :attr:`Span.parent` links a child
-to its enclosing span so exported span logs can be reassembled into a
-tree.  The implementation is deliberately synchronous/thread-naive:
-the measurement plane runs on one asyncio loop, and span bodies never
-``await`` (hot paths are synchronous numpy code), so a plain stack is
-correct and cheap.
+Nested spans are tracked per tracer and per thread; :attr:`Span.parent`
+links a child to its enclosing span on the same thread, so exported
+span logs can be reassembled into a tree, and spans opened on worker
+threads (``repro all --executor thread``) never nest under each other.
+Within a thread the stack is a plain list: the measurement plane runs
+on one asyncio loop, and span bodies never ``await`` (hot paths are
+synchronous numpy code), so one stack per thread is correct and cheap.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterator, List, Optional
 
 from contextlib import contextmanager
@@ -85,12 +87,21 @@ class Tracer:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self._registry = registry
-        self._stack: List[Span] = []
+        self._local = threading.local()
 
     @property
     def registry(self) -> MetricsRegistry:
         """The registry spans record into."""
         return self._registry if self._registry is not None else get_registry()
+
+    @property
+    def _stack(self) -> List[Span]:
+        """This thread's open spans, innermost last."""
+        try:
+            return self._local.stack
+        except AttributeError:
+            self._local.stack = []
+            return self._local.stack
 
     @property
     def current(self) -> Optional[Span]:
@@ -101,13 +112,14 @@ class Tracer:
     def span(self, name: str, **labels: object) -> Iterator[Span]:
         """Open a span; its duration lands in ``<name>.seconds``."""
         registry = self.registry
-        span = Span(name, labels, self.current, registry.clock())
-        self._stack.append(span)
+        stack = self._stack
+        span = Span(name, labels, stack[-1] if stack else None, registry.clock())
+        stack.append(span)
         try:
             yield span
         finally:
             span.end = registry.clock()
-            self._stack.pop()
+            stack.pop()
             registry.histogram(f"{name}.seconds", **labels).observe(
                 span.duration
             )

@@ -3,8 +3,8 @@
 A :class:`TripTable` records how many vehicles travel from each origin
 node to each destination node per measurement period (the "known
 vehicle trip tables" of paper Section VII-A).  It supports the
-operations the workload pipeline needs: totals, scaling, symmetry
-checks, and iteration in a deterministic order.
+operations the workload pipeline needs: totals, scaling, and
+iteration in a deterministic order.
 
 Demand is stored as three parallel ``int64`` columns — origin,
 destination, trips — sorted by ``(origin, destination)``, one row per
@@ -14,7 +14,7 @@ OD pair with nonzero demand.  Row ``k`` is the ``k``-th pair of
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -145,19 +145,6 @@ class TripTable:
             raise NetworkDataError(f"scale factor must be positive, got {factor}")
         trips = np.rint(self._trips * factor).astype(np.int64)
         return TripTable.from_columns(self._origins, self._destinations, trips)
-
-    def symmetrized(self) -> "TripTable":
-        """A new table with ``d(a,b) = d(b,a) = (old(a,b)+old(b,a))/2``
-        (rounded); useful for building balanced daily flows."""
-        merged: Dict[OdPair, float] = {}
-        for (o, d), t in self.pairs():
-            key = (min(o, d), max(o, d))
-            merged[key] = merged.get(key, 0.0) + t / 2.0
-        out: Dict[OdPair, int] = {}
-        for (a, b), t in merged.items():
-            out[(a, b)] = int(round(t))
-            out[(b, a)] = int(round(t))
-        return TripTable(out)
 
     def to_matrix(self, nodes: List[int] = None) -> np.ndarray:
         """Dense demand matrix over *nodes* (default: all table nodes)."""

@@ -339,6 +339,25 @@ class TestShardKillRecovery:
         assert report.wal_records == report.wal_replayed
         assert report.pairs_compared == 276
 
+    @pytest.mark.parametrize("shards, kill_shard", [(3, 7), (3, -1), (0, None)])
+    def test_victim_outside_the_fleet_is_refused_before_bring_up(
+        self, spec, tmp_path, monkeypatch, shards, kill_shard
+    ):
+        import repro.federation.chaos as chaos
+
+        async def no_plane(*args, **kwargs):
+            raise AssertionError("the drill started a federation")
+
+        monkeypatch.setattr(chaos, "start_federation", no_plane)
+        wal = tmp_path / "collector.wal"
+        with pytest.raises(ConfigurationError, match="shard"):
+            run(
+                shard_kill_scenario(
+                    spec, shards=shards, kill_shard=kill_shard, wal_path=wal
+                )
+            )
+        assert not wal.exists()
+
     def test_restart_requires_kill_first(self, spec):
         async def body():
             plane = await start_federation(spec, shards=2)

@@ -12,6 +12,7 @@ exactly ``tests/data/metrics_golden.prom`` /
 import asyncio
 import io
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,31 @@ class TestTracing:
         snap = registry.histogram("decode.unfold.seconds").snapshot()
         assert snap["count"] == 1
         assert snap["sum"] == 0.001
+
+    def test_spans_on_other_threads_do_not_nest(self):
+        """Each thread has its own span stack: two root spans open at
+        once on two threads both have no parent."""
+        tracer = Tracer(MetricsRegistry(clock=FakeClock()))
+        both_open = threading.Barrier(2)
+        spans = {}
+
+        def work(name):
+            with tracer.span(name) as span:
+                both_open.wait(timeout=10)
+                spans[name] = span
+                both_open.wait(timeout=10)
+            spans[name + ".after"] = tracer.current
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert spans["a"].parent is None
+        assert spans["b"].parent is None
+        assert spans["a.after"] is None and spans["b.after"] is None
+        assert tracer.current is None
 
 
 # ----------------------------------------------------------------------

@@ -96,8 +96,9 @@ class TestRemovedSurface:
     surface deleted in 3.0.0, the second load generator deleted in
     4.0.0, the bit-engine backends deleted in 5.0.0, the decoder's
     unfold memo deleted in 6.0.0, ``DeploymentSpec.config`` deleted
-    in 7.0.0 and the dict-tree routing helpers deleted in 8.0.0 stay
-    deleted (each CHANGELOG maps them to their replacements)."""
+    in 7.0.0, the dict-tree routing helpers deleted in 8.0.0 and
+    ``TripTable.symmetrized`` deleted in 9.0.0 stay deleted (each
+    CHANGELOG maps them to their replacements)."""
 
     @pytest.mark.parametrize(
         "module_name,path",
@@ -146,6 +147,7 @@ class TestRemovedSurface:
             ("repro.streaming", "_tiled_peer_popcounts"),
             ("repro.roadnet.graph", "shortest_path_tree"),
             ("repro.roadnet.graph", "tree_path"),
+            ("repro.roadnet.trips", "TripTable.symmetrized"),
         ],
     )
     def test_name_is_gone(self, module_name, path):

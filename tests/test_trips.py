@@ -60,11 +60,6 @@ class TestTransforms:
         with pytest.raises(NetworkDataError):
             table.scaled(0)
 
-    def test_symmetrized_balances(self, table):
-        sym = table.symmetrized()
-        assert sym.trips(1, 2) == sym.trips(2, 1) == 90
-        assert sym.trips(1, 3) == sym.trips(3, 1) == 25
-
     def test_to_matrix(self, table):
         matrix = table.to_matrix()
         assert matrix.shape == (3, 3)
