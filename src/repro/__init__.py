@@ -52,7 +52,7 @@ from repro.traffic import PairPopulation, VehicleFleet, make_pair_population
 from repro.scenarios import Scenario, get_scenario, scenario_names
 from repro.errors import ReproError
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "__version__",

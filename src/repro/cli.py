@@ -611,51 +611,72 @@ def _drill_spec(args: argparse.Namespace, scenario: str, **fields: object):
     )
 
 
-def _shard_kill_drill(args: argparse.Namespace) -> int:
-    from repro.federation.chaos import run_shard_kill
+def _shard_kill_drill(args: argparse.Namespace):
+    from repro.service.drills import ShardKill
 
-    return run_shard_kill(
-        _drill_spec(
-            args,
-            args.scenario or "sioux-falls",
-            periods=2 if args.adaptive else 1,
-            adaptive=args.adaptive,
-        ),
-        shards=args.shards,
-        wal_path=args.wal,
-        kill_shard=args.kill_shard,
-        matrix_out=args.matrix_out,
-        golden_out=args.golden_out,
+    spec = _drill_spec(
+        args,
+        args.scenario or "sioux-falls",
+        periods=2 if args.adaptive else 1,
+        adaptive=args.adaptive,
     )
+    return spec, ShardKill(args.shards, args.kill_shard)
 
 
-def _rsu_outage_drill(args: argparse.Namespace) -> int:
+def _rsu_outage_drill(args: argparse.Namespace):
     from repro.scenarios import get_scenario
-    from repro.service.outage import first_outage_period, run_rsu_outage
+    from repro.service.drills import RsuOutage, first_outage_period
 
     scenario = args.scenario or "trajectory-replay"
-    period = first_outage_period(get_scenario(scenario))
-    if period is None:
-        raise ConfigurationError(
-            f"scenario {scenario!r} schedules no RSU outages; "
-            "try --scenario trajectory-replay"
-        )
-    return run_rsu_outage(
-        _drill_spec(args, scenario, periods=period + 1),
-        windows=args.windows,
-        matrix_out=args.matrix_out,
-        golden_out=args.golden_out,
-    )
+    # The spec must model the outage day; a scenario without one is
+    # refused by the drill.
+    day = first_outage_period(get_scenario(scenario)) or 0
+    return _drill_spec(args, scenario, periods=day + 1), RsuOutage(args.windows)
 
 
-#: The in-process chaos drills, by ``--profile``; any other profile
-#: names the fault mix of the TCP proxy.
-_DRILLS = {"shard-kill": _shard_kill_drill, "rsu-outage": _rsu_outage_drill}
+#: The in-process chaos drills, by ``--profile``: the function that
+#: builds ``(DeploymentSpec, perturbation)`` and the flags it reads.
+#: Any other profile names the fault mix of the TCP proxy.
+_DRILLS = {
+    "shard-kill": (
+        _shard_kill_drill,
+        "scenario trips seed shards adaptive kill_shard wal matrix_out golden_out",
+    ),
+    "rsu-outage": (
+        _rsu_outage_drill,
+        "scenario trips seed windows matrix_out golden_out",
+    ),
+}
+#: Every drill and fault-mix flag: a drill refuses each one it does not
+#: read unless it is left at its parser default.
+_DRILL_FLAGS = set(_FAULT_FLAGS).union(
+    *(reads.split() for _, reads in _DRILLS.values())
+)
 
 
 def _run_chaos(args: argparse.Namespace) -> int:
     if args.profile in _DRILLS:
-        return _DRILLS[args.profile](args)
+        build, reads = _DRILLS[args.profile]
+        defaults = build_parser().parse_args(["chaos"])
+        unread = [
+            "--" + name.replace("_", "-")
+            for name in sorted(_DRILL_FLAGS - set(reads.split()))
+            if getattr(args, name) != getattr(defaults, name)
+        ]
+        if unread:
+            raise ConfigurationError(
+                f"--profile {args.profile} does not read {', '.join(unread)}"
+            )
+        from repro.service.drills import run_chaos_drill
+
+        spec, perturbation = build(args)
+        return run_chaos_drill(
+            spec,
+            perturbation,
+            wal_path=args.wal,
+            matrix_out=args.matrix_out,
+            golden_out=args.golden_out,
+        )
     from repro.service.faults import profile_from_args, run_chaos
 
     profile = profile_from_args(
@@ -979,21 +1000,23 @@ _COMMANDS: Dict[str, Command] = {
                 type=Path,
                 default=None,
                 metavar="PATH",
-                help="(shard-kill) write-ahead log location "
-                "(default: a temporary file)",
+                help="(shard-kill) write-ahead log location, which must "
+                "not exist yet (default: a temporary file)",
             ),
             "--matrix-out": dict(
                 type=Path,
                 default=None,
                 metavar="PATH",
-                help="(shard-kill) write the WAL-recovered period matrix as "
-                "canonical JSON",
+                help="(shard-kill/rsu-outage) write the WAL-recovered "
+                "(shard-kill) or the live degraded (rsu-outage) period matrix "
+                "as canonical JSON",
             ),
             "--golden-out": dict(
                 type=Path,
                 default=None,
                 metavar="PATH",
-                help="(shard-kill) write the unsharded golden matrix as "
+                help="(shard-kill/rsu-outage) write the unsharded "
+                "(shard-kill) or the full-day (rsu-outage) golden matrix as "
                 "canonical JSON (diffable against --matrix-out)",
             ),
             **{

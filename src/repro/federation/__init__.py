@@ -24,11 +24,12 @@ holds what only a sharded deployment needs:
 * :mod:`~repro.federation.runtime` — re-exports of the plane and the
   one load generator, and the process-parallel shard slice the
   federation benchmark drives through :func:`repro.runtime.run_tasks`.
-* :mod:`~repro.federation.chaos` — the ``shard-kill`` scenario: kill a
-  shard mid-period, restart, resend, then kill the collector and prove
-  WAL replay reproduces the unsharded golden matrix exactly.
 * :mod:`~repro.federation.status` — ``repro federation status``, a
   scrape-and-render view of a live federation's metrics.
+
+The ``shard-kill`` drill that proves WAL replay reproduces the
+unsharded golden matrix exactly is one of the two chaos drills of
+:mod:`repro.service.drills`.
 """
 
 from repro.federation.router import ShardRouter

@@ -21,6 +21,11 @@ threads (``repro all --executor thread``) never nest under each other.
 Within a thread the stack is a plain list: the measurement plane runs
 on one asyncio loop, and span bodies never ``await`` (hot paths are
 synchronous numpy code), so one stack per thread is correct and cheap.
+The one exception is a single outer span around a whole run, such as
+each chaos drill's ``chaos.drill``: it stays open across awaits.
+That is still correct while it is the only span on the loop that
+awaits, because every span another coroutine opens meanwhile opens and
+closes within one step of the loop, above it on the stack.
 """
 
 from __future__ import annotations

@@ -30,11 +30,15 @@ federation, with one implementation of each tier:
 * :mod:`repro.service.faults` — deterministic fault-injection TCP
   proxy (``repro chaos``) for latency, drops, corruption, resets, and
   blackholes;
+* :mod:`repro.service.drills` — the in-process chaos drills
+  (``repro chaos --profile shard-kill|rsu-outage``): one bring-up →
+  stream → close → compare driver under a shard-kill or an RSU-outage
+  perturbation;
 * :mod:`repro.service.retry` — the shared jittered-exponential-backoff
   policy every reconnecting client uses.
 
-Sharding-only pieces (the router, the WAL format, the sharded load
-generator and the shard-kill drill) live in :mod:`repro.federation`.
+Sharding-only pieces (the router, the WAL format and ``repro
+federation status``) live in :mod:`repro.federation`.
 """
 
 from repro.service.collector import CollectorService

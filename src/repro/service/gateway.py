@@ -338,15 +338,10 @@ class RsuGateway:
         """
         self._outages.update(int(rsu_id) for rsu_id in rsu_ids)
 
-    def clear_outage(self, rsu_ids=None) -> None:
-        """Bring RSUs back: *rsu_ids* (or with ``None``, all of them)
-        resume recording from the next frame."""
-        if rsu_ids is None:
-            self._outages.clear()
-        else:
-            self._outages.difference_update(
-                int(rsu_id) for rsu_id in rsu_ids
-            )
+    def clear_outage(self) -> None:
+        """Bring every silenced RSU back: they resume recording from the
+        next frame."""
+        self._outages.clear()
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -14,10 +14,10 @@ import pytest
 
 from repro.core.sizing import AdaptiveSizing, PrivacyOptimalSizing, StaticSizing
 from repro.errors import ConfigurationError, ProtocolError, WireError
-from repro.federation.chaos import shard_kill_scenario
 from repro.federation.wal import WriteAheadLog, replay_wal
 from repro.service import wire
 from repro.service.collector import CollectorService
+from repro.service.drills import shard_kill_scenario
 from repro.service.loadgen import run_loadgen
 from repro.service.runtime import DeploymentSpec, start_federation
 from repro.vcps.ids import random_mac

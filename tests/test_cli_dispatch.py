@@ -73,6 +73,19 @@ class TestRefusedConfiguration:
             (["loadgen", "--trips", "800", "--rebalance", "2"], "rebalance needs"),
             (["scenarios", "describe", "atlantis"], "unknown scenario"),
             (["scenarios", "describe"], "describe needs a SPEC"),
+            (
+                [
+                    "chaos", "--profile", "rsu-outage", "--adaptive",
+                    "--shards", "5", "--kill-shard", "9", "--wal", "x.wal",
+                    "--latency", "0.5",
+                ],
+                "--profile rsu-outage does not read --adaptive, "
+                "--kill-shard, --latency, --shards, --wal",
+            ),
+            (
+                ["chaos", "--profile", "shard-kill", "--windows", "9"],
+                "--profile shard-kill does not read --windows",
+            ),
         ],
     )
     def test_exits_2_with_the_command_prefix(self, capsys, argv, message):

@@ -16,12 +16,12 @@ import inspect
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.federation.chaos import shard_kill_scenario
 from repro.federation.router import ShardRouter
 from repro.federation import runtime as federation_runtime
 from repro.federation.runtime import shard_port_plan, start_federation
 from repro.service import wire
 from repro.service.collector import CollectorService
+from repro.service.drills import shard_kill_scenario
 from repro.service.gateway import RsuGateway
 from repro.service.loadgen import run_loadgen, send_phases
 from repro.service.runtime import DeploymentSpec
@@ -343,12 +343,12 @@ class TestShardKillRecovery:
     def test_victim_outside_the_fleet_is_refused_before_bring_up(
         self, spec, tmp_path, monkeypatch, shards, kill_shard
     ):
-        import repro.federation.chaos as chaos
+        import repro.service.drills as drills
 
         async def no_plane(*args, **kwargs):
             raise AssertionError("the drill started a federation")
 
-        monkeypatch.setattr(chaos, "start_federation", no_plane)
+        monkeypatch.setattr(drills, "start_federation", no_plane)
         wal = tmp_path / "collector.wal"
         with pytest.raises(ConfigurationError, match="shard"):
             run(
@@ -357,6 +357,16 @@ class TestShardKillRecovery:
                 )
             )
         assert not wal.exists()
+
+    def test_existing_wal_is_refused_and_left_alone(self, spec, tmp_path):
+        """A second drill on the same journal would replay the first
+        run's records into its comparison; it is refused instead."""
+        wal = tmp_path / "collector.wal"
+        assert run(shard_kill_scenario(spec, wal_path=wal)).passed
+        journal = wal.read_bytes()
+        with pytest.raises(ConfigurationError, match="already exists"):
+            run(shard_kill_scenario(spec, wal_path=wal))
+        assert wal.read_bytes() == journal
 
     def test_restart_requires_kill_first(self, spec):
         async def body():

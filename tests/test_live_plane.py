@@ -14,8 +14,8 @@ import asyncio
 
 import pytest
 
-from repro.federation.chaos import matrix_json, shard_kill_scenario
 from repro.service.collector import CollectorService
+from repro.service.drills import matrix_json, shard_kill_scenario
 from repro.service.loadgen import run_loadgen
 from repro.service.runtime import DeploymentSpec, start_federation
 

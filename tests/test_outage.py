@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import MetricsRegistry, trace, use_registry
 from repro.scenarios import get_scenario
-from repro.service.loadgen import plan_phases
-from repro.service.outage import (
+from repro.service.drills import (
     OutageReport,
     _surviving_indices,
     first_outage_period,
     rsu_outage_scenario,
+    shard_kill_scenario,
 )
+from repro.service.loadgen import plan_phases
 from repro.service.runtime import DeploymentSpec
 
 
@@ -154,3 +156,23 @@ class TestOutageDrill:
         assert "PASS" in text
         assert f"day {report.period}" in text
         assert "bit-identical" in text
+
+
+class TestDrillSpan:
+    @pytest.mark.parametrize("profile", ["rsu-outage", "shard-kill"])
+    def test_each_drill_is_timed_in_one_span(self, spec, tmp_path, profile):
+        """Both drills run through one driver, whose ``chaos.drill``
+        span stays open across the drill's awaits and closes after."""
+        drill = (
+            rsu_outage_scenario(spec)
+            if profile == "rsu-outage"
+            else shard_kill_scenario(spec, wal_path=tmp_path / "collector.wal")
+        )
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            report = run(drill)
+        assert report.passed
+        assert trace.current is None
+        histogram = registry.histogram("chaos.drill.seconds", profile=profile)
+        assert histogram.snapshot()["count"] == 1
+        assert histogram.snapshot()["sum"] == report.elapsed_seconds > 0

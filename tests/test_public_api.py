@@ -96,9 +96,10 @@ class TestRemovedSurface:
     surface deleted in 3.0.0, the second load generator deleted in
     4.0.0, the bit-engine backends deleted in 5.0.0, the decoder's
     unfold memo deleted in 6.0.0, ``DeploymentSpec.config`` deleted
-    in 7.0.0, the dict-tree routing helpers deleted in 8.0.0 and
-    ``TripTable.symmetrized`` deleted in 9.0.0 stay deleted (each
-    CHANGELOG maps them to their replacements)."""
+    in 7.0.0, the dict-tree routing helpers deleted in 8.0.0,
+    ``TripTable.symmetrized`` deleted in 9.0.0 and the two chaos drill
+    modules deleted in 10.0.0 stay deleted (each CHANGELOG maps them
+    to their replacements)."""
 
     @pytest.mark.parametrize(
         "module_name,path",
@@ -148,6 +149,8 @@ class TestRemovedSurface:
             ("repro.roadnet.graph", "shortest_path_tree"),
             ("repro.roadnet.graph", "tree_path"),
             ("repro.roadnet.trips", "TripTable.symmetrized"),
+            ("repro.service.drills", "run_shard_kill"),
+            ("repro.service.drills", "run_rsu_outage"),
         ],
     )
     def test_name_is_gone(self, module_name, path):
@@ -208,12 +211,42 @@ class TestRemovedSurface:
             importlib.import_module("repro.baseline.sizing")
 
     @pytest.mark.parametrize(
-        "module_name", ["repro.federation.shards", "repro.federation.collector"]
+        "module_name",
+        [
+            "repro.federation.shards",
+            "repro.federation.collector",
+            "repro.federation.chaos",
+            "repro.service.outage",
+        ],
     )
     def test_folded_federation_modules_are_gone(self, module_name):
-        """Folded into the service tier in 3.0.0 (CHANGELOG 3.0.0)."""
+        """Folded into the service tier in 3.0.0 (CHANGELOG 3.0.0); the
+        two chaos drills into ``repro.service.drills`` in 10.0.0
+        (CHANGELOG 10.0.0)."""
         with pytest.raises(ImportError):
             importlib.import_module(module_name)
+
+    @pytest.mark.parametrize(
+        "function, keywords",
+        [
+            ("shard_kill_scenario", {"wire_batch", "window", "period"}),
+            ("rsu_outage_scenario", {"wire_batch", "window"}),
+        ],
+    )
+    def test_drills_take_no_wire_keywords(self, function, keywords):
+        """Frame size, send window and shard-kill period are constants
+        since 10.0.0 (CHANGELOG 10.0.0)."""
+        from repro.service import drills
+
+        params = inspect.signature(getattr(drills, function)).parameters
+        assert not keywords & set(params)
+
+    def test_drill_entry_point_needs_a_spec(self):
+        """No built-in default spec since 10.0.0: the CLI builds it."""
+        from repro.service.drills import run_chaos_drill
+
+        spec = inspect.signature(run_chaos_drill).parameters["spec"]
+        assert spec.default is inspect.Parameter.empty
 
     def test_loadgen_result_field_renamed(self):
         import dataclasses
