@@ -10,7 +10,10 @@ Artifacts: ``results/sioux_falls_matrix.txt``,
 (no pytest-benchmark fixture), so CI can run it as a plain test:
 ``REPRO_BENCH_SMOKE=1 pytest benchmarks/bench_matrix.py -k decode``
 shrinks the workload; either way it asserts ``estimate_matrix`` is
-not slower than ``all_pairs``.
+not slower than ``all_pairs``.  It also times the two stages of
+``estimate_matrix`` apart: the joint-zero counting
+(``joint_zero_matrix``, ``count_s``) and the Eq. (5) finisher
+(``estimate_pair_matrix``, ``finish_s``).
 """
 
 import os
@@ -20,7 +23,8 @@ import numpy as np
 
 from conftest import host_metadata, publish
 from repro.core.bitarray import BitArray
-from repro.core.decoder import CentralDecoder
+from repro.core.decoder import CentralDecoder, joint_zero_matrix
+from repro.core.estimator import estimate_pair_matrix
 from repro.core.reports import RsuReport
 from repro.experiments.sioux_falls_matrix import run_sioux_falls_matrix
 
@@ -89,9 +93,27 @@ def test_all_pairs_decode_speedup():
     t_matrix, out = _best_of(decoder.estimate_matrix, repeats)
     assert out == ref, "estimate_matrix diverged from all_pairs"
 
+    ids = decoder.rsu_ids()
+    reports = [decoder.report_for(r) for r in ids]
+    t_count, zeros = _best_of(
+        lambda: joint_zero_matrix([report.bits for report in reports]), repeats
+    )
+    t_finish, finished = _best_of(
+        lambda: estimate_pair_matrix(
+            ids,
+            [report.array_size for report in reports],
+            [report.counter for report in reports],
+            [report.zero_fraction for report in reports],
+            zeros,
+            decoder.s,
+            decoder.policy,
+        ),
+        repeats,
+    )
+    assert finished == out, "the staged decode diverged from estimate_matrix"
+
     pairs = k * (k - 1) // 2
     speedup = t_scalar / t_matrix
-    reports = [decoder.report_for(r) for r in decoder.rsu_ids()]
     resident = sum(report.bits.storage_nbytes for report in reports)
     byte_per_bit = sum(report.array_size for report in reports)
     lines = [
@@ -102,6 +124,8 @@ def test_all_pairs_decode_speedup():
         f"{'path':<38}{'best of ' + str(repeats):>14}",
         f"{'all_pairs (per-pair loop)':<38}{t_scalar * 1e3:>11.1f} ms",
         f"{'estimate_matrix (batched)':<38}{t_matrix * 1e3:>11.1f} ms",
+        f"{'  count: joint_zero_matrix':<38}{t_count * 1e3:>11.1f} ms",
+        f"{'  finish: estimate_pair_matrix':<38}{t_finish * 1e3:>11.1f} ms",
         "",
         f"speedup (all_pairs -> estimate_matrix): {speedup:.1f}x",
         f"resident report storage: {resident:,} B in words, "
@@ -124,6 +148,8 @@ def test_all_pairs_decode_speedup():
                 "all_pairs": t_scalar,
                 "estimate_matrix": t_matrix,
             },
+            "count_s": t_count,
+            "finish_s": t_finish,
             "speedup": speedup,
             "resident_bytes": {
                 "words": resident,

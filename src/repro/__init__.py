@@ -32,6 +32,7 @@ from repro.core import (
     CentralDecoder,
     Estimate,
     PairEstimate,
+    PairMatrix,
     PrivacyOptimalSizing,
     RsuReport,
     SchemeConfig,
@@ -52,7 +53,7 @@ from repro.traffic import PairPopulation, VehicleFleet, make_pair_population
 from repro.scenarios import Scenario, get_scenario, scenario_names
 from repro.errors import ReproError
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "__version__",
@@ -61,6 +62,7 @@ __all__ = [
     "CentralDecoder",
     "Estimate",
     "PairEstimate",
+    "PairMatrix",
     "RsuReport",
     "TripleEstimate",
     "SchemeConfig",

@@ -390,7 +390,11 @@ _DEPLOYMENT_ARGS = {
 #: ``repro chaos`` overrides of the named fault profile: the
 #: ``profile_from_args`` keyword -> (type, help) of its ``--flag``.
 _FAULT_FLAGS = {
-    "seed": (int, "fault decision seed"),
+    "seed": (
+        int,
+        "fault decision seed (proxy profiles), or the deployment seed of "
+        "the shard-kill/rsu-outage drill (default 13)",
+    ),
     "latency": (float, "added delay per read (s)"),
     "latency_jitter": (float, "uniform extra delay in [0, J] per read (s)"),
     "bandwidth": (float, "bytes/sec cap"),
@@ -647,26 +651,27 @@ _DRILLS = {
         "scenario trips seed windows matrix_out golden_out",
     ),
 }
-#: Every drill and fault-mix flag: a drill refuses each one it does not
-#: read unless it is left at its parser default.
+#: Every drill and fault-mix flag: a profile refuses each one it does
+#: not read unless it is left at its parser default.  The fault-mix
+#: profiles of the proxy read only the fault-mix flags.
 _DRILL_FLAGS = set(_FAULT_FLAGS).union(
     *(reads.split() for _, reads in _DRILLS.values())
 )
 
 
 def _run_chaos(args: argparse.Namespace) -> int:
-    if args.profile in _DRILLS:
-        build, reads = _DRILLS[args.profile]
-        defaults = build_parser().parse_args(["chaos"])
-        unread = [
-            "--" + name.replace("_", "-")
-            for name in sorted(_DRILL_FLAGS - set(reads.split()))
-            if getattr(args, name) != getattr(defaults, name)
-        ]
-        if unread:
-            raise ConfigurationError(
-                f"--profile {args.profile} does not read {', '.join(unread)}"
-            )
+    build, reads = _DRILLS.get(args.profile, (None, " ".join(_FAULT_FLAGS)))
+    defaults = build_parser().parse_args(["chaos"])
+    unread = [
+        "--" + name.replace("_", "-")
+        for name in sorted(_DRILL_FLAGS - set(reads.split()))
+        if getattr(args, name) != getattr(defaults, name)
+    ]
+    if unread:
+        raise ConfigurationError(
+            f"--profile {args.profile} does not read {', '.join(unread)}"
+        )
+    if build is not None:
         from repro.service.drills import run_chaos_drill
 
         spec, perturbation = build(args)

@@ -27,6 +27,7 @@ from repro.core.parameters import SchemeParameters
 from repro.core.encoder import RsuState, encode_passes
 from repro.core.estimator import (
     PairEstimate,
+    PairMatrix,
     ZeroFractionPolicy,
     estimate_intersection,
     estimate_point_volume,
@@ -55,6 +56,7 @@ __all__ = [
     "RsuState",
     "encode_passes",
     "PairEstimate",
+    "PairMatrix",
     "ZeroFractionPolicy",
     "estimate_intersection",
     "estimate_point_volume",

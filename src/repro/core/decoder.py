@@ -37,6 +37,7 @@ from repro.core import bitwords
 from repro.core.bitarray import BitArray
 from repro.core.estimator import (
     PairEstimate,
+    PairMatrix,
     _observed_fraction,
     estimate_intersection,
     estimate_pair_matrix,
@@ -179,20 +180,20 @@ class CentralDecoder:
 
     def estimate_matrix(
         self, period: int = 0, *, rsu_ids: Optional[List[int]] = None
-    ) -> Dict[Tuple[int, int], PairEstimate]:
+    ) -> PairMatrix:
         """Vectorized all-pairs decode (bit-identical to :meth:`all_pairs`).
 
         Every pair's ``U_c`` is counted at the pair's own size
         ``m_y = max(m_x, m_y)``, as Section IV-E prescribes, by
         :func:`joint_zero_matrix`; the shared finisher
         :func:`~repro.core.estimator.estimate_pair_matrix` turns the
-        counts into estimates.  The counts, the fractions and so the
-        :class:`PairEstimate` fields match the per-pair path digit for
-        digit.
+        counts into a :class:`~repro.core.estimator.PairMatrix`.  The
+        counts, the fractions and so every :class:`PairEstimate` the
+        matrix yields match the per-pair path digit for digit.
         """
         ids = self._query_ids(period, rsu_ids)
         if len(ids) < 2:
-            return {}
+            return PairMatrix.empty(self.s)
         reports = [self.report_for(rsu_id, period) for rsu_id in ids]
         zeros = joint_zero_matrix([report.bits for report in reports])
         # Per-report statistics are shared by every pair they join.

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple, Union
 
@@ -41,6 +42,7 @@ from repro.utils.mathx import log_pow_one_minus
 __all__ = [
     "ZeroFractionPolicy",
     "PairEstimate",
+    "PairMatrix",
     "q_point",
     "q_intersection",
     "log_collision_ratio",
@@ -144,7 +146,7 @@ def estimate_pair_matrix(
     joint_zeros: np.ndarray,
     s: int,
     policy: ZeroFractionPolicy,
-) -> Dict[Tuple[int, int], "PairEstimate"]:
+) -> "PairMatrix":
     """Apply Eq. (5) to every RSU pair at once.
 
     The shared finisher of the batch and streaming all-pairs decoders.
@@ -152,12 +154,14 @@ def estimate_pair_matrix(
     *fractions* are the observed ``V`` of each array (already policy
     adjusted).  *joint_zeros* holds each pair's ``U_c`` at the pair's
     own size ``max(m_x, m_y)``, in ``np.triu_indices(len(rsu_ids), 1)``
-    order, which is also the key order of the returned dict.
+    order, which is also the key order of the returned
+    :class:`PairMatrix`.
 
     Every field equals what :func:`estimate_from_fractions` gives pair
     by pair: ``V_c`` and Eq. (5)'s subtractions and division are
     elementwise float64 numpy ops, IEEE-identical to the Python float
-    ones, and each ``ln V_c`` still comes from :func:`math.log`.  A
+    ones, and each ``ln V_c`` still comes from :func:`math.log` (once
+    per distinct ``V_c``).  A
     saturated joint array under ``RAISE``, an out-of-range fraction or
     an invalid ``(s, m_y)`` raises the same error, for the same first
     pair, as the pair-by-pair loop.
@@ -206,39 +210,13 @@ def estimate_pair_matrix(
         )
 
     log_v = np.array([math.log(f) for f in fractions], dtype=np.float64)
-    v_c_list = v_c.tolist()
-    log_v_c = np.array([math.log(f) for f in v_c_list], dtype=np.float64)
+    # math.log once per distinct V_c (U_c / m_y takes few values), then
+    # gathered: np.log is not bit-identical to math.log.
+    levels = sorted_unique(v_c)
+    log_v_c = np.array([math.log(f) for f in levels.tolist()], dtype=np.float64)
+    log_v_c = log_v_c[np.searchsorted(levels, v_c)]
     values = (log_v_c - log_v[small] - log_v[large]) / log_rho
-
-    ids = [int(rsu_id) for rsu_id in rsu_ids]
-    sizes = [int(size) for size in sizes]
-    results: Dict[Tuple[int, int], PairEstimate] = {}
-    new_estimate = object.__new__
-    for i, j, x, y, value, pair_v_c in zip(
-        rows.tolist(),
-        cols.tolist(),
-        small.tolist(),
-        large.tolist(),
-        values.tolist(),
-        v_c_list,
-    ):
-        # PairEstimate(**fields) without the frozen dataclass's
-        # per-field object.__setattr__, four fifths of the cost; the
-        # instance compares, hashes, pickles and prints the same.
-        estimate = new_estimate(PairEstimate)
-        estimate.__dict__.update(
-            value=value,
-            v_c=pair_v_c,
-            v_x=fractions[x],
-            v_y=fractions[y],
-            m_x=sizes[x],
-            m_y=sizes[y],
-            n_x=counters[x],
-            n_y=counters[y],
-            s=s,
-        )
-        results[(ids[i], ids[j])] = estimate
-    return results
+    return PairMatrix(rsu_ids, sizes, counters, fractions, values, v_c, s)
 
 
 def _zero_fraction(zeros: int, size: int, policy: ZeroFractionPolicy) -> float:
@@ -318,6 +296,182 @@ class PairEstimate(Estimate):
             "n_x": self.n_x,
             "n_y": self.n_y,
         }
+
+
+#: The arrays of a :class:`PairMatrix`, in constructor order.
+_COLUMNS = ("rsu_ids", "sizes", "counters", "fractions", "value", "v_c")
+
+
+class PairMatrix(Mapping):
+    """Every RSU pair's estimate of one decode, stored as columns.
+
+    What :func:`estimate_pair_matrix` returns, and so every all-pairs
+    decode (:meth:`~repro.core.decoder.CentralDecoder.estimate_matrix`,
+    the streaming ``live_matrix``/``matrix_at``/``window_matrix`` and
+    :meth:`~repro.vcps.server.CentralServer.traffic_matrix`).
+
+    Attributes
+    ----------
+    rsu_ids:
+        The RSUs, sorted (``int64``).
+    sizes, counters, fractions:
+        Per-RSU ``m``, ``n`` and observed ``V``, aligned with
+        *rsu_ids* and stored once, not per pair.
+    value, v_c:
+        Per-pair ``n̂_c`` and ``V_c`` (``float64``) in
+        ``np.triu_indices(len(rsu_ids), 1)`` order.
+    s:
+        The logical bit array size.
+
+    The arrays are read-only.  As a read-only :class:`Mapping` it
+    reads like the ``{(x, y): PairEstimate}`` dict of every pair
+    ``x < y``, in the same key order: ``matrix[(x, y)]`` builds the
+    :class:`PairEstimate` on demand, with Python ``float``/``int``
+    fields whose small/large side comes from *sizes* (a tie keeps
+    ``x``).  A reversed or unknown key raises :class:`KeyError`.  Two
+    matrices compare by their arrays; against any other mapping,
+    ``==`` compares pair by pair.
+    """
+
+    __slots__ = (*_COLUMNS, "s", "_rank")
+
+    def __init__(
+        self,
+        rsu_ids: Sequence[int],
+        sizes: Sequence[int],
+        counters: Sequence[int],
+        fractions: Sequence[float],
+        value: Sequence[float],
+        v_c: Sequence[float],
+        s: int,
+    ) -> None:
+        columns = {
+            "rsu_ids": np.array(rsu_ids, dtype=np.int64),
+            "sizes": np.array(sizes, dtype=np.int64),
+            "counters": np.array(counters, dtype=np.int64),
+            "fractions": np.array(fractions, dtype=np.float64),
+            "value": np.array(value, dtype=np.float64),
+            "v_c": np.array(v_c, dtype=np.float64),
+        }
+        k = columns["rsu_ids"].size
+        for name, column in columns.items():
+            expected = k * (k - 1) // 2 if name in ("value", "v_c") else k
+            if column.shape != (expected,):
+                raise ConfigurationError(
+                    f"{name} has shape {column.shape}, expected ({expected},) "
+                    f"for {k} RSUs"
+                )
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self.s = int(s)
+        self._rank = {rsu_id: i for i, rsu_id in enumerate(self.rsu_ids.tolist())}
+
+    @classmethod
+    def empty(cls, s: int) -> "PairMatrix":
+        """The matrix of fewer than two RSUs: no pairs."""
+        return cls([], [], [], [], [], [], s)
+
+    def __reduce__(self):
+        return (PairMatrix, (*(getattr(self, name) for name in _COLUMNS), self.s))
+
+    # -- positions ----------------------------------------------------
+    def _position(self, i: int, j: int) -> int:
+        """Triu position of the pair of ranks ``i < j``."""
+        return i * self.rsu_ids.size - i * (i + 1) // 2 + j - i - 1
+
+    def index(
+        self, a: Sequence[int], b: Sequence[int], *, strict: bool = True
+    ) -> np.ndarray:
+        """Triu positions of the pairs ``(a[t], b[t])`` (``int64``).
+
+        Gathers the per-pair columns: ``matrix.value[matrix.index(a,
+        b)]``.  A pair that is not a key (an unknown RSU, or ``a >=
+        b``) raises :class:`KeyError` naming the first one, or with
+        *strict* false gets position ``-1``.
+        """
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        ids = self.rsu_ids
+        i = np.searchsorted(ids, a)
+        j = np.searchsorted(ids, b)
+        found = (i < j) & (j < ids.size)
+        if ids.size:
+            last = ids.size - 1
+            found &= ids[np.minimum(i, last)] == a
+            found &= ids[np.minimum(j, last)] == b
+        if strict and not found.all():
+            first = int(np.argmin(found))
+            raise KeyError((int(a[first]), int(b[first])))
+        return np.where(found, self._position(i, j), -1)
+
+    def pair_ids(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The keys as two ``int64`` columns ``(x, y)``, in key order."""
+        rows, cols = np.triu_indices(self.rsu_ids.size, 1)
+        return self.rsu_ids[rows], self.rsu_ids[cols]
+
+    def columns(self) -> Dict[str, np.ndarray]:
+        """Every :class:`PairEstimate` field as a per-pair column, in
+        the dataclass's field order and the key order."""
+        rows, cols = np.triu_indices(self.rsu_ids.size, 1)
+        swap = self.sizes[rows] > self.sizes[cols]
+        small = np.where(swap, cols, rows)
+        large = np.where(swap, rows, cols)
+        return {
+            "value": self.value,
+            "v_c": self.v_c,
+            "v_x": self.fractions[small],
+            "v_y": self.fractions[large],
+            "m_x": self.sizes[small],
+            "m_y": self.sizes[large],
+            "n_x": self.counters[small],
+            "n_y": self.counters[large],
+            "s": np.full(rows.size, self.s, dtype=np.int64),
+        }
+
+    # -- the Mapping --------------------------------------------------
+    def __len__(self) -> int:
+        return self.value.size
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        ids = self.rsu_ids.tolist()
+        for i, x in enumerate(ids):
+            for y in ids[i + 1 :]:
+                yield (x, y)
+
+    def __getitem__(self, key: Tuple[int, int]) -> PairEstimate:
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise KeyError(key)
+        i, j = self._rank.get(key[0]), self._rank.get(key[1])
+        if i is None or j is None or i >= j:
+            raise KeyError(key)
+        p = self._position(i, j)
+        x, y = (j, i) if self.sizes[i] > self.sizes[j] else (i, j)
+        return PairEstimate(
+            value=float(self.value[p]),
+            v_c=float(self.v_c[p]),
+            v_x=float(self.fractions[x]),
+            v_y=float(self.fractions[y]),
+            m_x=int(self.sizes[x]),
+            m_y=int(self.sizes[y]),
+            n_x=int(self.counters[x]),
+            n_y=int(self.counters[y]),
+            s=self.s,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PairMatrix):
+            if not (len(self) or len(other)):
+                return True
+            return self.s == other.s and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in _COLUMNS
+            )
+        return Mapping.__eq__(self, other)
+
+    def __repr__(self) -> str:
+        return (
+            f"PairMatrix({self.rsu_ids.size} RSUs, {len(self)} pairs, s={self.s})"
+        )
 
 
 def estimate_intersection(

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.core.decoder import CentralDecoder
 from repro.core.encoder import encode_passes
-from repro.core.estimator import PairEstimate, ZeroFractionPolicy
+from repro.core.estimator import PairMatrix, ZeroFractionPolicy
 from repro.core.parameters import SchemeParameters
 from repro.core.sizing import AdaptiveSizing, PrivacyOptimalSizing
 from repro.privacy.attacker import empirical_privacy
@@ -66,7 +66,6 @@ __all__ = [
 ]
 
 PairKey = Tuple[int, int]
-Matrix = Dict[PairKey, PairEstimate]
 
 
 def _display(scenario: str) -> str:
@@ -83,7 +82,7 @@ def _decode_day(
     policy: ZeroFractionPolicy,
     sizes: Dict[int, int],
     period: int,
-) -> Matrix:
+) -> PairMatrix:
     """Encode one drifted day at a given size plan and decode all pairs.
 
     A runtime task: self-contained (resolves *scenario* by name and
@@ -133,17 +132,20 @@ def _day_task(
 
 
 def _mean_error(
-    matrix: Matrix, truth: Dict[PairKey, int], min_truth: int
+    matrix: PairMatrix, truth: Dict[PairKey, int], min_truth: int
 ) -> Tuple[float, int]:
     """Mean relative error over pairs with ground truth >= *min_truth*."""
-    errors = [
-        abs(matrix[pair].value - true_nc) / true_nc
-        for pair, true_nc in sorted(truth.items())
-        if true_nc >= min_truth and pair in matrix
-    ]
-    if not errors:
+    scored = sorted(
+        (pair, true_nc) for pair, true_nc in truth.items() if true_nc >= min_truth
+    )
+    a, b = np.array([pair for pair, _ in scored], dtype=np.int64).reshape(-1, 2).T
+    true_nc = np.array([t for _, t in scored], dtype=np.int64)
+    at = matrix.index(a, b, strict=False)
+    hit = at >= 0
+    if not hit.any():
         return float("nan"), 0
-    return float(np.mean(errors)), len(errors)
+    errors = np.abs(matrix.value[at[hit]] - true_nc[hit]) / true_nc[hit]
+    return float(np.mean(errors)), int(errors.size)
 
 
 def _mean_privacy(

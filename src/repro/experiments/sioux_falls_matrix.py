@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.baseline.scheme import FixedLengthScheme
 from repro.core.sizing import fixed_array_size_for_privacy
-from repro.core.estimator import PairEstimate, ZeroFractionPolicy
+from repro.core.estimator import PairMatrix, ZeroFractionPolicy
 from repro.core.scheme import VlmScheme
 from repro.privacy.optimizer import max_load_factor_for_privacy
 from repro.runtime import Task, run_tasks
@@ -117,7 +117,7 @@ def _measure_scheme(
     s: int,
     load_factor: float,
     baseline_m: int,
-) -> Dict[PairKey, PairEstimate]:
+) -> PairMatrix:
     """Run one scheme over the whole day and decode all pairs (a
     runtime task; the measurement consumes no randomness — hash seed 7
     is pinned — so the matrix is deterministic by construction)."""
@@ -179,23 +179,26 @@ def run_od_matrix(
         executor=executor,
     )
 
-    outcomes: List[PairOutcome] = []
-    for (a, b), true_nc in sorted(truth.items()):
-        if true_nc < min_truth:
-            continue
-        d = max(volumes[a], volumes[b]) / min(volumes[a], volumes[b])
-        key = (a, b) if a < b else (b, a)
-        vlm_est = vlm_matrix[key]
-        base_est = base_matrix[key]
-        outcomes.append(
-            PairOutcome(
-                pair=(a, b),
-                truth=true_nc,
-                d=d,
-                vlm_error=abs(vlm_est.value - true_nc) / true_nc,
-                baseline_error=abs(base_est.value - true_nc) / true_nc,
-            )
+    # Scored pairs in key order; both matrices are gathered at them.
+    scored = sorted(
+        (pair, true_nc) for pair, true_nc in truth.items() if true_nc >= min_truth
+    )
+    a, b = np.array([pair for pair, _ in scored], dtype=np.int64).reshape(-1, 2).T
+    true_nc = np.array([t for _, t in scored], dtype=np.int64)
+    n_a = np.array([volumes[x] for x in a.tolist()], dtype=np.int64)
+    n_b = np.array([volumes[y] for y in b.tolist()], dtype=np.int64)
+    d = np.maximum(n_a, n_b) / np.minimum(n_a, n_b)
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    vlm_error, base_error = (
+        np.abs(matrix.value[matrix.index(low, high)] - true_nc) / true_nc
+        for matrix in (vlm_matrix, base_matrix)
+    )
+    outcomes = [
+        PairOutcome(pair=pair, truth=t, d=d_t, vlm_error=vlm_t, baseline_error=base_t)
+        for (pair, t), d_t, vlm_t, base_t in zip(
+            scored, d.tolist(), vlm_error.tolist(), base_error.tolist()
         )
+    ]
     return MatrixResult(
         outcomes=outcomes,
         total_trips=workload.plan.trips.total_trips,

@@ -199,13 +199,12 @@ def run_streaming_matrix(
     window_top: List[Tuple[int, int, float]] = []
     if window is not None:
         sliced = decoder.window_matrix(period=0, window=int(window))
-        ranked = sorted(
-            sliced.items(), key=lambda item: item[1].value, reverse=True
+        # Largest estimates first; ties keep key order.
+        ranked = np.argsort(-sliced.value, kind="stable")[: int(top)]
+        x, y = sliced.pair_ids()
+        window_top = list(
+            zip(x[ranked].tolist(), y[ranked].tolist(), sliced.value[ranked].tolist())
         )
-        window_top = [
-            (x, y, float(estimate.value))
-            for (x, y), estimate in ranked[: int(top)]
-        ]
     return StreamingMatrixResult(
         rsus=len(spec.scheme.rsu_ids),
         responses=responses,

@@ -89,9 +89,10 @@ def select_indices(
     m_o = check_power_of_two(m_o, "m_o")
     ids = np.asarray(vehicle_ids, dtype=np.uint64)
     keys = np.asarray(vehicle_keys, dtype=np.uint64)
+    # salt_slot already reduced the slots into [0, s).
     slots = salt_slot(ids, keys, rsu_id, salts.size, seed=seed)
     with np.errstate(over="ignore"):
-        material = ids ^ keys ^ salts.gather(slots)
+        material = ids ^ keys ^ salts.values[slots]
     return hash_to_range(material, m_o, seed=seed)
 
 

@@ -15,7 +15,6 @@ JSON so CI can ``cmp`` the files.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import tempfile
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ import numpy as np
 
 from repro.core.bitarray import BitArray
 from repro.core.decoder import CentralDecoder
-from repro.core.estimator import PairEstimate
+from repro.core.estimator import PairMatrix
 from repro.core.reports import RsuReport
 from repro.core.sizing import AdaptiveSizing
 from repro.errors import ConfigurationError
@@ -62,24 +61,27 @@ SEND_WINDOW = 32
 #: How many periods ahead to scan a scenario's outage schedule.
 _SCAN_HORIZON = 64
 
-Matrix = Dict[Tuple[int, int], PairEstimate]
-Decoded = Tuple[Matrix, Dict[int, int]]
+Decoded = Tuple[PairMatrix, Dict[int, int]]
 #: A perturbation's delivery phases: each maps gateway ids to the
 #: batches sent to them, to all of those gateways concurrently.
 Phases = AsyncIterator[Dict[int, Sequence[wire.ResponseBatch]]]
 
 
-def matrix_json(matrix: Matrix) -> Dict[str, Dict[str, object]]:
+def matrix_json(matrix: PairMatrix) -> Dict[str, Dict[str, object]]:
     """A period matrix as a canonical JSON-ready mapping.
 
     Keys are ``"x->y"``; values are the full
-    :class:`~repro.core.estimator.PairEstimate` field dicts.  Dumped
-    with ``sort_keys=True`` this is byte-stable, so two bit-identical
-    matrices produce byte-identical files CI can ``cmp``.
+    :class:`~repro.core.estimator.PairEstimate` field dicts, read from
+    the matrix's columns.  Dumped with ``sort_keys=True`` this is
+    byte-stable, so two bit-identical matrices produce byte-identical
+    files CI can ``cmp``.
     """
+    columns = matrix.columns()
+    rows = zip(*(column.tolist() for column in columns.values()))
+    x, y = matrix.pair_ids()
     return {
-        f"{x}->{y}": dataclasses.asdict(estimate)
-        for (x, y), estimate in sorted(matrix.items())
+        f"{a}->{b}": dict(zip(columns, row))
+        for a, b, row in zip(x.tolist(), y.tolist(), rows)
     }
 
 
@@ -543,12 +545,15 @@ class RsuOutage:
     golden; pairs that touch one report the accuracy cost."""
 
     windows: int = 6
-    #: Found by :meth:`prepare`: the outage day, its downed RSUs and
-    #: the outage phases ``[lo, hi)`` (at least one).
+    #: Found by :meth:`prepare`: the outage day, its downed RSUs, the
+    #: outage phases ``[lo, hi)`` (at least one), the responses each
+    #: downed RSU still records, and how many the gateway must drop.
     day: int = field(default=0, init=False)
     down: Tuple[int, ...] = field(default=(), init=False)
     lo: int = field(default=0, init=False)
     hi: int = field(default=0, init=False)
+    kept: Dict[int, np.ndarray] = field(default_factory=dict, init=False)
+    expected_dropped: int = field(default=0, init=False)
 
     profile: ClassVar[str] = "rsu-outage"
     shards: ClassVar[int] = 0
@@ -589,6 +594,27 @@ class RsuOutage:
         self.day, self.down = day, down
         self.lo = self.windows // 3
         self.hi = max(self.lo + 1, (2 * self.windows) // 3)
+        self.kept = {
+            rsu_id: _surviving_indices(
+                spec,
+                rsu_id,
+                period=day,
+                windows=self.windows,
+                outage_lo=self.lo,
+                outage_hi=self.hi,
+            )
+            for rsu_id in down
+        }
+        self.expected_dropped = sum(
+            int(spec.response_indices(rsu_id, period=day).size) - int(kept.size)
+            for rsu_id, kept in self.kept.items()
+        )
+        if not self.expected_dropped:
+            raise ConfigurationError(
+                f"RSUs {list(down)} record no response in outage windows "
+                f"[{self.lo}, {self.hi}) of day {day}, so the drill could "
+                f"drop nothing; give it more trips"
+            )
         return day
 
     async def phases(self, plane: FederationPlane, plan: dict) -> Phases:
@@ -608,18 +634,7 @@ class RsuOutage:
         # The degraded golden: the full day's reports, except that the
         # downed RSUs lose their outage-window slices.
         reports = spec.reference_reports(period=self.day)
-        expected_dropped = 0
-        for rsu_id in self.down:
-            kept = _surviving_indices(
-                spec,
-                rsu_id,
-                period=self.day,
-                windows=self.windows,
-                outage_lo=self.lo,
-                outage_hi=self.hi,
-            )
-            full = spec.response_indices(rsu_id, period=self.day)
-            expected_dropped += int(full.size) - int(kept.size)
+        for rsu_id, kept in self.kept.items():
             reports[rsu_id] = RsuReport(
                 rsu_id=rsu_id,
                 counter=int(kept.size),
@@ -652,7 +667,7 @@ class RsuOutage:
             outage_hi=self.hi,
             responses_sent=sum(run.sent),
             responses_dropped=run.plane.shards[0].outage_dropped,
-            expected_dropped=expected_dropped,
+            expected_dropped=self.expected_dropped,
             snapshots_acked=run.snapshots,
             pairs_compared=len(golden_matrix),
             pairs_affected=len(affected),

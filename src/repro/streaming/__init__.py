@@ -50,7 +50,7 @@ from repro.core import bitwords
 from repro.core.bitarray import BitArray
 from repro.core.decoder import CentralDecoder
 from repro.core.estimator import (
-    PairEstimate,
+    PairMatrix,
     _observed_fraction,
     estimate_pair_matrix,
 )
@@ -482,9 +482,7 @@ class StreamingDecoder:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def live_matrix(
-        self, period: int = 0
-    ) -> Dict[Tuple[int, int], PairEstimate]:
+    def live_matrix(self, period: int = 0) -> PairMatrix:
         """The all-pairs OD matrix over everything streamed so far.
 
         Bit-identical to
@@ -498,7 +496,7 @@ class StreamingDecoder:
         streams = self._streams.get(period, {})
         ids = sorted(streams)
         if len(ids) < 2:
-            return {}
+            return PairMatrix.empty(self.s)
         states = [streams[rsu_id] for rsu_id in ids]
         pairs = self._pair_zeros[period]
         zeros = [
@@ -520,7 +518,7 @@ class StreamingDecoder:
 
     def _decode_reports(
         self, period: int, reports: List[RsuReport]
-    ) -> Dict[Tuple[int, int], PairEstimate]:
+    ) -> PairMatrix:
         """Batch-decode ad-hoc reports through the vectorized path."""
         decoder = CentralDecoder(self.s, policy=self.policy)
         decoder.submit_many(reports)
@@ -545,9 +543,7 @@ class StreamingDecoder:
             rsu_id=state.rsu_id, counter=counter, bits=bits, period=period
         )
 
-    def window_matrix(
-        self, period: int = 0, window: int = 0
-    ) -> Dict[Tuple[int, int], PairEstimate]:
+    def window_matrix(self, period: int = 0, window: int = 0) -> PairMatrix:
         """The OD matrix of a single sub-period window.
 
         An RSU with no responses in the window contributes an all-zero
@@ -568,9 +564,7 @@ class StreamingDecoder:
         self._reg().counter("stream.window_queries_total").inc()
         return self._decode_reports(period, reports)
 
-    def matrix_at(
-        self, period: int = 0, at: float = 0.0
-    ) -> Dict[Tuple[int, int], PairEstimate]:
+    def matrix_at(self, period: int = 0, at: float = 0.0) -> PairMatrix:
         """The OD matrix as of instant *at* within the period.
 
         With ``window_s`` configured, *at* is seconds into the period
@@ -598,9 +592,7 @@ class StreamingDecoder:
         self._reg().counter("stream.window_queries_total").inc()
         return self._decode_reports(period, reports)
 
-    def class_matrix(
-        self, period: int = 0, vclass: str = ""
-    ) -> Dict[Tuple[int, int], PairEstimate]:
+    def class_matrix(self, period: int = 0, vclass: str = "") -> PairMatrix:
         """The OD matrix of one vehicle class (trajectory-path slices).
 
         Decodes only the responses ingested with ``vclass=<label>``; an

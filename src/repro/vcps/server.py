@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.decoder import CentralDecoder
 from repro.core.estimator import (
     PairEstimate,
+    PairMatrix,
     ZeroFractionPolicy,
     estimate_point_volume,
 )
@@ -278,7 +279,7 @@ class CentralServer:
 
     def traffic_matrix(
         self, period: int = 0, at: Optional[float] = None
-    ) -> Dict[Tuple[int, int], PairEstimate]:
+    ) -> PairMatrix:
         """All-pairs point-to-point estimates for *period*.
 
         With *at* ``None`` (the default) this is the authoritative
@@ -294,18 +295,14 @@ class CentralServer:
             return self.decoder.estimate_matrix(period)
         return self.streaming.matrix_at(period=period, at=at)
 
-    def live_matrix(
-        self, period: int = 0
-    ) -> Dict[Tuple[int, int], PairEstimate]:
+    def live_matrix(self, period: int = 0) -> PairMatrix:
         """The OD matrix over everything streamed so far for *period*,
         from the incremental per-pair joint-zero counts — no period
         close required, bit-identical to a batch decode of the same
         responses (``docs/streaming.md``)."""
         return self.streaming.live_matrix(period)
 
-    def window_matrix(
-        self, period: int = 0, window: int = 0
-    ) -> Dict[Tuple[int, int], PairEstimate]:
+    def window_matrix(self, period: int = 0, window: int = 0) -> PairMatrix:
         """The OD matrix for one sub-period window of *period*."""
         return self.streaming.window_matrix(period=period, window=window)
 

@@ -86,6 +86,22 @@ class TestRefusedConfiguration:
                 ["chaos", "--profile", "shard-kill", "--windows", "9"],
                 "--profile shard-kill does not read --windows",
             ),
+            (
+                ["chaos", "--profile", "rsu-outage", "--trips", "500"],
+                "could drop nothing",
+            ),
+            (
+                ["chaos", "--profile", "lossy", "--trips", "3000", "--shards", "7"],
+                "--profile lossy does not read --shards, --trips",
+            ),
+            (
+                ["chaos", "--profile", "clean", "--wal", "x.wal", "--adaptive"],
+                "--profile clean does not read --adaptive, --wal",
+            ),
+            (
+                ["chaos", "--windows", "4", "--seed", "3"],
+                "--profile lossy does not read --windows",
+            ),
         ],
     )
     def test_exits_2_with_the_command_prefix(self, capsys, argv, message):

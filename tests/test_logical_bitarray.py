@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.hashing.hashfn import hash_to_range
 from repro.hashing.logical_bitarray import LogicalBitArray, salt_slot, select_indices
 from repro.hashing.salts import SaltArray
 
@@ -125,3 +126,21 @@ class TestLogicalBitArray:
                 bit_y = lb.bit_for_rsu(2, m_y)
                 assert bit_y % m_x == bit_x
         assert found, "no slot collision in 200 vehicles (p < 1e-25)"
+
+
+@pytest.mark.parametrize("s", [1, 2, 7, 64])
+@pytest.mark.parametrize("seed", [0, 5, 0x5EED])
+def test_select_indices_equals_the_gather_form(s, seed):
+    """``select_indices`` indexes the salts at ``salt_slot``'s slots,
+    which are already in ``[0, s)``; the result equals Eq. (2) through
+    ``SaltArray.gather``, which reduces modulo ``s`` again."""
+    rng = np.random.default_rng(seed + s)
+    ids = rng.integers(0, 2**63, 5_000, dtype=np.uint64)
+    keys = rng.integers(0, 2**63, 5_000, dtype=np.uint64)
+    salts = SaltArray(s, seed=seed)
+    m_o = 1 << 16
+    for rsu_id in (0, 3, 1_000_003):
+        slots = salt_slot(ids, keys, rsu_id, s, seed=seed)
+        expected = hash_to_range(ids ^ keys ^ salts.gather(slots), m_o, seed=seed)
+        got = select_indices(ids, keys, rsu_id, salts, m_o, seed=seed)
+        assert np.array_equal(got, expected)

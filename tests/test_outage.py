@@ -111,6 +111,15 @@ class TestGuards:
         with pytest.raises(ConfigurationError, match="periods >= 6"):
             run(rsu_outage_scenario(short))
 
+    def test_outage_that_drops_nothing_is_refused(self):
+        """At 500 trips the downed RSU records nothing in the outage
+        windows, so no drop could be checked: refused before bring-up."""
+        thin = DeploymentSpec(
+            total_trips=500, scenario="trajectory-replay", periods=6, seed=13
+        )
+        with pytest.raises(ConfigurationError, match="could drop nothing"):
+            run(rsu_outage_scenario(thin))
+
     def test_unknown_down_rsu_rejected(self, spec, monkeypatch):
         monkeypatch.setattr(
             type(spec.scenario_obj),

@@ -55,6 +55,12 @@ class TestExports:
         ):
             assert hasattr(repro, name)
 
+    def test_pair_matrix_is_exported(self):
+        from repro.core import estimator
+
+        assert repro.PairMatrix is repro.core.PairMatrix is estimator.PairMatrix
+        assert "PairMatrix" in estimator.__all__
+
     def test_version(self):
         assert repro.__version__.count(".") == 2
 
@@ -97,9 +103,10 @@ class TestRemovedSurface:
     4.0.0, the bit-engine backends deleted in 5.0.0, the decoder's
     unfold memo deleted in 6.0.0, ``DeploymentSpec.config`` deleted
     in 7.0.0, the dict-tree routing helpers deleted in 8.0.0,
-    ``TripTable.symmetrized`` deleted in 9.0.0 and the two chaos drill
-    modules deleted in 10.0.0 stay deleted (each CHANGELOG maps them
-    to their replacements)."""
+    ``TripTable.symmetrized`` deleted in 9.0.0, the two chaos drill
+    modules deleted in 10.0.0 and the dict methods of the all-pairs
+    result, a read-only ``PairMatrix`` since 11.0.0, stay deleted (each
+    CHANGELOG maps them to their replacements)."""
 
     @pytest.mark.parametrize(
         "module_name,path",
@@ -151,6 +158,9 @@ class TestRemovedSurface:
             ("repro.roadnet.trips", "TripTable.symmetrized"),
             ("repro.service.drills", "run_shard_kill"),
             ("repro.service.drills", "run_rsu_outage"),
+            ("repro.core.estimator", "PairMatrix.copy"),
+            ("repro.core.estimator", "PairMatrix.pop"),
+            ("repro.core.estimator", "PairMatrix.__setitem__"),
         ],
     )
     def test_name_is_gone(self, module_name, path):
@@ -183,6 +193,16 @@ class TestRemovedSurface:
 
         fields = [f.name for f in dataclasses.fields(RoutePlan)]
         assert fields == ["trips", "nodes", "offsets"]
+
+    def test_matrix_decode_is_not_a_dict(self):
+        """Every all-pairs decode returns a read-only ``Mapping`` since
+        11.0.0 (CHANGELOG 11.0.0)."""
+        from collections.abc import Mapping
+
+        from repro.core.decoder import CentralDecoder
+
+        matrix = CentralDecoder(2).estimate_matrix()
+        assert isinstance(matrix, Mapping) and not isinstance(matrix, dict)
 
     def test_decoder_takes_no_memo_capacity(self):
         """No unfold memo since 6.0.0 (CHANGELOG 6.0.0)."""
