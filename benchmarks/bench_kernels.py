@@ -3,7 +3,9 @@
 Two sections, one artifact:
 
 * **Kernel micro-benches** — every hot-path word kernel of
-  :mod:`repro.core.bitwords`, timed on a ``2^20``-bit array.  A second
+  :mod:`repro.core.bitwords`, timed on a ``2^20``-bit array, and the
+  encoder's Eq. (2) hashing (``hash_u64``, ``select_indices`` at
+  ``m_o = 2^20``) over as many responses as indices.  A second
   table splits ``set_bits`` into its three steps: a dense batch (more
   than ``m / 256`` indices) scatters into a bool vector, then packs
   the bools into words and ORs them in.  Reported, not gated.
@@ -27,6 +29,7 @@ import numpy as np
 
 from conftest import host_metadata, publish
 from repro.core import bitwords
+from repro.hashing import SaltArray, hash_u64, select_indices
 from repro.utils.tables import AsciiTable
 from repro.vcps.ids import locally_administered_mask, random_macs
 from repro.vcps.pki import CertificateAuthority
@@ -82,6 +85,9 @@ def _kernel_timings(rng):
     bitwords.set_bits(
         small, M // 16, rng.integers(0, M // 16, size=256, dtype=np.int64)
     )
+    ids = rng.integers(0, 2**64, size=BATCH, dtype=np.uint64, endpoint=False)
+    keys = rng.integers(0, 2**64, size=BATCH, dtype=np.uint64, endpoint=False)
+    salts = SaltArray(2, seed=3)
     return {
         "set_bits": _best(
             lambda: bitwords.set_bits(bitwords.zeros(M), M, indices)
@@ -94,6 +100,10 @@ def _kernel_timings(rng):
         ),
         "pairwise_or_popcount": _best(
             lambda: bitwords.pairwise_or_popcount(filled, rows)
+        ),
+        "hash_u64": _best(lambda: hash_u64(ids, seed=7)),
+        "select_indices": _best(
+            lambda: select_indices(ids, keys, 17, salts, M, seed=7)
         ),
     }
 
@@ -156,7 +166,7 @@ def test_kernel_ops_and_zero_copy_ingest():
     table = AsciiTable(
         ["op", "ms"],
         title=(
-            f"word kernels, best-of-{ROUNDS} "
+            f"word kernels and Eq. 2 hashing, best-of-{ROUNDS} "
             f"(m = {M:,} bits, {BATCH:,} indices)"
         ),
     )

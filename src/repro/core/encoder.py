@@ -125,8 +125,9 @@ def encode_passes(
     """Encode an entire vehicle population passing one RSU.
 
     Computes every vehicle's reported index
-    ``H(v XOR K_v XOR X[H(R_x) mod s]) mod m_x`` (paper Eq. 2) in one
-    vectorized pass and returns the RSU's period report.
+    ``H(v XOR K_v XOR X[j]) mod m_x`` (paper Eq. 2), with the slot
+    ``j = H(v XOR K_v XOR H(R_x)) mod s``, in one vectorized pass and
+    returns the RSU's period report.
 
     Parameters
     ----------
@@ -155,9 +156,9 @@ def encode_passes(
     logical = select_indices(
         ids, keys, rsu_id, params.salts, params.m_o, seed=params.hash_seed
     )
-    # Power-of-two reduction: b_x = b mod m_x.
-    indices = logical & (array_size - 1)
-    bits = BitArray.from_indices(array_size, indices)
+    # Power-of-two reduction in place: b_x = b mod m_x.
+    logical &= array_size - 1
+    bits = BitArray.from_indices(array_size, logical)
     registry = get_registry()
     registry.counter("core.encode_calls_total").inc()
     registry.counter("core.encode_responses_total").inc(int(ids.size))

@@ -108,7 +108,8 @@ def _scale_point(
         policy=ZeroFractionPolicy.CLAMP,
     )
     start = time.perf_counter()
-    scheme.run_period(workload.passes())
+    # Only the sized RSUs report: a node on no route has no array.
+    scheme.run_period(workload.passes(list(scheme.rsu_ids)))
     encode_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

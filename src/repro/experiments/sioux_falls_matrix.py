@@ -18,12 +18,11 @@ import numpy as np
 
 from repro.baseline.scheme import FixedLengthScheme
 from repro.core.sizing import fixed_array_size_for_privacy
-from repro.core.estimator import PairMatrix, ZeroFractionPolicy
+from repro.core.estimator import ZeroFractionPolicy
 from repro.core.scheme import VlmScheme
 from repro.privacy.optimizer import max_load_factor_for_privacy
 from repro.runtime import Task, run_tasks
 from repro.scenarios import get_scenario
-from repro.traffic.network_workload import NetworkWorkload
 from repro.utils.rng import SeedLike
 from repro.utils.tables import AsciiTable
 
@@ -111,29 +110,6 @@ class MatrixResult:
         return "\n".join(lines)
 
 
-def _measure_scheme(
-    kind: str,
-    workload: NetworkWorkload,
-    s: int,
-    load_factor: float,
-    baseline_m: int,
-) -> PairMatrix:
-    """Run one scheme over the whole day and decode all pairs (a
-    runtime task; the measurement consumes no randomness — hash seed 7
-    is pinned — so the matrix is deterministic by construction)."""
-    if kind == "vlm":
-        scheme = VlmScheme(
-            workload.volumes(), s=s, load_factor=load_factor, hash_seed=7,
-            policy=ZeroFractionPolicy.CLAMP,
-        )
-    else:
-        scheme = FixedLengthScheme(baseline_m, s=s, hash_seed=7)
-    scheme.run_period(workload.passes())
-    # One vectorized all-pairs decode per scheme (bit-identical to
-    # querying pair_estimate per pair, but a single batched pass).
-    return scheme.decoder.estimate_matrix()
-
-
 def run_od_matrix(
     *,
     scenario: str = "sioux-falls",
@@ -151,9 +127,10 @@ def run_od_matrix(
     resolves (``sioux-falls``, ``grid-16x16``, ``trajectory-replay``,
     ``tntp:...``).  Pairs whose true common volume is below
     *min_truth* are excluded from error statistics (relative error is
-    not meaningful against a near-zero denominator).  The two schemes
-    run as independent runtime tasks — bit-identical for any worker
-    count and executor.
+    not meaningful against a near-zero denominator).  Both schemes
+    encode RSU by RSU in process; their two all-pairs decodes then run
+    as independent runtime tasks — bit-identical for any worker count
+    and executor.
     """
     scenario_obj = get_scenario(scenario)
     workload = scenario_obj.workload(total_trips=total_trips, seed=seed)
@@ -166,14 +143,26 @@ def run_od_matrix(
     baseline_m = fixed_array_size_for_privacy(
         volumes.values(), s, min_privacy=min_privacy
     )
+    # The measurement consumes no randomness (hash seed 7 is pinned),
+    # so both matrices are deterministic by construction.
+    schemes = (
+        VlmScheme(
+            volumes, s=s, load_factor=load_factor, hash_seed=7,
+            policy=ZeroFractionPolicy.CLAMP,
+        ),
+        FixedLengthScheme(baseline_m, s=s, hash_seed=7),
+    )
+    # Encode RSU by RSU: one gather of a node's passes serves both
+    # schemes and is dropped before the next node's.  Only the nodes
+    # the VLM scheme sized (those on some route) report.
+    for node in schemes[0].rsu_ids:
+        passes = workload.passes([node])
+        for scheme in schemes:
+            scheme.run_period(passes)
     vlm_matrix, base_matrix = run_tasks(
         [
-            Task(
-                fn=_measure_scheme,
-                args=(kind, workload, s, load_factor, baseline_m),
-                label=f"matrix:{kind}",
-            )
-            for kind in ("vlm", "baseline")
+            Task(fn=scheme.decoder.estimate_matrix, label=f"matrix:{kind}")
+            for kind, scheme in zip(("vlm", "baseline"), schemes)
         ],
         workers=workers,
         executor=executor,

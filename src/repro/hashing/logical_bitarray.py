@@ -33,7 +33,14 @@ from typing import Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.hashing.hashfn import hash_to_range, hash_u64
+from repro.hashing.hashfn import (
+    _BLOCK,
+    _mix,
+    _seed_word,
+    _unwrap,
+    hash_to_range,
+    hash_u64,
+)
 from repro.hashing.salts import SaltArray
 from repro.utils.validation import check_power_of_two
 
@@ -82,18 +89,59 @@ def select_indices(
     """Vectorized bit selection for many vehicles passing one RSU.
 
     Implements paper Eq. (2)'s index computation
-    ``H(v XOR K_v XOR X[H(R_x) mod s])`` with range ``[0, m_o)``.
-    The caller reduces modulo the RSU's own ``m_x`` afterwards (see
+    ``H(v XOR K_v XOR X[j])`` with range ``[0, m_o)``, where the slot
+    ``j = H(v XOR K_v XOR H(R_x)) mod s`` is :func:`salt_slot`'s (see
+    the module-level fidelity note).  The caller reduces modulo the
+    RSU's own ``m_x`` afterwards (see
     :func:`repro.core.encoder.encode_passes`).
+
+    All of Eq. (2) runs in one loop over blocks of ``_BLOCK`` vehicles:
+    ``v XOR K_v`` once, the slot hash, the salt gather, the word hash
+    and the ``m_o`` mask, each in place, so a block stays in cache from
+    its first step to its last.  A power-of-two ``s`` reduces the slot
+    with ``& (s - 1)``, which equals ``% s``.
     """
     m_o = check_power_of_two(m_o, "m_o")
-    ids = np.asarray(vehicle_ids, dtype=np.uint64)
-    keys = np.asarray(vehicle_keys, dtype=np.uint64)
-    # salt_slot already reduced the slots into [0, s).
-    slots = salt_slot(ids, keys, rsu_id, salts.size, seed=seed)
-    with np.errstate(over="ignore"):
-        material = ids ^ keys ^ salts.values[slots]
-    return hash_to_range(material, m_o, seed=seed)
+    s = salts.size
+    ids, keys = np.broadcast_arrays(
+        np.asarray(vehicle_ids, dtype=np.uint64),
+        np.asarray(vehicle_keys, dtype=np.uint64),
+    )
+    # salt_slot's hash of v ^ K_v ^ H(R_x) is keyed by the slot seed;
+    # folding H(R_x) into that key leaves one XOR per vehicle.
+    slot_key = hash_u64(rsu_id, seed=seed ^ 0x52535500) ^ _seed_word(
+        seed ^ 0x534C4F54
+    )
+    # The word hash's key folded into the salts: one XOR per vehicle
+    # gives v ^ K_v ^ X[j] ^ key.
+    keyed_salts = salts.values ^ _seed_word(seed)
+    s_mask = np.uint64(s - 1) if s & (s - 1) == 0 else None
+    m_mask = np.uint64(m_o - 1)
+    out = np.empty(ids.shape, dtype=np.int64)
+    flat_ids, flat_keys = ids.reshape(-1), keys.reshape(-1)
+    # The int64 output doubles as the uint64 working block: the final
+    # mask leaves every word below m_o, the same value in either type.
+    words = out.reshape(-1).view(np.uint64)
+    size = min(words.size, _BLOCK)
+    slot_buffer, scratch = np.empty(size, np.uint64), np.empty(size, np.uint64)
+    for start in range(0, words.size, _BLOCK):
+        stop = min(start + _BLOCK, words.size)
+        block = words[start:stop]
+        slots, spare = slot_buffer[: stop - start], scratch[: stop - start]
+        np.bitwise_xor(flat_ids[start:stop], flat_keys[start:stop], out=block)
+        np.bitwise_xor(block, slot_key, out=slots)
+        _mix(slots, spare)
+        if s_mask is None:
+            np.remainder(slots, np.uint64(s), out=slots)
+        else:
+            slots &= s_mask
+        # Every slot already lies in [0, s): "clip" never fires, and it
+        # spares the buffered copy the default "raise" mode makes.
+        np.take(keyed_salts, slots.view(np.int64), out=spare, mode="clip")
+        block ^= spare
+        _mix(block, spare)
+        block &= m_mask
+    return _unwrap(out)
 
 
 class LogicalBitArray:

@@ -318,7 +318,9 @@ class DeploymentSpec:
         """The in-process ground truth: one encoded report per RSU,
         for day *period*'s workload at that period's planned sizes."""
         sizes = self.sizes_for(period)
-        passes = self.workload_for(period).passes()
+        # The sized RSUs, not every network node: a node on no route
+        # has no array.
+        passes = self.workload_for(period).passes(list(sizes))
         return {
             int(rsu_id): encode_passes(
                 ids,

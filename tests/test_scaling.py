@@ -38,3 +38,11 @@ class TestRunScaling:
         text = result.render()
         assert "scaling" in text
         assert "median |err| %" in text
+
+
+def test_nodes_on_no_route_do_not_report():
+    # At 8 trips per RSU some Sioux Falls nodes carry no traffic: they
+    # have no array, and the period encodes only the sized RSUs.
+    result = run_scaling(scenarios=["sioux-falls"], trips_per_rsu=8, min_truth=1)
+    (point,) = result.points
+    assert point.pairs_measured < point.rsus * (point.rsus - 1) // 2
