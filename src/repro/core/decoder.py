@@ -9,8 +9,9 @@ drive it directly.
 Two decode paths produce bit-identical :class:`PairEstimate` values:
 
 * :meth:`CentralDecoder.pair_estimate` / :meth:`CentralDecoder.all_pairs`
-  — the scalar reference path, one tiled OR-count per pair
-  (:func:`~repro.core.estimator.estimate_intersection`);
+  — the scalar path, one tiled OR-count per pair, field for field
+  what :func:`~repro.core.estimator.estimate_intersection` gives on
+  the two stored reports;
 * :meth:`CentralDecoder.estimate_matrix` — the vectorized path: the
   pairs are blocked by their size ``m_y``, each block's arrays are
   stacked at native size, and every pair's ``U_c`` at ``m_y`` falls
@@ -38,8 +39,8 @@ from repro.core.bitarray import BitArray
 from repro.core.estimator import (
     PairEstimate,
     PairMatrix,
-    _observed_fraction,
-    estimate_intersection,
+    _zero_fraction,
+    estimate_from_fractions,
     estimate_pair_matrix,
 )
 from repro.core.reports import RsuReport
@@ -67,10 +68,16 @@ class CentralDecoder:
     """Stores RSU reports and computes pairwise intersection estimates.
 
     A pair query is :func:`~repro.core.estimator.estimate_intersection`
-    over the two stored reports: one reshape-tiled OR + popcount over
-    the larger array's words, with nothing unfolded or cached.  For
-    the full matrix, prefer :meth:`estimate_matrix`, which batches the
-    per-pair work into a handful of vectorized numpy passes
+    over the two stored reports, field for field: one reshape-tiled
+    OR + popcount over the larger array's words, with nothing
+    unfolded.  The one thing kept between queries is each stored
+    report's zero count ``U``, taken on the report's first use and
+    dropped when :meth:`submit` replaces (or re-submits) it, so a
+    query pays only its joint-zero count and Eq. (5).  Code that
+    changes a stored report's bits in place must re-submit it, as
+    the federated collector does after each OR-merge.  For the full
+    matrix, prefer :meth:`estimate_matrix`, which batches the per-pair
+    work into a handful of vectorized numpy passes
     (``benchmarks/bench_matrix.py`` measures both paths).
 
     Parameters
@@ -99,13 +106,22 @@ class CentralDecoder:
         self.policy = resolved.policy
         # (period, rsu_id) -> report
         self._reports: Dict[Tuple[int, int], RsuReport] = {}
+        # (period, rsu_id) -> zero count of the stored report's bits,
+        # filled on first use and dropped by submit().
+        self._zeros: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
     # Report ingestion
     # ------------------------------------------------------------------
     def submit(self, report: RsuReport) -> None:
-        """Store one RSU's report for its period (latest wins)."""
-        self._reports[(report.period, report.rsu_id)] = report
+        """Store one RSU's report for its period (latest wins).
+
+        Also the way to tell the decoder that a stored report's bits
+        changed in place: its cached zero count is dropped either way.
+        """
+        key = (report.period, report.rsu_id)
+        self._reports[key] = report
+        self._zeros.pop(key, None)
 
     def submit_many(self, reports: Iterable[RsuReport]) -> None:
         """Store a batch of reports."""
@@ -120,6 +136,15 @@ class CentralDecoder:
             raise EstimationError(
                 f"no report stored for RSU {rsu_id} in period {period}"
             ) from None
+
+    def _fraction(self, report: RsuReport) -> float:
+        """The observed ``V`` of a stored *report* under the policy;
+        its zero count is taken once per :meth:`submit`."""
+        key = (report.period, report.rsu_id)
+        zeros = self._zeros.get(key)
+        if zeros is None:
+            zeros = self._zeros[key] = report.bits.count_zeros()
+        return _zero_fraction(zeros, report.bits.size, self.policy)
 
     def rsu_ids(self, period: int = 0) -> List[int]:
         """All RSUs that reported in *period*, sorted."""
@@ -150,14 +175,40 @@ class CentralDecoder:
     def pair_estimate(
         self, rsu_x: int, rsu_y: int, period: int = 0
     ) -> PairEstimate:
-        """Estimate the point-to-point volume between two RSUs (Eq. 5)."""
+        """Estimate the point-to-point volume between two RSUs (Eq. 5).
+
+        Equal, field for field and error for error, to
+        :func:`~repro.core.estimator.estimate_intersection` on the two
+        stored reports, with each report's ``V`` read from the cache.
+        """
         if rsu_x == rsu_y:
             raise EstimationError(_DISTINCT_RSUS)
-        return estimate_intersection(
-            self.report_for(rsu_x, period),
-            self.report_for(rsu_y, period),
-            self.s,
-            policy=self.policy,
+        report_x = self.report_for(rsu_x, period)
+        report_y = self.report_for(rsu_y, period)
+        if report_x.array_size > report_y.array_size:
+            report_x, report_y = report_y, report_x
+        m_x, m_y = report_x.array_size, report_y.array_size
+        if m_y % m_x:
+            raise ConfigurationError(
+                f"target size {m_y} is not a multiple of source size "
+                f"{m_x}; the scheme requires power-of-two lengths"
+            )
+        zeros = bitwords.joint_zero_counts(
+            report_x.bits.words, m_x, report_y.bits.words, m_y
+        )
+        v_c = _zero_fraction(zeros, m_y, self.policy)
+        v_x = self._fraction(report_x)
+        v_y = self._fraction(report_y)
+        return PairEstimate(
+            value=estimate_from_fractions(v_c, v_x, v_y, m_y, self.s),
+            v_c=v_c,
+            v_x=v_x,
+            v_y=v_y,
+            m_x=m_x,
+            m_y=m_y,
+            n_x=report_x.counter,
+            n_y=report_y.counter,
+            s=self.s,
         )
 
     def all_pairs(
@@ -197,9 +248,7 @@ class CentralDecoder:
         reports = [self.report_for(rsu_id, period) for rsu_id in ids]
         zeros = joint_zero_matrix([report.bits for report in reports])
         # Per-report statistics are shared by every pair they join.
-        fractions = [
-            _observed_fraction(report.bits, self.policy) for report in reports
-        ]
+        fractions = [self._fraction(report) for report in reports]
         get_registry().counter("decoder.matrix_pairs_total").inc(
             int(zeros.size)
         )

@@ -204,6 +204,10 @@ class MetricsRegistry:
     ) -> None:
         self.clock = clock
         self._instruments: Dict[Tuple[str, LabelKey], object] = {}
+        #: Bumped by :meth:`clear`.  Code that holds instrument handles
+        #: across calls (the wire codec's frame counters) fetches them
+        #: again when the registry or its generation changes.
+        self.generation = 0
 
     # ------------------------------------------------------------------
     # Instrument access (create-on-first-use)
@@ -280,6 +284,7 @@ class MetricsRegistry:
     def clear(self) -> None:
         """Drop every instrument (a fresh start for tests)."""
         self._instruments.clear()
+        self.generation += 1
 
     def __len__(self) -> int:
         return len(self._instruments)

@@ -582,14 +582,21 @@ class RsuGateway:
     # Batched ingestion
     # ------------------------------------------------------------------
     async def _ingest_loop(self) -> None:
+        queue = self._queue
         while True:
-            try:
-                item = await asyncio.wait_for(
-                    self._queue.get(), timeout=self.flush_interval
-                )
-            except asyncio.TimeoutError:
-                self._flush_all()
-                continue
+            # Queued items are taken with no timer (``wait_for`` costs a
+            # task and a timer handle per call).  Only an empty queue
+            # waits, bounded so that an idle gateway still flushes.
+            if not queue.empty():
+                item = queue.get_nowait()
+            else:
+                try:
+                    item = await asyncio.wait_for(
+                        queue.get(), timeout=self.flush_interval
+                    )
+                except asyncio.TimeoutError:
+                    self._flush_all()
+                    continue
             rsu_id, macs, indices = item
             self._pending.setdefault(rsu_id, []).append((macs, indices))
             count = self._pending_counts.get(rsu_id, 0) + int(macs.size)
@@ -821,9 +828,8 @@ class RsuGateway:
                         wire.write_message(writer, snap),
                         timeout=self.upload_timeout,
                     )
-                    ack = await asyncio.wait_for(
-                        wire.read_message(reader),
-                        timeout=self.upload_timeout,
+                    ack = await wire.read_message(
+                        reader, timeout=self.upload_timeout
                     )
                     if (
                         isinstance(ack, wire.SnapshotAck)

@@ -485,8 +485,8 @@ async def send_phases(
 
                     async def read_ack() -> None:
                         nonlocal sent, made_progress
-                        answer = await asyncio.wait_for(
-                            wire.read_message(reader), timeout=ack_timeout
+                        answer = await wire.read_message(
+                            reader, timeout=ack_timeout
                         )
                         if isinstance(answer, wire.BatchAck):
                             if answer.duplicate:
@@ -517,8 +517,8 @@ async def send_phases(
                         await read_ack()
                     if close_frame is not None:
                         await wire.write_message(writer, close_frame)
-                        answer = await asyncio.wait_for(
-                            wire.read_message(reader), timeout=close_timeout
+                        answer = await wire.read_message(
+                            reader, timeout=close_timeout
                         )
                         closing = type(close_frame).__name__
                         if isinstance(answer, wire.ErrorMsg):
@@ -685,9 +685,7 @@ async def announce_sizes(
                 )
                 reader, writer = connection
                 await wire.write_message(writer, message)
-                answer = await asyncio.wait_for(
-                    wire.read_message(reader), timeout=ack_timeout
-                )
+                answer = await wire.read_message(reader, timeout=ack_timeout)
                 if isinstance(answer, wire.ErrorMsg):
                     raise WireError(f"{op} nack: {answer.message}")
                 return answer
@@ -786,9 +784,7 @@ async def run_queries(
                     )
                 reader, writer = connection
                 await wire.write_message(writer, message)
-                answer = await asyncio.wait_for(
-                    wire.read_message(reader), timeout=ack_timeout
-                )
+                answer = await wire.read_message(reader, timeout=ack_timeout)
                 if (
                     isinstance(answer, wire.ErrorMsg)
                     and answer.code != wire.E_ESTIMATION

@@ -52,16 +52,17 @@ from __future__ import annotations
 
 import asyncio
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, field
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.bitarray import BitArray
 from repro.core.reports import RsuReport
 from repro.errors import WireError
-from repro.obs import get_registry
+from repro.obs import MetricsRegistry, get_registry
 
 __all__ = [
     "MAGIC",
@@ -870,14 +871,74 @@ def decode_frame(data: bytes) -> "tuple[Message, int]":
     return _decode_payload(msg_type, data[_HEADER.size : end], crc), end
 
 
-async def read_message(reader: asyncio.StreamReader) -> Message:
+class _FrameCounters:
+    """The ``wire.frames_total`` / ``wire.bytes_total`` pair of one
+    direction, held across frames.
+
+    The handles are looked up on the first frame and again only when
+    the process-default registry is swapped (:func:`repro.obs.set_registry`)
+    or cleared; every other frame pays two increments, not two
+    label-keyed lookups.
+    """
+
+    __slots__ = ("direction", "registry", "generation", "frames", "bytes")
+
+    def __init__(self, direction: str) -> None:
+        self.direction = direction
+        self.registry: Optional[MetricsRegistry] = None
+        self.generation = -1
+
+    def count(self, nbytes: int) -> None:
+        registry = get_registry()
+        if (
+            registry is not self.registry
+            or registry.generation != self.generation
+        ):
+            self.registry = registry
+            self.generation = registry.generation
+            self.frames = registry.counter(
+                "wire.frames_total", direction=self.direction
+            )
+            self.bytes = registry.counter(
+                "wire.bytes_total", direction=self.direction
+            )
+        self.frames.inc()
+        self.bytes.inc(nbytes)
+
+
+_FRAMES_IN = _FrameCounters("in")
+_FRAMES_OUT = _FrameCounters("out")
+
+#: ``asyncio.timeout`` (3.11+) bounds an await without a helper task;
+#: older interpreters only have ``asyncio.wait_for``.
+_HAVE_TIMEOUT_CM = sys.version_info >= (3, 11)
+
+
+async def read_message(
+    reader: asyncio.StreamReader, *, timeout: Optional[float] = None
+) -> Message:
     """Read exactly one frame from *reader*.
 
     Raises :class:`asyncio.IncompleteReadError` on clean EOF *between*
     frames (callers treat that as connection close) and
     :class:`~repro.errors.WireError` on malformed bytes — including a
     stream that ends mid-frame, which is truncation, not a clean close.
+
+    With *timeout* (seconds), a frame that has not fully arrived by
+    then raises :class:`asyncio.TimeoutError`.  On Python 3.11+ the
+    deadline is an :func:`asyncio.timeout` scope, which creates no
+    task per read; on older interpreters it is
+    :func:`asyncio.wait_for`.
     """
+    if timeout is None:
+        return await _read_frame(reader)
+    if _HAVE_TIMEOUT_CM:
+        async with asyncio.timeout(timeout):
+            return await _read_frame(reader)
+    return await asyncio.wait_for(_read_frame(reader), timeout)
+
+
+async def _read_frame(reader: asyncio.StreamReader) -> Message:
     try:
         header = await reader.readexactly(_HEADER.size)
     except asyncio.IncompleteReadError as exc:
@@ -905,11 +966,7 @@ async def read_message(reader: asyncio.StreamReader) -> Message:
             f"{length} payload bytes)"
         ) from exc
     message = _decode_payload(msg_type, payload, crc)
-    registry = get_registry()
-    registry.counter("wire.frames_total", direction="in").inc()
-    registry.counter("wire.bytes_total", direction="in").inc(
-        _HEADER.size + length
-    )
+    _FRAMES_IN.count(_HEADER.size + length)
     return message
 
 
@@ -918,8 +975,6 @@ async def write_message(
 ) -> None:
     """Frame and send *message*, honouring transport backpressure."""
     frame = encode_frame(message)
-    registry = get_registry()
-    registry.counter("wire.frames_total", direction="out").inc()
-    registry.counter("wire.bytes_total", direction="out").inc(len(frame))
+    _FRAMES_OUT.count(len(frame))
     writer.write(frame)
     await writer.drain()

@@ -1,8 +1,15 @@
 """Tests for the Section IV-E overhead experiment."""
 
+import numpy as np
 import pytest
 
+from repro.core import bitwords
+from repro.core.bitarray import BitArray
+from repro.core.estimator import estimate_intersection
+from repro.core.reports import RsuReport
 from repro.experiments.overhead import run_overhead
+
+popcount = bitwords.popcount
 
 
 @pytest.fixture(scope="module")
@@ -28,13 +35,29 @@ class TestRunOverhead:
         ratio = rows[1].per_op_us / rows[0].per_op_us
         assert 0.3 < ratio < 3.0  # O(1): no systematic growth with m
 
-    def test_server_cost_grows_with_m(self):
-        # The O(m_y) claim is about per-bit work.  On words, 64 bits per
-        # operation, fixed per-call costs hide the growth below about
-        # 2^16 bits; from 2^12 to 2^20 it shows.
-        result = run_overhead(m_exponents=(12, 20))
-        rows = result.rows_for("server decode")
-        assert rows[-1].per_op_us > rows[0].per_op_us
+    def test_server_cost_grows_with_m(self, monkeypatch):
+        # The O(m_y) claim is about per-bit work, so count it: every
+        # word the pair decode popcounts, at the experiment's shapes
+        # (m_x = m_y / 16).  Wall-clock timings of the same claim are
+        # at the mercy of host load; the word count is exact.
+        counted = []
+
+        def spy(words):
+            counted[-1] += words.size
+            return popcount(words)
+
+        monkeypatch.setattr(bitwords, "popcount", spy)
+        rng = np.random.default_rng(51)
+        for exponent in (12, 20):
+            m_y = 1 << exponent
+            m_x = m_y >> 4
+            rx = RsuReport(1, m_x // 3, BitArray.from_bits(rng.random(m_x) < 0.3))
+            ry = RsuReport(2, m_y // 3, BitArray.from_bits(rng.random(m_y) < 0.3))
+            counted.append(0)
+            estimate_intersection(rx, ry, 2)
+            # The joint array and B_y (m_y bits each) plus B_x (m_x).
+            assert counted[-1] == (2 * m_y + m_x) // bitwords.WORD_BITS
+        assert counted[1] == counted[0] << 8
 
     def test_rsu_cost_is_microseconds(self, result):
         (row,) = result.rows_for("rsu (1 bit set)")
