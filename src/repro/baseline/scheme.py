@@ -10,6 +10,13 @@ one ``m``:
   estimator is Eq. (5) with ``m_x = m_y = m`` — which is precisely the
   estimator of [9], as the paper notes below Eq. (43).
 
+Eq. (2) reduces each index by a power of two, so where a VLM scheme
+with the same ``(s, hash_seed)`` already encoded an RSU at a multiple
+``m_x`` of ``m``, the RSU's ``m``-bit array is that report's array
+OR-folded to ``m`` (the dual of the Eq. (3) unfolding).
+:meth:`FixedLengthScheme.encode` folds such a report instead of
+hashing every pass again.
+
 Sharing the machinery is deliberate: the head-to-head experiments then
 differ *only* in the sizing policy, so any accuracy/privacy gap
 observed is attributable to variable-length sizing + unfolding.
@@ -17,7 +24,7 @@ observed is attributable to variable-length sizing + unfolding.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Optional, Union
 
 import numpy as np
 
@@ -96,14 +103,69 @@ class FixedLengthScheme:
             period=period,
         )
 
+    def _fold(
+        self,
+        rsu_id: int,
+        report: RsuReport,
+        source: Optional[SchemeParameters],
+        period: int,
+    ) -> RsuReport:
+        """*report*, encoded under *source*, as this scheme's report."""
+        if source is None:
+            raise ConfigurationError(
+                f"RSU {rsu_id}: a report stands in for its passes only "
+                "with the parameters it was encoded under (source=...)"
+            )
+        # The salts X and the hash H are functions of (s, hash_seed).
+        if (source.s, source.hash_seed) != (self.s, self.params.hash_seed):
+            raise ConfigurationError(
+                f"RSU {rsu_id}: the report was hashed with s={source.s}, "
+                f"hash_seed={source.hash_seed}, not this scheme's "
+                f"s={self.s}, hash_seed={self.params.hash_seed}"
+            )
+        if report.rsu_id != rsu_id:
+            raise ConfigurationError(
+                f"the report of RSU {report.rsu_id} cannot stand in for RSU {rsu_id}"
+            )
+        if report.array_size % self.array_size:
+            raise ConfigurationError(
+                f"RSU {rsu_id}: a {report.array_size}-bit report does not "
+                f"fold to m={self.array_size}; m must divide its size"
+            )
+        return RsuReport(
+            rsu_id=rsu_id,
+            counter=report.counter,
+            bits=report.bits.fold(self.array_size),
+            period=period,
+        )
+
     def encode(
-        self, passes: Mapping[int, Passes], *, period: int = 0
+        self,
+        passes: Mapping[int, Union[Passes, RsuReport]],
+        *,
+        period: int = 0,
+        source: Optional[SchemeParameters] = None,
     ) -> Dict[int, RsuReport]:
-        """Encode every RSU's traffic; returns ``rsu_id -> report``."""
-        return {
-            int(rsu_id): self.encode_rsu(rsu_id, ids, keys, period=period)
-            for rsu_id, (ids, keys) in passes.items()
-        }
+        """Encode every RSU's traffic; returns ``rsu_id -> report``.
+
+        Each value is the RSU's ``(ids, keys)`` passes, or the
+        :class:`~repro.core.reports.RsuReport` a scheme with parameters
+        *source* encoded for that RSU at a multiple of ``m``.  A report
+        is folded to ``m`` and keeps its counter: byte for byte the
+        report its passes would give.  A report without *source*, from
+        other salts or another hash seed, for another RSU, or of a size
+        ``m`` does not divide raises
+        :class:`~repro.errors.ConfigurationError`.
+        """
+        reports = {}
+        for rsu_id, value in passes.items():
+            rsu_id = int(rsu_id)
+            if isinstance(value, RsuReport):
+                reports[rsu_id] = self._fold(rsu_id, value, source, period)
+            else:
+                ids, keys = value
+                reports[rsu_id] = self.encode_rsu(rsu_id, ids, keys, period=period)
+        return reports
 
     # ------------------------------------------------------------------
     # Offline decoding
@@ -115,10 +177,15 @@ class FixedLengthScheme:
         )
 
     def run_period(
-        self, passes: Mapping[int, Passes], *, period: int = 0
+        self,
+        passes: Mapping[int, Union[Passes, RsuReport]],
+        *,
+        period: int = 0,
+        source: Optional[SchemeParameters] = None,
     ) -> Dict[int, RsuReport]:
-        """Encode a full period and feed all reports to the decoder."""
-        reports = self.encode(passes, period=period)
+        """Encode a full period (:meth:`encode`, passes or foldable
+        reports) and feed all reports to the decoder."""
+        reports = self.encode(passes, period=period, source=source)
         self.decoder.submit_many(reports.values())
         return reports
 

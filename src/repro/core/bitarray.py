@@ -41,6 +41,15 @@ def _whole(value, what: str) -> int:
     return whole
 
 
+def _check_size(size) -> int:
+    """*size* as a positive ``int`` bit count, else
+    :class:`~repro.errors.ConfigurationError`."""
+    size = _whole(size, "bit array size")
+    if size <= 0:
+        raise ConfigurationError(f"bit array size must be positive, got {size}")
+    return size
+
+
 def _check_payload(data: bytes, size: int) -> None:
     """Validate a serialized array of *size* bits (:meth:`BitArray.to_bytes`
     form): exactly ``ceil(size / 8)`` bytes, with zero padding bits.
@@ -83,9 +92,7 @@ class BitArray:
         size: int,
         bits: np.ndarray = None,
     ) -> None:
-        size = _whole(size, "bit array size")
-        if size <= 0:
-            raise ConfigurationError(f"bit array size must be positive, got {size}")
+        size = _check_size(size)
         self._size = size
         if bits is None:
             self._words = bitwords.zeros(size)
@@ -129,9 +136,7 @@ class BitArray:
         bits past *size* in the final byte must be zero; either
         violation raises :class:`~repro.errors.ValidationError`.
         """
-        size = _whole(size, "bit array size")
-        if size <= 0:
-            raise ConfigurationError(f"bit array size must be positive, got {size}")
+        size = _check_size(size)
         _check_payload(data, size)
         return cls._wrap(size, bitwords.from_bytes(data, size))
 
@@ -347,6 +352,24 @@ class BitArray:
             self._size * repeats,
             bitwords.unfold(self._words, self._size, repeats),
         )
+
+    def fold(self, size: int) -> "BitArray":
+        """A new *size*-bit array whose bit ``i`` is the OR of every
+        bit congruent to ``i`` mod *size*: the dual of :meth:`tile`.
+
+        Folding an array scattered at indices ``b`` gives the array
+        scattered at ``b mod size``, so an Eq. (2) array folds to the
+        array the same passes would leave at any *size* dividing its
+        own.  A *size* that does not divide :attr:`size` raises
+        :class:`~repro.errors.ConfigurationError`.
+        """
+        size = _check_size(size)
+        if self._size % size:
+            raise ConfigurationError(
+                f"cannot fold a {self._size}-bit array to {size} bits: "
+                "the target size must divide the array size"
+            )
+        return BitArray._wrap(size, bitwords.fold(self._words, self._size, size))
 
     @classmethod
     def or_reduce(

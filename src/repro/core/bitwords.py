@@ -33,6 +33,12 @@ Costs
   unfolded first;
 * unfold (Eq. 3): word tile when ``m % 64 == 0``, byte tile when
   ``m % 8 == 0``, bool round trip for odd ablation sizes;
+* fold, the dual of unfold: the ``m / t`` consecutive ``t``-bit chunks
+  ORed into one ``t``-bit array, as one ``bitwise_or.reduce`` over a
+  word reshape when ``t % 64 == 0``, a byte reshape when ``t % 8 ==
+  0``, a bool round trip otherwise.  It costs one read of the ``m``
+  bits: far less than hashing the passes again, which is why the
+  fixed-length baseline folds the VLM arrays instead of re-encoding;
 * index scatter (Eq. 2): ``bitwise_or.at`` for sparse batches, a
   bool-scatter-then-pack pass for dense ones.
 """
@@ -45,6 +51,7 @@ import numpy as np
 
 __all__ = [
     "WORD_BITS",
+    "fold",
     "from_bool",
     "from_bytes",
     "get_bit",
@@ -290,3 +297,23 @@ def unfold(words: np.ndarray, size: int, repeats: int) -> np.ndarray:
         return _from_packed(np.tile(packed, repeats), size * repeats)
     # Odd (non-multiple-of-8) ablation sizes: bit-level round trip.
     return from_bool(np.tile(to_bool(words, size), repeats))
+
+
+def fold(words: np.ndarray, size: int, target: int) -> np.ndarray:
+    """The ``size / target`` consecutive *target*-bit chunks ORed into
+    one **new** *target*-bit vector: the dual of :func:`unfold`.
+
+    Bit ``i`` of the result is set iff some bit ``i + k * target`` is,
+    so the fold of an array scattered at indices ``b`` equals the array
+    scattered at ``b mod target``.  *target* must divide *size*.
+    """
+    size = int(size)
+    target = int(target)
+    if target % WORD_BITS == 0:
+        return np.bitwise_or.reduce(words.reshape(-1, target // WORD_BITS), axis=0)
+    if target % 8 == 0:
+        packed = words.astype(_BE_U64).view(np.uint8)[: size // 8]
+        chunks = packed.reshape(-1, target // 8)
+        return _from_packed(np.bitwise_or.reduce(chunks, axis=0), target)
+    # Odd (non-multiple-of-8) sizes: bit-level round trip.
+    return from_bool(to_bool(words, size).reshape(-1, target).any(axis=0))

@@ -54,8 +54,7 @@ def fold_down(array: BitArray, target_size: int) -> BitArray:
         raise ValueError(
             f"target size {target_size} does not divide array size {array.size}"
         )
-    folded = np.asarray(array.bits).reshape(-1, target_size).any(axis=0)
-    return BitArray(target_size, folded)
+    return array.fold(target_size)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import bitwords
 from repro.core.bitarray import BitArray
 from repro.core.decoder import CentralDecoder
 from repro.core.encoder import RsuState, encode_passes
@@ -63,16 +64,31 @@ class OverheadResult:
             )
         server = self.rows_for("server decode")
         if len(server) >= 2:
-            ratio = server[-1].per_op_us / max(server[0].per_op_us, 1e-9)
-            low = int(server[0].scale.split("^")[1])
-            high = int(server[-1].scale.split("^")[1])
-            expected = 1 << (high - low)
+            low, high = (
+                int(row.scale.split("^")[1]) for row in (server[0], server[-1])
+            )
+            words_low, words_high = _decode_words(low), _decode_words(high)
             lines.append(
-                f"server cost across {expected}x m range: x{ratio:.1f} "
-                f"(claim: O(m_y) — approaches x{expected} once m dominates "
-                "fixed overheads)"
+                f"server work across {1 << (high - low)}x m range: "
+                f"x{words_high / words_low:.1f} words popcounted per pair "
+                f"({words_low:,} -> {words_high:,}; claim: O(m_y))"
             )
         return "\n".join(lines)
+
+
+def _server_sizes(exponent: int) -> Tuple[int, int]:
+    """``(m_x, m_y)`` of the server-decode pair at ``m_y = 2^exponent``."""
+    m_y = 1 << exponent
+    return max(m_y >> 4, 4), m_y
+
+
+def _decode_words(exponent: int) -> int:
+    """Words one pair decode popcounts at ``m_y = 2^exponent``: the
+    joint array and ``B_y`` (``m_y`` bits each) plus ``B_x`` (``m_x``).
+    Exact, where a wall-clock ratio at these sizes measures the fixed
+    per-call costs."""
+    m_x, m_y = _server_sizes(exponent)
+    return 2 * -(-m_y // bitwords.WORD_BITS) + -(-m_x // bitwords.WORD_BITS)
 
 
 def _time_per_op(fn, repeats: int) -> float:
@@ -129,8 +145,7 @@ def run_overhead(
 
     # Server: unfold + OR + count + MLE per pair, across m_y.
     for exponent in m_exponents:
-        m_y = 1 << exponent
-        m_x = max(m_y >> 4, 4)
+        m_x, m_y = _server_sizes(exponent)
         rx = RsuReport(1, m_x // 3, BitArray.from_bits(rng.random(m_x) < 0.3))
         ry = RsuReport(2, m_y // 3, BitArray.from_bits(rng.random(m_y) < 0.3))
         per_op = _time_per_op(

@@ -169,9 +169,12 @@ def _measure_pair(
         rx = vlm.encode_rsu(pair.rsu_x, ids_x, keys_x)
         ry = vlm.encode_rsu(TABLE1_RSU_Y, ids_y, keys_y)
         vlm_estimates.append(vlm.measure(rx, ry).value)
+        # The baseline folds the VLM reports (the same bytes as hashing
+        # the passes again): baseline_m is at most every VLM size, and
+        # both are powers of two.
         base = FixedLengthScheme(baseline_m, s=s, hash_seed=hash_seed)
-        bx = base.encode_rsu(pair.rsu_x, ids_x, keys_x)
-        by = base.encode_rsu(TABLE1_RSU_Y, ids_y, keys_y)
+        folded = base.encode({pair.rsu_x: rx, TABLE1_RSU_Y: ry}, source=vlm.params)
+        bx, by = folded[pair.rsu_x], folded[TABLE1_RSU_Y]
         base_estimates.append(base.measure(bx, by).value)
     vlm_mean = float(np.mean(vlm_estimates))
     base_mean = float(np.mean(base_estimates))

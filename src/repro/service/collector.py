@@ -176,6 +176,7 @@ class CollectorService:
         self.server = server
         self.wal = wal
         self._server: Optional[asyncio.AbstractServer] = None
+        self._clients = wire.Connections()
         self.port: Optional[int] = None
         if retention_periods is not None:
             retention_periods = int(retention_periods)
@@ -302,8 +303,11 @@ class CollectorService:
         logger.info("collector listening on %s:%s", host, self.port)
 
     async def stop(self) -> None:
+        """Stop accepting, then close every open client stream and wait
+        for its handler."""
         if self._server is not None:
             self._server.close()
+            await self._clients.close()
             await self._server.wait_closed()
             self._server = None
 
@@ -313,28 +317,24 @@ class CollectorService:
     async def _serve_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        try:
-            while True:
-                try:
-                    message = await wire.read_message(reader)
-                except asyncio.IncompleteReadError:
-                    break
-                except WireError as exc:
-                    self._m_frames_rejected.inc()
-                    await self._reply(
-                        writer, wire.ErrorMsg(wire.E_MALFORMED, str(exc))
-                    )
-                    break
-                reply = self._handle(message)
-                await self._reply(writer, reply)
-        except (ConnectionError, OSError):
-            pass  # peer vanished mid-exchange (reset, abort, …)
-        finally:
-            writer.close()
+        await self._clients.serve(writer, self._session(reader, writer))
+
+    async def _session(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        while True:
             try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+                message = await wire.read_message(reader)
+            except asyncio.IncompleteReadError:
+                break
+            except WireError as exc:
+                self._m_frames_rejected.inc()
+                await self._reply(
+                    writer, wire.ErrorMsg(wire.E_MALFORMED, str(exc))
+                )
+                break
+            reply = self._handle(message)
+            await self._reply(writer, reply)
 
     async def _reply(
         self, writer: asyncio.StreamWriter, message: wire.Message

@@ -161,6 +161,7 @@ class RsuGateway:
         self._pending: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
         self._pending_counts: Dict[int, int] = {}
         self._server: Optional[asyncio.AbstractServer] = None
+        self._clients = wire.Connections()
         self._ingest_task: Optional[asyncio.Task] = None
         self.port: Optional[int] = None
         # Sequenced-delivery state.  Seqs of applied batches (bounded
@@ -356,9 +357,11 @@ class RsuGateway:
         logger.info("gateway listening on %s:%s", host, self.port)
 
     async def stop(self) -> None:
-        """Stop accepting, drain the queue, cancel the worker."""
+        """Stop accepting, close every open client stream and wait for
+        its handler, drain the queue, cancel the worker."""
         if self._server is not None:
             self._server.close()
+            await self._clients.close()
             await self._server.wait_closed()
             self._server = None
         if self._ingest_task is not None:
@@ -377,88 +380,84 @@ class RsuGateway:
     async def _serve_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        try:
-            while True:
+        await self._clients.serve(writer, self._session(reader, writer))
+
+    async def _session(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        while True:
+            try:
+                message = await wire.read_message(reader)
+            except asyncio.IncompleteReadError:
+                break  # clean close between frames
+            except WireError as exc:
+                # A framing error is unrecoverable on this stream —
+                # report it and hang up.
+                self._m_frames_rejected.inc()
+                await self._send_error(writer, wire.E_MALFORMED, str(exc))
+                break
+            if isinstance(message, wire.ResponseMsg):
+                await self._enqueue(
+                    writer,
+                    message.rsu_id,
+                    np.array([message.mac], dtype=np.uint64),
+                    np.array([message.bit_index], dtype=np.int64),
+                )
+            elif isinstance(message, wire.ResponseBatch):
+                await self._enqueue(
+                    writer,
+                    message.rsu_id,
+                    message.macs,
+                    message.bit_indices,
+                    seq=message.seq,
+                )
+            elif isinstance(message, wire.EndWindow):
+                uploaded = await self.close_window(
+                    message.period, message.window
+                )
+                await wire.write_message(
+                    writer,
+                    wire.EndWindowAck(
+                        period=message.period,
+                        window=message.window,
+                        partials=uploaded,
+                    ),
+                )
+            elif isinstance(message, wire.EndPeriod):
+                uploaded = await self.close_period(message.period)
+                await wire.write_message(
+                    writer,
+                    wire.EndPeriodAck(
+                        period=message.period, snapshots=uploaded
+                    ),
+                )
+            elif isinstance(message, wire.SizeAnnounce):
                 try:
-                    message = await wire.read_message(reader)
-                except asyncio.IncompleteReadError:
-                    break  # clean close between frames
-                except WireError as exc:
-                    # A framing error is unrecoverable on this stream —
-                    # report it and hang up.
-                    self._m_frames_rejected.inc()
-                    await self._send_error(writer, wire.E_MALFORMED, str(exc))
-                    break
-                if isinstance(message, wire.ResponseMsg):
-                    await self._enqueue(
-                        writer,
-                        message.rsu_id,
-                        np.array([message.mac], dtype=np.uint64),
-                        np.array([message.bit_index], dtype=np.int64),
-                    )
-                elif isinstance(message, wire.ResponseBatch):
-                    await self._enqueue(
-                        writer,
-                        message.rsu_id,
-                        message.macs,
-                        message.bit_indices,
-                        seq=message.seq,
-                    )
-                elif isinstance(message, wire.EndWindow):
-                    uploaded = await self.close_window(
-                        message.period, message.window
-                    )
-                    await wire.write_message(
-                        writer,
-                        wire.EndWindowAck(
-                            period=message.period,
-                            window=message.window,
-                            partials=uploaded,
-                        ),
-                    )
-                elif isinstance(message, wire.EndPeriod):
-                    uploaded = await self.close_period(message.period)
-                    await wire.write_message(
-                        writer,
-                        wire.EndPeriodAck(
-                            period=message.period, snapshots=uploaded
-                        ),
-                    )
-                elif isinstance(message, wire.SizeAnnounce):
-                    try:
-                        applied = await self.apply_size_announce(message)
-                    except ReproError as exc:
-                        self._m_frames_rejected.inc()
-                        await self._send_error(
-                            writer, wire.E_INTERNAL, str(exc)
-                        )
-                    else:
-                        await wire.write_message(
-                            writer,
-                            wire.SizeAnnounceAck(
-                                period=message.period, applied=applied
-                            ),
-                        )
-                elif (
-                    isinstance(message, wire.Handoff)
-                    and self.shard_id is not None
-                ):
-                    await self._handle_handoff(message, writer)
-                else:
+                    applied = await self.apply_size_announce(message)
+                except ReproError as exc:
                     self._m_frames_rejected.inc()
                     await self._send_error(
-                        writer,
-                        wire.E_MALFORMED,
-                        f"gateway cannot handle {type(message).__name__}",
+                        writer, wire.E_INTERNAL, str(exc)
                     )
-        except (ConnectionError, OSError):
-            pass  # peer vanished mid-exchange (reset, abort, …)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+                else:
+                    await wire.write_message(
+                        writer,
+                        wire.SizeAnnounceAck(
+                            period=message.period, applied=applied
+                        ),
+                    )
+            elif (
+                isinstance(message, wire.Handoff)
+                and self.shard_id is not None
+            ):
+                await self._handle_handoff(message, writer)
+            else:
+                self._m_frames_rejected.inc()
+                await self._send_error(
+                    writer,
+                    wire.E_MALFORMED,
+                    f"gateway cannot handle {type(message).__name__}",
+                )
 
     async def _handle_handoff(
         self, message: wire.Handoff, writer: asyncio.StreamWriter

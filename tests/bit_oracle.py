@@ -70,6 +70,13 @@ class BoolBits:
     def tile(self, repeats: int) -> "BoolBits":
         return BoolBits(self.size * repeats, np.tile(self.bits, repeats))
 
+    def fold(self, target: int) -> "BoolBits":
+        """Bit ``i`` set iff some set bit is congruent to ``i`` mod
+        *target*."""
+        folded = np.zeros(target, dtype=bool)
+        folded[np.flatnonzero(self.bits) % target] = True
+        return BoolBits(target, folded)
+
     def or_bytes(self, data: bytes) -> None:
         self.bits |= BoolBits.from_bytes(data, self.size).bits
 
@@ -183,6 +190,10 @@ def _bool_unfold(words, size, repeats):
     return _from_bool(np.tile(_bools(words, size), int(repeats)))
 
 
+def _bool_fold(words, size, target):
+    return _from_bool(BoolBits(size, _bools(words, size)).fold(int(target)).bits)
+
+
 def _bool_from_bytes(data, size):
     return _from_bool(BoolBits.from_bytes(data, size).bits)
 
@@ -197,6 +208,7 @@ def _bool_to_bytes(words, size):
 #: bool versions above.  ``zeros``, ``from_bool`` and ``to_bool`` are
 #: the layout codecs both sets share.
 LEGACY_KERNELS = {
+    "fold": _bool_fold,
     "from_bytes": _bool_from_bytes,
     "get_bit": _bool_get_bit,
     "get_bits": _bool_get_bits,

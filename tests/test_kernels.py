@@ -106,7 +106,7 @@ class TestKernelRegistry:
             stream = StreamingDecoder(2, policy="clamp")
             for rsu_id in (1, 2, 3):
                 stream.observe_report(decoder.report_for(rsu_id))
-            merged = BitArray.or_reduce([bits, bits])
+            merged = BitArray.or_reduce([bits, bits.fold(16).tile(2)])
             merged.or_bytes(merged.to_bytes())
             BitArray.from_bytes(merged.to_bytes(), merged.size)
             merged.get_bits([0, 1])

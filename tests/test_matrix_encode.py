@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from repro.baseline.scheme import FixedLengthScheme
+from repro.core.decoder import CentralDecoder
 from repro.core.estimator import ZeroFractionPolicy
 from repro.core.scheme import VlmScheme
 from repro.core.sizing import fixed_array_size_for_privacy
@@ -62,6 +63,28 @@ def test_encoded_reports_match_the_golden(spec, trips):
     digest = hashlib.sha256()
     for scheme in schemes:
         for _, report in sorted(scheme.encode(passes).items()):
+            digest.update(f"{report.rsu_id} {report.counter} ".encode())
+            digest.update(report.bits.to_bytes())
+    assert digest.hexdigest() == ENCODE_GOLDEN[(spec, trips)]
+
+
+@pytest.mark.parametrize("spec, trips", sorted(ENCODE_GOLDEN))
+def test_run_od_matrix_submits_the_golden_reports(monkeypatch, spec, trips):
+    """The reports ``run_od_matrix`` hands its two decoders hash to the
+    same golden as encoding every RSU from its passes."""
+    submitted = {}
+    submit = CentralDecoder.submit
+
+    def recording(self, report):
+        submitted.setdefault(self, []).append(report)
+        submit(self, report)
+
+    monkeypatch.setattr(CentralDecoder, "submit", recording)
+    run_od_matrix(scenario=spec, total_trips=trips)
+    assert len(submitted) == 2
+    digest = hashlib.sha256()
+    for reports in submitted.values():  # VLM submits first
+        for report in sorted(reports, key=lambda r: r.rsu_id):
             digest.update(f"{report.rsu_id} {report.counter} ".encode())
             digest.update(report.bits.to_bytes())
     assert digest.hexdigest() == ENCODE_GOLDEN[(spec, trips)]

@@ -7,7 +7,7 @@ from repro.core import bitwords
 from repro.core.bitarray import BitArray
 from repro.core.estimator import estimate_intersection
 from repro.core.reports import RsuReport
-from repro.experiments.overhead import run_overhead
+from repro.experiments.overhead import _server_sizes, run_overhead
 
 popcount = bitwords.popcount
 
@@ -72,3 +72,29 @@ class TestRunOverhead:
         text = result.render()
         assert "Section IV-E" in text
         assert "O(m_y)" in text
+
+    def test_render_reports_the_counted_word_ratio(self, result, monkeypatch):
+        # The printed server line is the word count the pair decode
+        # really popcounts at the experiment's two shapes, not a ratio
+        # of two wall-clock timings.
+        counted = []
+
+        def spy(words):
+            counted[-1] += words.size
+            return popcount(words)
+
+        monkeypatch.setattr(bitwords, "popcount", spy)
+        rng = np.random.default_rng(5)
+        for exponent in (12, 16):
+            m_x, m_y = _server_sizes(exponent)
+            rx = RsuReport(1, m_x // 3, BitArray.from_bits(rng.random(m_x) < 0.3))
+            ry = RsuReport(2, m_y // 3, BitArray.from_bits(rng.random(m_y) < 0.3))
+            counted.append(0)
+            estimate_intersection(rx, ry, 2)
+        line = result.render().splitlines()[-1]
+        assert line == (
+            f"server work across 16x m range: x{counted[1] / counted[0]:.1f} "
+            f"words popcounted per pair ({counted[0]:,} -> {counted[1]:,}; "
+            "claim: O(m_y))"
+        )
+        assert counted == [132, 2112]
