@@ -43,13 +43,17 @@ def host_metadata() -> dict:
     """The host a benchmark ran on, for its ``BENCH_*.json``."""
     import os
     import platform
+    from importlib import metadata
 
-    import networkx
     import numpy
 
+    try:
+        networkx = metadata.version("networkx")
+    except metadata.PackageNotFoundError:
+        networkx = None
     return {
         "cpu_count": os.cpu_count(),
-        "networkx": networkx.__version__,
+        "networkx": networkx,
         "numpy": numpy.__version__,
         # The word popcount: np.bitwise_count, or the byte lookup table
         # on numpy < 2.0 (repro.core.bitwords).

@@ -15,6 +15,7 @@ from typing import Dict, Optional
 
 from repro.obs.export import render_prometheus
 from repro.obs.registry import MetricsRegistry, get_registry
+from repro.utils.connections import Connections
 
 __all__ = ["MetricsServer", "serve_metrics"]
 
@@ -43,6 +44,7 @@ class MetricsServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._clients = Connections()
 
     def render(self) -> str:
         """The exposition page: default registry plus named ones."""
@@ -62,43 +64,39 @@ class MetricsServer:
         return self
 
     async def stop(self) -> None:
-        """Stop listening and close the server."""
+        """Stop listening, end every open scrape and close the server."""
         if self._server is not None:
             self._server.close()
+            await self._clients.close()
             await self._server.wait_closed()
             self._server = None
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        try:
-            request = await reader.readline()
-            if len(request) > _MAX_REQUEST_BYTES:
-                await self._respond(writer, 400, "request line too long\n")
-                return
-            parts = request.decode("latin-1", "replace").split()
-            if len(parts) < 2 or parts[0] != "GET":
-                await self._respond(writer, 400, "only GET is supported\n")
-                return
-            # Drain the rest of the header block so the client's write
-            # completes cleanly before we close the connection.
-            while True:
-                line = await reader.readline()
-                if line in (b"", b"\r\n", b"\n"):
-                    break
-            if parts[1] in ("/metrics", "/"):
-                await self._respond(writer, 200, self.render())
-            else:
-                await self._respond(writer, 404, "try /metrics\n")
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+        await self._clients.serve(writer, self._session(reader, writer))
 
+    async def _session(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        request = await reader.readline()
+        if len(request) > _MAX_REQUEST_BYTES:
+            await self._respond(writer, 400, "request line too long\n")
+            return
+        parts = request.decode("latin-1", "replace").split()
+        if len(parts) < 2 or parts[0] != "GET":
+            await self._respond(writer, 400, "only GET is supported\n")
+            return
+        # Drain the rest of the header block so the client's write
+        # completes cleanly before we close the connection.
+        while True:
+            line = await reader.readline()
+            if line in (b"", b"\r\n", b"\n"):
+                break
+        if parts[1] in ("/metrics", "/"):
+            await self._respond(writer, 200, self.render())
+        else:
+            await self._respond(writer, 404, "try /metrics\n")
 
     async def _respond(
         self, writer: asyncio.StreamWriter, status: int, body: str

@@ -22,9 +22,8 @@ changes is which node pairs share traffic — exercised by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import CalibrationError, NetworkDataError
@@ -93,16 +92,17 @@ class EquilibriumAssignment:
 
 
 def _all_or_nothing(
-    network: RoadNetwork, graph: nx.DiGraph, trips: TripTable, weight: str
+    network: RoadNetwork, times: List[float], trips: TripTable
 ) -> Tuple[Dict[ArcKey, float], RoutePlan]:
     """One shortest-path assignment; returns link flows and routes.
 
-    Routes come from one :func:`shortest_path_sweep` per origin under
-    *weight*, with the tie-break :meth:`RoadNetwork.shortest_path` uses.
+    Routes come from one :func:`shortest_path_sweep` per origin, arc
+    ``network.arcs()[k]`` taking ``times[k]``, with the tie-break
+    :meth:`RoadNetwork.shortest_path` uses.
     """
     ids = network.nodes
     nodes = np.asarray(ids, dtype=np.int64)
-    succ = adjacency(graph, ids, weight)
+    succ = adjacency(network.arcs(), ids, times)
     origins, destinations, demand = trips.columns()
     positions, offsets = sweep_paths(
         lambda origin: shortest_path_sweep(succ, origin),
@@ -147,32 +147,27 @@ def assign_equilibrium(
     """
     if max_iterations < 1:
         raise CalibrationError(f"max_iterations must be >= 1, got {max_iterations}")
-    graph = network.graph.copy()
-    for u, v, data in graph.edges(data=True):
-        data["congested_time"] = data["free_flow_time"]
+    arcs = network.arcs()
+    # Congested time per arc, aligned with arcs.
+    times = [arc.free_flow_time for arc in arcs]
 
-    flows: Dict[ArcKey, float] = {arc: 0.0 for arc in graph.edges}
+    flows: Dict[ArcKey, float] = {(arc.tail, arc.head): 0.0 for arc in arcs}
     previous_cost = None
     gap = float("inf")
     iterations = 0
     for k in range(1, max_iterations + 1):
         iterations = k
-        aon_flows, _ = _all_or_nothing(network, graph, trips, "congested_time")
+        aon_flows, _ = _all_or_nothing(network, times, trips)
         step = 1.0 / k
         for arc in flows:
             target = aon_flows.get(arc, 0.0)
             flows[arc] = (1.0 - step) * flows[arc] + step * target
         total_cost = 0.0
-        for (u, v), flow in flows.items():
-            data = graph.edges[u, v]
-            data["congested_time"] = bpr_travel_time(
-                data["free_flow_time"],
-                flow,
-                data["capacity"],
-                alpha=alpha,
-                beta=beta,
+        for i, (arc, flow) in enumerate(zip(arcs, flows.values())):
+            times[i] = bpr_travel_time(
+                arc.free_flow_time, flow, arc.capacity, alpha=alpha, beta=beta
             )
-            total_cost += flow * data["congested_time"]
+            total_cost += flow * times[i]
         if previous_cost is not None and previous_cost > 0:
             gap = abs(total_cost - previous_cost) / previous_cost
             if gap < tolerance:
@@ -180,10 +175,8 @@ def assign_equilibrium(
                 break
         previous_cost = total_cost
 
-    _, plan = _all_or_nothing(network, graph, trips, "congested_time")
-    link_times = {
-        (u, v): graph.edges[u, v]["congested_time"] for u, v in graph.edges
-    }
+    _, plan = _all_or_nothing(network, times, trips)
+    link_times = dict(zip(flows, times))
     return EquilibriumAssignment(
         plan=plan,
         link_flows=dict(flows),

@@ -1,11 +1,10 @@
 """Directed road networks.
 
-A :class:`RoadNetwork` is a thin domain wrapper over a
-:class:`networkx.DiGraph`: nodes are intersections (where RSUs are
-installed), arcs are one-way road segments with free-flow travel time
-and capacity attributes.  The wrapper owns validation and the
-adjacency queries the rest of the library needs; the graph stores the
-arcs and answers connectivity.
+A :class:`RoadNetwork` holds its arcs once, in a ``(tail, head) ->
+Arc`` dict: nodes are intersections (where RSUs are installed), arcs
+are one-way road segments with free-flow travel time and capacity
+attributes.  The network owns validation and the adjacency queries
+the rest of the library needs.
 
 Shortest paths come from one Dijkstra sweep per origin
 (:func:`shortest_path_sweep`) over positional adjacency lists, so every
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import NetworkDataError
@@ -57,15 +55,17 @@ class ShortestPathTree(NamedTuple):
     pred: np.ndarray
 
 
-def adjacency(graph: nx.DiGraph, nodes: Sequence[int], weight: str) -> Adjacency:
-    """*graph*'s arcs as positional successor lists under arc attribute
-    *weight*, each list in the graph's own successor order (the order
-    networkx's Dijkstra explores)."""
+def adjacency(
+    arcs: Sequence[Arc], nodes: Sequence[int], weights: Iterable[float]
+) -> Adjacency:
+    """*arcs* as positional successor lists over *nodes*, arc ``k``
+    weighing ``weights[k]``; each list keeps the arcs' order (from
+    :meth:`RoadNetwork.arcs`, the order networkx's Dijkstra explores)."""
     position = {node: i for i, node in enumerate(nodes)}
-    return [
-        [(position[head], data[weight]) for head, data in graph.succ[node].items()]
-        for node in nodes
-    ]
+    succ: Adjacency = [[] for _ in position]
+    for arc, weight in zip(arcs, weights):
+        succ[position[arc.tail]].append((position[arc.head], weight))
+    return succ
 
 
 def shortest_path_sweep(adjacency: Adjacency, origin: int) -> ShortestPathTree:
@@ -201,34 +201,32 @@ class RoadNetwork:
 
     def __init__(self, name: str, arcs: Iterable[Arc]) -> None:
         self.name = name
-        self._graph = nx.DiGraph()
+        # Arcs by tail, tails in order of each node's first appearance
+        # in the input (tail before head): networkx's edge order.
+        by_tail: Dict[int, Dict[int, Arc]] = {}
         for arc in arcs:
-            if self._graph.has_edge(arc.tail, arc.head):
+            out = by_tail.setdefault(arc.tail, {})
+            if arc.head in out:
                 raise NetworkDataError(
                     f"duplicate arc {arc.tail}->{arc.head} in {name!r}"
                 )
-            self._graph.add_edge(
-                arc.tail,
-                arc.head,
-                free_flow_time=arc.free_flow_time,
-                capacity=arc.capacity,
-            )
-        if self._graph.number_of_nodes() == 0:
+            out[arc.head] = arc
+            by_tail.setdefault(arc.head, {})
+        if not by_tail:
             raise NetworkDataError(f"network {name!r} has no arcs")
+        self._arcs = {
+            (a.tail, a.head): a for out in by_tail.values() for a in out.values()
+        }
         #: Node ids by position, and back.
-        self._ids = np.array(sorted(self._graph.nodes), dtype=np.int64)
+        self._ids = np.array(sorted(by_tail), dtype=np.int64)
         self._position = {node: i for i, node in enumerate(self._ids.tolist())}
-        self._free_flow = adjacency(self._graph, self.nodes, "free_flow_time")
+        arcs = self.arcs()
+        self._free_flow = adjacency(arcs, self.nodes, [a.free_flow_time for a in arcs])
         self._trees: Dict[int, ShortestPathTree] = {}
 
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
-    @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying directed graph (shared, do not mutate)."""
-        return self._graph
-
     @property
     def nodes(self) -> List[int]:
         """All node ids, sorted (node ``nodes[i]`` is at position ``i``)."""
@@ -236,42 +234,29 @@ class RoadNetwork:
 
     @property
     def num_nodes(self) -> int:
-        return self._graph.number_of_nodes()
+        return self._ids.size
 
     @property
     def num_arcs(self) -> int:
-        return self._graph.number_of_edges()
+        return len(self._arcs)
 
     def has_node(self, node: int) -> bool:
-        return self._graph.has_node(node)
+        return node in self._position
 
     def arcs(self) -> List[Arc]:
-        """All arcs with attributes."""
-        return [
-            Arc(
-                tail=u,
-                head=v,
-                free_flow_time=data["free_flow_time"],
-                capacity=data["capacity"],
-            )
-            for u, v, data in self._graph.edges(data=True)
-        ]
+        """All arcs, tails in order of each node's first appearance in
+        the input and each tail's arcs in input order."""
+        return list(self._arcs.values())
 
     def successors(self, node: int) -> List[int]:
         """Downstream neighbours of *node*."""
         self._require(node)
-        return sorted(self._graph.successors(node))
+        heads = [head for head, _ in self._free_flow[self._position[node]]]
+        return self._ids[sorted(heads)].tolist()
 
     def _require(self, node: int) -> None:
-        if not self._graph.has_node(node):
+        if node not in self._position:
             raise NetworkDataError(f"unknown node {node} in network {self.name!r}")
-
-    # ------------------------------------------------------------------
-    # Connectivity
-    # ------------------------------------------------------------------
-    def is_strongly_connected(self) -> bool:
-        """Whether every node can reach every other node."""
-        return nx.is_strongly_connected(self._graph)
 
     # ------------------------------------------------------------------
     # Shortest paths
@@ -337,9 +322,10 @@ class RoadNetwork:
         """Total free-flow time along a node sequence."""
         total = 0.0
         for u, v in zip(path, path[1:]):
-            if not self._graph.has_edge(u, v):
+            arc = self._arcs.get((u, v))
+            if arc is None:
                 raise NetworkDataError(f"path uses missing arc {u}->{v}")
-            total += self._graph.edges[u, v]["free_flow_time"]
+            total += arc.free_flow_time
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

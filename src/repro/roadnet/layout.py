@@ -4,17 +4,15 @@ The paper's Fig. 3 is the Sioux Falls network map.  This module draws
 any :class:`~repro.roadnet.graph.RoadNetwork` as a character grid:
 node ids at their positions and ``-`` / ``|`` / ``\\`` / ``/`` strokes
 along the streets.  Sioux Falls uses the dataset's conventional
-planar coordinates; other networks fall back to a deterministic
-spring layout.
+planar coordinates; other networks take ``coordinates=`` or fall back
+to a deterministic spring layout, which needs networkx.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
-from repro.errors import NetworkDataError
+from repro.errors import ConfigurationError, NetworkDataError
 from repro.roadnet.graph import RoadNetwork
 
 __all__ = ["ascii_map", "SIOUX_FALLS_COORDINATES"]
@@ -43,7 +41,19 @@ def _positions(
         return {n: coordinates[n] for n in network.nodes}
     if network.name == "sioux-falls":
         return {n: SIOUX_FALLS_COORDINATES[n] for n in network.nodes}
-    raw = nx.spring_layout(network.graph.to_undirected(), seed=7)
+    try:
+        import networkx as nx
+    except ImportError:
+        raise ConfigurationError(
+            f"the spring layout of {network.name!r} needs networkx; "
+            "install it or pass coordinates="
+        ) from None
+    arcs = network.arcs()
+    graph = nx.Graph()
+    # Tails first, in arc order: the node order the layout is seeded in.
+    graph.add_nodes_from(arc.tail for arc in arcs)
+    graph.add_edges_from((arc.tail, arc.head) for arc in arcs)
+    raw = nx.spring_layout(graph, seed=7)
     return {n: (float(x), float(y)) for n, (x, y) in raw.items()}
 
 

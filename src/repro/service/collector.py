@@ -57,6 +57,7 @@ from repro.errors import (
 )
 from repro.obs import MetricsRegistry
 from repro.service import wire
+from repro.utils.connections import Connections
 from repro.utils.logconfig import get_logger
 from repro.vcps.server import CentralServer
 
@@ -176,7 +177,7 @@ class CollectorService:
         self.server = server
         self.wal = wal
         self._server: Optional[asyncio.AbstractServer] = None
-        self._clients = wire.Connections()
+        self._clients = Connections()
         self.port: Optional[int] = None
         if retention_periods is not None:
             retention_periods = int(retention_periods)

@@ -47,6 +47,7 @@ from repro.errors import ReproError, RetryExhaustedError, WireError
 from repro.obs import MetricsRegistry
 from repro.service import wire
 from repro.service.retry import RetryPolicy, retry_async
+from repro.utils.connections import Connections
 from repro.utils.logconfig import get_logger
 from repro.vcps.rsu import RoadsideUnit
 
@@ -161,7 +162,7 @@ class RsuGateway:
         self._pending: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
         self._pending_counts: Dict[int, int] = {}
         self._server: Optional[asyncio.AbstractServer] = None
-        self._clients = wire.Connections()
+        self._clients = Connections()
         self._ingest_task: Optional[asyncio.Task] = None
         self.port: Optional[int] = None
         # Sequenced-delivery state.  Seqs of applied batches (bounded

@@ -5,6 +5,8 @@ off one Dijkstra tree per origin and ground truth off an OD × node
 incidence.  They are kept here, unoptimized, as the differential
 oracle the vectorized code must match exactly:
 
+* the network as a networkx digraph built from ``arcs()``, and strong
+  connectivity through it;
 * shortest-path trees: networkx's own Dijkstra, which
   ``repro.roadnet.graph.shortest_path_sweep`` replicates;
 * routing: one networkx bidirectional Dijkstra search per OD pair;
@@ -27,6 +29,25 @@ from repro.roadnet.volumes import TrafficAssignment
 OdPair = Tuple[int, int]
 
 
+def digraph(network: RoadNetwork) -> nx.DiGraph:
+    """*network*'s arcs, in ``arcs()`` order, as a networkx digraph with
+    ``free_flow_time`` and ``capacity`` arc attributes."""
+    graph = nx.DiGraph()
+    for arc in network.arcs():
+        graph.add_edge(
+            arc.tail,
+            arc.head,
+            free_flow_time=arc.free_flow_time,
+            capacity=arc.capacity,
+        )
+    return graph
+
+
+def strongly_connected(network: RoadNetwork) -> bool:
+    """Whether every node of *network* can reach every other node."""
+    return nx.is_strongly_connected(digraph(network))
+
+
 def dijkstra_tree(
     graph: nx.DiGraph, origin: int, weight: str
 ) -> Tuple[Dict[int, int], Dict[int, float]]:
@@ -43,7 +64,7 @@ def gravity_demand(
     """The gravity table as one dict loop over networkx's all-pairs
     distances (zero entries included)."""
     times = dict(
-        nx.all_pairs_dijkstra_path_length(network.graph, weight="free_flow_time")
+        nx.all_pairs_dijkstra_path_length(digraph(network), weight="free_flow_time")
     )
     raw = {
         (o, d): weights[o] * weights[d] / max(times[o][d], 1e-9) ** gamma
@@ -55,20 +76,16 @@ def gravity_demand(
     return {pair: int(round(value * scale)) for pair, value in raw.items()}
 
 
-def bidirectional_path(
-    network: RoadNetwork, origin: int, destination: int
-) -> List[int]:
-    """The free-flow shortest path networkx's per-pair search picks."""
-    return nx.shortest_path(
-        network.graph, origin, destination, weight="free_flow_time"
-    )
-
-
 def bidirectional_routes(
     network: RoadNetwork, trips: TripTable
 ) -> Dict[OdPair, List[int]]:
-    """One per-pair search for every OD pair of *trips*."""
-    return {pair: bidirectional_path(network, *pair) for pair, _ in trips.pairs()}
+    """The free-flow shortest path networkx's per-pair search picks, for
+    every OD pair of *trips*."""
+    graph = digraph(network)
+    return {
+        pair: nx.shortest_path(graph, *pair, weight="free_flow_time")
+        for pair, _ in trips.pairs()
+    }
 
 
 def passes_at(

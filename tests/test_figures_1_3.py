@@ -1,5 +1,7 @@
 """Tests for the Fig. 1 diagram runner and the Fig. 3 ASCII map."""
 
+import sys
+
 import pytest
 
 from repro.errors import ConfigurationError, NetworkDataError
@@ -52,6 +54,13 @@ class TestFigure3Map:
     def test_generic_network_uses_spring_layout(self):
         text = ascii_map(grid_network(3, 3))
         assert "grid-3x3" in text
+
+    def test_spring_layout_needs_networkx(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        with pytest.raises(ConfigurationError, match="networkx.*coordinates="):
+            ascii_map(grid_network(3, 3))
+        text = ascii_map(sioux_falls_network())
+        assert all(str(node) in text for node in range(1, 25))
 
     def test_explicit_coordinates(self):
         network = grid_network(2, 2)

@@ -14,6 +14,7 @@ from repro.roadnet.generators import (
 from repro.roadnet.gravity import gravity_trip_table
 from repro.roadnet.routing import assign_routes
 from repro.roadnet.volumes import node_volumes
+from tests import roadnet_oracle as oracle
 
 
 class TestGridNetwork:
@@ -24,7 +25,7 @@ class TestGridNetwork:
         assert network.num_arcs == 62
 
     def test_strongly_connected(self):
-        assert grid_network(3, 3).is_strongly_connected()
+        assert oracle.strongly_connected(grid_network(3, 3))
 
     def test_manhattan_shortest_paths(self):
         network = grid_network(4, 4)
@@ -49,7 +50,7 @@ class TestRingRadialNetwork:
         assert network.num_nodes == expected_nodes_ring_radial(3, 6) == 19
 
     def test_strongly_connected(self):
-        assert ring_radial_network(2, 5).is_strongly_connected()
+        assert oracle.strongly_connected(ring_radial_network(2, 5))
 
     def test_minimum_size(self):
         with pytest.raises(NetworkDataError):
@@ -94,7 +95,7 @@ class TestTopologyProperties:
         streets = rows * (cols - 1) + cols * (rows - 1)
         assert network.num_arcs == 2 * streets
         assert set(network.nodes) == set(range(1, rows * cols + 1))
-        assert network.is_strongly_connected()
+        assert oracle.strongly_connected(network)
 
     @given(rings=st.integers(1, 5), spokes=st.integers(3, 10))
     @settings(max_examples=25, deadline=None)
@@ -102,7 +103,7 @@ class TestTopologyProperties:
         network = ring_radial_network(rings, spokes)
         assert network.num_nodes == expected_nodes_ring_radial(rings, spokes)
         assert set(network.nodes) == set(range(1, 1 + rings * spokes + 1))
-        assert network.is_strongly_connected()
+        assert oracle.strongly_connected(network)
 
     @given(rows=st.integers(2, 6), cols=st.integers(2, 6))
     @settings(max_examples=15, deadline=None)

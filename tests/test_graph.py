@@ -1,6 +1,9 @@
 """Tests for the road network graph wrapper."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetworkDataError
 from repro.roadnet.graph import Arc, RoadNetwork
@@ -56,10 +59,53 @@ class TestRoadNetwork:
         with pytest.raises(NetworkDataError):
             triangle.successors(9)
 
-    def test_strongly_connected(self, triangle):
-        assert triangle.is_strongly_connected()
-        one_way = RoadNetwork("oneway", [Arc(1, 2)])
-        assert not one_way.is_strongly_connected()
+
+@st.composite
+def arc_lists(draw):
+    """Arcs over scattered node ids in shuffled input order, each with
+    its own free-flow time; some streets get both directions, so the
+    two directions of a street interleave with other arcs."""
+    ids = draw(st.lists(st.integers(1, 10**6), min_size=2, max_size=12, unique=True))
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(
+        lambda p: p[0] != p[1]
+    )
+    streets = draw(st.lists(pairs, min_size=1, max_size=30, unique=True))
+    links = list(streets)
+    links += [(v, u) for u, v in streets if draw(st.booleans())]
+    links = draw(st.permutations(list(dict.fromkeys(links))))
+    return [Arc(u, v, free_flow_time=float(k + 1)) for k, (u, v) in enumerate(links)]
+
+
+class TestArcOrder:
+    """``arcs()`` keeps the edge order networkx gave the same input:
+    tails by first appearance, each tail's arcs in input order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(arc_lists())
+    def test_matches_networkx(self, arcs):
+        network = RoadNetwork("random", arcs)
+        graph = nx.DiGraph()
+        for arc in arcs:
+            graph.add_edge(arc.tail, arc.head, free_flow_time=arc.free_flow_time)
+        got = [(a.tail, a.head, a.free_flow_time) for a in network.arcs()]
+        assert got == list(graph.edges(data="free_flow_time"))
+        assert network.nodes == sorted(graph.nodes)
+        assert network.num_nodes == graph.number_of_nodes()
+        assert network.num_arcs == graph.number_of_edges()
+        for node in graph.nodes:
+            assert network.successors(node) == sorted(graph.successors(node))
+
+    @settings(max_examples=60, deadline=None)
+    @given(arc_lists(), st.data())
+    def test_duplicates_refused(self, arcs, data):
+        first = data.draw(st.integers(0, len(arcs) - 1))
+        at = data.draw(st.integers(first + 1, len(arcs)))
+        twin = arcs[first]
+        arcs.insert(at, Arc(twin.tail, twin.head, free_flow_time=9.0))
+        with pytest.raises(
+            NetworkDataError, match=f"duplicate arc {twin.tail}->{twin.head} "
+        ):
+            RoadNetwork("random", arcs)
 
 
 class TestShortestPath:

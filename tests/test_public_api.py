@@ -161,6 +161,9 @@ class TestRemovedSurface:
             ("repro.core.estimator", "PairMatrix.copy"),
             ("repro.core.estimator", "PairMatrix.pop"),
             ("repro.core.estimator", "PairMatrix.__setitem__"),
+            ("repro.roadnet.graph", "RoadNetwork.graph"),
+            ("repro.roadnet.graph", "RoadNetwork.is_strongly_connected"),
+            ("repro.service.wire", "Connections"),
         ],
     )
     def test_name_is_gone(self, module_name, path):

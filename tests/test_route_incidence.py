@@ -248,17 +248,18 @@ class TestIncidence:
         assert ids.size == keys.size == 0
 
 
-def test_batch_matrix_never_imports_scipy():
-    """scipy is a test-only dependency: with it blocked, every
-    ``repro`` module imports, and routing and ground truth stay numpy
-    + networkx, so a small batch OD matrix must not pull scipy in."""
+@pytest.mark.parametrize("blocked", ["scipy", "networkx"])
+def test_batch_matrix_never_imports(blocked):
+    """scipy and networkx are test-only dependencies: with either one
+    blocked, every ``repro`` module imports, and routing and ground
+    truth stay numpy, so a small batch OD matrix must not pull it in."""
     code = (
         "import importlib, pkgutil, sys\n"
-        "class NoScipy:\n"
+        "class Blocked:\n"
         "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name.split('.')[0] == 'scipy':\n"
-        "            raise ImportError('scipy is blocked')\n"
-        "sys.meta_path.insert(0, NoScipy())\n"
+        f"        if name.split('.')[0] == {blocked!r}:\n"
+        "            raise ImportError(name + ' is blocked')\n"
+        "sys.meta_path.insert(0, Blocked())\n"
         "import repro\n"
         "def fail(name):\n"
         "    raise ImportError(name)\n"
@@ -266,7 +267,7 @@ def test_batch_matrix_never_imports_scipy():
         "    importlib.import_module(info.name)\n"
         "from repro.experiments.sioux_falls_matrix import run_od_matrix\n"
         "run_od_matrix(scenario='grid-4x4', total_trips=3000, min_truth=20, seed=3)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {blocked!r}))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(

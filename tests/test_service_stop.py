@@ -1,4 +1,5 @@
-"""``stop()`` ends every client connection of the gateway and collector.
+"""``stop()`` ends every client connection of the gateway, the collector
+and the metrics endpoint.
 
 Closing an ``asyncio`` server stops its listener only.  A handler left
 serving an idle client would be cancelled when the event loop closes,
@@ -11,6 +12,7 @@ import asyncio
 
 import pytest
 
+from repro.obs.scrape import serve_metrics
 from repro.service import wire
 from repro.service.runtime import DeploymentSpec, start_services
 
@@ -26,7 +28,7 @@ def _handlers():
         task
         for task in asyncio.all_tasks()
         if not task.done()
-        and task.get_coro().__qualname__.endswith("._serve_client")
+        and task.get_coro().__qualname__.endswith(("._serve_client", "._handle"))
     ]
 
 
@@ -38,13 +40,14 @@ async def _until(predicate, *, turns=200):
     return predicate()
 
 
-@pytest.mark.parametrize("service", ["gateway", "collector"])
+@pytest.mark.parametrize("service", ["gateway", "collector", "metrics"])
 def test_stop_closes_an_idle_client(spec, service):
     async def body():
         gateway, collector = await start_services(
             spec, gateway_port=0, collector_port=0
         )
-        services = {"gateway": gateway, "collector": collector}
+        metrics = await serve_metrics()
+        services = {"gateway": gateway, "collector": collector, "metrics": metrics}
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", services[service].port
         )
@@ -58,6 +61,7 @@ def test_stop_closes_an_idle_client(spec, service):
             writer.close()
             await gateway.stop()
             await collector.stop()
+            await metrics.stop()
 
     asyncio.run(body())
 

@@ -45,9 +45,10 @@ def networks(draw, times=st.integers(1, 3)):
 
 def assert_sweep_matches(network: RoadNetwork) -> None:
     nodes = network.nodes
+    graph = oracle.digraph(network)
     for origin in nodes:
         tree = network.shortest_path_tree(origin)
-        pred, dist = oracle.dijkstra_tree(network.graph, origin, "free_flow_time")
+        pred, dist = oracle.dijkstra_tree(graph, origin, "free_flow_time")
         for i, node in enumerate(nodes):
             if node in dist:
                 assert tree.dist[i] == dist[node]
@@ -73,7 +74,8 @@ class TestAgainstNetworkx:
     def test_paths_read_off_the_trees(self, network, data):
         nodes = network.nodes
         origin = data.draw(st.sampled_from(nodes))
-        pred, _ = oracle.dijkstra_tree(network.graph, origin, "free_flow_time")
+        graph = oracle.digraph(network)
+        pred, _ = oracle.dijkstra_tree(graph, origin, "free_flow_time")
         for destination in nodes:
             if destination != origin and destination not in pred:
                 with pytest.raises(NetworkDataError, match="no path"):
@@ -85,13 +87,14 @@ class TestAgainstNetworkx:
             assert network.shortest_path(origin, destination) == path[::-1]
 
     def test_any_weight_attribute(self):
+        costs = {(1, 2): 2.0, (2, 3): 2.0, (1, 3): 4.0, (3, 1): 1.0}
+        arcs = [Arc(u, v) for u, v in costs]
+        tree = shortest_path_sweep(adjacency(arcs, [1, 2, 3], costs.values()), 0)
         graph = nx.DiGraph()
-        graph.add_edge(1, 2, cost=2.0)
-        graph.add_edge(2, 3, cost=2.0)
-        graph.add_edge(1, 3, cost=4.0)
-        graph.add_edge(3, 1, cost=1.0)
-        tree = shortest_path_sweep(adjacency(graph, [1, 2, 3], "cost"), 0)
-        pred, dist = oracle.dijkstra_tree(graph, 1, "cost")
+        graph.add_weighted_edges_from(
+            (u, v, cost) for (u, v), cost in costs.items()
+        )
+        pred, dist = oracle.dijkstra_tree(graph, 1, "weight")
         assert tree.dist.tolist() == [dist[1], dist[2], dist[3]]
         assert tree.pred.tolist() == [-1, 0, 0] and pred == {2: 1, 3: 1}
 

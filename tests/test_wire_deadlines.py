@@ -98,10 +98,12 @@ class TestBoundedRead:
         ``_MAX_STALLS`` reads, one connection each."""
         spec = DeploymentSpec(total_trips=1_500, seed=13)
         accepted = []
+        handlers = []
 
         async def body():
             async def silent(reader, writer):
                 accepted.append(writer)
+                handlers.append(asyncio.current_task())
                 await reader.read()  # until the loadgen hangs up
                 writer.close()
 
@@ -119,6 +121,11 @@ class TestBoundedRead:
                     )
             finally:
                 server.close()
+                # Let every handler return before the loop closes, or
+                # the loop cancels it and Python 3.11 logs the callback.
+                for writer in accepted:
+                    writer.close()
+                await asyncio.gather(*handlers)
                 await server.wait_closed()
             return registry
 
