@@ -57,7 +57,6 @@ __all__ = [
     "get_bit",
     "get_bits",
     "joint_zero_counts",
-    "joint_zero_stack",
     "or_bytes",
     "or_reduce",
     "pairwise_or_popcount",
@@ -218,35 +217,6 @@ def joint_zero_counts(
     """
     row = _tiling(small, small_size, large_size)
     return int(large_size) - popcount(large.reshape(-1, row.size) | row)
-
-
-def joint_zero_stack(
-    row: np.ndarray, row_size: int, stack: np.ndarray, stack_size: int
-) -> np.ndarray:
-    """:func:`joint_zero_counts` of *row* against every row of the 2-D
-    word *stack* (``int64``), each pair at the larger of the two sizes.
-
-    When *row* is the smaller side, every stack row is viewed in
-    chunks of *row*'s tiling and the stack is counted in one pass.
-    When the stack rows are the smaller side, the work loops over
-    whichever of stack rows or *row*'s chunks is fewer, so no
-    temporary outgrows the larger of the stack and *row*.
-    """
-    if row_size <= stack_size:
-        tile = _tiling(row, row_size, stack_size)
-        joint = stack.reshape(stack.shape[0], -1, tile.size) | tile
-        return int(stack_size) - _popcount_rows(joint.reshape(stack.shape[0], -1))
-    repeats = int(row_size) // int(stack_size)
-    if int(stack_size) % WORD_BITS or stack.shape[0] <= repeats:
-        return np.array(
-            [joint_zero_counts(small, stack_size, row, row_size) for small in stack],
-            dtype=np.int64,
-        )
-    chunks = row.reshape(repeats, -1)
-    ones = pairwise_or_popcount(chunks[0], stack)
-    for chunk in chunks[1:]:
-        ones += pairwise_or_popcount(chunk, stack)
-    return int(row_size) - ones
 
 
 def pairwise_or_popcount(row: np.ndarray, rows: np.ndarray) -> np.ndarray:

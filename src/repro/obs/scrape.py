@@ -79,8 +79,8 @@ class MetricsServer:
     async def _session(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        request = await reader.readline()
-        if len(request) > _MAX_REQUEST_BYTES:
+        request = await _readline(reader)
+        if request is None or len(request) > _MAX_REQUEST_BYTES:
             await self._respond(writer, 400, "request line too long\n")
             return
         parts = request.decode("latin-1", "replace").split()
@@ -90,7 +90,10 @@ class MetricsServer:
         # Drain the rest of the header block so the client's write
         # completes cleanly before we close the connection.
         while True:
-            line = await reader.readline()
+            line = await _readline(reader)
+            if line is None:
+                await self._respond(writer, 400, "header line too long\n")
+                return
             if line in (b"", b"\r\n", b"\n"):
                 break
         if parts[1] in ("/metrics", "/"):
@@ -112,6 +115,15 @@ class MetricsServer:
         )
         writer.write(head.encode("latin-1") + payload)
         await writer.drain()
+
+
+async def _readline(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """One line, or None when it overruns the reader's buffer limit
+    (``readline`` raises ``ValueError`` then)."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        return None
 
 
 async def serve_metrics(

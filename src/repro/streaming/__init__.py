@@ -1,4 +1,4 @@
-"""Streaming incremental decode: live OD matrices at any instant.
+"""Streaming decode: live OD matrices at any instant.
 
 The paper's decoder answers only at period close: every RSU ships its
 full bit array, the server unfolds, ORs, and counts zeros.  This
@@ -6,17 +6,13 @@ package makes the same estimates available *while the period is still
 open*, at per-batch cost proportional to the batch — never to the
 period:
 
-* :class:`StreamingDecoder` maintains, per period, one running bit
-  array per RSU **and one running joint-zero count per RSU pair**.
-  When a batch of response indices arrives it finds the batch's
-  *newly set* bits with one vectorized gather
-  (:meth:`repro.core.bitarray.BitArray.get_bits`), and for each pair
-  subtracts exactly the joint positions those bits just killed.  A
-  whole array (a period-close report or a window partial) is ORed in
-  and each of its pairs recounted with word-level OR + popcount at
-  the pair size.  A :meth:`live_matrix`
-  query then needs no unfold, no OR, and no popcount over pairs — the
-  counts are already sitting there.
+* :class:`StreamingDecoder` keeps, per period, one running bit array
+  and counter per RSU.  A batch of response indices is deduplicated,
+  gathered against the running array
+  (:meth:`repro.core.bitarray.BitArray.get_bits`) and its newly set
+  bits scattered in; a whole array (a period-close report or a window
+  partial) is ORed in.  A :meth:`live_matrix` query hands the running
+  arrays and counters to the batch decoder as one report each.
 * A ring of ``W`` sub-period **window** arrays per RSU slices the
   period into time intervals (rush hour vs off-peak):
   :meth:`window_matrix` decodes one window,
@@ -27,33 +23,27 @@ period:
 
 Exactness
 ---------
-The incremental path is not an approximation.  Writing ``T`` for the
-pair's common (larger) size, every newly set bit ``i`` of ``B_x``
-turns the joint positions ``{i + j * m_x : 0 <= j < T / m_x}`` from
-``B_y``'s tiled value into 1 — so the running count equals the
-batch-computed ``U_c`` after every batch, exactly; a recount is that
-``U_c`` by definition.  The batch decoder counts each pair at ``T``
-too, and both hand their counts to one finisher
-(:func:`repro.core.estimator.estimate_pair_matrix`), so
-``tests/test_streaming.py`` can pin ``live_matrix()`` bit-identical
-to a fresh :meth:`repro.core.decoder.CentralDecoder.estimate_matrix`
-over the same prefix.
+Every query is a batch decode
+(:meth:`repro.core.decoder.CentralDecoder.estimate_matrix`) of one
+report per RSU.  The running array is the OR of everything the RSU
+streamed, and OR is order-free and idempotent, so it equals the array
+a batch encoder would have built from the same responses; the counter
+is the ingest total until the period-close report seals it.  The same
+arrays and counters reach the same decoder, so ``tests/test_streaming.py``
+can pin ``live_matrix()`` bit-identical to a fresh
+:meth:`repro.core.decoder.CentralDecoder.estimate_matrix` over the same
+prefix.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.core import bitwords
 from repro.core.bitarray import BitArray
 from repro.core.decoder import CentralDecoder
-from repro.core.estimator import (
-    PairMatrix,
-    _observed_fraction,
-    estimate_pair_matrix,
-)
+from repro.core.estimator import PairMatrix
 from repro.core.reports import RsuReport
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, get_registry
@@ -87,7 +77,6 @@ class _RsuStream:
         "rsu_id",
         "size",
         "bits",
-        "ones",
         "running_counter",
         "sealed_counter",
         "window_bits",
@@ -96,12 +85,10 @@ class _RsuStream:
         "class_counters",
     )
 
-    def __init__(self, rsu_id: int, size: int, bits: BitArray) -> None:
+    def __init__(self, rsu_id: int, size: int) -> None:
         self.rsu_id = rsu_id
         self.size = size
-        self.bits = bits
-        #: Set bits of ``bits``, kept by the two paths that write it.
-        self.ones = bits.count_ones()
+        self.bits = BitArray(size)
         self.running_counter = 0
         self.sealed_counter: Optional[int] = None
         self.window_bits: Dict[int, BitArray] = {}
@@ -119,7 +106,7 @@ class _RsuStream:
 
 
 class StreamingDecoder:
-    """Incremental all-pairs decoder with sub-period windows.
+    """Streaming all-pairs decoder with sub-period windows.
 
     Parameters
     ----------
@@ -167,9 +154,6 @@ class StreamingDecoder:
         self._registry = registry
         # period -> rsu_id -> stream state
         self._streams: Dict[int, Dict[int, _RsuStream]] = {}
-        # period -> (rsu_x, rsu_y) [x < y] -> running joint-zero count
-        # at the pair's common size max(m_x, m_y)
-        self._pair_zeros: Dict[int, Dict[Tuple[int, int], int]] = {}
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -194,11 +178,6 @@ class StreamingDecoder:
                 f"no streaming state for RSU {rsu_id} in period {period}"
             ) from None
 
-    def joint_zeros(self, period: int = 0) -> Dict[Tuple[int, int], int]:
-        """Copy of the running per-pair joint-zero counts (each at the
-        pair's common size ``max(m_x, m_y)``)."""
-        return dict(self._pair_zeros.get(period, {}))
-
     def classes(self, period: int = 0) -> List[str]:
         """Vehicle-class labels seen in *period*, sorted."""
         labels = set()
@@ -209,16 +188,6 @@ class StreamingDecoder:
     def evict_period(self, period: int) -> None:
         """Drop all streaming state for *period* (retention hook)."""
         self._streams.pop(period, None)
-        self._pair_zeros.pop(period, None)
-
-    def _drop_rsu(self, period: int, rsu_id: int) -> None:
-        """Forget one RSU's streaming state (pre-resize replacement)."""
-        self._streams.get(period, {}).pop(rsu_id, None)
-        pairs = self._pair_zeros.get(period)
-        if pairs is not None:
-            for key in [k for k in pairs if rsu_id in k]:
-                del pairs[key]
-            self._reg().gauge("stream.tracked_pairs").set(len(pairs))
 
     def _check_window(self, window: int) -> None:
         if not 0 <= int(window) < self.windows:
@@ -262,22 +231,9 @@ class StreamingDecoder:
         self, period: int, rsu_id: int, size: Optional[int]
     ) -> _RsuStream:
         state = self._check_size(period, rsu_id, size)
-        if state is not None:
-            return state
-        size = int(size)
-        streams = self._streams.setdefault(period, {})
-        state = _RsuStream(rsu_id, size, BitArray(size))
-        pairs = self._pair_zeros.setdefault(period, {})
-        for other in streams.values():
-            target = max(size, other.size)
-            # The newcomer's array is all zero, so the pair's joint
-            # zeros are wherever the peer's tiled array is zero.
-            zeros = target - other.ones * (
-                target // other.size
-            )
-            pairs[_pair_key(rsu_id, other.rsu_id)] = int(zeros)
-        streams[rsu_id] = state
-        self._reg().gauge("stream.tracked_pairs").set(len(pairs))
+        if state is None:
+            state = _RsuStream(rsu_id, int(size))
+            self._streams.setdefault(period, {})[rsu_id] = state
         return state
 
     # ------------------------------------------------------------------
@@ -306,14 +262,15 @@ class StreamingDecoder:
         idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
         state = self._state(int(period), int(rsu_id), size)
         state.running_counter += int(idx.size)
-        newly = self._absorb(int(period), state, idx)
+        unique = sorted_unique(idx)
+        newly = self._absorb(state, unique)
         if self.windows > 1:
             ring = state.window_bits.get(int(window))
             if ring is None:
                 ring = BitArray(state.size)
                 state.window_bits[int(window)] = ring
-            if idx.size:
-                ring.set_bits(sorted_unique(idx))
+            if unique.size:
+                ring.set_bits(unique)
             state.window_counters[int(window)] = (
                 state.window_counters.get(int(window), 0) + int(idx.size)
             )
@@ -323,8 +280,8 @@ class StreamingDecoder:
             if slot is None:
                 slot = BitArray(state.size)
                 state.class_bits[label] = slot
-            if idx.size:
-                slot.set_bits(sorted_unique(idx))
+            if unique.size:
+                slot.set_bits(unique)
             state.class_counters[label] = (
                 state.class_counters.get(label, 0) + int(idx.size)
             )
@@ -365,7 +322,7 @@ class StreamingDecoder:
         self.check_partial(rsu_id, size, period=period, window=window)
         partial = BitArray.from_bytes(data, int(size))
         state = self._state(int(period), int(rsu_id), int(size))
-        newly = self._merge(int(period), state, partial)
+        newly = self._merge(state, partial)
         state.running_counter += int(counter)
         if self.windows > 1:
             ring = state.window_bits.get(int(window))
@@ -392,91 +349,36 @@ class StreamingDecoder:
         is rebuilt at a new size (Section IV-C resizing).  Returns the
         number of bits newly set.
         """
-        existing = self._streams.get(report.period, {}).get(report.rsu_id)
+        streams = self._streams.get(report.period, {})
+        existing = streams.get(report.rsu_id)
         if existing is not None and existing.size != report.array_size:
-            self._drop_rsu(report.period, report.rsu_id)
+            del streams[report.rsu_id]
         state = self._state(report.period, report.rsu_id, report.array_size)
-        newly = self._merge(report.period, state, report.bits)
+        newly = self._merge(state, report.bits)
         state.sealed_counter = int(report.counter)
         self._reg().counter("stream.reports_sealed_total").inc()
         return newly
 
-    def _merge(
-        self, period: int, state: _RsuStream, incoming: BitArray
-    ) -> int:
-        """OR a whole array into *state*'s running array and recount
-        every pair it joins; returns the number of bits newly set.
-
-        The period-close seal: the pair counts are recomputed per peer
-        size by :func:`repro.core.bitwords.joint_zero_stack` at each
-        pair size ``max(m_x, m_y)``, so the cost is
-        O(peers x pair size / word) however many bits the array sets.
-        """
-        before = state.ones
+    @staticmethod
+    def _merge(state: _RsuStream, incoming: BitArray) -> int:
+        """OR a whole array into *state*'s running array; returns the
+        number of bits newly set."""
+        before = state.bits.count_ones()
         state.bits |= incoming
-        state.ones = state.bits.count_ones()
-        newly = state.ones - before
-        if not newly:
-            return 0
-        own = state.bits.words
-        peers_by_size: Dict[int, List[_RsuStream]] = {}
-        for other in self._streams[period].values():
-            if other is not state:
-                peers_by_size.setdefault(other.size, []).append(other)
-        pairs = self._pair_zeros[period]
-        peers = 0
-        for size, group in peers_by_size.items():
-            stack = np.stack([other.bits.words for other in group])
-            zeros = bitwords.joint_zero_stack(own, state.size, stack, size)
-            for other, count in zip(group, zeros.tolist()):
-                pairs[_pair_key(state.rsu_id, other.rsu_id)] = count
-            peers += len(group)
-        self._reg().counter("stream.pair_updates_total").inc(peers)
-        return newly
+        return state.bits.count_ones() - before
 
-    def _absorb(
-        self, period: int, state: _RsuStream, indices: np.ndarray
-    ) -> int:
-        """Set *indices* in the running array, updating every pair's
-        joint-zero count for the bits that were still zero.
+    @staticmethod
+    def _absorb(state: _RsuStream, unique: np.ndarray) -> int:
+        """Set the sorted distinct *unique* indices in *state*'s running
+        array; returns how many were still zero.
 
-        The index-batch path: the batch is deduplicated and gathered
-        against the running array, then each pair loses exactly the
-        joint positions the newly set bits cover, in
-        O(batch x peers x tile ratio) work.
+        The gather validates the indices, so the scatter of the newly
+        set ones takes the trusted kernel path.
         """
-        if indices.size == 0:
+        if unique.size == 0:
             return 0
-        unique = sorted_unique(indices)
         newly = unique[~state.bits.get_bits(unique)]
-        if newly.size == 0:
-            return 0
-        streams = self._streams[period]
-        pairs = self._pair_zeros[period]
-        registry = self._reg()
-        for other in streams.values():
-            if other is state:
-                continue
-            target = max(state.size, other.size)
-            if state.size == target:
-                positions = newly
-            else:
-                # Every newly set bit i of the smaller array occupies
-                # positions i + j * m_x of its tiling at the common
-                # size (Eq. 3) — all distinct, so no double counting.
-                offsets = (
-                    np.arange(target // state.size, dtype=np.int64)
-                    * state.size
-                )
-                positions = (newly[None, :] + offsets[:, None]).ravel()
-            peer_bits = other.bits.get_bits(positions % other.size)
-            killed = int(positions.size) - int(peer_bits.sum())
-            pairs[_pair_key(state.rsu_id, other.rsu_id)] -= killed
-            registry.counter("stream.pair_updates_total").inc()
-        # Indices were already proven in-range by the gather above, so
-        # scatter through the trusted kernel path without re-validating.
         state.bits.set_bits_unchecked(newly)
-        state.ones += int(newly.size)
         return int(newly.size)
 
     # ------------------------------------------------------------------
@@ -485,36 +387,23 @@ class StreamingDecoder:
     def live_matrix(self, period: int = 0) -> PairMatrix:
         """The all-pairs OD matrix over everything streamed so far.
 
-        Bit-identical to
+        A batch decode of one report per RSU: the running array and
+        the live counter.  So it is bit-identical to
         :meth:`~repro.core.decoder.CentralDecoder.estimate_matrix`
-        over reports built from the same responses: the running
-        joint-zero count at the pair size ``T`` yields the identical
-        IEEE ``V_c`` (see the module docstring), and the per-RSU
-        fractions come from the same running arrays through the same
-        :func:`~repro.core.estimator._observed_fraction`.
+        over reports built from the same responses.
         """
-        streams = self._streams.get(period, {})
-        ids = sorted(streams)
-        if len(ids) < 2:
-            return PairMatrix.empty(self.s)
-        states = [streams[rsu_id] for rsu_id in ids]
-        pairs = self._pair_zeros[period]
-        zeros = [
-            pairs[(rsu_x, rsu_y)]
-            for i, rsu_x in enumerate(ids)
-            for rsu_y in ids[i + 1 :]
+        reports = [
+            RsuReport(
+                rsu_id=state.rsu_id,
+                counter=state.counter,
+                bits=state.bits,
+                period=period,
+            )
+            for state in self._streams.get(period, {}).values()
         ]
-        results = estimate_pair_matrix(
-            ids,
-            [state.size for state in states],
-            [state.counter for state in states],
-            [_observed_fraction(state.bits, self.policy) for state in states],
-            np.array(zeros, dtype=np.int64),
-            self.s,
-            self.policy,
-        )
+        matrix = self._decode_reports(period, reports)
         self._reg().counter("stream.live_queries_total").inc()
-        return results
+        return matrix
 
     def _decode_reports(
         self, period: int, reports: List[RsuReport]
@@ -550,10 +439,7 @@ class StreamingDecoder:
         array and a zero counter; with ``windows == 1`` the running
         state *is* the single window.
         """
-        if not 0 <= int(window) < self.windows:
-            raise ConfigurationError(
-                f"window {window} out of range [0, {self.windows})"
-            )
+        self._check_window(window)
         streams = self._streams.get(period, {})
         if self.windows == 1:
             return self.live_matrix(period)
@@ -577,10 +463,7 @@ class StreamingDecoder:
             w = window_for(float(at), self.window_s, self.windows)
         else:
             w = int(at)
-            if not 0 <= w < self.windows:
-                raise ConfigurationError(
-                    f"window {w} out of range [0, {self.windows})"
-                )
+            self._check_window(w)
         streams = self._streams.get(period, {})
         if self.windows == 1 or w == self.windows - 1:
             # The full prefix is the whole period streamed so far.
@@ -617,7 +500,3 @@ class StreamingDecoder:
             )
         self._reg().counter("stream.window_queries_total").inc()
         return self._decode_reports(period, reports)
-
-
-def _pair_key(a: int, b: int) -> Tuple[int, int]:
-    return (a, b) if a < b else (b, a)

@@ -96,10 +96,10 @@ class CentralServer:
         from repro.streaming import StreamingDecoder
 
         self.decoder = CentralDecoder(int(s), policy=policy)
-        #: Incremental decode state: every report (and every window
-        #: partial fed through :meth:`receive_window_partial`) also
-        #: lands here, so :meth:`live_matrix` answers at any instant
-        #: bit-identically to a batch decode over the same responses.
+        #: Streaming state: every report (and every window partial
+        #: fed through :meth:`receive_window_partial`) is also ORed
+        #: into a running array here, so :meth:`live_matrix` answers at
+        #: any instant by a batch decode of those arrays.
         self.streaming = StreamingDecoder(
             s=int(s),
             policy=policy,
@@ -296,10 +296,10 @@ class CentralServer:
         return self.streaming.matrix_at(period=period, at=at)
 
     def live_matrix(self, period: int = 0) -> PairMatrix:
-        """The OD matrix over everything streamed so far for *period*,
-        from the incremental per-pair joint-zero counts — no period
-        close required, bit-identical to a batch decode of the same
-        responses (``docs/streaming.md``)."""
+        """The OD matrix over everything streamed so far for *period*:
+        a batch decode of the running arrays, no period close required,
+        bit-identical to a batch decode of the same responses
+        (``docs/streaming.md``)."""
         return self.streaming.live_matrix(period)
 
     def window_matrix(self, period: int = 0, window: int = 0) -> PairMatrix:

@@ -97,18 +97,6 @@ def joint_zero_counts(small: BoolBits, large: BoolBits) -> int:
     return large.size - (small.tile(large.size // small.size) | large).count_ones()
 
 
-def joint_zero_stack(row: BoolBits, stack: Sequence[BoolBits]) -> np.ndarray:
-    """``U_c`` of *row* with every array of *stack*, the smaller of
-    each pair unfolded to the larger."""
-    return np.array(
-        [
-            joint_zero_counts(*sorted((row, other), key=lambda a: a.size))
-            for other in stack
-        ],
-        dtype=np.int64,
-    )
-
-
 def pairwise_or_popcount(row: BoolBits, rows: Sequence[BoolBits]) -> np.ndarray:
     """Set bits of ``row | rows[j]`` for every *j*."""
     return np.array([(row | other).count_ones() for other in rows], dtype=np.int64)
@@ -160,13 +148,6 @@ def _bool_joint_zero_counts(small, small_size, large, large_size):
     )
 
 
-def _bool_joint_zero_stack(row, row_size, stack, stack_size):
-    return joint_zero_stack(
-        BoolBits(row_size, _bools(row, row_size)),
-        [BoolBits(stack_size, _bools(words, stack_size)) for words in stack],
-    )
-
-
 def _bool_pairwise_or_popcount(row, rows):
     own = _bools(row)
     return np.array(
@@ -213,7 +194,6 @@ LEGACY_KERNELS = {
     "get_bit": _bool_get_bit,
     "get_bits": _bool_get_bits,
     "joint_zero_counts": _bool_joint_zero_counts,
-    "joint_zero_stack": _bool_joint_zero_stack,
     "or_bytes": _bool_or_bytes,
     "or_reduce": _bool_or_reduce,
     "pairwise_or_popcount": _bool_pairwise_or_popcount,

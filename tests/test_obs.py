@@ -350,26 +350,37 @@ class TestScrape:
         assert 'repro_wire_frames_total{direction="in"} 1' in text
 
     def test_unknown_path_is_404_and_non_get_is_400(self):
+        # Lines past the stream reader's 64 KiB limit, in the request
+        # line and in a header, are refused like any malformed request.
+        pad = b"a" * 70_000
+        requests = [
+            b"POST /metrics HTTP/1.0\r\n\r\n",
+            b"GET /" + pad + b" HTTP/1.0\r\n\r\n",
+            b"GET /metrics HTTP/1.0\r\nX-Pad: " + pad + b"\r\n\r\n",
+        ]
+
+        async def status(port, request):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(request)
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return int(raw.decode().split()[1])
+
         async def body():
             server = MetricsServer()
             await server.start()
             try:
                 missing = await self._get(server.port, "/nope")
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                writer.write(b"POST /metrics HTTP/1.0\r\n\r\n")
-                await writer.drain()
-                raw = await reader.read()
-                writer.close()
-                await writer.wait_closed()
-                return missing, int(raw.decode().split()[1])
+                refused = [await status(server.port, r) for r in requests]
+                return missing, refused
             finally:
                 await server.stop()
 
-        (missing_status, _), post_status = asyncio.run(body())
+        (missing_status, _), refused = asyncio.run(body())
         assert missing_status == 404
-        assert post_status == 400
+        assert refused == [400, 400, 400]
 
 
 # ----------------------------------------------------------------------

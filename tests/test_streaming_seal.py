@@ -1,12 +1,12 @@
 """Differential battery for the streaming tier's period-close seal.
 
 ``observe_report`` and ``ingest_partial`` OR a whole array into the
-running state and recount each of its pairs with word operations.
-Every step of a random day must leave ``joint_zeros()`` equal to both
-the per-bit gather the seal used to run (``tests/streaming_oracle.py``)
-and a brute-force unfold + OR + count, and the live matrix equal to a
-batch decode of the same arrays, key order included, on both kernel
-sets (the word kernels and the bool oracle's, ``tests/bit_oracle.py``).
+running state, and ``ingest`` scatters an index batch into it.  Every
+step of a random day must report the number of bits it newly set, as a
+bool-array oracle (``tests/streaming_oracle.py``) counts it, and leave
+the live matrix equal to a batch decode of the oracle's arrays, key
+order included, on both kernel sets (the word kernels and the bool
+oracle's, ``tests/bit_oracle.py``).
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from repro.errors import SaturatedArrayError
 from repro.obs import MetricsRegistry
 from repro.streaming import StreamingDecoder
 from tests.bit_oracle import KERNEL_SETS, kernels
-from tests.streaming_oracle import GatherOracle, tiled_joint_zeros
+from tests.streaming_oracle import GatherOracle
 
 MODES = ["seal-only", "stream-then-seal", "partials", "resize"]
 
@@ -101,6 +101,14 @@ def apply(op, decoder, oracle, sizes):
     return decoder.observe_report(report), oracle.merge(rsu_id, bits)
 
 
+def assert_live_is_batch(decoder, oracle):
+    """The live matrix equals a batch decode of the oracle's arrays,
+    key order included."""
+    assert list(decoder.live_matrix().items()) == list(
+        batch_matrix(decoder, oracle).items()
+    )
+
+
 def batch_matrix(decoder, oracle):
     """A batch decode of the oracle's arrays with the decoder's
     counters."""
@@ -137,12 +145,7 @@ class TestSealDifferential:
             for op in ops:
                 got, expected = apply(op, decoder, oracle, sizes)
                 assert got == expected
-                assert decoder.joint_zeros() == oracle.pairs
-                assert oracle.pairs == tiled_joint_zeros(oracle.arrays)
-            live = decoder.live_matrix()
-            assert list(live.items()) == list(
-                batch_matrix(decoder, oracle).items()
-            )
+                assert_live_is_batch(decoder, oracle)
 
     @pytest.mark.parametrize("engine", KERNEL_SETS)
     @pytest.mark.parametrize("peer_size", [16, 128])
@@ -161,13 +164,15 @@ class TestSealDifferential:
             for rsu_id, size in sizes.items():
                 bits = rng.random(size) < 0.4
                 op = ("seal", rsu_id, size, bits, int(bits.sum()))
-                apply(op, decoder, oracle, sizes)
+                got, expected = apply(op, decoder, oracle, sizes)
+                assert got == expected
+                assert_live_is_batch(decoder, oracle)
             for rsu_id in (7, 8):  # re-seal the larger arrays with more bits
                 bits = rng.random(sizes[rsu_id]) < 0.6
                 op = ("seal", rsu_id, sizes[rsu_id], bits, int(bits.sum()))
-                apply(op, decoder, oracle, sizes)
-                assert decoder.joint_zeros() == oracle.pairs
-        assert oracle.pairs == tiled_joint_zeros(oracle.arrays)
+                got, expected = apply(op, decoder, oracle, sizes)
+                assert got == expected
+                assert_live_is_batch(decoder, oracle)
 
     @pytest.mark.parametrize("engine", KERNEL_SETS)
     def test_resealing_the_same_report_changes_nothing(self, engine):
@@ -179,11 +184,11 @@ class TestSealDifferential:
         with kernels(engine):
             for op in ops:
                 apply(op, decoder, oracle, sizes)
-            before = decoder.joint_zeros()
+            before = list(decoder.live_matrix().items())
             for op in ops:
                 got, _ = apply(op, decoder, oracle, sizes)
                 assert got == 0
-        assert decoder.joint_zeros() == before
+            assert list(decoder.live_matrix().items()) == before
 
 
 class TestLiveMatrixSaturation:
