@@ -81,6 +81,7 @@ def _kernel_timings(rng):
         )
         others.append(words)
     rows = np.stack(others[:PAIR_ROWS])
+    scratch = (np.empty(rows.size, np.uint64), np.empty(rows.size, np.uint8))
     small = bitwords.zeros(M // 16)
     bitwords.set_bits(
         small, M // 16, rng.integers(0, M // 16, size=256, dtype=np.int64)
@@ -99,7 +100,7 @@ def _kernel_timings(rng):
             lambda: bitwords.joint_zero_counts(filled, M, others[0], M)
         ),
         "pairwise_or_popcount": _best(
-            lambda: bitwords.pairwise_or_popcount(filled, rows)
+            lambda: bitwords.pairwise_or_popcount(filled, rows, scratch)
         ),
         "hash_u64": _best(lambda: hash_u64(ids, seed=7)),
         "select_indices": _best(

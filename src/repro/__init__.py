@@ -53,7 +53,7 @@ from repro.traffic import PairPopulation, VehicleFleet, make_pair_population
 from repro.scenarios import Scenario, get_scenario, scenario_names
 from repro.errors import ReproError
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 __all__ = [
     "__version__",

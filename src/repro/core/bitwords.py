@@ -45,7 +45,7 @@ Costs
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -177,8 +177,10 @@ def popcount(words: np.ndarray) -> int:
     return int(_POPCOUNT_TABLE[words.view(np.uint8)].sum())
 
 
-def _popcount_rows(matrix: np.ndarray) -> np.ndarray:
-    """Set bits per row of a 2-D word matrix (``int64`` vector)."""
+def _popcount_rows(matrix: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Set bits per row of a 2-D word matrix (``int64`` vector); the
+    per-word counts go to *counts*, a ``uint8`` vector of at least
+    ``matrix.size`` entries."""
     if _HAVE_BITWISE_COUNT:
         # Accumulate in the narrowest type a full row cannot overflow:
         # numpy sums uint8 into uint16/uint32 several times faster
@@ -189,8 +191,9 @@ def _popcount_rows(matrix: np.ndarray) -> np.ndarray:
             if bound < 1 << 16
             else np.uint32 if bound < 1 << 32 else np.int64
         )
-        counts = np.bitwise_count(matrix).sum(axis=1, dtype=acc)
-        return counts.astype(np.int64)
+        counts = counts[: matrix.size].reshape(matrix.shape)
+        np.bitwise_count(matrix, out=counts)
+        return counts.sum(axis=1, dtype=acc).astype(np.int64)
     as_bytes = matrix.view(np.uint8).reshape(matrix.shape[0], -1)
     return _POPCOUNT_TABLE[as_bytes].sum(axis=1, dtype=np.int64)
 
@@ -219,10 +222,26 @@ def joint_zero_counts(
     return int(large_size) - popcount(large.reshape(-1, row.size) | row)
 
 
-def pairwise_or_popcount(row: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def pairwise_or_popcount(
+    row: np.ndarray, rows: np.ndarray, scratch: Tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     """Set bits of ``row | rows[j]`` for every row *j* of a 2-D word
-    stack (``int64``): the broadcast heart of the all-pairs decode."""
-    return _popcount_rows(row[None, :] | rows)
+    stack (``int64``): the broadcast heart of the all-pairs decode.
+
+    *row* holds ``rows.shape[1]`` words, or a divisor of that many that
+    repeats across the width (Eq. 3's unfolding, broadcast rather than
+    copied).  *scratch*, a ``uint64`` and a ``uint8`` vector of at least
+    ``rows.size`` entries each, takes the OR and the per-word counts, so
+    a caller sweeping many tiles allocates them once.
+    """
+    height, width = rows.shape
+    joint, counts = scratch[0][: rows.size].reshape(rows.shape), scratch[1]
+    if row.size == width:
+        np.bitwise_or(rows, row, out=joint)
+    else:
+        chunks = (height, width // row.size, row.size)
+        np.bitwise_or(rows.reshape(chunks), row, out=joint.reshape(chunks))
+    return _popcount_rows(joint, counts)
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ Two decode paths produce bit-identical :class:`PairEstimate` values:
 
 from __future__ import annotations
 
+import math
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -58,10 +59,17 @@ _DISTINCT_RSUS = (
     "volume of a single RSU is its counter"
 )
 
-#: Column tile of :func:`joint_zero_matrix`, in bits: 1,024 packed
-#: words, 8 KiB a row, so a tile of a few dozen rows plus its
-#: broadcast temporary fit in L2.
-TILE_BITS = 1 << 16
+#: Words of a size class's stack that one column tile of
+#: :func:`joint_zero_matrix` spans: a class of ``n`` arrays is swept in
+#: tiles of ``TILE_WORDS / n`` words (to the nearest power of two),
+#: about 512 KiB of stack per tile whatever ``n``, so the tile and the
+#: OR scratch sized to it stay in L2.
+TILE_WORDS = 1 << 16
+
+#: Rows narrower than this many bits are tiled out once (to the widest
+#: width up to it that divides the tile), so no broadcast OR runs over
+#: a handful of words: 1,024 words, 8 KiB a row.
+MIN_ROW_BITS = 1 << 16
 
 
 class CentralDecoder:
@@ -275,14 +283,16 @@ def joint_zero_matrix(arrays: Sequence[BitArray]) -> np.ndarray:
     one stack holds the size-``S`` arrays at native size, and every
     array no larger than ``S`` is ORed against it with
     :func:`~repro.core.bitwords.pairwise_or_popcount`.  The stack is
-    swept in column tiles of :data:`TILE_BITS` bits, so a tile of the
-    stack and the broadcast temporary stay in cache across the rows.
-    A smaller array is not unfolded to ``S``: the tile ``[c0, c1)`` of
-    its tiling is its own words from ``c0`` modulo its length (an
-    array shorter than a tile is tiled to the tile width once).  Only
-    an array whose size is not a whole number of words (sizes below
-    64 bits), or whose length and the tile width do not divide one
-    another, is unfolded to ``S``.
+    swept in column tiles sized to its class (:data:`TILE_WORDS`), a
+    tile narrower than the stack copied contiguous once, so the tile
+    and the OR scratch stay in cache across the rows.  A smaller array
+    is not unfolded to ``S``: the tile ``[c0, c1)`` of its tiling is its
+    own words from ``c0`` modulo its length, or its words broadcast
+    across the tile when it is shorter (an array shorter than
+    :data:`MIN_ROW_BITS` is tiled once to the widest width up to that
+    which divides the tile).  Only an array whose size is not a whole number of
+    words (sizes below 64 bits), or whose length and the tile width do
+    not divide one another, is unfolded to ``S``.
     """
     unit = bitwords.WORD_BITS
     storages = [array.words for array in arrays]
@@ -295,7 +305,11 @@ def joint_zero_matrix(arrays: Sequence[BitArray]) -> np.ndarray:
         members = np.flatnonzero(sizes == size)
         block = np.stack([storages[j] for j in members])
         units = block.shape[1]
-        step = min(units, max(1, TILE_BITS // unit))
+        # The power of two nearest TILE_WORDS / members, cut to divide units.
+        budget = 1 << max(0, round(math.log2(TILE_WORDS / members.size)))
+        step = units if units <= budget else math.gcd(units, budget)
+        # A width that divides the tile: a row pre-tiled to it broadcasts.
+        span = math.gcd(step, max(1, MIN_ROW_BITS // unit))
         rows, row_ids = [], []
         for i in np.flatnonzero(sizes <= size).tolist():
             # A same-size row pairs only with the members after it.
@@ -313,22 +327,35 @@ def joint_zero_matrix(arrays: Sequence[BitArray]) -> np.ndarray:
                     f"{m_i}; the scheme requires power-of-two lengths"
                 )
             width = storage.shape[0]
-            if width * unit != m_i or (width % step and step % width):
+            if (
+                width * unit != m_i
+                or (width % step and step % width)
+                or (width < span and span % width)
+            ):
                 storage = bitwords.unfold(storage, m_i, size // m_i)
-            elif width < step:
-                # Shorter than a tile: pre-tile once to the tile width.
-                storage = bitwords.unfold(storage, m_i, step // width)
+            elif width < span:
+                storage = bitwords.unfold(storage, m_i, span // width)
             rows.append((storage, first))
             row_ids.append(i)
         acc = np.zeros((len(rows), members.size), dtype=np.int64)
+        scratch = (
+            np.empty(members.size * step, dtype=np.uint64),
+            np.empty(members.size * step, dtype=np.uint8),
+        )
+        contiguous = (
+            np.empty((members.size, step), dtype=np.uint64) if step < units else None
+        )
         for c0 in range(0, units, step):
-            c1 = min(units, c0 + step)
-            tile = block[:, c0:c1]
+            tile = block[:, c0 : c0 + step]
+            if contiguous is not None:
+                np.copyto(contiguous, tile)
+                tile = contiguous
             for r, (storage, first) in enumerate(rows):
-                # The tile [c0, c1) of a row's tiling to `size`.
+                # The tile [c0, c0 + step) of a row's tiling to `size`:
+                # a slice of a wider row, a narrower row as it is.
                 start = c0 % storage.shape[0]
                 acc[r, first:] += bitwords.pairwise_or_popcount(
-                    storage[start : start + c1 - c0], tile[first:]
+                    storage[start : start + step], tile[first:], scratch
                 )
         ones[np.ix_(row_ids, members)] = acc
     upper, lower = np.triu_indices(k, 1)

@@ -36,7 +36,7 @@ from repro.core.bitarray import BitArray
 from repro.core.reports import RsuReport
 from repro.core.results import Estimate
 from repro.errors import ConfigurationError, EstimationError, SaturatedArrayError
-from repro.utils.arrays import sorted_unique
+from repro.utils.arrays import sorted_unique, triu_position
 from repro.utils.mathx import log_pow_one_minus
 
 __all__ = [
@@ -375,10 +375,6 @@ class PairMatrix(Mapping):
         return (PairMatrix, (*(getattr(self, name) for name in _COLUMNS), self.s))
 
     # -- positions ----------------------------------------------------
-    def _position(self, i: int, j: int) -> int:
-        """Triu position of the pair of ranks ``i < j``."""
-        return i * self.rsu_ids.size - i * (i + 1) // 2 + j - i - 1
-
     def index(
         self, a: Sequence[int], b: Sequence[int], *, strict: bool = True
     ) -> np.ndarray:
@@ -402,7 +398,7 @@ class PairMatrix(Mapping):
         if strict and not found.all():
             first = int(np.argmin(found))
             raise KeyError((int(a[first]), int(b[first])))
-        return np.where(found, self._position(i, j), -1)
+        return np.where(found, triu_position(i, j, ids.size), -1)
 
     def pair_ids(self) -> Tuple[np.ndarray, np.ndarray]:
         """The keys as two ``int64`` columns ``(x, y)``, in key order."""
@@ -444,7 +440,7 @@ class PairMatrix(Mapping):
         i, j = self._rank.get(key[0]), self._rank.get(key[1])
         if i is None or j is None or i >= j:
             raise KeyError(key)
-        p = self._position(i, j)
+        p = triu_position(i, j, self.rsu_ids.size)
         x, y = (j, i) if self.sizes[i] > self.sizes[j] else (i, j)
         return PairEstimate(
             value=float(self.value[p]),

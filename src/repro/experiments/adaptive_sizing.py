@@ -52,6 +52,7 @@ from repro.core.sizing import AdaptiveSizing, PrivacyOptimalSizing
 from repro.privacy.attacker import empirical_privacy
 from repro.privacy.formulas import preserved_privacy
 from repro.privacy.optimizer import optimal_load_factor
+from repro.roadnet.volumes import PairVolumes
 from repro.runtime import Task, run_tasks
 from repro.scenarios import get_scenario
 from repro.service.runtime import DeploymentSpec
@@ -132,14 +133,12 @@ def _day_task(
 
 
 def _mean_error(
-    matrix: PairMatrix, truth: Dict[PairKey, int], min_truth: int
+    matrix: PairMatrix, truth: PairVolumes, min_truth: int
 ) -> Tuple[float, int]:
     """Mean relative error over pairs with ground truth >= *min_truth*."""
-    scored = sorted(
-        (pair, true_nc) for pair, true_nc in truth.items() if true_nc >= min_truth
-    )
-    a, b = np.array([pair for pair, _ in scored], dtype=np.int64).reshape(-1, 2).T
-    true_nc = np.array([t for _, t in scored], dtype=np.int64)
+    scored = truth.at_least(min_truth)
+    a, b = (ids[scored] for ids in truth.pair_ids())
+    true_nc = truth.volume[scored]
     at = matrix.index(a, b, strict=False)
     hit = at >= 0
     if not hit.any():
@@ -150,7 +149,7 @@ def _mean_error(
 
 def _mean_privacy(
     volumes: Dict[int, int],
-    truth: Dict[PairKey, int],
+    truth: PairVolumes,
     sizes: Dict[int, int],
     s: int,
     min_truth: int,
@@ -160,10 +159,10 @@ def _mean_privacy(
     Each pair is oriented ``m_x <= m_y`` as Eq. 43 requires; pairs
     below *min_truth* are skipped in lockstep with :func:`_mean_error`.
     """
+    scored = truth.at_least(min_truth)
+    xs, ys = (ids[scored].tolist() for ids in truth.pair_ids())
     values: List[float] = []
-    for (a, b), n_c in sorted(truth.items()):
-        if n_c < min_truth:
-            continue
+    for a, b, n_c in zip(xs, ys, truth.volume[scored].tolist()):
         n_a, n_b = volumes[a], volumes[b]
         m_a, m_b = sizes[a], sizes[b]
         if m_a > m_b:
@@ -425,8 +424,10 @@ def run_adaptive_sizing(
     final = spec.workload_for(last)
     final_truth = final.common_volumes()
     final_volumes = final.volumes()
-    pair = max(sorted(final_truth), key=lambda k: final_truth[k])
-    n_c = final_truth[pair]
+    # The first of the highest, in ascending key order.
+    top = int(np.argmax(final_truth.volume))
+    pair = tuple(int(ids[top]) for ids in final_truth.pair_ids())
+    n_c = int(final_truth.volume[top])
     empirical: Dict[str, float] = {}
     for name, sizes in (("adaptive", trajectory[last]), ("static", static_sizes)):
         a, b = pair

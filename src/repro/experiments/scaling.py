@@ -117,10 +117,12 @@ def _scale_point(
     matrix_seconds = time.perf_counter() - start
 
     truth = workload.common_volumes()
+    scored = truth.at_least(min_truth)
+    a, b = (ids[scored].tolist() for ids in truth.pair_ids())
     errors = [
         abs(matrix[pair].value - true) / true
-        for pair, true in truth.items()
-        if true >= min_truth and pair in matrix
+        for pair, true in zip(zip(a, b), truth.volume[scored].tolist())
+        if pair in matrix
     ]
     memory_bits = sum(scheme.array_size(rsu) for rsu in scheme.rsu_ids)
     return ScalePoint(

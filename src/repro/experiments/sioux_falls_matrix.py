@@ -12,7 +12,7 @@ paper's Table I comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from repro.baseline.scheme import FixedLengthScheme
 from repro.core.sizing import fixed_array_size_for_privacy
 from repro.core.estimator import ZeroFractionPolicy
 from repro.core.scheme import VlmScheme
+from repro.errors import ReproError
 from repro.privacy.optimizer import max_load_factor_for_privacy
 from repro.runtime import Task, run_tasks
 from repro.scenarios import get_scenario
@@ -31,8 +32,7 @@ __all__ = ["MatrixResult", "run_od_matrix", "run_sioux_falls_matrix"]
 PairKey = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PairOutcome:
+class PairOutcome(NamedTuple):
     """One measured pair."""
 
     pair: PairKey
@@ -174,26 +174,37 @@ def run_od_matrix(
         executor=executor,
     )
 
-    # Scored pairs in key order; both matrices are gathered at them.
-    scored = sorted(
-        (pair, true_nc) for pair, true_nc in truth.items() if true_nc >= min_truth
-    )
-    a, b = np.array([pair for pair, _ in scored], dtype=np.int64).reshape(-1, 2).T
-    true_nc = np.array([t for _, t in scored], dtype=np.int64)
-    n_a = np.array([volumes[x] for x in a.tolist()], dtype=np.int64)
-    n_b = np.array([volumes[y] for y in b.tolist()], dtype=np.int64)
+    # Scored pairs by position: the truth column and both matrices
+    # share the triu layout over the same sorted RSUs (the VLM scheme
+    # sizes exactly the nodes some route visits).
+    for matrix in (vlm_matrix, base_matrix):
+        if not np.array_equal(matrix.rsu_ids, truth.nodes):
+            raise ReproError(
+                f"matrix RSUs {matrix.rsu_ids.tolist()} are not the "
+                f"ground-truth nodes {truth.nodes.tolist()}"
+            )
+    scored = truth.at_least(min_truth)
+    true_nc = truth.volume[scored]
+    rows, cols = (ranks[scored] for ranks in np.triu_indices(truth.nodes.size, 1))
+    node_volume = np.array([volumes[x] for x in truth.nodes.tolist()], dtype=np.int64)
+    n_a, n_b = node_volume[rows], node_volume[cols]
     d = np.maximum(n_a, n_b) / np.minimum(n_a, n_b)
-    low, high = np.minimum(a, b), np.maximum(a, b)
     vlm_error, base_error = (
-        np.abs(matrix.value[matrix.index(low, high)] - true_nc) / true_nc
+        np.abs(matrix.value[scored] - true_nc) / true_nc
         for matrix in (vlm_matrix, base_matrix)
     )
-    outcomes = [
-        PairOutcome(pair=pair, truth=t, d=d_t, vlm_error=vlm_t, baseline_error=base_t)
-        for (pair, t), d_t, vlm_t, base_t in zip(
-            scored, d.tolist(), vlm_error.tolist(), base_error.tolist()
+    outcomes = list(
+        map(
+            PairOutcome._make,
+            zip(
+                zip(truth.nodes[rows].tolist(), truth.nodes[cols].tolist()),
+                true_nc.tolist(),
+                d.tolist(),
+                vlm_error.tolist(),
+                base_error.tolist(),
+            ),
         )
-    ]
+    )
     return MatrixResult(
         outcomes=outcomes,
         total_trips=workload.plan.trips.total_trips,

@@ -15,6 +15,7 @@ that matches synthesized traffic to the paper's Table I node volumes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Tuple
@@ -24,11 +25,13 @@ import numpy as np
 from repro.errors import CalibrationError
 from repro.roadnet.routing import RoutePlan
 from repro.traffic.population import VehicleFleet
+from repro.utils.arrays import triu_position
 from repro.utils.rng import SeedLike
 
 __all__ = [
     "node_volumes",
     "pair_common_volumes",
+    "PairVolumes",
     "TrafficAssignment",
     "calibrate_to_node_volumes",
 ]
@@ -53,29 +56,94 @@ def node_volumes(plan: RoutePlan) -> Dict[int, int]:
 #: scratch arrays small whatever the plan's size.
 _ROUTE_CHUNK = 512
 
-_UNSEEN = np.iinfo(np.int64).max
+
+class PairVolumes(Mapping):
+    """Point-to-point ground truth of a plan, stored as one column.
+
+    What :func:`pair_common_volumes` returns, laid out like a
+    :class:`~repro.core.estimator.PairMatrix` over the same RSUs, so a
+    decode is scored against it by position.
+
+    Attributes
+    ----------
+    nodes:
+        The nodes some route visits, sorted (``int64``).
+    volume:
+        Per-pair ``n_c`` (``int64``) in ``np.triu_indices(len(nodes),
+        1)`` order: zero for a pair no vehicle passes both of.
+
+    The arrays are read-only.  As a read-only :class:`Mapping` it reads
+    like the ``{(a, b): n_c}`` dict of every pair ``a < b`` with
+    ``n_c > 0``, keys ascending.  A zero-volume, reversed or unknown
+    key raises :class:`KeyError`.
+    """
+
+    __slots__ = ("nodes", "volume", "_rank", "_len")
+
+    def __init__(self, nodes: np.ndarray, volume: np.ndarray) -> None:
+        self.nodes = np.array(nodes, dtype=np.int64)
+        self.volume = np.array(volume, dtype=np.int64)
+        k = self.nodes.size
+        if self.volume.shape != (k * (k - 1) // 2,):
+            raise ValueError(
+                f"volume has shape {self.volume.shape}, expected "
+                f"({k * (k - 1) // 2},) for {k} nodes"
+            )
+        self.nodes.flags.writeable = False
+        self.volume.flags.writeable = False
+        self._rank = {node: i for i, node in enumerate(self.nodes.tolist())}
+        self._len = int(np.count_nonzero(self.volume))
+
+    def at_least(self, floor: int) -> np.ndarray:
+        """Ascending positions of the keys with ``n_c >= floor`` (a
+        zero volume is never a key, whatever *floor*)."""
+        return np.flatnonzero(self.volume >= max(floor, 1))
+
+    def pair_ids(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Both nodes of every position as two ``int64`` columns
+        ``(a, b)``, zero-volume pairs included."""
+        rows, cols = np.triu_indices(self.nodes.size, 1)
+        return self.nodes[rows], self.nodes[cols]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[OdPair]:
+        a, b = self.pair_ids()
+        seen = self.volume != 0
+        return zip(a[seen].tolist(), b[seen].tolist())
+
+    def __getitem__(self, key: OdPair) -> int:
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise KeyError(key)
+        i, j = self._rank.get(key[0]), self._rank.get(key[1])
+        if i is None or j is None or i >= j:
+            raise KeyError(key)
+        volume = int(self.volume[triu_position(i, j, self.nodes.size)])
+        if not volume:
+            raise KeyError(key)
+        return volume
+
+    def __repr__(self) -> str:
+        return f"PairVolumes({self.nodes.size} nodes, {len(self)} pairs)"
 
 
-def pair_common_volumes(plan: RoutePlan) -> Dict[OdPair, int]:
+def pair_common_volumes(plan: RoutePlan) -> PairVolumes:
     """Point-to-point ground truth for every unordered node pair.
 
     ``result[(a, b)]`` (with ``a < b``) counts vehicles whose route
     passes both ``a`` and ``b`` — the quantity ``n_c`` the schemes
-    estimate.  Keys run in order of first appearance when each route
-    (in trip-table order) is walked pair by pair, ``(route[i],
-    route[j])`` for ``i < j``.
-
-    Every within-route pair is enumerated in exactly that order and
-    summed into a dense node × node table, a chunk of routes at a time.
+    estimate.  Every within-route pair ``(route[i], route[j])``, ``i <
+    j``, is summed into a dense node × node table by rank, a chunk of
+    routes at a time; the table's two triangles are then added into
+    the :class:`PairVolumes` column.
     """
     incidence = plan.incidence
     nodes = np.sort(incidence.nodes)
     n = nodes.size
     total = np.zeros(n * n, dtype=np.int64)
-    first = np.full(n * n, _UNSEEN, dtype=np.int64)
     ranks = np.searchsorted(nodes, plan.nodes)
     bounds = plan.offsets
-    opened = 0
     for lo in range(0, len(plan), _ROUTE_CHUNK):
         hi = min(lo + _ROUTE_CHUNK, len(plan))
         lengths = np.diff(bounds[lo : hi + 1])
@@ -84,18 +152,11 @@ def pair_common_volumes(plan: RoutePlan) -> Dict[OdPair, int]:
         later = np.repeat(bounds[lo + 1 : hi + 1] - bounds[lo], lengths)
         later -= np.arange(rank.size) + 1
         a = np.repeat(np.arange(rank.size), later)
-        seq = np.arange(a.size)
-        b = a + 1 + seq - np.repeat(np.cumsum(later) - later, later)
-        ra, rb = rank[a], rank[b]
-        code = np.minimum(ra, rb) * n + np.maximum(ra, rb)
+        b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
         weight = np.repeat(incidence.trips[lo:hi], lengths)
-        np.add.at(total, code, weight[a])
-        np.minimum.at(first, code, opened + seq)
-        opened += a.size
-    seen = np.flatnonzero(first != _UNSEEN)
-    keys = seen[np.argsort(first[seen])]
-    low, high = nodes[keys // n].tolist(), nodes[keys % n].tolist()
-    return dict(zip(zip(low, high), total[keys].tolist()))
+        np.add.at(total, rank[a] * n + rank[b], weight[a])
+    upper, lower = np.triu_indices(n, 1)
+    return PairVolumes(nodes, total[upper * n + lower] + total[lower * n + upper])
 
 
 @dataclass(frozen=True)

@@ -211,6 +211,35 @@ class ShardKillReport(DrillReport):
         ]
 
 
+def _compare_outage(
+    live: PairMatrix, golden: PairMatrix, down: Sequence[int]
+) -> Tuple[np.ndarray, bool, np.ndarray]:
+    """The rsu-outage verdict's comparison, column against column.
+
+    Returns the mask of *golden*'s pairs that touch a *down* RSU,
+    whether every other pair is in *live* with every
+    :class:`~repro.core.estimator.PairEstimate` field equal, and each
+    affected pair's ``|live - golden| / max(|golden|, 1)`` (pairs
+    *live* holds, in key order).
+    """
+    golden_x, golden_y = golden.pair_ids()
+    affected = np.isin(golden_x, down) | np.isin(golden_y, down)
+    # Where each golden pair sits in the live matrix (-1: absent).
+    at = live.index(golden_x, golden_y, strict=False)
+    kept = ~affected
+    live_columns, golden_columns = live.columns(), golden.columns()
+    unaffected_identical = bool((at[kept] >= 0).all()) and all(
+        np.array_equal(live_columns[name][at[kept]], column[kept])
+        for name, column in golden_columns.items()
+    )
+    hit = affected & (at >= 0)
+    reference = golden.value[hit]
+    deltas = np.abs(live.value[at[hit]] - reference) / np.maximum(
+        np.abs(reference), 1.0
+    )
+    return affected, unaffected_identical, deltas
+
+
 @dataclass
 class OutageReport(DrillReport):
     """Everything the rsu-outage drill measured and proved."""
@@ -644,21 +673,9 @@ class RsuOutage:
         degraded = CentralDecoder(spec.s, policy=spec.policy)
         degraded.submit_many(reports.values())
         live_matrix, golden_matrix = run.live[0], run.golden[0]
-        affected = [
-            pair
-            for pair in golden_matrix
-            if pair[0] in self.down or pair[1] in self.down
-        ]
-        unaffected_identical = all(
-            live_matrix.get(pair) == golden_matrix[pair]
-            for pair in golden_matrix.keys() - set(affected)
+        affected, unaffected_identical, deltas = _compare_outage(
+            live_matrix, golden_matrix, self.down
         )
-        deltas = [
-            abs(live_matrix[pair].value - golden_matrix[pair].value)
-            / max(abs(golden_matrix[pair].value), 1.0)
-            for pair in affected
-            if pair in live_matrix
-        ]
         return OutageReport(
             period=self.day,
             down=self.down,
@@ -670,11 +687,11 @@ class RsuOutage:
             expected_dropped=self.expected_dropped,
             snapshots_acked=run.snapshots,
             pairs_compared=len(golden_matrix),
-            pairs_affected=len(affected),
+            pairs_affected=int(affected.sum()),
             degraded_identical=run.live == decoded(degraded, self.day),
             unaffected_identical=unaffected_identical,
-            delta_mean=float(np.mean(deltas)) if deltas else 0.0,
-            delta_max=float(np.max(deltas)) if deltas else 0.0,
+            delta_mean=float(np.mean(deltas)) if deltas.size else 0.0,
+            delta_max=float(np.max(deltas)) if deltas.size else 0.0,
             elapsed_seconds=0.0,  # the driver's span sets it
             live_matrix=matrix_json(live_matrix),
             golden_matrix=matrix_json(golden_matrix),

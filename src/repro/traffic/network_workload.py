@@ -16,6 +16,7 @@ from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.routing import RoutePlan, assign_routes
 from repro.roadnet.trips import TripTable
 from repro.roadnet.volumes import (
+    PairVolumes,
     TrafficAssignment,
     node_volumes,
     pair_common_volumes,
@@ -23,8 +24,6 @@ from repro.roadnet.volumes import (
 from repro.utils.rng import SeedLike
 
 __all__ = ["NetworkWorkload"]
-
-OdPair = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,9 @@ class NetworkWorkload:
         """Ground-truth point volume per node."""
         return node_volumes(self.plan)
 
-    def common_volumes(self) -> Dict[OdPair, int]:
-        """Ground-truth point-to-point volume per unordered node pair."""
+    def common_volumes(self) -> PairVolumes:
+        """Ground-truth point-to-point volume per unordered node pair,
+        as a :class:`~repro.roadnet.volumes.PairVolumes` column."""
         return pair_common_volumes(self.plan)
 
     def passes(

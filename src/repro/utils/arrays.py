@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sorted_unique"]
+__all__ = ["sorted_unique", "triu_position"]
 
 
 def sorted_unique(values) -> np.ndarray:
@@ -22,3 +22,9 @@ def sorted_unique(values) -> np.ndarray:
     keep[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
     return ordered[keep]
+
+
+def triu_position(i, j, k: int):
+    """Position of the pair of ranks ``i < j`` in
+    ``np.triu_indices(k, 1)`` order (scalars or arrays)."""
+    return i * k - i * (i + 1) // 2 + j - i - 1

@@ -1,8 +1,8 @@
 """JSON serialization for experiment configurations and results.
 
 Experiment artifacts are persisted as JSON so EXPERIMENTS.md entries can
-be regenerated and diffed.  Numpy scalars/arrays and dataclasses are
-converted to plain Python containers transparently.
+be regenerated and diffed.  Numpy scalars/arrays, dataclasses and named
+tuples are converted to plain Python containers transparently.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ def to_jsonable(value: Any) -> Any:
             field.name: to_jsonable(getattr(value, field.name))
             for field in dataclasses.fields(value)
         }
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):  # NamedTuple
+        value = value._asdict()
     if isinstance(value, dict):
         return {str(key): to_jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):

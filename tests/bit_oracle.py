@@ -17,7 +17,7 @@ the encoder, the decoder and streaming, not only one call at a time.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Iterable, Iterator, Sequence
 from unittest import mock
 
@@ -148,8 +148,8 @@ def _bool_joint_zero_counts(small, small_size, large, large_size):
     )
 
 
-def _bool_pairwise_or_popcount(row, rows):
-    own = _bools(row)
+def _bool_pairwise_or_popcount(row, rows, scratch):
+    own = np.tile(_bools(row), rows.shape[1] // row.size)
     return np.array(
         [int((own | _bools(other)).sum()) for other in rows], dtype=np.int64
     )
@@ -221,3 +221,15 @@ def kernels(name: str) -> Iterator[None]:
         )
     with mock.patch.multiple(bitwords, **table):
         yield
+
+
+#: The popcount implementations this numpy has: ``np.bitwise_count``
+#: (numpy >= 2.0) and always the byte lookup table.
+POPCOUNT_PATHS = (False, True) if bitwords._HAVE_BITWISE_COUNT else (True,)
+
+
+def popcount_path(lookup_table):
+    """Force the lookup-table popcount inside the block when asked."""
+    if lookup_table:
+        return mock.patch.object(bitwords, "_HAVE_BITWISE_COUNT", False)
+    return nullcontext()

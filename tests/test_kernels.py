@@ -12,7 +12,6 @@ bit; ``tests/test_engine.py`` runs a full Sioux Falls period on both.
 """
 
 import sys
-from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -28,7 +27,13 @@ from repro.core.reports import RsuReport
 from repro.errors import ConfigurationError
 from repro.streaming import StreamingDecoder
 from tests import bit_oracle
-from tests.bit_oracle import KERNEL_SETS, BoolBits, kernels
+from tests.bit_oracle import (
+    KERNEL_SETS,
+    POPCOUNT_PATHS,
+    BoolBits,
+    kernels,
+    popcount_path,
+)
 
 sizes = st.integers(min_value=1, max_value=520)
 
@@ -46,18 +51,6 @@ def _filled(size, indices):
     if indices.size:
         bitwords.set_bits(words, size, indices)
     return words, BoolBits.from_indices(size, indices)
-
-
-#: The popcount implementations this numpy has: ``np.bitwise_count``
-#: (numpy >= 2.0) and always the byte lookup table.
-POPCOUNT_PATHS = (False, True) if bitwords._HAVE_BITWISE_COUNT else (True,)
-
-
-def popcount_path(lookup_table):
-    """Force the lookup-table popcount inside the block when asked."""
-    if lookup_table:
-        return mock.patch.object(bitwords, "_HAVE_BITWISE_COUNT", False)
-    return nullcontext()
 
 
 # ----------------------------------------------------------------------
@@ -242,12 +235,40 @@ class TestKernelDifferential:
         expected = bit_oracle.pairwise_or_popcount(
             oracle_row, [oracle for _, oracle in others]
         )
+        stack = np.stack([words for words, _ in others])
+        scratch = (
+            np.empty(stack.size, dtype=np.uint64),
+            np.empty(stack.size, dtype=np.uint8),
+        )
         for lookup_table in POPCOUNT_PATHS:
             with popcount_path(lookup_table):
-                counts = bitwords.pairwise_or_popcount(
-                    row, np.stack([words for words, _ in others])
-                )
+                counts = bitwords.pairwise_or_popcount(row, stack, scratch)
             assert counts.dtype == np.int64
+            assert np.array_equal(counts, expected), lookup_table
+
+    @given(
+        st.integers(1, 8), st.sampled_from([1, 2, 4, 8]), st.integers(1, 5), st.data()
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pairwise_or_popcount_tiles_a_narrow_row(
+        self, words, repeats, rows, data
+    ):
+        """A row of a divisor of the stack's width is its Eq. (3)
+        tiling; scratch longer than the stack is used in part."""
+        small, large = 64 * words, 64 * words * repeats
+        row, oracle_row = _filled(small, _indices(data, small, 1))
+        others = [_filled(large, _indices(data, large, 1)) for _ in range(rows)]
+        expected = bit_oracle.pairwise_or_popcount(
+            oracle_row.tile(repeats), [oracle for _, oracle in others]
+        )
+        stack = np.stack([words for words, _ in others])
+        scratch = (
+            np.empty(stack.size + 3, dtype=np.uint64),
+            np.empty(stack.size + 5, dtype=np.uint8),
+        )
+        for lookup_table in POPCOUNT_PATHS:
+            with popcount_path(lookup_table):
+                counts = bitwords.pairwise_or_popcount(row, stack, scratch)
             assert np.array_equal(counts, expected), lookup_table
 
 

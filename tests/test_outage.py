@@ -15,9 +15,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, trace, use_registry
 from repro.scenarios import get_scenario
+from repro.core.estimator import PairMatrix
 from repro.service.drills import (
     OutageReport,
     _surviving_indices,
+    _compare_outage,
     first_outage_period,
     rsu_outage_scenario,
     shard_kill_scenario,
@@ -165,6 +167,99 @@ class TestOutageDrill:
         assert "PASS" in text
         assert f"day {report.period}" in text
         assert "bit-identical" in text
+
+
+def _per_pair_comparison(live, golden, down):
+    """The drill's comparison as it was, one ``PairEstimate`` per pair."""
+    affected = [pair for pair in golden if pair[0] in down or pair[1] in down]
+    identical = all(
+        live.get(pair) == golden[pair] for pair in golden.keys() - set(affected)
+    )
+    deltas = [
+        abs(live[pair].value - golden[pair].value)
+        / max(abs(golden[pair].value), 1.0)
+        for pair in affected
+        if pair in live
+    ]
+    return len(affected), identical, deltas
+
+
+def _matrix(ids, seed):
+    rng = np.random.default_rng(seed)
+    k = len(ids)
+    return PairMatrix(
+        ids,
+        rng.choice([64, 128], k),
+        rng.integers(1, 100, k),
+        rng.uniform(0.2, 0.9, k),
+        rng.normal(50.0, 30.0, k * (k - 1) // 2),
+        rng.uniform(0.1, 0.9, k * (k - 1) // 2),
+        2,
+    )
+
+
+def _replaced(matrix, **columns):
+    fields = ("rsu_ids", "sizes", "counters", "fractions", "value", "v_c")
+    args = [columns.get(name, getattr(matrix, name)) for name in fields]
+    return PairMatrix(*args, matrix.s)
+
+
+class TestOutageComparison:
+    """``_compare_outage`` against the per-pair loop it replaced."""
+
+    IDS = [2, 3, 5, 8, 13, 21]
+
+    def _check(self, live, golden, down):
+        affected, identical, deltas = _compare_outage(live, golden, down)
+        expected = _per_pair_comparison(live, golden, down)
+        assert (int(affected.sum()), identical, deltas.tolist()) == expected
+        return identical
+
+    def test_equal_matrices_are_identical_away_from_the_outage(self):
+        golden = _matrix(self.IDS, 1)
+        assert self._check(golden, golden, (5,))
+
+    def test_damage_confined_to_downed_rsus_passes(self):
+        golden = _matrix(self.IDS, 2)
+        value = golden.value.copy()
+        x, y = golden.pair_ids()
+        value[(x == 5) | (y == 5)] += 7.5
+        counters = golden.counters.copy()
+        counters[self.IDS.index(5)] -= 1
+        live = _replaced(golden, value=value, counters=counters)
+        assert self._check(live, golden, (5,))
+
+    @pytest.mark.parametrize("column", ["value", "v_c", "fractions", "counters"])
+    def test_damage_away_from_the_outage_fails(self, column):
+        golden = _matrix(self.IDS, 3)
+        damaged = getattr(golden, column).copy()
+        damaged[-1] += 1
+        live = _replaced(golden, **{column: damaged})
+        assert not self._check(live, golden, (5,))
+
+    def test_a_missing_rsu_fails_unless_it_is_down(self):
+        golden = _matrix(self.IDS, 4)
+        keep = [i for i, rsu in enumerate(self.IDS) if rsu != 8]
+        x, y = golden.pair_ids()
+        pairs = (x != 8) & (y != 8)
+        live = PairMatrix(
+            golden.rsu_ids[keep],
+            golden.sizes[keep],
+            golden.counters[keep],
+            golden.fractions[keep],
+            golden.value[pairs],
+            golden.v_c[pairs],
+            golden.s,
+        )
+        assert not self._check(live, golden, (5,))
+        assert self._check(live, golden, (8,))
+
+    def test_nan_estimates_never_compare_equal(self):
+        golden = _matrix(self.IDS, 5)
+        value = golden.value.copy()
+        value[0] = np.nan
+        golden = _replaced(golden, value=value)
+        assert not self._check(golden, golden, (21,))
 
 
 class TestDrillSpan:

