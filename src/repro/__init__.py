@@ -25,68 +25,45 @@ Quickstart
 True
 """
 
-from repro.core import (
-    AdaptiveSizing,
-    AggregatedEstimate,
-    BitArray,
-    CentralDecoder,
-    Estimate,
-    PairEstimate,
-    PairMatrix,
-    PrivacyOptimalSizing,
-    RsuReport,
-    SchemeConfig,
-    SchemeParameters,
-    SizingPolicy,
-    StaticSizing,
-    TripleEstimate,
-    VlmScheme,
-    ZeroFractionPolicy,
-    configure,
-    estimate_intersection,
-    unfold,
-    unfolded_or,
+from repro._lazy import lazy_exports
+
+__version__ = "14.1.0"
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "AggregatedEstimate": "repro.core.multiperiod",
+        "BitArray": "repro.core.bitarray",
+        "CentralDecoder": "repro.core.decoder",
+        "Estimate": "repro.core.results",
+        "PairEstimate": "repro.core.estimator",
+        "PairMatrix": "repro.core.estimator",
+        "RsuReport": "repro.core.reports",
+        "TripleEstimate": "repro.core.multiway",
+        "SchemeConfig": "repro.core.config",
+        "SchemeParameters": "repro.core.parameters",
+        "SizingPolicy": "repro.core.sizing",
+        "StaticSizing": "repro.core.sizing",
+        "PrivacyOptimalSizing": "repro.core.sizing",
+        "AdaptiveSizing": "repro.core.sizing",
+        "VlmScheme": "repro.core.scheme",
+        "ZeroFractionPolicy": "repro.core.estimator",
+        "configure": "repro.core.config",
+        "estimate_intersection": "repro.core.estimator",
+        "unfold": "repro.core.unfolding",
+        "unfolded_or": "repro.core.unfolding",
+        "FixedLengthScheme": "repro.baseline.scheme",
+        "fixed_array_size_for_privacy": "repro.core.sizing",
+        "preserved_privacy": "repro.privacy.formulas",
+        "empirical_privacy": "repro.privacy.attacker",
+        "optimal_load_factor": "repro.privacy.optimizer",
+        "PairPopulation": "repro.traffic.population",
+        "VehicleFleet": "repro.traffic.population",
+        "make_pair_population": "repro.traffic.random_workload",
+        "Scenario": "repro.scenarios.base",
+        "get_scenario": "repro.scenarios.registry",
+        "scenario_names": "repro.scenarios.registry",
+        "ReproError": "repro.errors",
+    },
 )
-from repro.baseline import FixedLengthScheme, fixed_array_size_for_privacy
-from repro.privacy import empirical_privacy, optimal_load_factor, preserved_privacy
-from repro.traffic import PairPopulation, VehicleFleet, make_pair_population
-from repro.scenarios import Scenario, get_scenario, scenario_names
-from repro.errors import ReproError
-
-__version__ = "14.0.0"
-
-__all__ = [
-    "__version__",
-    "AggregatedEstimate",
-    "BitArray",
-    "CentralDecoder",
-    "Estimate",
-    "PairEstimate",
-    "PairMatrix",
-    "RsuReport",
-    "TripleEstimate",
-    "SchemeConfig",
-    "SchemeParameters",
-    "SizingPolicy",
-    "StaticSizing",
-    "PrivacyOptimalSizing",
-    "AdaptiveSizing",
-    "VlmScheme",
-    "ZeroFractionPolicy",
-    "configure",
-    "estimate_intersection",
-    "unfold",
-    "unfolded_or",
-    "FixedLengthScheme",
-    "fixed_array_size_for_privacy",
-    "preserved_privacy",
-    "empirical_privacy",
-    "optimal_load_factor",
-    "PairPopulation",
-    "VehicleFleet",
-    "make_pair_population",
-    "Scenario",
-    "get_scenario",
-    "scenario_names",
-    "ReproError",
-]
+__all__.insert(0, "__version__")

@@ -17,35 +17,27 @@
   simulation, the ground truth the closed forms are tested against.
 """
 
-from repro.accuracy.moments import mean_v, var_v_binomial
-from repro.accuracy.taylor import mean_ln_v, var_ln_v
-from repro.accuracy.occupancy import PairMoments, exact_pair_moments
-from repro.accuracy.bias import expected_estimate, relative_bias
-from repro.accuracy.variance import estimator_stddev, estimator_variance
-from repro.accuracy.confidence import EstimateInterval, confidence_interval
-from repro.accuracy.fisher import (
-    cramer_rao_bound_binomial,
-    fisher_information_binomial,
-    super_efficiency,
-)
-from repro.accuracy.montecarlo import MonteCarloAccuracy, simulate_accuracy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EstimateInterval",
-    "confidence_interval",
-    "fisher_information_binomial",
-    "cramer_rao_bound_binomial",
-    "super_efficiency",
-    "mean_v",
-    "var_v_binomial",
-    "mean_ln_v",
-    "var_ln_v",
-    "PairMoments",
-    "exact_pair_moments",
-    "expected_estimate",
-    "relative_bias",
-    "estimator_variance",
-    "estimator_stddev",
-    "MonteCarloAccuracy",
-    "simulate_accuracy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "EstimateInterval": ".confidence",
+        "confidence_interval": ".confidence",
+        "fisher_information_binomial": ".fisher",
+        "cramer_rao_bound_binomial": ".fisher",
+        "super_efficiency": ".fisher",
+        "mean_v": ".moments",
+        "var_v_binomial": ".moments",
+        "mean_ln_v": ".taylor",
+        "var_ln_v": ".taylor",
+        "PairMoments": ".occupancy",
+        "exact_pair_moments": ".occupancy",
+        "expected_estimate": ".bias",
+        "relative_bias": ".bias",
+        "estimator_variance": ".variance",
+        "estimator_stddev": ".variance",
+        "MonteCarloAccuracy": ".montecarlo",
+        "simulate_accuracy": ".montecarlo",
+    },
+)

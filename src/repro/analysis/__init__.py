@@ -6,6 +6,12 @@
   for every RSU and pair class, before any hardware is installed.
 """
 
-from repro.analysis.planner import DeploymentPlan, plan_deployment
+from repro._lazy import lazy_exports
 
-__all__ = ["DeploymentPlan", "plan_deployment"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "DeploymentPlan": ".planner",
+        "plan_deployment": ".planner",
+    },
+)

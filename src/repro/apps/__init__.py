@@ -17,21 +17,18 @@ the studies:
   at an intersection from the measured volumes of its approaches.
 """
 
-from repro.apps.link_flows import LinkFlowStudy, measure_link_flows
-from repro.apps.exposure import ExposureStudy, measure_exposure
-from repro.apps.screenline import ScreenlineStudy, measure_screenline
-from repro.apps.turning_movements import (
-    TurningMovementStudy,
-    measure_turning_movements,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LinkFlowStudy",
-    "measure_link_flows",
-    "ExposureStudy",
-    "measure_exposure",
-    "ScreenlineStudy",
-    "measure_screenline",
-    "TurningMovementStudy",
-    "measure_turning_movements",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "LinkFlowStudy": ".link_flows",
+        "measure_link_flows": ".link_flows",
+        "ExposureStudy": ".exposure",
+        "measure_exposure": ".exposure",
+        "ScreenlineStudy": ".screenline",
+        "measure_screenline": ".screenline",
+        "TurningMovementStudy": ".turning_movements",
+        "measure_turning_movements": ".turning_movements",
+    },
+)

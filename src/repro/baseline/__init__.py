@@ -13,7 +13,12 @@ Its weakness, which the paper's evaluation quantifies, is the
   least-traffic RSU.
 """
 
-from repro.baseline.scheme import FixedLengthScheme
-from repro.core.sizing import fixed_array_size_for_privacy
+from repro._lazy import lazy_exports
 
-__all__ = ["FixedLengthScheme", "fixed_array_size_for_privacy"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "FixedLengthScheme": ".scheme",
+        "fixed_array_size_for_privacy": "repro.core.sizing",
+    },
+)

@@ -81,7 +81,6 @@ from repro.errors import ConfigurationError
 from repro.obs import trace
 from repro.runtime import EXECUTOR_ENV, EXECUTORS, WORKERS_ENV, Task, run_tasks
 from repro.traffic.scenarios import FIG45_SWEEP
-from repro.utils.serialization import dump_json
 
 __all__ = ["main", "build_parser"]
 
@@ -563,6 +562,8 @@ def _run_matrix_mode(args: argparse.Namespace) -> int:
         )
     print(result.render())
     if args.json is not None:
+        from repro.utils.serialization import dump_json
+
         dump_json({key: result}, args.json)
         print(f"structured results written to {args.json}")
     return 0 if result.bit_identical else 1
@@ -750,7 +751,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
         print(f"[{name} finished in {elapsed:.1f}s]")
         print()
     if args.json is not None:
-        from repro.utils.serialization import to_jsonable
+        from repro.utils.serialization import dump_json, to_jsonable
 
         payload = {}
         for name, (result, _) in zip(names, outcomes):

@@ -13,63 +13,40 @@ masking (VLM) scheme.
 * :mod:`repro.core.scheme` — a high-level facade tying it together.
 """
 
-from repro.core.bitarray import BitArray
-from repro.core.config import SchemeConfig, configure
-from repro.core.unfolding import unfold, unfolded_or
-from repro.core.sizing import (
-    AdaptiveSizing,
-    PrivacyOptimalSizing,
-    SizingPolicy,
-    StaticSizing,
-    array_size_for_volume,
-)
-from repro.core.parameters import SchemeParameters
-from repro.core.encoder import RsuState, encode_passes
-from repro.core.estimator import (
-    PairEstimate,
-    PairMatrix,
-    ZeroFractionPolicy,
-    estimate_intersection,
-    estimate_point_volume,
-    q_intersection,
-    q_point,
-)
-from repro.core.decoder import CentralDecoder
-from repro.core.multiperiod import AggregatedEstimate, aggregate_estimates
-from repro.core.multiway import MultiwayEstimate, TripleEstimate, estimate_multiway, estimate_triple
-from repro.core.reports import RsuReport
-from repro.core.results import Estimate
-from repro.core.scheme import VlmScheme
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BitArray",
-    "unfold",
-    "unfolded_or",
-    "SizingPolicy",
-    "StaticSizing",
-    "PrivacyOptimalSizing",
-    "AdaptiveSizing",
-    "array_size_for_volume",
-    "SchemeConfig",
-    "SchemeParameters",
-    "configure",
-    "RsuState",
-    "encode_passes",
-    "PairEstimate",
-    "PairMatrix",
-    "ZeroFractionPolicy",
-    "estimate_intersection",
-    "estimate_point_volume",
-    "q_intersection",
-    "q_point",
-    "CentralDecoder",
-    "RsuReport",
-    "VlmScheme",
-    "AggregatedEstimate",
-    "aggregate_estimates",
-    "Estimate",
-    "MultiwayEstimate",
-    "TripleEstimate",
-    "estimate_multiway",
-    "estimate_triple",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "BitArray": ".bitarray",
+        "unfold": ".unfolding",
+        "unfolded_or": ".unfolding",
+        "SizingPolicy": ".sizing",
+        "StaticSizing": ".sizing",
+        "PrivacyOptimalSizing": ".sizing",
+        "AdaptiveSizing": ".sizing",
+        "array_size_for_volume": ".sizing",
+        "SchemeConfig": ".config",
+        "configure": ".config",
+        "SchemeParameters": ".parameters",
+        "RsuState": ".encoder",
+        "encode_passes": ".encoder",
+        "PairEstimate": ".estimator",
+        "PairMatrix": ".estimator",
+        "ZeroFractionPolicy": ".estimator",
+        "estimate_intersection": ".estimator",
+        "estimate_point_volume": ".estimator",
+        "q_intersection": ".estimator",
+        "q_point": ".estimator",
+        "CentralDecoder": ".decoder",
+        "RsuReport": ".reports",
+        "VlmScheme": ".scheme",
+        "AggregatedEstimate": ".multiperiod",
+        "aggregate_estimates": ".multiperiod",
+        "Estimate": ".results",
+        "MultiwayEstimate": ".multiway",
+        "TripleEstimate": ".multiway",
+        "estimate_multiway": ".multiway",
+        "estimate_triple": ".multiway",
+    },
+)

@@ -15,61 +15,39 @@ rows/series the paper reports:
 ``python -m repro.cli <experiment>`` drives them from the shell.
 """
 
-from repro.experiments.adaptive_sizing import (
-    AdaptiveMatrixResult,
-    AdaptiveSizingResult,
-    run_adaptive_matrix,
-    run_adaptive_sizing,
-)
-from repro.experiments.figure2 import Figure2Result, run_figure2
-from repro.experiments.table1 import Table1Result, run_table1
-from repro.experiments.figure4 import run_figure4
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.sweep import SweepResult
-from repro.experiments.accuracy_analysis import (
-    AccuracyAnalysisResult,
-    run_accuracy_analysis,
-)
-from repro.experiments.ablations import AblationResult, run_ablations
-from repro.experiments.multiperiod import MultiPeriodResult, run_multiperiod
-from repro.experiments.tradeoff import TradeoffResult, run_tradeoff
-from repro.experiments.sioux_falls_matrix import MatrixResult, run_sioux_falls_matrix
-from repro.experiments.attack_resilience import (
-    AttackResilienceResult,
-    run_attack_resilience,
-)
-from repro.experiments.calibration import CalibrationResult, run_calibration
-from repro.experiments.figure1 import Figure1Result, run_figure1
-from repro.experiments.scaling import ScalingResult, run_scaling
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveMatrixResult",
-    "AdaptiveSizingResult",
-    "run_adaptive_matrix",
-    "run_adaptive_sizing",
-    "CalibrationResult",
-    "run_calibration",
-    "Figure1Result",
-    "run_figure1",
-    "ScalingResult",
-    "run_scaling",
-    "MatrixResult",
-    "run_sioux_falls_matrix",
-    "AttackResilienceResult",
-    "run_attack_resilience",
-    "MultiPeriodResult",
-    "run_multiperiod",
-    "TradeoffResult",
-    "run_tradeoff",
-    "Figure2Result",
-    "run_figure2",
-    "Table1Result",
-    "run_table1",
-    "SweepResult",
-    "run_figure4",
-    "run_figure5",
-    "AccuracyAnalysisResult",
-    "run_accuracy_analysis",
-    "AblationResult",
-    "run_ablations",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "AdaptiveMatrixResult": ".adaptive_sizing",
+        "AdaptiveSizingResult": ".adaptive_sizing",
+        "run_adaptive_matrix": ".adaptive_sizing",
+        "run_adaptive_sizing": ".adaptive_sizing",
+        "CalibrationResult": ".calibration",
+        "run_calibration": ".calibration",
+        "Figure1Result": ".figure1",
+        "run_figure1": ".figure1",
+        "ScalingResult": ".scaling",
+        "run_scaling": ".scaling",
+        "MatrixResult": ".sioux_falls_matrix",
+        "run_sioux_falls_matrix": ".sioux_falls_matrix",
+        "AttackResilienceResult": ".attack_resilience",
+        "run_attack_resilience": ".attack_resilience",
+        "MultiPeriodResult": ".multiperiod",
+        "run_multiperiod": ".multiperiod",
+        "TradeoffResult": ".tradeoff",
+        "run_tradeoff": ".tradeoff",
+        "Figure2Result": ".figure2",
+        "run_figure2": ".figure2",
+        "Table1Result": ".table1",
+        "run_table1": ".table1",
+        "SweepResult": ".sweep",
+        "run_figure4": ".figure4",
+        "run_figure5": ".figure5",
+        "AccuracyAnalysisResult": ".accuracy_analysis",
+        "run_accuracy_analysis": ".accuracy_analysis",
+        "AblationResult": ".ablations",
+        "run_ablations": ".ablations",
+    },
+)

@@ -32,13 +32,14 @@ unsharded golden matrix exactly is one of the two chaos drills of
 :mod:`repro.service.drills`.
 """
 
-from repro.federation.router import ShardRouter
-from repro.federation.wal import WriteAheadLog, replay_wal
-from repro.service.collector import merge_partial_reports
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ShardRouter",
-    "WriteAheadLog",
-    "merge_partial_reports",
-    "replay_wal",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "ShardRouter": ".router",
+        "WriteAheadLog": ".wal",
+        "replay_wal": ".wal",
+        "merge_partial_reports": "repro.service.collector",
+    },
+)

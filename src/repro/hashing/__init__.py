@@ -12,15 +12,16 @@ public random salt constants.  This package provides:
   array ``LB_v`` and the bit-selection rule for a given RSU.
 """
 
-from repro.hashing.hashfn import hash_to_range, hash_u64, splitmix64
-from repro.hashing.salts import SaltArray
-from repro.hashing.logical_bitarray import LogicalBitArray, select_indices
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "splitmix64",
-    "hash_u64",
-    "hash_to_range",
-    "SaltArray",
-    "LogicalBitArray",
-    "select_indices",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "splitmix64": ".hashfn",
+        "hash_u64": ".hashfn",
+        "hash_to_range": ".hashfn",
+        "SaltArray": ".salts",
+        "LogicalBitArray": ".logical_bitarray",
+        "select_indices": ".logical_bitarray",
+    },
+)

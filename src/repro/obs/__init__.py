@@ -17,45 +17,29 @@ See ``docs/observability.md`` for the metric catalogue and naming
 convention.
 """
 
-from repro.obs.export import (
-    aggregate_rows,
-    metric_rows,
-    read_jsonl,
-    render_prometheus,
-    render_summary,
-    write_jsonl,
-)
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-    use_registry,
-)
-from repro.obs.scrape import MetricsServer, serve_metrics
-from repro.obs.tracing import Span, Tracer, trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricsServer",
-    "Span",
-    "Tracer",
-    "aggregate_rows",
-    "get_registry",
-    "metric_rows",
-    "read_jsonl",
-    "render_prometheus",
-    "render_summary",
-    "serve_metrics",
-    "set_registry",
-    "trace",
-    "use_registry",
-    "write_jsonl",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "DEFAULT_BUCKETS": ".registry",
+        "Counter": ".registry",
+        "Gauge": ".registry",
+        "Histogram": ".registry",
+        "MetricsRegistry": ".registry",
+        "get_registry": ".registry",
+        "set_registry": ".registry",
+        "use_registry": ".registry",
+        "MetricsServer": ".scrape",
+        "serve_metrics": ".scrape",
+        "Span": ".tracing",
+        "Tracer": ".tracing",
+        "trace": ".tracing",
+        "aggregate_rows": ".export",
+        "metric_rows": ".export",
+        "read_jsonl": ".export",
+        "render_prometheus": ".export",
+        "render_summary": ".export",
+        "write_jsonl": ".export",
+    },
+)

@@ -8,41 +8,25 @@
   privacy on simulated bit arrays, validating the closed forms.
 """
 
-from repro.privacy.formulas import (
-    preserved_privacy,
-    preserved_privacy_exact,
-    prob_both_set,
-    prob_both_set_exact,
-    prob_e_x,
-    prob_e_y,
-)
-from repro.privacy.optimizer import (
-    max_load_factor_for_privacy,
-    optimal_load_factor,
-    privacy_curve,
-)
-from repro.privacy.attacker import empirical_privacy
-from repro.privacy.trajectory import TrajectoryPrivacy, route_privacy
-from repro.privacy.metrics import (
-    expected_anonymity_set,
-    expected_coincidence_anonymity,
-    report_index_entropy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "preserved_privacy",
-    "preserved_privacy_exact",
-    "prob_both_set",
-    "prob_both_set_exact",
-    "prob_e_x",
-    "prob_e_y",
-    "optimal_load_factor",
-    "max_load_factor_for_privacy",
-    "privacy_curve",
-    "empirical_privacy",
-    "TrajectoryPrivacy",
-    "route_privacy",
-    "report_index_entropy",
-    "expected_anonymity_set",
-    "expected_coincidence_anonymity",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "preserved_privacy": ".formulas",
+        "preserved_privacy_exact": ".formulas",
+        "prob_both_set": ".formulas",
+        "prob_both_set_exact": ".formulas",
+        "prob_e_x": ".formulas",
+        "prob_e_y": ".formulas",
+        "optimal_load_factor": ".optimizer",
+        "max_load_factor_for_privacy": ".optimizer",
+        "privacy_curve": ".optimizer",
+        "empirical_privacy": ".attacker",
+        "TrajectoryPrivacy": ".trajectory",
+        "route_privacy": ".trajectory",
+        "report_index_entropy": ".metrics",
+        "expected_anonymity_set": ".metrics",
+        "expected_coincidence_anonymity": ".metrics",
+    },
+)

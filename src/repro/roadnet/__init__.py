@@ -12,26 +12,20 @@
   paper's Table I targets.
 """
 
-from repro.roadnet.graph import Arc, RoadNetwork
-from repro.roadnet.sioux_falls import sioux_falls_network
-from repro.roadnet.trips import TripTable
-from repro.roadnet.routing import RoutePlan, assign_routes
-from repro.roadnet.gravity import gravity_trip_table
-from repro.roadnet.volumes import (
-    TrafficAssignment,
-    node_volumes,
-    pair_common_volumes,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Arc",
-    "RoadNetwork",
-    "sioux_falls_network",
-    "TripTable",
-    "RoutePlan",
-    "assign_routes",
-    "gravity_trip_table",
-    "TrafficAssignment",
-    "node_volumes",
-    "pair_common_volumes",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "Arc": ".graph",
+        "RoadNetwork": ".graph",
+        "sioux_falls_network": ".sioux_falls",
+        "TripTable": ".trips",
+        "RoutePlan": ".routing",
+        "assign_routes": ".routing",
+        "gravity_trip_table": ".gravity",
+        "TrafficAssignment": ".volumes",
+        "node_volumes": ".volumes",
+        "pair_common_volumes": ".volumes",
+    },
+)

@@ -58,7 +58,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -244,14 +244,14 @@ def _normalize(tasks: Iterable[Task]) -> List[Task]:
 
 
 def _run_pool(
-    pool: Executor, worker: Callable[[Task], Any], tasks: Sequence[Task]
+    pool: futures.Executor, worker: Callable[[Task], Any], tasks: Sequence[Task]
 ) -> List[Any]:
     """Dispatch every task and collect results in submission order,
     raising the lowest-indexed failure if any task raised."""
-    futures = [pool.submit(worker, task_) for task_ in tasks]
-    results: List[Any] = [None] * len(futures)
+    pending = [pool.submit(worker, task_) for task_ in tasks]
+    results: List[Any] = [None] * len(pending)
     first_error: Optional[Tuple[int, BaseException]] = None
-    for index, future in enumerate(futures):
+    for index, future in enumerate(pending):
         try:
             results[index] = future.result()
         except BaseException as exc:  # noqa: BLE001 - re-raised below
@@ -316,7 +316,7 @@ def run_tasks(
                     failed += 1
                     raise
         elif executor == "thread":
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            with futures.ThreadPoolExecutor(max_workers=workers) as pool:
                 try:
                     results = _run_pool(pool, _thread_worker, task_list)
                     completed = len(results)
@@ -324,7 +324,7 @@ def run_tasks(
                     failed += 1
                     raise
         else:
-            with ProcessPoolExecutor(
+            with futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_process_worker_init
             ) as pool:
                 try:

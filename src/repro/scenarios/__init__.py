@@ -17,44 +17,26 @@ replays bit-identically across worker counts and executors.
 hardcoded Sioux Falls workload byte for byte.
 """
 
-from repro.scenarios.base import (
-    FLAT_DEMAND,
-    DemandProfile,
-    Scenario,
-    ScenarioInfo,
-)
-from repro.scenarios.builtin import (
-    GridScenario,
-    RingRadialScenario,
-    SiouxFallsScenario,
-    TntpScenario,
-    mini_tntp_paths,
-)
-from repro.scenarios.registry import (
-    get_scenario,
-    register,
-    render_scenario_detail,
-    render_scenario_list,
-    scenario_infos,
-    scenario_names,
-)
-from repro.scenarios.trajectory import TrajectoryReplayScenario
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DemandProfile",
-    "FLAT_DEMAND",
-    "Scenario",
-    "ScenarioInfo",
-    "SiouxFallsScenario",
-    "GridScenario",
-    "RingRadialScenario",
-    "TntpScenario",
-    "TrajectoryReplayScenario",
-    "mini_tntp_paths",
-    "get_scenario",
-    "register",
-    "scenario_names",
-    "scenario_infos",
-    "render_scenario_list",
-    "render_scenario_detail",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "DemandProfile": ".base",
+        "FLAT_DEMAND": ".base",
+        "Scenario": ".base",
+        "ScenarioInfo": ".base",
+        "SiouxFallsScenario": ".builtin",
+        "GridScenario": ".builtin",
+        "RingRadialScenario": ".builtin",
+        "TntpScenario": ".builtin",
+        "mini_tntp_paths": ".builtin",
+        "TrajectoryReplayScenario": ".trajectory",
+        "get_scenario": ".registry",
+        "register": ".registry",
+        "scenario_names": ".registry",
+        "scenario_infos": ".registry",
+        "render_scenario_list": ".registry",
+        "render_scenario_detail": ".registry",
+    },
+)

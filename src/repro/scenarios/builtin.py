@@ -26,6 +26,7 @@ from repro.errors import ConfigurationError
 from repro.roadnet.generators import grid_network, ring_radial_network
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.gravity import gravity_trip_table
+from repro.roadnet.sioux_falls import sioux_falls_network
 from repro.roadnet.trips import TripTable
 from repro.scenarios.base import Scenario
 
@@ -65,8 +66,6 @@ class SiouxFallsScenario(Scenario):
     )
 
     def build_network(self) -> RoadNetwork:
-        from repro.roadnet.sioux_falls import sioux_falls_network
-
         return sioux_falls_network()
 
     def trip_table(self, total_trips: int, *, period: int = 0) -> TripTable:

@@ -29,6 +29,7 @@ from repro.scenarios.builtin import (
     GridScenario,
     RingRadialScenario,
     SiouxFallsScenario,
+    TntpScenario,
     mini_tntp_paths,
 )
 from repro.scenarios.trajectory import TrajectoryReplayScenario
@@ -47,8 +48,6 @@ _RING_RE = re.compile(r"^ring-(\d+)(?:x(\d+))?$")
 
 
 def _mini_tntp() -> Scenario:
-    from repro.scenarios.builtin import TntpScenario
-
     net, trips = mini_tntp_paths()
     return TntpScenario(
         net_path=str(net), trips_path=str(trips), label="tntp-mini"
@@ -93,16 +92,12 @@ def get_scenario(spec: str) -> Scenario:
         return RingRadialScenario(rings=int(match.group(1)), spokes=spokes)
 
     if spec.startswith("tntp:"):
-        from repro.scenarios.builtin import TntpScenario
-
         parts = spec.split(":", 2)[1:]
         net_path = parts[0]
         trips_path = parts[1] if len(parts) > 1 and parts[1] else None
         return TntpScenario(net_path=net_path, trips_path=trips_path)
 
     if spec.endswith(".tntp"):
-        from repro.scenarios.builtin import TntpScenario
-
         return TntpScenario(net_path=spec)
 
     raise ConfigurationError(

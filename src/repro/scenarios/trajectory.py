@@ -30,6 +30,7 @@ from typing import Dict, FrozenSet, List, Tuple
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.gravity import gravity_trip_table
 from repro.roadnet.routing import RoutePlan
+from repro.roadnet.sioux_falls import sioux_falls_network
 from repro.roadnet.trips import TripTable
 from repro.roadnet.volumes import TrafficAssignment
 from repro.scenarios.base import DemandProfile, Scenario
@@ -88,8 +89,6 @@ class TrajectoryReplayScenario(Scenario):
     vehicle_classes = {"car": 0.7, "truck": 0.2, "bus": 0.1}
 
     def build_network(self) -> RoadNetwork:
-        from repro.roadnet.sioux_falls import sioux_falls_network
-
         return sioux_falls_network()
 
     def trip_table(self, total_trips: int, *, period: int = 0) -> TripTable:

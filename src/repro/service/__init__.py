@@ -41,34 +41,23 @@ Sharding-only pieces (the router, the WAL format and ``repro
 federation status``) live in :mod:`repro.federation`.
 """
 
-from repro.service.collector import CollectorService
-from repro.service.faults import (
-    PROFILES,
-    FaultProfile,
-    FaultProxy,
-    run_chaos,
-)
-from repro.service.gateway import RsuGateway
-from repro.service.loadgen import LoadgenResult, run_loadgen
-from repro.service.retry import RetryPolicy, retry_async
-from repro.service.runtime import (
-    DeploymentSpec,
-    run_serve,
-    start_federation,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CollectorService",
-    "RsuGateway",
-    "LoadgenResult",
-    "run_loadgen",
-    "DeploymentSpec",
-    "run_serve",
-    "start_federation",
-    "FaultProfile",
-    "FaultProxy",
-    "PROFILES",
-    "run_chaos",
-    "RetryPolicy",
-    "retry_async",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "CollectorService": ".collector",
+        "RsuGateway": ".gateway",
+        "LoadgenResult": ".loadgen",
+        "run_loadgen": ".loadgen",
+        "DeploymentSpec": ".runtime",
+        "run_serve": ".runtime",
+        "start_federation": ".runtime",
+        "FaultProfile": ".faults",
+        "FaultProxy": ".faults",
+        "PROFILES": ".faults",
+        "run_chaos": ".faults",
+        "RetryPolicy": ".retry",
+        "retry_async": ".retry",
+    },
+)

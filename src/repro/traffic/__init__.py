@@ -10,21 +10,17 @@
   evaluates (equal traffic, 10x, 50x, Table I pairs).
 """
 
-from repro.traffic.population import PairPopulation, VehicleFleet
-from repro.traffic.random_workload import make_pair_population
-from repro.traffic.scenarios import (
-    FIG45_SWEEP,
-    TABLE1_PAIRS,
-    TRAFFIC_RATIOS,
-    Table1Pair,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "VehicleFleet",
-    "PairPopulation",
-    "make_pair_population",
-    "TRAFFIC_RATIOS",
-    "FIG45_SWEEP",
-    "TABLE1_PAIRS",
-    "Table1Pair",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "VehicleFleet": ".population",
+        "PairPopulation": ".population",
+        "make_pair_population": ".random_workload",
+        "TRAFFIC_RATIOS": ".scenarios",
+        "FIG45_SWEEP": ".scenarios",
+        "TABLE1_PAIRS": ".scenarios",
+        "Table1Pair": ".scenarios",
+    },
+)

@@ -27,33 +27,26 @@ DESIGN.md substitution #2); everything the measurement scheme observes
 deployment would use.
 """
 
-from repro.vcps.channel import LossyChannel, PerfectChannel
-from repro.vcps.ids import random_mac, format_mac
-from repro.vcps.keys import KeyStore, generate_private_key
-from repro.vcps.pki import Certificate, CertificateAuthority
-from repro.vcps.messages import Query, Response
-from repro.vcps.vehicle import Vehicle
-from repro.vcps.rsu import RoadsideUnit
-from repro.vcps.history import VolumeHistory
-from repro.vcps.server import CentralServer
-from repro.vcps.clock import SimulationClock
-from repro.vcps.simulation import VcpsSimulation
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LossyChannel",
-    "PerfectChannel",
-    "random_mac",
-    "format_mac",
-    "KeyStore",
-    "generate_private_key",
-    "Certificate",
-    "CertificateAuthority",
-    "Query",
-    "Response",
-    "Vehicle",
-    "RoadsideUnit",
-    "VolumeHistory",
-    "CentralServer",
-    "SimulationClock",
-    "VcpsSimulation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "LossyChannel": ".channel",
+        "PerfectChannel": ".channel",
+        "random_mac": ".ids",
+        "format_mac": ".ids",
+        "KeyStore": ".keys",
+        "generate_private_key": ".keys",
+        "Certificate": ".pki",
+        "CertificateAuthority": ".pki",
+        "Query": ".messages",
+        "Response": ".messages",
+        "Vehicle": ".vehicle",
+        "RoadsideUnit": ".rsu",
+        "VolumeHistory": ".history",
+        "CentralServer": ".server",
+        "SimulationClock": ".clock",
+        "VcpsSimulation": ".simulation",
+    },
+)

@@ -2,7 +2,12 @@
 
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +31,9 @@ PACKAGES = [
     "repro.service",
     "repro.obs",
     "repro.federation",
+    "repro.scenarios",
+    "repro.streaming",
+    "repro.adaptive",
 ]
 
 
@@ -44,6 +52,41 @@ class TestExports:
         package = importlib.import_module(package_name)
         for name in getattr(package, "__all__", []):
             assert hasattr(package, name), f"{package_name}.{name} missing"
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)
+        assert namespace["VlmScheme"] is repro.core.VlmScheme
+
+    def test_fresh_packages_load_on_first_use(self):
+        """In a fresh interpreter: ``import repro`` loads neither numpy
+        nor asyncio, an attribute naming a submodule not imported yet
+        imports it, and each package's ``dir()`` lists its ``__all__``
+        before any name is used."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import importlib, json, sys, repro\n"
+            "heavy = sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'asyncio'})\n"
+            "submodule = repro.roadnet.sioux_falls.__name__\n"
+            "missing = {}\n"
+            f"for name in {PACKAGES!r}:\n"
+            "    package = importlib.import_module(name)\n"
+            "    missing[name] = sorted(set(package.__all__) - set(dir(package)))\n"
+            "print(json.dumps([heavy, submodule, missing]))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        heavy, submodule, missing = json.loads(out.stdout)
+        assert heavy == []
+        assert submodule == "repro.roadnet.sioux_falls"
+        assert missing == {name: [] for name in PACKAGES}
+        assert not hasattr(repro.roadnet, "no_such_module")
 
     def test_top_level_quickstart_symbols(self):
         for name in (
