@@ -18,6 +18,11 @@ Two decode paths produce bit-identical :class:`PairEstimate` values:
   out of broadcast OR + popcount over cache-sized column tiles
   (:func:`joint_zero_matrix`).  The counts are the per-pair path's
   integers, so the MLE is unchanged, digit for digit.
+
+:meth:`CentralDecoder.query_pair` serves a stream of pair queries from
+both: the scalar path answers a period's first ``k - 1`` queries after
+a submit (``k`` RSUs reported), the period's batch decode every later
+one.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from repro.core.estimator import (
     estimate_pair_matrix,
 )
 from repro.core.reports import RsuReport
-from repro.errors import ConfigurationError, EstimationError
+from repro.errors import ConfigurationError, EstimationError, ReproError
 from repro.obs import get_registry
 from repro.utils.arrays import sorted_unique
 
@@ -117,6 +122,11 @@ class CentralDecoder:
         # (period, rsu_id) -> zero count of the stored report's bits,
         # filled on first use and dropped by submit().
         self._zeros: Dict[Tuple[int, int], int] = {}
+        # period -> scalar pair queries left before query_pair switches
+        # to the batch decode, and that decode (None if it raised);
+        # both dropped by submit().
+        self._scalar_left: Dict[int, int] = {}
+        self._matrices: Dict[int, Optional[PairMatrix]] = {}
 
     # ------------------------------------------------------------------
     # Report ingestion
@@ -125,11 +135,14 @@ class CentralDecoder:
         """Store one RSU's report for its period (latest wins).
 
         Also the way to tell the decoder that a stored report's bits
-        changed in place: its cached zero count is dropped either way.
+        changed in place: its cached zero count, and the period's batch
+        decode for :meth:`query_pair`, are dropped either way.
         """
         key = (report.period, report.rsu_id)
         self._reports[key] = report
         self._zeros.pop(key, None)
+        self._scalar_left.pop(report.period, None)
+        self._matrices.pop(report.period, None)
 
     def submit_many(self, reports: Iterable[RsuReport]) -> None:
         """Store a batch of reports."""
@@ -218,6 +231,64 @@ class CentralDecoder:
             n_y=report_y.counter,
             s=self.s,
         )
+
+    def query_pair(
+        self, rsu_x: int, rsu_y: int, period: int = 0
+    ) -> PairEstimate:
+        """One pair query of a stream: :meth:`pair_estimate`'s answer,
+        field for field and error for error.
+
+        The period's first ``k - 1`` queries since its last
+        :meth:`submit` (``k`` RSUs reported) run :meth:`pair_estimate`;
+        the next one builds the period's :meth:`estimate_matrix`, and
+        it answers every later query.  Querying every pair therefore
+        costs ``k - 1`` scalar decodes and one batch decode, while a
+        lone query never pays for the batch decode; queries that
+        interleave with submits cost at most one batch decode per
+        submit.  A pair the matrix holds no answer for (an unknown
+        RSU, a self pair) and every pair of a period whose batch
+        decode raised (sizes that do not tile, a saturated array
+        under ``RAISE``) goes to :meth:`pair_estimate`, which raises
+        what it always raised.
+        """
+        matrix = self._matrices.get(period)
+        if matrix is None and period not in self._matrices:
+            left = self._scalar_left.get(period)
+            if left is None:
+                # At least one: a lone query never builds the matrix.
+                left = max(len(self.rsu_ids(period)) - 1, 1)
+            if left:
+                self._scalar_left[period] = left - 1
+                return self.pair_estimate(rsu_x, rsu_y, period)
+            try:
+                matrix = self.estimate_matrix(period)
+            except ReproError:
+                matrix = None
+            self._matrices[period] = matrix
+        if matrix is not None:
+            key = (rsu_x, rsu_y) if rsu_x < rsu_y else (rsu_y, rsu_x)
+            try:
+                estimate = matrix[key]
+            except KeyError:
+                pass
+            else:
+                if rsu_x < rsu_y or estimate.m_x != estimate.m_y:
+                    return estimate
+                # Two arrays of one size: pair_estimate keeps its
+                # first RSU as x, and Eq. (5) subtracts ln V_x first.
+                v_c, v_x, v_y = estimate.v_c, estimate.v_y, estimate.v_x
+                return PairEstimate(
+                    value=estimate_from_fractions(v_c, v_x, v_y, estimate.m_y, self.s),
+                    v_c=v_c,
+                    v_x=v_x,
+                    v_y=v_y,
+                    m_x=estimate.m_x,
+                    m_y=estimate.m_y,
+                    n_x=estimate.n_y,
+                    n_y=estimate.n_x,
+                    s=self.s,
+                )
+        return self.pair_estimate(rsu_x, rsu_y, period)
 
     def all_pairs(
         self, period: int = 0, *, rsu_ids: Optional[List[int]] = None

@@ -25,6 +25,7 @@ from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.errors import NetworkDataError
+from repro.obs import trace
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.trips import TripTable
 from repro.utils.arrays import sorted_unique
@@ -202,8 +203,10 @@ class RoutePlan:
 
     @cached_property
     def incidence(self) -> RouteIncidence:
-        """The plan's :class:`RouteIncidence` (built on first use)."""
-        return RouteIncidence.build(self)
+        """The plan's :class:`RouteIncidence`, built on first use in a
+        ``routing.incidence`` span (:data:`repro.obs.trace`)."""
+        with trace.span("routing.incidence"):
+            return RouteIncidence.build(self)
 
     def vehicles_through(self, node: int) -> int:
         """Total vehicles whose route passes *node* (transit volume)."""

@@ -15,8 +15,9 @@ coroutine ``await``-s on ``queue.put``, and while it waits it is not
 reading the socket, so TCP flow control pushes back on the sender.
 
 On :class:`~repro.service.wire.EndPeriod` the gateway flushes, closes
-the period at every RSU, and uploads each snapshot to the collector
-with bounded retries and per-attempt timeouts before acknowledging.
+the period at every RSU, and uploads the snapshots to the collector
+pipelined on one connection, with bounded retries and per-attempt
+timeouts, before acknowledging.
 
 One class serves both deployments.  An unsharded gateway
 (``shard_id=None``) fronts the whole fleet and uploads whole-report
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -792,10 +794,18 @@ class RsuGateway:
         acked: Optional[Set[int]] = None,
         window: bool = False,
     ) -> None:
-        """Upload each snapshot with the retry policy, reusing one
-        connection across snapshots; a fault closes it and the next
-        attempt redials.  Collector-side (rsu_id, period, seq) dedup
-        makes retransmissions exactly-once.
+        """Upload *snapshots* pipelined on one connection: every unacked
+        snapshot is written back to back, then the acks are read in
+        order (the collector answers a connection's frames in order).
+
+        Each snapshot keeps its own attempts under the retry policy.
+        A fault on the way to its ack (a failed connect or write, a
+        lost, late or wrong reply) drops the connection; the next
+        attempt redials and re-writes only the snapshots still
+        unacked, from the one awaited.  Collector-side (rsu_id,
+        period, seq) and shard dedup make the resends exactly-once.
+        A snapshot that runs out of attempts is counted failed and the
+        rest go on over a fresh connection.
 
         *acked* collects the rsu_ids the collector confirmed (defaults
         to the period-close ledger); *window* routes the success metric
@@ -803,53 +813,56 @@ class RsuGateway:
         """
         if acked is None:
             acked = self._period_acked[period]
-        connection: List[
-            Optional[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]
-        ] = [None]
+        unacked = deque(snapshots)
+        connection: Optional[
+            Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+        ] = None
+        written = False  # every unacked snapshot is on `connection`
 
         def _drop_connection() -> None:
-            if connection[0] is not None:
-                connection[0][1].close()
-                connection[0] = None
+            nonlocal connection, written
+            if connection is not None:
+                connection[1].close()
+                connection = None
+            written = False
+
+        async def attempt() -> None:
+            nonlocal connection, written
+            if connection is None:
+                connection = await asyncio.wait_for(
+                    asyncio.open_connection(
+                        self.collector_host, self.collector_port
+                    ),
+                    timeout=self.upload_timeout,
+                )
+            reader, writer = connection
+            if not written:
+                written = True
+                await wire.write_messages(
+                    writer, unacked, timeout=self.upload_timeout
+                )
+            ack = await wire.read_message(reader, timeout=self.upload_timeout)
+            snap = unacked[0]
+            if not (
+                isinstance(ack, wire.SnapshotAck)
+                and ack.rsu_id == snap.rsu_id
+                and ack.period == snap.period
+            ):
+                raise WireError(f"unexpected upload reply {ack!r}")
+
+        def _on_retry(attempt_no: int, exc: BaseException) -> None:
+            logger.warning(
+                "snapshot upload rsu=%s attempt %d/%d failed: %s",
+                unacked[0].rsu_id,
+                attempt_no + 1,
+                self.retry_policy.max_attempts,
+                exc,
+            )
+            self._m_retried.inc()
+            _drop_connection()
 
         try:
-            for snapshot in snapshots:
-
-                async def attempt(snap: wire.Snapshot = snapshot) -> None:
-                    if connection[0] is None:
-                        connection[0] = await asyncio.wait_for(
-                            asyncio.open_connection(
-                                self.collector_host, self.collector_port
-                            ),
-                            timeout=self.upload_timeout,
-                        )
-                    reader, writer = connection[0]
-                    await asyncio.wait_for(
-                        wire.write_message(writer, snap),
-                        timeout=self.upload_timeout,
-                    )
-                    ack = await wire.read_message(
-                        reader, timeout=self.upload_timeout
-                    )
-                    if (
-                        isinstance(ack, wire.SnapshotAck)
-                        and ack.rsu_id == snap.rsu_id
-                        and ack.period == snap.period
-                    ):
-                        return
-                    raise WireError(f"unexpected upload reply {ack!r}")
-
-                def _on_retry(attempt_no: int, exc: BaseException) -> None:
-                    logger.warning(
-                        "snapshot upload rsu=%s attempt %d/%d failed: %s",
-                        snapshot.rsu_id,
-                        attempt_no + 1,
-                        self.retry_policy.max_attempts,
-                        exc,
-                    )
-                    self._m_retried.inc()
-                    _drop_connection()
-
+            while unacked:
                 try:
                     await retry_async(
                         attempt,
@@ -863,14 +876,14 @@ class RsuGateway:
                 except RetryExhaustedError as exc:
                     logger.error(
                         "snapshot upload rsu=%s gave up after %d attempts: %s",
-                        snapshot.rsu_id,
+                        unacked.popleft().rsu_id,
                         exc.attempts,
                         exc,
                     )
                     self._m_upload_failed.inc()
                     _drop_connection()
                     continue
-                acked.add(snapshot.rsu_id)
+                acked.add(unacked.popleft().rsu_id)
                 if window:
                     self._m_window_uploads.inc()
                 else:

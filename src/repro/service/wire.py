@@ -51,11 +51,12 @@ hot ingest path never loops in Python.
 from __future__ import annotations
 
 import asyncio
+import operator
 import struct
 import sys
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -94,6 +95,7 @@ __all__ = [
     "decode_frame",
     "read_message",
     "write_message",
+    "write_messages",
 ]
 
 MAGIC = b"VW"
@@ -304,16 +306,27 @@ class BatchAck:
 def _simple(name, code, fmt, fields_doc, field_names):
     """Build a fixed-layout message class (header-only payload)."""
     layout = struct.Struct(fmt)
+    # Built once per class: the field values as a tuple, and each
+    # field's range check in layout order (fmt[0] is ">").
+    values = (
+        operator.attrgetter(*field_names)
+        if len(field_names) > 1
+        else lambda self: (getattr(self, field_names[0]),)
+    )
+    checks = tuple(
+        (fname, _check_u64 if kind == "Q" else _check_u32)
+        for fname, kind in zip(field_names, fmt[1:])
+    )
 
     def payload(self) -> bytes:
-        values = []
-        for fname in field_names:
-            value = getattr(self, fname)
-            if fmt[1 + len(values)] == "Q":
-                values.append(_check_u64(value, fname))
-            else:
-                values.append(_check_u32(value, fname))
-        return layout.pack(*values)
+        try:
+            return layout.pack(*values(self))
+        except struct.error:
+            # Not plain in-range integers: convert and range-check each
+            # field, raising WireError for the first that does not fit.
+            return layout.pack(
+                *[check(getattr(self, fname), fname) for fname, check in checks]
+            )
 
     def decode(cls, data: bytes):
         if len(data) != layout.size:
@@ -970,12 +983,35 @@ async def _read_frame(reader: asyncio.StreamReader) -> Message:
     return message
 
 
+def _write_frame(writer: asyncio.StreamWriter, message: Message) -> None:
+    frame = encode_frame(message)
+    _FRAMES_OUT.count(len(frame))
+    writer.write(frame)
+
+
 async def write_message(
     writer: asyncio.StreamWriter, message: Message
 ) -> None:
     """Frame and send *message*, honouring transport backpressure."""
-    frame = encode_frame(message)
-    _FRAMES_OUT.count(len(frame))
-    writer.write(frame)
+    _write_frame(writer, message)
     await writer.drain()
 
+
+async def write_messages(
+    writer: asyncio.StreamWriter,
+    messages: Iterable[Message],
+    *,
+    timeout: Optional[float] = None,
+) -> None:
+    """Frame every one of *messages* back to back, then wait once for
+    the transport to drain; with *timeout* (seconds), a drain that
+    has not finished by then raises :class:`asyncio.TimeoutError`."""
+    for message in messages:
+        _write_frame(writer, message)
+    if timeout is None:
+        await writer.drain()
+    elif _HAVE_TIMEOUT_CM:
+        async with asyncio.timeout(timeout):
+            await writer.drain()
+    else:
+        await asyncio.wait_for(writer.drain(), timeout)

@@ -274,8 +274,13 @@ class CentralServer:
     def point_to_point(
         self, rsu_x: int, rsu_y: int, period: int = 0
     ) -> PairEstimate:
-        """Point-to-point estimate between two RSUs (Eq. 5)."""
-        return self.decoder.pair_estimate(rsu_x, rsu_y, period)
+        """Point-to-point estimate between two RSUs (Eq. 5).
+
+        Served by :meth:`~repro.core.decoder.CentralDecoder.query_pair`:
+        bit-identical to the per-pair decode, which answers the
+        period's first ``k - 1`` queries since its last report; every
+        later one reads the period's batch decode."""
+        return self.decoder.query_pair(rsu_x, rsu_y, period)
 
     def traffic_matrix(
         self, period: int = 0, at: Optional[float] = None

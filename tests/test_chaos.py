@@ -18,7 +18,10 @@ import pytest
 from repro.service import wire
 from repro.service.collector import CollectorService
 from repro.service.faults import (
+    _CORRUPT,
+    _DROP,
     PROFILES,
+    SEGMENT,
     FaultProfile,
     FaultProxy,
     _Lane,
@@ -459,6 +462,218 @@ class TestDuplicateDelivery:
         snapshots = gateway._period_uploads[0]
         assert len(snapshots) == 1
         assert snapshots[3].counter == 1
+
+
+# ----------------------------------------------------------------------
+# Pipelined period close: one fault mid-pipeline, exactly-once storage
+# ----------------------------------------------------------------------
+def _forced_lane(faults):
+    """A :class:`_Lane` class whose lane of seed ``s`` takes the fate
+    ``faults[s][window]`` for each listed window (a clean profile
+    passes every other byte): with profile seed 0, seed 0 is the first
+    connection's client-to-upstream lane and seed 1 its reply lane."""
+
+    class ForcedLane(_Lane):
+        def __init__(self, profile, seed, stats):
+            super().__init__(profile, seed, stats)
+            self.forced = faults.get(seed, {})
+
+        def _fate(self, window):
+            fate = super()._fate(window)
+            return self.forced.get(window, fate)
+
+    return ForcedLane
+
+
+class TestPipelinedClose:
+    """The gateway writes a period's snapshots back to back on one
+    connection and reads the acks in order; a fault in the middle of
+    the pipeline drops the connection and only the unacked remainder
+    is resent."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        # Frames of 256 B to 4 KiB: a fault window fits inside one.
+        return DeploymentSpec(total_trips=20_000, seed=17)
+
+    @staticmethod
+    def _frame_bounds(gateway, shard_id):
+        """``(start, end)`` byte offsets of each snapshot frame of the
+        gateway's first close, in upload (rsu_id) order."""
+        bounds, offset = [], 0
+        for rsu_id in sorted(gateway.rsus):
+            size = gateway.rsus[rsu_id].array_size
+            fields = dict(
+                rsu_id=rsu_id,
+                period=0,
+                counter=0,
+                array_size=size,
+                packed_bits=bytes((size + 7) // 8),
+                seq=1,
+            )
+            if shard_id is None:
+                frame = wire.encode_frame(wire.Snapshot(**fields))
+            else:
+                frame = wire.encode_frame(
+                    wire.ShardSnapshot(shard_id=shard_id, **fields)
+                )
+            bounds.append((offset, offset + len(frame)))
+            offset += len(frame)
+        return bounds
+
+    @staticmethod
+    def _middle_window(bounds):
+        """``(frame index, window)``: the first fault window past the
+        middle frame that lies wholly inside one frame's payload."""
+        for index in range(len(bounds) // 2, len(bounds) - 1):
+            start, end = bounds[index]
+            window = -(-(start + 64) // SEGMENT)
+            if (window + 1) * SEGMENT <= end:
+                return index, window
+        raise AssertionError("no frame holds a whole fault window")
+
+    async def _close_through(self, spec, shards, faults_for):
+        """Close period 0 on every gateway, one after another, with
+        uploads relayed through a proxy whose lanes take *faults_for*
+        (the first gateway's frame bounds -> {lane seed: {window:
+        fate}})."""
+        from repro.service import faults as faults_module
+        from repro.service.runtime import start_federation
+
+        plane = await start_federation(
+            spec,
+            shards=shards,
+            upload_retry_policy=FAST_POLICY,
+            upload_timeout=1.0,
+        )
+        gateways = [plane.shards[key] for key in sorted(plane.shards)]
+        first = gateways[0]
+        bounds = self._frame_bounds(first, first.shard_id)
+        saved = faults_module._Lane
+        faults_module._Lane = _forced_lane(faults_for(bounds))
+        proxy = FaultProxy("127.0.0.1", plane.collector.port, name="upload")
+        await proxy.start()
+        try:
+            for gateway in gateways:
+                gateway.collector_port = proxy.port
+                await gateway.close_period(0)
+        finally:
+            faults_module._Lane = saved
+            await proxy.stop()
+            await plane.stop()
+        return gateways, plane.collector, proxy, bounds
+
+    def test_every_snapshot_is_written_before_the_first_ack(self, spec):
+        """A collector that answers only once the whole period arrived:
+        a close that waited for each ack before the next write would
+        time out here."""
+
+        async def body():
+            rsus = spec.build_rsus(spec.scheme.rsu_ids)
+            frames = []
+
+            async def hold_acks(reader, writer):
+                for _ in rsus:
+                    frames.append(await wire.read_message(reader))
+                await wire.write_messages(
+                    writer,
+                    [
+                        wire.SnapshotAck(
+                            rsu_id=f.rsu_id, period=f.period, seq=f.seq
+                        )
+                        for f in frames
+                    ],
+                )
+                await reader.read()
+                writer.close()
+
+            server = await asyncio.start_server(hold_acks, "127.0.0.1", 0)
+            gateway = RsuGateway(
+                rsus,
+                collector_port=server.sockets[0].getsockname()[1],
+                upload_timeout=1.0,
+                retry_policy=RetryPolicy(max_attempts=1),
+            )
+            try:
+                uploaded = await gateway.close_period(0)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return uploaded, frames, gateway
+
+        uploaded, frames, gateway = run(body())
+        assert uploaded == len(spec.scheme.rsu_ids)
+        assert [f.rsu_id for f in frames] == sorted(spec.scheme.rsu_ids)
+        assert gateway.snapshots_failed == 0
+        assert gateway.uploads_retried == 0
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_corrupt_frame_mid_pipeline(self, big, shards):
+        def faults_for(bounds):
+            _index, window = self._middle_window(bounds)
+            return {0: {window: (_CORRUPT, window * SEGMENT + 7, 0x10)}}
+
+        gateways, collector, proxy, bounds = run(
+            self._close_through(big, shards, faults_for)
+        )
+        fleet = len(big.scheme.rsu_ids)
+        assert proxy.stats.bits_flipped == 1
+        assert proxy.stats.faults_injected == 1
+        # One fault, one reconnect: the remainder went on connection 2.
+        assert proxy.stats.connections == 2 + (len(gateways) - 1)
+        assert 0 < self._middle_window(bounds)[0] < len(bounds) - 1
+        # Stored exactly once; the frames acked before the fault were
+        # not resent, so nothing needed deduplicating.
+        assert sum(g.snapshots_uploaded for g in gateways) == fleet
+        assert sum(g.snapshots_failed for g in gateways) == 0
+        assert sum(g.uploads_retried for g in gateways) == 1
+        assert collector.snapshots_received == fleet
+        assert collector.snapshots_deduped == 0
+        assert collector.snapshots_conflicted == 0
+        assert collector.frames_rejected == 1  # the corrupted frame
+        assert collector.server.decoder.rsu_ids(0) == sorted(big.scheme.rsu_ids)
+
+    def test_dropped_window_mid_pipeline(self, big):
+        def faults_for(bounds):
+            _index, window = self._middle_window(bounds)
+            return {0: {window: (_DROP, 0, 0)}}
+
+        gateways, collector, proxy, _bounds = run(
+            self._close_through(big, 0, faults_for)
+        )
+        fleet = len(big.scheme.rsu_ids)
+        assert proxy.stats.windows_dropped == 1
+        assert proxy.stats.connections == 2
+        (gateway,) = gateways
+        assert gateway.snapshots_uploaded == fleet
+        assert gateway.uploads_retried == 1
+        assert collector.snapshots_received == fleet
+        assert collector.snapshots_deduped == 0
+
+    def test_corrupt_ack_mid_pipeline(self, big):
+        """A lost ack: the collector stored the snapshot, the gateway
+        resends it, and dedup keeps the store exactly-once."""
+        ack = len(wire.encode_frame(wire.SnapshotAck(rsu_id=0, period=0, seq=1)))
+
+        def faults_for(bounds):
+            # A bit of the ack that ends the first reply window.
+            return {1: {0: (_CORRUPT, SEGMENT - 1, 0x01)}}
+
+        gateways, collector, proxy, bounds = run(
+            self._close_through(big, 0, faults_for)
+        )
+        fleet = len(big.scheme.rsu_ids)
+        hit = (SEGMENT - 1) // ack  # acks before the corrupted one
+        assert proxy.stats.bits_flipped == 1
+        assert proxy.stats.connections == 2
+        (gateway,) = gateways
+        assert gateway.snapshots_uploaded == fleet
+        assert gateway.uploads_retried == 1
+        assert collector.snapshots_received == fleet
+        # Only the unacked remainder was resent, and each resent frame
+        # the collector had already stored was deduplicated.
+        assert 1 <= collector.snapshots_deduped <= fleet - hit
+        assert collector.snapshots_conflicted == 0
 
 
 # ----------------------------------------------------------------------

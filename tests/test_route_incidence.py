@@ -283,3 +283,19 @@ def test_batch_matrix_never_imports(blocked):
         check=True,
     )
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_incidence_build_is_one_routing_incidence_span():
+    """The lazy incidence build is timed as its own span, once per plan,
+    and not again by the queries it serves."""
+    from repro.obs import MetricsRegistry, use_registry
+
+    network = grid_network(3, 3)
+    with use_registry(MetricsRegistry()) as registry:
+        plan = assign_routes(network, _all_pairs(network))
+        span = registry.histogram("routing.incidence.seconds")
+        assert span.count == 0
+        node_volumes(plan)
+        plan.vehicles_through(network.nodes[0])
+        assert span.count == 1
+        assert span.sum > 0
