@@ -27,7 +27,7 @@ True
 
 from repro._lazy import lazy_exports
 
-__version__ = "14.2.0"
+__version__ = "14.3.0"
 
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),

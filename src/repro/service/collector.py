@@ -57,11 +57,11 @@ from repro.errors import (
 )
 from repro.obs import MetricsRegistry
 from repro.service import wire
-from repro.utils.connections import Connections
 from repro.utils.logconfig import get_logger
 from repro.vcps.server import CentralServer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.estimator import PairEstimate
     from repro.federation.wal import WriteAheadLog
 
 __all__ = ["CollectorService", "merge_partial_reports"]
@@ -177,7 +177,7 @@ class CollectorService:
         self.server = server
         self.wal = wal
         self._server: Optional[asyncio.AbstractServer] = None
-        self._clients = Connections()
+        self._sessions: Set[_CollectorSession] = set()
         self.port: Optional[int] = None
         if retention_periods is not None:
             retention_periods = int(retention_periods)
@@ -297,58 +297,37 @@ class CollectorService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_client, host, port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _CollectorSession(self), host, port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         logger.info("collector listening on %s:%s", host, self.port)
 
     async def stop(self) -> None:
-        """Stop accepting, then close every open client stream and wait
-        for its handler."""
+        """Stop accepting, then close every open client connection (each
+        client reads EOF once its replies are written) and wait until
+        each is gone."""
         if self._server is not None:
             self._server.close()
-            await self._clients.close()
+            sessions = list(self._sessions)
+            for session in sessions:
+                session.close()
+            await asyncio.gather(*(session.closed for session in sessions))
             await self._server.wait_closed()
             self._server = None
 
-    # ------------------------------------------------------------------
-    # Connections
-    # ------------------------------------------------------------------
-    async def _serve_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await self._clients.serve(writer, self._session(reader, writer))
-
-    async def _session(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            try:
-                message = await wire.read_message(reader)
-            except asyncio.IncompleteReadError:
-                break
-            except WireError as exc:
-                self._m_frames_rejected.inc()
-                await self._reply(
-                    writer, wire.ErrorMsg(wire.E_MALFORMED, str(exc))
-                )
-                break
-            reply = self._handle(message)
-            await self._reply(writer, reply)
-
-    async def _reply(
-        self, writer: asyncio.StreamWriter, message: wire.Message
-    ) -> None:
-        try:
-            await wire.write_message(writer, message)
-        except (ConnectionError, OSError):  # peer already gone
-            pass
+    @property
+    def open_sessions(self) -> int:
+        """Client connections currently open."""
+        return len(self._sessions)
 
     # ------------------------------------------------------------------
     # Message handling (synchronous — decoding is pure CPU)
     # ------------------------------------------------------------------
-    def _handle(self, message: wire.Message) -> wire.Message:
+    def _handle(
+        self, message: wire.Message
+    ) -> Union[wire.Message, "PairEstimate"]:
         if isinstance(message, (wire.ShardSnapshot, wire.WindowSnapshot)):
             return self._handle_partial(message)
         if isinstance(message, wire.Snapshot):
@@ -651,7 +630,9 @@ class CollectorService:
         """Current dedup key count (feeds the retained-keys gauge)."""
         return len(self._applied) + sum(map(len, self._stamps.values()))
 
-    def _handle_query(self, query: wire.VolumeQuery) -> wire.Message:
+    def _handle_query(
+        self, query: wire.VolumeQuery
+    ) -> Union[wire.Message, "PairEstimate"]:
         try:
             estimate = self.server.point_to_point(
                 query.rsu_x, query.rsu_y, query.period
@@ -661,17 +642,8 @@ class CollectorService:
         except ReproError as exc:  # pragma: no cover - defensive
             return wire.ErrorMsg(wire.E_INTERNAL, str(exc))
         self._m_answered.inc()
-        return wire.EstimateMsg(
-            n_c_hat=estimate.value,
-            v_c=estimate.v_c,
-            v_x=estimate.v_x,
-            v_y=estimate.v_y,
-            m_x=estimate.m_x,
-            m_y=estimate.m_y,
-            n_x=estimate.n_x,
-            n_y=estimate.n_y,
-            s=estimate.s,
-        )
+        # Framed as an EstimateMsg as it is (wire.encode_frame).
+        return estimate
 
     def _handle_point_query(self, query: wire.PointQuery) -> wire.Message:
         try:
@@ -682,3 +654,68 @@ class CollectorService:
         return wire.PointVolume(
             rsu_id=query.rsu_id, period=query.period, counter=counter
         )
+
+
+class _CollectorSession(asyncio.Protocol):
+    """One client connection of a :class:`CollectorService`.
+
+    Frames are parsed as bytes arrive (:class:`~repro.service.wire.
+    FrameParser`), and each is handled and answered inside
+    :meth:`data_received`, in order, with no task wake-up.  A malformed
+    frame, or an EOF inside a frame, is answered with ``E_MALFORMED``
+    and the connection is closed.  While the transport's write buffer
+    is over its high-water mark the session stops reading, so a client
+    that does not read its answers is not sent more.
+    """
+
+    def __init__(self, collector: CollectorService) -> None:
+        self._collector = collector
+        self._parser = wire.FrameParser()
+        self._transport: Optional[asyncio.Transport] = None
+        #: Resolved by :meth:`connection_lost`.
+        self.closed = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        server = self._collector._server
+        if server is not None and not server.is_serving():
+            transport.close()  # accepted while stop() was closing
+            return
+        self._collector._sessions.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        transport = self._transport
+        handle = self._collector._handle
+        try:
+            for message in self._parser.feed(data):
+                wire.write_frame(transport, handle(message))
+        except WireError as exc:
+            self._reject(exc)
+
+    def eof_received(self) -> None:
+        try:
+            self._parser.eof()
+        except WireError as exc:
+            self._reject(exc)
+        # Returning None closes the transport once replies are written.
+
+    def _reject(self, exc: WireError) -> None:
+        self._collector._m_frames_rejected.inc()
+        wire.write_frame(
+            self._transport, wire.ErrorMsg(wire.E_MALFORMED, str(exc))
+        )
+        self._transport.close()
+
+    def pause_writing(self) -> None:
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
+
+    def close(self) -> None:
+        self._transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._collector._sessions.discard(self)
+        if not self.closed.done():
+            self.closed.set_result(None)

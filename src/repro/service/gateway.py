@@ -650,14 +650,17 @@ class RsuGateway:
         """
         if self._close_lock is None:
             self._close_lock = asyncio.Lock()
-        close_start = self.registry.clock()
         async with self._close_lock:
             if period in self._period_uploads:
                 self._m_reclosed.inc()
                 logger.info("period %s re-closed; resuming uploads", period)
+                close_start = self.registry.clock()
             else:
                 await self._queue.join()
                 self._flush_all()
+                # Timed from here: the snapshot and the upload, not the
+                # ingest drain above.
+                close_start = self.registry.clock()
                 snapshots: Dict[int, wire.Snapshot] = {}
                 for rsu in self.rsus.values():
                     report = rsu.end_period()

@@ -292,6 +292,106 @@ def _close_connection(
             pass
 
 
+class _RequestClient(asyncio.Protocol):
+    """One request/response connection: a frame goes out, and one reply
+    future waits for the frame that answers it.
+
+    Replies are parsed as bytes arrive (:class:`~repro.service.wire.
+    FrameParser`) and resolve the future inside :meth:`data_received`.
+    The deadline is one timer per connection: a request sets it
+    *timeout* seconds after its write, and the timer, armed at an
+    earlier request's deadline, re-arms itself to the current one when
+    it fires early.  A fault — a malformed or unexpected frame, EOF, a
+    reset, a missed deadline — fails the waiting request with one of
+    ``_FAULTS`` and closes the connection; the caller reconnects.
+    """
+
+    def __init__(self, timeout: float) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._timeout = timeout
+        self._parser = wire.FrameParser()
+        self._transport: Optional[asyncio.Transport] = None
+        self._waiter: Optional[asyncio.Future] = None
+        self._fault: Optional[BaseException] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._deadline = 0.0
+
+    @classmethod
+    async def open(
+        cls, host: str, port: int, timeout: float
+    ) -> "_RequestClient":
+        """Connect, giving up after *timeout* seconds, which is then
+        each request's deadline."""
+        loop = asyncio.get_running_loop()
+        _, client = await asyncio.wait_for(
+            loop.create_connection(lambda: cls(timeout), host, port), timeout
+        )
+        return client
+
+    async def request(self, message: wire.Message) -> wire.Message:
+        """Send *message* and return the frame that answers it; raise
+        one of ``_FAULTS`` if none arrives by the deadline."""
+        if self._fault is not None:
+            raise self._fault
+        waiter = self._waiter = self._loop.create_future()
+        wire.write_frame(self._transport, message)
+        self._deadline = self._loop.time() + self._timeout
+        if self._timer is None:
+            self._timer = self._loop.call_at(self._deadline, self._expire)
+        return await waiter
+
+    def _expire(self) -> None:
+        self._timer = None
+        if self._waiter is None:
+            return  # idle: the next request arms a timer again
+        if self._loop.time() < self._deadline:
+            self._timer = self._loop.call_at(self._deadline, self._expire)
+            return
+        self._fail(asyncio.TimeoutError())
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for message in self._parser.feed(data):
+                waiter, self._waiter = self._waiter, None
+                if waiter is None or waiter.done():
+                    raise WireError(f"unrequested frame {message!r}")
+                waiter.set_result(message)
+        except WireError as exc:
+            self._fail(exc)
+
+    def eof_received(self) -> None:
+        try:
+            self._parser.eof()
+        except WireError as exc:
+            self._fail(exc)
+        else:
+            self._fail(asyncio.IncompleteReadError(b"", None))
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._fail(
+            exc if exc is not None else asyncio.IncompleteReadError(b"", None)
+        )
+
+    def _fail(self, exc: BaseException) -> None:
+        """End the connection with *exc*, raising it in the waiting
+        request (if any) and in every later one."""
+        if self._fault is None:
+            self._fault = exc
+        waiter, self._waiter = self._waiter, None
+        if waiter is not None and not waiter.done():
+            waiter.set_exception(exc)
+        self.close()
+
+    def close(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._transport.close()
+
+
 #: One delivery phase: the batches to stream, then the frame that
 #: closes it (``EndWindow``, ``EndPeriod`` or ``Handoff``; ``None``
 #: ends the phase once every batch is acked).
@@ -667,25 +767,16 @@ async def announce_sizes(
     ) -> wire.Message:
         last_exc: Optional[BaseException] = None
         for _ in range(_MAX_STALLS):
-            connection = None
+            client = None
             try:
-
-                async def connect():
-                    return await asyncio.wait_for(
-                        asyncio.open_connection(host, port),
-                        timeout=ack_timeout,
-                    )
-
-                connection = await retry_async(
-                    connect,
+                client = await retry_async(
+                    lambda: _RequestClient.open(host, port, ack_timeout),
                     policy=policy,
                     rng=rng,
                     registry=registry,
                     op=op,
                 )
-                reader, writer = connection
-                await wire.write_message(writer, message)
-                answer = await wire.read_message(reader, timeout=ack_timeout)
+                answer = await client.request(message)
                 if isinstance(answer, wire.ErrorMsg):
                     raise WireError(f"{op} nack: {answer.message}")
                 return answer
@@ -693,7 +784,8 @@ async def announce_sizes(
                 last_exc = exc
                 m_reconnects.inc()
             finally:
-                _close_connection(connection)
+                if client is not None:
+                    client.close()
         raise RetryExhaustedError(
             f"{op} never completed after {_MAX_STALLS} reconnects: "
             f"{last_exc}",
@@ -758,33 +850,24 @@ async def run_queries(
     counter_mismatches: List[int] = []
     checked = 0
     counters_checked = 0
-    connection: Optional[
-        Tuple[asyncio.StreamReader, asyncio.StreamWriter]
-    ] = None
+    client: Optional[_RequestClient] = None
 
     async def ask(message: wire.Message) -> wire.Message:
-        nonlocal connection
+        nonlocal client
         last_exc: Optional[BaseException] = None
         for _ in range(_MAX_STALLS):
             try:
-                if connection is None:
-
-                    async def connect():
-                        return await asyncio.wait_for(
-                            asyncio.open_connection(host, collector_port),
-                            timeout=ack_timeout,
-                        )
-
-                    connection = await retry_async(
-                        connect,
+                if client is None:
+                    client = await retry_async(
+                        lambda: _RequestClient.open(
+                            host, collector_port, ack_timeout
+                        ),
                         policy=policy,
                         rng=rng,
                         registry=registry,
                         op="collector_connect",
                     )
-                reader, writer = connection
-                await wire.write_message(writer, message)
-                answer = await wire.read_message(reader, timeout=ack_timeout)
+                answer = await client.request(message)
                 if (
                     isinstance(answer, wire.ErrorMsg)
                     and answer.code != wire.E_ESTIMATION
@@ -794,8 +877,9 @@ async def run_queries(
                 return answer
             except _FAULTS as exc:
                 last_exc = exc
-                _close_connection(connection)
-                connection = None
+                if client is not None:
+                    client.close()
+                    client = None
                 m_reconnects.inc()
         raise RetryExhaustedError(
             f"query never completed after {_MAX_STALLS} reconnects: "
@@ -853,7 +937,8 @@ async def run_queries(
             ):
                 mismatches.append((rsu_x, rsu_y))
     finally:
-        _close_connection(connection)
+        if client is not None:
+            client.close()
     return (
         np.asarray(latencies),
         checked,

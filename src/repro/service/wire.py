@@ -56,7 +56,7 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -93,7 +93,9 @@ __all__ = [
     "Message",
     "encode_frame",
     "decode_frame",
+    "FrameParser",
     "read_message",
+    "write_frame",
     "write_message",
     "write_messages",
 ]
@@ -738,17 +740,37 @@ class EstimateMsg:
     type = T_ESTIMATE
 
     def payload(self) -> bytes:
-        return self._STRUCT.pack(
-            float(self.n_c_hat),
-            float(self.v_c),
-            float(self.v_x),
-            float(self.v_y),
-            _check_u32(self.m_x, "m_x"),
-            _check_u32(self.m_y, "m_y"),
-            _check_u64(self.n_x, "n_x"),
-            _check_u64(self.n_y, "n_y"),
-            _check_u32(self.s, "s"),
+        return self.pack(
+            self.n_c_hat,
+            self.v_c,
+            self.v_x,
+            self.v_y,
+            self.m_x,
+            self.m_y,
+            self.n_x,
+            self.n_y,
+            self.s,
         )
+
+    @classmethod
+    def pack(cls, n_c_hat, v_c, v_x, v_y, m_x, m_y, n_x, n_y, s) -> bytes:
+        """The payload of an answer with these fields."""
+        try:
+            return cls._STRUCT.pack(n_c_hat, v_c, v_x, v_y, m_x, m_y, n_x, n_y, s)
+        except struct.error:
+            # Not plain in-range numbers: convert and range-check each
+            # field, raising WireError for the first that does not fit.
+            return cls._STRUCT.pack(
+                float(n_c_hat),
+                float(v_c),
+                float(v_x),
+                float(v_y),
+                _check_u32(m_x, "m_x"),
+                _check_u32(m_y, "m_y"),
+                _check_u64(n_x, "n_x"),
+                _check_u64(n_y, "n_y"),
+                _check_u32(s, "s"),
+            )
 
     @classmethod
     def decode(cls, payload: bytes) -> "EstimateMsg":
@@ -826,15 +848,36 @@ def _crc(payload: bytes) -> int:
 
 
 def encode_frame(message: Message) -> bytes:
-    """Serialize *message* into one complete frame."""
-    payload = message.payload()
+    """Serialize *message* into one complete frame.
+
+    *message* may also be the :class:`~repro.core.estimator.PairEstimate`
+    that answers a :class:`VolumeQuery`: it is framed as the
+    :class:`EstimateMsg` it stands for, without being copied into one.
+    """
+    payload_of = getattr(message, "payload", None)
+    if payload_of is None:
+        msg_type = T_ESTIMATE
+        payload = EstimateMsg.pack(
+            message.value,
+            message.v_c,
+            message.v_x,
+            message.v_y,
+            message.m_x,
+            message.m_y,
+            message.n_x,
+            message.n_y,
+            message.s,
+        )
+    else:
+        msg_type = message.type
+        payload = payload_of()
     if len(payload) > MAX_PAYLOAD:
         raise WireError(
             f"payload of {len(payload)} bytes exceeds MAX_PAYLOAD "
             f"({MAX_PAYLOAD})"
         )
     return (
-        _HEADER.pack(MAGIC, VERSION, message.type, len(payload), _crc(payload))
+        _HEADER.pack(MAGIC, VERSION, msg_type, len(payload), _crc(payload))
         + payload
     )
 
@@ -853,19 +896,10 @@ def _decode_payload(msg_type: int, payload: bytes, crc: int) -> Message:
     return decoder.decode(payload)
 
 
-def decode_frame(data: bytes) -> "tuple[Message, int]":
-    """Decode one frame from the head of *data*.
-
-    Returns ``(message, bytes_consumed)``.  Raises
-    :class:`~repro.errors.WireError` on any malformation, including a
-    buffer too short for the declared payload — stream consumers should
-    use :func:`read_message`, which knows how many bytes to wait for.
-    """
-    if len(data) < _HEADER.size:
-        raise WireError(
-            f"frame header needs {_HEADER.size} bytes, got {len(data)}"
-        )
-    magic, version, msg_type, length, crc = _HEADER.unpack_from(data)
+def _frame_header(data, offset: int = 0) -> Tuple[int, int, int]:
+    """Check the header at *offset* of *data*; returns ``(msg_type,
+    length, crc)``."""
+    magic, version, msg_type, length, crc = _HEADER.unpack_from(data, offset)
     if magic != MAGIC:
         raise WireError(f"bad frame magic {magic!r}")
     if version != VERSION:
@@ -875,6 +909,36 @@ def decode_frame(data: bytes) -> "tuple[Message, int]":
             f"declared payload of {length} bytes exceeds MAX_PAYLOAD "
             f"({MAX_PAYLOAD})"
         )
+    return msg_type, length, crc
+
+
+def _truncation(received: int, length: Optional[int] = None) -> WireError:
+    """The error of a stream that ended *received* bytes into a frame's
+    header, or with *length* given, into its payload."""
+    if length is None:
+        return WireError(
+            f"stream truncated mid-header ({received} of {_HEADER.size} "
+            "bytes)"
+        )
+    return WireError(
+        f"stream truncated mid-frame ({received} of {length} payload bytes)"
+    )
+
+
+def decode_frame(data: bytes) -> "tuple[Message, int]":
+    """Decode one frame from the head of *data*.
+
+    Returns ``(message, bytes_consumed)``.  Raises
+    :class:`~repro.errors.WireError` on any malformation, including a
+    buffer too short for the declared payload — stream consumers should
+    use :class:`FrameParser` or :func:`read_message`, which know how
+    many bytes to wait for.
+    """
+    if len(data) < _HEADER.size:
+        raise WireError(
+            f"frame header needs {_HEADER.size} bytes, got {len(data)}"
+        )
+    msg_type, length, crc = _frame_header(data)
     end = _HEADER.size + length
     if len(data) < end:
         raise WireError(
@@ -922,6 +986,73 @@ class _FrameCounters:
 _FRAMES_IN = _FrameCounters("in")
 _FRAMES_OUT = _FrameCounters("out")
 
+
+class FrameParser:
+    """The sans-IO frame reader of one byte stream: bytes go in as they
+    arrive, in any chunking, and each message comes out once its frame
+    is whole.
+
+    It runs the header checks, the CRC check and the payload decode
+    that :func:`decode_frame` and :func:`read_message` run, so a
+    malformed frame raises the same :class:`~repro.errors.WireError`
+    text whichever end reads it.  Each message it yields counts one
+    inbound frame in ``wire.frames_total`` / ``wire.bytes_total``.
+    After a ``WireError`` the stream is unusable: the reader hangs up.
+    """
+
+    __slots__ = ("_buffer", "_header")
+
+    def __init__(self) -> None:
+        #: Bytes of the frame being read: its header, or once the
+        #: header is checked, the payload received so far.
+        self._buffer = bytearray()
+        #: ``(msg_type, length, crc)`` of the checked header, else None.
+        self._header: Optional[Tuple[int, int, int]] = None
+
+    def feed(self, data: bytes) -> Iterator[Message]:
+        """Take *data* and yield every message it completes, in order.
+
+        The messages of frames ahead of a malformed one are yielded
+        before its ``WireError`` is raised.  Consume the iterator to
+        the end before the next :meth:`feed`.
+        """
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            data = buffer
+        offset, size, header = 0, len(data), self._header
+        try:
+            while True:
+                if header is None:
+                    if size - offset < _HEADER.size:
+                        break
+                    header = _frame_header(data, offset)
+                    offset += _HEADER.size
+                msg_type, length, crc = header
+                end = offset + length
+                if end > size:
+                    break
+                header = None
+                message = _decode_payload(msg_type, bytes(data[offset:end]), crc)
+                offset = end
+                _FRAMES_IN.count(_HEADER.size + length)
+                yield message
+        finally:
+            self._header = header
+            if data is buffer:
+                del buffer[:offset]
+            elif offset < size:
+                buffer += data[offset:]
+
+    def eof(self) -> None:
+        """The stream ended: raise ``WireError`` if it ended inside a
+        frame, which is truncation, not a clean close."""
+        if self._header is not None:
+            raise _truncation(len(self._buffer), self._header[1])
+        if self._buffer:
+            raise _truncation(len(self._buffer))
+
+
 #: ``asyncio.timeout`` (3.11+) bounds an await without a helper task;
 #: older interpreters only have ``asyncio.wait_for``.
 _HAVE_TIMEOUT_CM = sys.version_info >= (3, 11)
@@ -936,6 +1067,7 @@ async def read_message(
     frames (callers treat that as connection close) and
     :class:`~repro.errors.WireError` on malformed bytes — including a
     stream that ends mid-frame, which is truncation, not a clean close.
+    The checks and their texts are :class:`FrameParser`'s.
 
     With *timeout* (seconds), a frame that has not fully arrived by
     then raises :class:`asyncio.TimeoutError`.  On Python 3.11+ the
@@ -956,44 +1088,32 @@ async def _read_frame(reader: asyncio.StreamReader) -> Message:
         header = await reader.readexactly(_HEADER.size)
     except asyncio.IncompleteReadError as exc:
         if exc.partial:
-            raise WireError(
-                f"stream truncated mid-header ({len(exc.partial)} of "
-                f"{_HEADER.size} bytes)"
-            ) from exc
+            raise _truncation(len(exc.partial)) from exc
         raise  # clean EOF between frames
-    magic, version, msg_type, length, crc = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise WireError(f"bad frame magic {magic!r}")
-    if version != VERSION:
-        raise WireError(f"unsupported wire version {version}")
-    if length > MAX_PAYLOAD:
-        raise WireError(
-            f"declared payload of {length} bytes exceeds MAX_PAYLOAD "
-            f"({MAX_PAYLOAD})"
-        )
+    msg_type, length, crc = _frame_header(header)
     try:
         payload = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
-        raise WireError(
-            f"stream truncated mid-frame ({len(exc.partial)} of "
-            f"{length} payload bytes)"
-        ) from exc
+        raise _truncation(len(exc.partial), length) from exc
     message = _decode_payload(msg_type, payload, crc)
     _FRAMES_IN.count(_HEADER.size + length)
     return message
 
 
-def _write_frame(writer: asyncio.StreamWriter, message: Message) -> None:
+def write_frame(sink, message: Message) -> None:
+    """Frame *message* onto *sink* — an :class:`asyncio.StreamWriter`
+    or an :class:`asyncio.Transport` — without waiting for it to drain,
+    counting one outbound frame."""
     frame = encode_frame(message)
     _FRAMES_OUT.count(len(frame))
-    writer.write(frame)
+    sink.write(frame)
 
 
 async def write_message(
     writer: asyncio.StreamWriter, message: Message
 ) -> None:
     """Frame and send *message*, honouring transport backpressure."""
-    _write_frame(writer, message)
+    write_frame(writer, message)
     await writer.drain()
 
 
@@ -1007,7 +1127,7 @@ async def write_messages(
     the transport to drain; with *timeout* (seconds), a drain that
     has not finished by then raises :class:`asyncio.TimeoutError`."""
     for message in messages:
-        _write_frame(writer, message)
+        write_frame(writer, message)
     if timeout is None:
         await writer.drain()
     elif _HAVE_TIMEOUT_CM:

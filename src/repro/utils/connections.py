@@ -15,9 +15,9 @@ class Connections:
     3.13): a handler still serving a client keeps running, and when the
     event loop closes one parked in ``writer.wait_closed()`` is
     cancelled, which Python 3.11 logs as ``Exception in callback ...
-    CancelledError``.  A server (the gateway, the collector, the
-    metrics endpoint) runs each handler through :meth:`serve` and
-    calls :meth:`close` in its ``stop()``.
+    CancelledError``.  A stream server (the gateway, the metrics
+    endpoint) runs each handler through :meth:`serve` and calls
+    :meth:`close` in its ``stop()``.
     """
 
     def __init__(self) -> None:

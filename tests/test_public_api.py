@@ -207,6 +207,9 @@ class TestRemovedSurface:
             ("repro.roadnet.graph", "RoadNetwork.graph"),
             ("repro.roadnet.graph", "RoadNetwork.is_strongly_connected"),
             ("repro.service.wire", "Connections"),
+            ("repro.service.collector", "CollectorService._serve_client"),
+            ("repro.service.collector", "CollectorService._session"),
+            ("repro.service.collector", "CollectorService._reply"),
         ],
     )
     def test_name_is_gone(self, module_name, path):

@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.service import wire
 from repro.service.collector import CollectorService
 from repro.service.gateway import RsuGateway
@@ -181,6 +182,34 @@ class TestGatewayRobustness:
         assert isinstance(ack, wire.EndPeriodAck)
         assert ack.snapshots == 0
         assert failed == 1
+
+    def test_period_close_time_leaves_out_the_ingest_drain(self, rsus):
+        """``gateway.period_close_seconds`` times the snapshot and the
+        upload only: an ingest drain that takes 10 s on the registry's
+        clock (a stubbed flush) is not in it."""
+        now = [0.0]
+        registry = MetricsRegistry(clock=lambda: now[0])
+
+        async def body():
+            gateway = RsuGateway(
+                rsus,
+                collector_port=1,  # nothing listens: one refused upload
+                upload_retries=1,
+                registry=registry,
+            )
+            flush = gateway._flush_all
+
+            def slow_flush():
+                now[0] += 10.0
+                flush()
+
+            gateway._flush_all = slow_flush
+            return await gateway.close_period(0)
+
+        assert run(body()) == 0
+        close = registry.histogram("gateway.period_close_seconds")
+        assert close.count == 1
+        assert close.sum == 0.0
 
 
 class TestCollectorRobustness:
