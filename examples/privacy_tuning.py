@@ -8,15 +8,13 @@ Section VI supports:
 1. chart preserved privacy against the load factor for several s;
 2. locate the optimal f* and the largest f meeting a privacy floor;
 3. show the *unbalanced load factor* failure of a fixed-length design
-   (why [9] cannot protect a light-traffic RSU next to a heavy one);
-4. print the resulting per-RSU array sizes for a sample deployment.
+   (why [9] cannot protect a light-traffic RSU next to a heavy one).
 
 Run:  python examples/privacy_tuning.py
 """
 
 import numpy as np
 
-from repro.core.sizing import StaticSizing
 from repro.privacy import optimal_load_factor, preserved_privacy
 from repro.privacy.optimizer import max_load_factor_for_privacy, privacy_curve
 from repro.utils.tables import AsciiTable
@@ -58,15 +56,4 @@ for label, n in (("heavy hub", n_heavy), ("light RSU", n_light)):
         f"fixed m = {m_fixed:,}: {label} (n={n:,}) runs at f = "
         f"{f_effective:.0f}, privacy = {p:.2f}"
     )
-print("-> the fixed-length scheme must shrink m for everyone, hurting accuracy.\n")
-
-# --- 4. a full pre-rollout deployment plan ------------------------------
-from repro.analysis import plan_deployment
-
-plan = plan_deployment(
-    {"hub": 500_000.0, "arterial": 120_000.0, "collector": 20_000.0,
-     "local": 2_500.0},
-    s=2,
-    privacy_floor=0.5,
-)
-print(plan.render())
+print("-> the fixed-length scheme must shrink m for everyone, hurting accuracy.")

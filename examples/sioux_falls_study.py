@@ -67,29 +67,7 @@ for a, b in top_pairs:
             100 * base.error_ratio(true_nc),
         ]
     )
-print(table.render())
-
-# --- Bonus: a three-point corridor flow (extension) --------------------
-# How many vehicles traverse the 9 -> 10 -> 16 corridor area (pass all
-# three intersections)?  The triple estimator generalizes Eq. (5).
-from repro.core.multiway import estimate_triple
-from repro.core.estimator import ZeroFractionPolicy as _ZFP
-
-corridor = (9, 10, 16)
-triple = estimate_triple(
-    *(scheme.decoder.report_for(node) for node in corridor),
-    scheme.s,
-    policy=_ZFP.CLAMP,
-)
-true_triple = sum(
-    trips
-    for pair, trips in workload.plan.trips.pairs()
-    if all(node in workload.plan.routes[pair] for node in corridor)
-)
-print(
-    f"\nthree-point corridor {corridor}: true {true_triple:,}, "
-    f"measured {triple.clamped_nonnegative:,.0f}\n"
-)
+print(table.render(), "\n")
 
 # --- Aggregate accuracy over every measurable pair --------------------
 for name, decoder in (("VLM", scheme.decoder), ("baseline [9]", baseline.decoder)):

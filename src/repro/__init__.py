@@ -27,7 +27,7 @@ True
 
 from repro._lazy import lazy_exports
 
-__version__ = "14.3.0"
+__version__ = "15.0.0"
 
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
@@ -39,7 +39,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "PairEstimate": "repro.core.estimator",
         "PairMatrix": "repro.core.estimator",
         "RsuReport": "repro.core.reports",
-        "TripleEstimate": "repro.core.multiway",
         "SchemeConfig": "repro.core.config",
         "SchemeParameters": "repro.core.parameters",
         "SizingPolicy": "repro.core.sizing",

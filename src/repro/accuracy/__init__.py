@@ -22,8 +22,6 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "EstimateInterval": ".confidence",
-        "confidence_interval": ".confidence",
         "fisher_information_binomial": ".fisher",
         "cramer_rao_bound_binomial": ".fisher",
         "super_efficiency": ".fisher",

@@ -44,9 +44,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "AggregatedEstimate": ".multiperiod",
         "aggregate_estimates": ".multiperiod",
         "Estimate": ".results",
-        "MultiwayEstimate": ".multiway",
-        "TripleEstimate": ".multiway",
-        "estimate_multiway": ".multiway",
-        "estimate_triple": ".multiway",
     },
 )

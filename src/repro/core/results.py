@@ -1,6 +1,6 @@
 """The unified result API: :class:`Estimate`.
 
-Every estimate — pair, triple, k-way, multi-period — conforms to one
+Every estimate — pair or multi-period — conforms to one
 contract, so generic tooling (experiment harnesses, the loadgen
 verifier, metrics summaries) never needs to know which class it holds:
 

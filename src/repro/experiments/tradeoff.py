@@ -6,8 +6,10 @@ sweep of load factors it computes, for each scheme, the preserved
 privacy of the *light-traffic* RSU (the binding side) and the
 closed-form relative stddev of the pair estimate — the frontier a
 deployment actually navigates.  The VLM frontier dominates the
-baseline's whenever traffic volumes differ, and the pseudonym strawman
-(:mod:`repro.baseline.pseudonym`) anchors the no-privacy/exact corner.
+baseline's whenever traffic volumes differ.  The rendered table ends
+with a constant reference line for the no-privacy/exact corner, where
+an exact-but-linkable pseudonym scheme would sit; no such scheme is
+run.
 """
 
 from __future__ import annotations

@@ -23,10 +23,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "max_load_factor_for_privacy": ".optimizer",
         "privacy_curve": ".optimizer",
         "empirical_privacy": ".attacker",
-        "TrajectoryPrivacy": ".trajectory",
-        "route_privacy": ".trajectory",
-        "report_index_entropy": ".metrics",
-        "expected_anonymity_set": ".metrics",
-        "expected_coincidence_anonymity": ".metrics",
     },
 )

@@ -571,21 +571,25 @@ class TestPipelinedClose:
         async def body():
             rsus = spec.build_rsus(spec.scheme.rsu_ids)
             frames = []
+            handled = asyncio.Event()
 
             async def hold_acks(reader, writer):
-                for _ in rsus:
-                    frames.append(await wire.read_message(reader))
-                await wire.write_messages(
-                    writer,
-                    [
-                        wire.SnapshotAck(
-                            rsu_id=f.rsu_id, period=f.period, seq=f.seq
-                        )
-                        for f in frames
-                    ],
-                )
-                await reader.read()
-                writer.close()
+                try:
+                    for _ in rsus:
+                        frames.append(await wire.read_message(reader))
+                    await wire.write_messages(
+                        writer,
+                        [
+                            wire.SnapshotAck(
+                                rsu_id=f.rsu_id, period=f.period, seq=f.seq
+                            )
+                            for f in frames
+                        ],
+                    )
+                    await reader.read()
+                finally:
+                    writer.close()
+                    handled.set()
 
             server = await asyncio.start_server(hold_acks, "127.0.0.1", 0)
             gateway = RsuGateway(
@@ -596,6 +600,9 @@ class TestPipelinedClose:
             )
             try:
                 uploaded = await gateway.close_period(0)
+                # The gateway hangs up after the last ack; the handler
+                # then closes its side before the loop goes away.
+                await asyncio.wait_for(handled.wait(), timeout=5.0)
             finally:
                 server.close()
                 await server.wait_closed()

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.estimator import ZeroFractionPolicy
-from repro.core.multiway import estimate_multiway
 from repro.core.scheme import VlmScheme
 from repro.roadnet.generators import grid_network
 from repro.roadnet.gravity import gravity_trip_table
@@ -43,33 +42,6 @@ class TestDeploymentRestartCycle:
 
 
 class TestCrossEstimatorConsistency:
-    def test_pairwise_triple_and_matrix_agree(self, city):
-        """The decoder's pairwise estimate, the k-way estimator's
-        pairwise level, and the all-pairs matrix agree on the same
-        data."""
-        volumes = city.volumes()
-        scheme = VlmScheme(
-            volumes, s=2, load_factor=10.0, hash_seed=5,
-            policy=ZeroFractionPolicy.CLAMP,
-        )
-        scheme.run_period(city.passes())
-        # Central 3x3 grid nodes 2, 5, 8 form a realistic triple.
-        reports = [scheme.decoder.report_for(node) for node in (2, 5, 8)]
-        multi = estimate_multiway(tuple(reports), 2)
-        matrix = scheme.decoder.all_pairs()
-        for key, value in multi.subset_estimates.items():
-            if len(key) != 2:
-                continue
-            pair = tuple(sorted(key))
-            assert matrix[pair].value == pytest.approx(
-                value, rel=0.30, abs=150
-            )
-        # The triple is bounded by its tightest pair.
-        tightest = min(
-            v for k, v in multi.subset_estimates.items() if len(k) == 2
-        )
-        assert multi.value <= tightest * 1.3 + 150
-
     def test_scheme_estimates_track_network_truth(self, city):
         volumes = city.volumes()
         scheme = VlmScheme(

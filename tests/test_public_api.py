@@ -26,8 +26,6 @@ PACKAGES = [
     "repro.traffic",
     "repro.experiments",
     "repro.utils",
-    "repro.analysis",
-    "repro.apps",
     "repro.service",
     "repro.obs",
     "repro.federation",
@@ -147,16 +145,15 @@ class TestRemovedSurface:
     unfold memo deleted in 6.0.0, ``DeploymentSpec.config`` deleted
     in 7.0.0, the dict-tree routing helpers deleted in 8.0.0,
     ``TripTable.symmetrized`` deleted in 9.0.0, the two chaos drill
-    modules deleted in 10.0.0 and the dict methods of the all-pairs
-    result, a read-only ``PairMatrix`` since 11.0.0, stay deleted (each
+    modules deleted in 10.0.0, the dict methods of the all-pairs
+    result, a read-only ``PairMatrix`` since 11.0.0, and the
+    library-only extensions deleted in 15.0.0 stay deleted (each
     CHANGELOG maps them to their replacements)."""
 
     @pytest.mark.parametrize(
         "module_name,path",
         [
             ("repro.core.estimator", "PairEstimate.n_c_hat"),
-            ("repro.core.multiway", "TripleEstimate.n_xyz_hat"),
-            ("repro.core.multiway", "MultiwayEstimate.n_hat"),
             ("repro.core.multiperiod", "AggregatedEstimate.n_c_hat"),
             ("repro.core.multiperiod", "AggregatedEstimate.confidence_interval"),
             ("repro.core.results", "deprecated_alias"),
@@ -210,6 +207,10 @@ class TestRemovedSurface:
             ("repro.service.collector", "CollectorService._serve_client"),
             ("repro.service.collector", "CollectorService._session"),
             ("repro.service.collector", "CollectorService._reply"),
+            ("repro", "TripleEstimate"),
+            ("repro.accuracy", "confidence_interval"),
+            ("repro.privacy", "route_privacy"),
+            ("repro.privacy", "report_index_entropy"),
         ],
     )
     def test_name_is_gone(self, module_name, path):
@@ -286,12 +287,20 @@ class TestRemovedSurface:
             "repro.federation.collector",
             "repro.federation.chaos",
             "repro.service.outage",
+            "repro.apps",
+            "repro.analysis",
+            "repro.core.multiway",
+            "repro.accuracy.confidence",
+            "repro.privacy.metrics",
+            "repro.privacy.trajectory",
+            "repro.baseline.pseudonym",
         ],
     )
     def test_folded_federation_modules_are_gone(self, module_name):
         """Folded into the service tier in 3.0.0 (CHANGELOG 3.0.0); the
         two chaos drills into ``repro.service.drills`` in 10.0.0
-        (CHANGELOG 10.0.0)."""
+        (CHANGELOG 10.0.0); the library-only extensions that nothing
+        but tests reached deleted in 15.0.0 (CHANGELOG 15.0.0)."""
         with pytest.raises(ImportError):
             importlib.import_module(module_name)
 
