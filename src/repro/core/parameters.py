@@ -72,9 +72,3 @@ class SchemeParameters:
     def salts(self) -> SaltArray:
         """The global salt array ``X`` derived from ``(s, hash_seed)``."""
         return self._salts
-
-    def with_m_o(self, m_o: int) -> "SchemeParameters":
-        """Return a copy with a different largest-array size."""
-        return SchemeParameters(
-            s=self.s, load_factor=self.load_factor, m_o=m_o, hash_seed=self.hash_seed
-        )

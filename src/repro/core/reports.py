@@ -11,7 +11,6 @@ constructions interchangeably.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.core.bitarray import BitArray
 from repro.errors import ConfigurationError
@@ -61,29 +60,3 @@ class RsuReport:
         if self.counter == 0:
             return float("inf")
         return self.array_size / self.counter
-
-    def to_wire(self) -> Dict[str, object]:
-        """Serialize for the (simulated) RSU-to-server uplink."""
-        return {
-            "rsu_id": self.rsu_id,
-            "counter": self.counter,
-            "period": self.period,
-            "size": self.array_size,
-            "bits": self.bits.to_bytes().hex(),
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, object]) -> "RsuReport":
-        """Inverse of :meth:`to_wire`."""
-        try:
-            bits = BitArray.from_bytes(
-                bytes.fromhex(str(payload["bits"])), int(payload["size"])  # type: ignore[arg-type]
-            )
-            return cls(
-                rsu_id=int(payload["rsu_id"]),  # type: ignore[arg-type]
-                counter=int(payload["counter"]),  # type: ignore[arg-type]
-                bits=bits,
-                period=int(payload.get("period", 0)),  # type: ignore[arg-type]
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigurationError(f"malformed RSU report payload: {exc}") from exc

@@ -187,10 +187,6 @@ class TrafficAssignment:
             for k, (pair, _) in enumerate(self.plan.trips.pairs())
         }
 
-    @property
-    def total_vehicles(self) -> int:
-        return len(self.fleet)
-
     @cached_property
     def _bounds(self) -> np.ndarray:
         """Vehicle offsets per OD pair: pair ``k`` owns fleet slots

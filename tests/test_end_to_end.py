@@ -7,8 +7,6 @@ from repro.core.scheme import VlmScheme
 from repro.roadnet.generators import grid_network
 from repro.roadnet.gravity import gravity_trip_table
 from repro.traffic.network_workload import NetworkWorkload
-from repro.vcps.deployment import Deployment
-from repro.vcps.persistence import load_server, save_server
 
 
 @pytest.fixture(scope="module")
@@ -19,26 +17,6 @@ def city():
         network, total_trips=27_000, gamma=0.5, weights=weights
     )
     return NetworkWorkload.build(network, trips, seed=8)
-
-
-class TestDeploymentRestartCycle:
-    def test_measure_persist_restore_measure(self, city, tmp_path):
-        """A deployment runs two periods, persists, restarts, and the
-        restored server answers historical queries identically while
-        new periods keep flowing."""
-        deployment = Deployment(city, s=2, load_factor=8.0, hash_seed=3, seed=4)
-        deployment.run_period()
-        deployment.run_period(demand_factor=0.7)
-        truth = city.common_volumes()
-        pair = max(truth, key=truth.get)
-        before = deployment.server.point_to_point(*pair, period=0)
-
-        save_server(deployment.server, tmp_path / "state")
-        restored = load_server(tmp_path / "state")
-        after = restored.point_to_point(*pair, period=0)
-        assert after.value == pytest.approx(before.value)
-        # The restored server still supports next-period sizing.
-        assert restored.next_period_sizes().keys() == set(city.network.nodes)
 
 
 class TestCrossEstimatorConsistency:

@@ -35,11 +35,3 @@ class TestSchemeParameters:
     def test_s_must_be_less_than_m_o(self):
         with pytest.raises(ConfigurationError):
             SchemeParameters(s=16, m_o=16)
-
-    def test_with_m_o(self):
-        params = SchemeParameters(s=2, m_o=64, hash_seed=1)
-        bigger = params.with_m_o(256)
-        assert bigger.m_o == 256
-        assert bigger.s == params.s
-        assert bigger.hash_seed == params.hash_seed
-        assert list(bigger.salts) == list(params.salts)

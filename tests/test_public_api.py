@@ -146,8 +146,9 @@ class TestRemovedSurface:
     in 7.0.0, the dict-tree routing helpers deleted in 8.0.0,
     ``TripTable.symmetrized`` deleted in 9.0.0, the two chaos drill
     modules deleted in 10.0.0, the dict methods of the all-pairs
-    result, a read-only ``PairMatrix`` since 11.0.0, and the
-    library-only extensions deleted in 15.0.0 stay deleted (each
+    result, a read-only ``PairMatrix`` since 11.0.0, the library-only
+    extensions deleted in 15.0.0, and the report codec and
+    multi-period driver twins deleted in 16.0.0 stay deleted (each
     CHANGELOG maps them to their replacements)."""
 
     @pytest.mark.parametrize(
@@ -211,6 +212,10 @@ class TestRemovedSurface:
             ("repro.accuracy", "confidence_interval"),
             ("repro.privacy", "route_privacy"),
             ("repro.privacy", "report_index_entropy"),
+            ("repro.core.reports", "RsuReport.to_wire"),
+            ("repro.core.reports", "RsuReport.from_wire"),
+            ("repro.core.parameters", "SchemeParameters.with_m_o"),
+            ("repro.roadnet.volumes", "TrafficAssignment.total_vehicles"),
         ],
     )
     def test_name_is_gone(self, module_name, path):
@@ -294,13 +299,18 @@ class TestRemovedSurface:
             "repro.privacy.metrics",
             "repro.privacy.trajectory",
             "repro.baseline.pseudonym",
+            "repro.core.compression",
+            "repro.vcps.deployment",
+            "repro.vcps.persistence",
         ],
     )
     def test_folded_federation_modules_are_gone(self, module_name):
         """Folded into the service tier in 3.0.0 (CHANGELOG 3.0.0); the
         two chaos drills into ``repro.service.drills`` in 10.0.0
         (CHANGELOG 10.0.0); the library-only extensions that nothing
-        but tests reached deleted in 15.0.0 (CHANGELOG 15.0.0)."""
+        but tests reached deleted in 15.0.0 (CHANGELOG 15.0.0); the
+        report codec, persistence and ``Deployment`` twins of the live
+        plane deleted in 16.0.0 (CHANGELOG 16.0.0)."""
         with pytest.raises(ImportError):
             importlib.import_module(module_name)
 

@@ -20,7 +20,6 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.service import wire
 from repro.service.collector import CollectorService
 from repro.service.runtime import DeploymentSpec
-from repro.vcps.deployment import Deployment
 
 
 @pytest.fixture(scope="module")
@@ -184,32 +183,31 @@ def test_every_pair_falls_back_to_pair_estimate(policy, reports):
                 assert got == _outcome(reference.pair_estimate, rsu_x, rsu_y)
 
 
-def test_deployment_measurements_runs_no_batch_decode(monkeypatch):
-    from repro.roadnet.generators import grid_network
-    from repro.roadnet.gravity import gravity_trip_table
-    from repro.traffic.network_workload import NetworkWorkload
-
-    network = grid_network(3, 3)
-    trips = gravity_trip_table(
-        network,
+def test_per_period_pair_queries_run_no_batch_decode(monkeypatch):
+    spec = DeploymentSpec(
+        scenario="grid-3x3",
+        periods=3,
         total_trips=6_000,
-        gamma=0.5,
-        weights={node: 1.0 for node in network.nodes},
+        s=2,
+        load_factor=8.0,
+        hash_seed=7,
+        seed=3,
     )
-    workload = NetworkWorkload.build(network, trips, seed=2)
-    deployment = Deployment(workload, s=2, load_factor=8.0, hash_seed=7, seed=3)
-    for _ in range(3):
-        deployment.run_period()
+    server = spec.build_central_server()
+    for period in range(spec.periods):
+        server.receive_reports(spec.reference_reports(period=period).values())
 
     def no_batch_decode(self, *args, **kwargs):
         raise AssertionError("a single-pair query ran a batch decode")
 
     monkeypatch.setattr(CentralDecoder, "estimate_matrix", no_batch_decode)
-    nodes = sorted(workload.volumes())
+    nodes = sorted(spec.workload.volumes())
     for rsu_x, rsu_y in ((nodes[0], nodes[4]), (nodes[8], nodes[1])):
-        got = deployment.measurements(rsu_x, rsu_y)
-        assert [period for period, _ in got] == [0, 1, 2]
+        got = [
+            (period, server.point_to_point(rsu_x, rsu_y, period))
+            for period in range(spec.periods)
+        ]
+        stored = [server.decoder.report_for(rsu_x, p).period for p, _ in got]
+        assert stored == [0, 1, 2]
         for period, estimate in got:
-            assert estimate == deployment.server.decoder.pair_estimate(
-                rsu_x, rsu_y, period
-            )
+            assert estimate == server.decoder.pair_estimate(rsu_x, rsu_y, period)

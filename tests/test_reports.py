@@ -1,4 +1,4 @@
-"""Tests for the RSU report container and wire round trip."""
+"""Tests for the RSU report container."""
 
 import pytest
 
@@ -21,26 +21,3 @@ class TestRsuReport:
     def test_negative_counter_rejected(self):
         with pytest.raises(ConfigurationError):
             RsuReport(rsu_id=3, counter=-1, bits=BitArray(8))
-
-    def test_wire_round_trip(self):
-        report = RsuReport(
-            rsu_id=7, counter=42, bits=BitArray.from_indices(16, [3, 9]), period=2
-        )
-        restored = RsuReport.from_wire(report.to_wire())
-        assert restored.rsu_id == 7
-        assert restored.counter == 42
-        assert restored.period == 2
-        assert restored.bits == report.bits
-
-    def test_wire_default_period(self):
-        payload = RsuReport(rsu_id=1, counter=0, bits=BitArray(8)).to_wire()
-        del payload["period"]
-        assert RsuReport.from_wire(payload).period == 0
-
-    def test_malformed_payload(self):
-        with pytest.raises(ConfigurationError):
-            RsuReport.from_wire({"rsu_id": 1})
-        with pytest.raises(ConfigurationError):
-            RsuReport.from_wire(
-                {"rsu_id": 1, "counter": 1, "period": 0, "size": 8, "bits": "zz"}
-            )

@@ -279,33 +279,6 @@ class TestDeploymentSpecScenario:
             DeploymentSpec(total_trips=2_000, scenario="nope")
 
 
-class TestDeploymentFromScenario:
-    def test_from_scenario_and_profile_replay(self):
-        from repro.vcps.deployment import Deployment
-
-        deployment = Deployment.from_scenario(
-            "trajectory-replay",
-            total_trips=4_000,
-            workload_seed=7,
-            seed=11,
-            load_factor=8.0,
-        )
-        records = deployment.run_profile(7)
-        assert len(records) == 7
-        assert records[6].demand_factor == pytest.approx(0.5)
-
-    def test_run_profile_requires_scenario(self):
-        from repro.traffic.network_workload import NetworkWorkload
-        from repro.vcps.deployment import Deployment
-
-        scenario = get_scenario("grid-3x3")
-        workload = scenario.workload(total_trips=1_000, seed=1)
-        deployment = Deployment(workload, seed=5)
-        with pytest.raises(ConfigurationError):
-            deployment.run_profile(2)
-        assert isinstance(deployment.workload, NetworkWorkload)
-
-
 class TestExperimentsScenario:
     def test_od_matrix_on_grid(self):
         from repro.experiments.sioux_falls_matrix import run_od_matrix

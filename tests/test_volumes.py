@@ -48,7 +48,7 @@ class TestGroundTruth:
 class TestTrafficAssignment:
     def test_materialize_counts(self, plan):
         assignment = TrafficAssignment.materialize(plan, seed=1)
-        assert assignment.total_vehicles == 35
+        assert len(assignment.fleet) == 35
 
     def test_passes_at_matches_ground_truth(self, plan):
         assignment = TrafficAssignment.materialize(plan, seed=1)
