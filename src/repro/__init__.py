@@ -27,7 +27,7 @@ True
 
 from repro._lazy import lazy_exports
 
-__version__ = "16.0.0"
+__version__ = "17.0.0"
 
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),

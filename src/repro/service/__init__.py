@@ -10,11 +10,13 @@ federation, with one implementation of each tier:
 
 * :mod:`repro.service.wire` — length-prefixed binary codec for vehicle
   responses, period snapshots (whole-report and shard partial), and
-  decode queries;
-* :mod:`repro.service.gateway` — asyncio RSU gateway: streams of
-  vehicle responses in, batched ingestion, per-period snapshot upload
-  with retry; with a ``shard_id`` it uploads shard partials and
-  accepts mid-period handoffs;
+  decode queries, and the one I/O style over it: a sans-IO frame
+  parser, the server session both services run on, and the pipelined
+  frame client every sender and uploader uses;
+* :mod:`repro.service.gateway` — asyncio RSU gateway: vehicle
+  responses ORed into their RSU as each frame arrives, per-period
+  snapshot upload with retry; with a ``shard_id`` it uploads shard
+  partials and accepts mid-period handoffs;
 * :mod:`repro.service.collector` — asyncio central collector: snapshot
   ingestion into :class:`~repro.vcps.server.CentralServer`, the
   shard-partial OR-merge with its write-ahead journal and

@@ -34,7 +34,6 @@ experiments use.
 
 from __future__ import annotations
 
-import asyncio
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -113,7 +112,7 @@ class _MergeState:
         self.partials = 1
 
 
-class CollectorService:
+class CollectorService(wire.FrameServer):
     """One measurement back end behind a TCP socket.
 
     Whole-report snapshot ingestion is idempotent: uploads are keyed by
@@ -174,11 +173,9 @@ class CollectorService:
         retention_periods: Optional[int] = None,
         wal: Optional["WriteAheadLog"] = None,
     ) -> None:
+        super().__init__()
         self.server = server
         self.wal = wal
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._sessions: Set[_CollectorSession] = set()
-        self.port: Optional[int] = None
         if retention_periods is not None:
             retention_periods = int(retention_periods)
             if retention_periods < 1:
@@ -297,30 +294,8 @@ class CollectorService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        loop = asyncio.get_running_loop()
-        self._server = await loop.create_server(
-            lambda: _CollectorSession(self), host, port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen(host, port)
         logger.info("collector listening on %s:%s", host, self.port)
-
-    async def stop(self) -> None:
-        """Stop accepting, then close every open client connection (each
-        client reads EOF once its replies are written) and wait until
-        each is gone."""
-        if self._server is not None:
-            self._server.close()
-            sessions = list(self._sessions)
-            for session in sessions:
-                session.close()
-            await asyncio.gather(*(session.closed for session in sessions))
-            await self._server.wait_closed()
-            self._server = None
-
-    @property
-    def open_sessions(self) -> int:
-        """Client connections currently open."""
-        return len(self._sessions)
 
     # ------------------------------------------------------------------
     # Message handling (synchronous — decoding is pure CPU)
@@ -654,68 +629,3 @@ class CollectorService:
         return wire.PointVolume(
             rsu_id=query.rsu_id, period=query.period, counter=counter
         )
-
-
-class _CollectorSession(asyncio.Protocol):
-    """One client connection of a :class:`CollectorService`.
-
-    Frames are parsed as bytes arrive (:class:`~repro.service.wire.
-    FrameParser`), and each is handled and answered inside
-    :meth:`data_received`, in order, with no task wake-up.  A malformed
-    frame, or an EOF inside a frame, is answered with ``E_MALFORMED``
-    and the connection is closed.  While the transport's write buffer
-    is over its high-water mark the session stops reading, so a client
-    that does not read its answers is not sent more.
-    """
-
-    def __init__(self, collector: CollectorService) -> None:
-        self._collector = collector
-        self._parser = wire.FrameParser()
-        self._transport: Optional[asyncio.Transport] = None
-        #: Resolved by :meth:`connection_lost`.
-        self.closed = asyncio.get_running_loop().create_future()
-
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self._transport = transport
-        server = self._collector._server
-        if server is not None and not server.is_serving():
-            transport.close()  # accepted while stop() was closing
-            return
-        self._collector._sessions.add(self)
-
-    def data_received(self, data: bytes) -> None:
-        transport = self._transport
-        handle = self._collector._handle
-        try:
-            for message in self._parser.feed(data):
-                wire.write_frame(transport, handle(message))
-        except WireError as exc:
-            self._reject(exc)
-
-    def eof_received(self) -> None:
-        try:
-            self._parser.eof()
-        except WireError as exc:
-            self._reject(exc)
-        # Returning None closes the transport once replies are written.
-
-    def _reject(self, exc: WireError) -> None:
-        self._collector._m_frames_rejected.inc()
-        wire.write_frame(
-            self._transport, wire.ErrorMsg(wire.E_MALFORMED, str(exc))
-        )
-        self._transport.close()
-
-    def pause_writing(self) -> None:
-        self._transport.pause_reading()
-
-    def resume_writing(self) -> None:
-        self._transport.resume_reading()
-
-    def close(self) -> None:
-        self._transport.close()
-
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        self._collector._sessions.discard(self)
-        if not self.closed.done():
-            self.closed.set_result(None)

@@ -2,22 +2,22 @@
 
 Vehicles (or the load generator standing in for them) stream
 :class:`~repro.service.wire.ResponseMsg` /
-:class:`~repro.service.wire.ResponseBatch` frames over TCP.  The
-gateway routes them to the right
-:class:`~repro.vcps.rsu.RoadsideUnit`, but never records per message:
-responses accumulate in a bounded queue and a single ingest worker
-drains them into vectorized
-:meth:`~repro.vcps.rsu.RoadsideUnit.handle_wire_batch` calls — one
-bounds/MAC check, one counter bump, one scatter per flush.
+:class:`~repro.service.wire.ResponseBatch` frames over TCP.  Each
+connection is a :class:`~repro.service.wire.FrameSession`: a frame is
+decoded as its bytes arrive and ORed straight into its
+:class:`~repro.vcps.rsu.RoadsideUnit` with one vectorized
+:meth:`~repro.vcps.rsu.RoadsideUnit.handle_wire_batch` call — one
+bounds/MAC check, one counter bump, one scatter per frame — and then
+acknowledged.
 
-Backpressure is structural: the ingest queue is bounded, the reader
-coroutine ``await``-s on ``queue.put``, and while it waits it is not
-reading the socket, so TCP flow control pushes back on the sender.
+Backpressure is the transport's: while a session's write buffer is
+over its high-water mark the session stops reading the socket, so TCP
+flow control pushes back on a sender that does not read its acks.
 
-On :class:`~repro.service.wire.EndPeriod` the gateway flushes, closes
-the period at every RSU, and uploads the snapshots to the collector
-pipelined on one connection, with bounded retries and per-attempt
-timeouts, before acknowledging.
+On :class:`~repro.service.wire.EndPeriod` the session stops reading
+while the gateway closes the period at every RSU and uploads the
+snapshots to the collector pipelined on one connection, with bounded
+retries and per-attempt timeouts; it acknowledges and then reads on.
 
 One class serves both deployments.  An unsharded gateway
 (``shard_id=None``) fronts the whole fleet and uploads whole-report
@@ -41,7 +41,7 @@ from __future__ import annotations
 import asyncio
 import random
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from repro.errors import ReproError, RetryExhaustedError, WireError
 from repro.obs import MetricsRegistry
 from repro.service import wire
 from repro.service.retry import RetryPolicy, retry_async
-from repro.utils.connections import Connections
 from repro.utils.logconfig import get_logger
 from repro.vcps.rsu import RoadsideUnit
 
@@ -65,11 +64,8 @@ _UPLOAD_RETRY_ON = (
     asyncio.IncompleteReadError,
 )
 
-#: (rsu_id, macs, bit_indices) as decoded straight off the wire.
-_QueueItem = Tuple[int, np.ndarray, np.ndarray]
 
-
-class RsuGateway:
+class RsuGateway(wire.FrameServer):
     """A fleet of RSUs behind one ingestion socket.
 
     Parameters
@@ -79,14 +75,6 @@ class RsuGateway:
         fronts.
     collector_host, collector_port:
         Where period snapshots are uploaded.
-    batch_size:
-        Flush an RSU's pending responses once this many accumulate.
-    queue_size:
-        Bound on the ingest queue (items, not responses); when full,
-        readers stall and TCP backpressure reaches the sender.
-    flush_interval:
-        Seconds of queue idleness after which pending responses are
-        flushed regardless of batch size.
     upload_timeout:
         Per-attempt timeout for a snapshot upload (connect, send, ack).
     upload_retries:
@@ -130,9 +118,6 @@ class RsuGateway:
         ] = None,
         collector_host: str = "127.0.0.1",
         collector_port: int = 8702,
-        batch_size: int = 4096,
-        queue_size: int = 1024,
-        flush_interval: float = 0.05,
         upload_timeout: float = 5.0,
         upload_retries: int = 3,
         retry_policy: Optional[RetryPolicy] = None,
@@ -140,6 +125,7 @@ class RsuGateway:
         windows: int = 0,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
+        super().__init__()
         self.rsus = dict(rsus)
         self.shard_id = None if shard_id is None else int(shard_id)
         self._provisioner = provisioner
@@ -149,8 +135,6 @@ class RsuGateway:
                 rsu.track_windows()
         self.collector_host = collector_host
         self.collector_port = collector_port
-        self.batch_size = int(batch_size)
-        self.flush_interval = float(flush_interval)
         self.upload_timeout = float(upload_timeout)
         self.retry_policy = (
             retry_policy
@@ -158,20 +142,11 @@ class RsuGateway:
             else RetryPolicy(max_attempts=max(int(upload_retries), 1))
         )
         self._retry_rng = random.Random(retry_seed)
-        self._queue: "asyncio.Queue[_QueueItem]" = asyncio.Queue(
-            maxsize=int(queue_size)
-        )
-        self._pending: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
-        self._pending_counts: Dict[int, int] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._clients = Connections()
-        self._ingest_task: Optional[asyncio.Task] = None
-        self.port: Optional[int] = None
         # Sequenced-delivery state.  Seqs of applied batches (bounded
         # by one day's frame count; senders restart seqs per run).
         self._seen_seqs: Set[int] = set()
         # RSUs whose radio is currently down (see set_outage): frames
-        # for them are dropped at admission, before the queue.
+        # for them are dropped at admission.
         self._outages: Set[int] = set()
         # period -> rsu_id -> the exact Snapshot frame (with its upload
         # seq) produced when the period was first closed; re-closing an
@@ -224,13 +199,12 @@ class RsuGateway:
         self._m_window_uploads = self.registry.counter(
             "gateway.window_partials_uploaded_total"
         )
-        self._m_backpressure = self.registry.counter(
+        self._m_stalls = self.registry.counter(
             "gateway.backpressure_stalls_total"
         )
         self._m_outage_dropped = self.registry.counter(
             "gateway.outage_dropped_total"
         )
-        self._m_queue_depth = self.registry.gauge("gateway.queue_depth")
         self._m_flush_seconds = self.registry.histogram(
             "gateway.ingest_flush_seconds"
         )
@@ -311,8 +285,8 @@ class RsuGateway:
 
     @property
     def backpressure_stalls(self) -> int:
-        """Times a reader blocked on a full ingest queue."""
-        return int(self._m_backpressure.value)
+        """Times a session stopped reading for a full write buffer."""
+        return int(self._m_stalls.value)
 
     @property
     def outage_dropped(self) -> int:
@@ -351,142 +325,85 @@ class RsuGateway:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Bind the ingestion socket and start the ingest worker."""
-        self._server = await asyncio.start_server(
-            self._serve_client, host, port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._ingest_task = asyncio.ensure_future(self._ingest_loop())
+        """Bind the ingestion socket."""
+        await self._listen(host, port)
         logger.info("gateway listening on %s:%s", host, self.port)
 
-    async def stop(self) -> None:
-        """Stop accepting, close every open client stream and wait for
-        its handler, drain the queue, cancel the worker."""
-        if self._server is not None:
-            self._server.close()
-            await self._clients.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._ingest_task is not None:
-            await self._queue.join()
-            self._flush_all()
-            self._ingest_task.cancel()
-            try:
-                await self._ingest_task
-            except asyncio.CancelledError:
-                pass
-            self._ingest_task = None
-
     # ------------------------------------------------------------------
-    # Client connections
+    # Frames
     # ------------------------------------------------------------------
-    async def _serve_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await self._clients.serve(writer, self._session(reader, writer))
+    def _handle(self, message: wire.Message):
+        """Answer one frame of a session: a reply, ``None`` for an
+        unsequenced response, or the coroutine of a control frame."""
+        if isinstance(message, wire.ResponseBatch):
+            return self._ingest(
+                message.rsu_id, message.macs, message.bit_indices, message.seq
+            )
+        if isinstance(message, wire.ResponseMsg):
+            return self._ingest(
+                message.rsu_id,
+                np.array([message.mac], dtype=np.uint64),
+                np.array([message.bit_index], dtype=np.int64),
+            )
+        if isinstance(message, wire.EndPeriod):
+            return self._answer(
+                self.close_period(message.period),
+                lambda uploaded: wire.EndPeriodAck(
+                    period=message.period, snapshots=uploaded
+                ),
+            )
+        if isinstance(message, wire.EndWindow) and self.windows > 0:
+            return self._answer(
+                self.close_window(message.period, message.window),
+                lambda uploaded: wire.EndWindowAck(
+                    period=message.period,
+                    window=message.window,
+                    partials=uploaded,
+                ),
+            )
+        if isinstance(message, wire.SizeAnnounce):
+            return self._answer(
+                self.apply_size_announce(message),
+                lambda applied: wire.SizeAnnounceAck(
+                    period=message.period, applied=applied
+                ),
+            )
+        if isinstance(message, wire.Handoff) and self.shard_id is not None:
+            return self._handle_handoff(message)
+        self._m_frames_rejected.inc()
+        return wire.ErrorMsg(
+            wire.E_MALFORMED,
+            f"gateway cannot handle {type(message).__name__}",
+        )
 
-    async def _session(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            try:
-                message = await wire.read_message(reader)
-            except asyncio.IncompleteReadError:
-                break  # clean close between frames
-            except WireError as exc:
-                # A framing error is unrecoverable on this stream —
-                # report it and hang up.
-                self._m_frames_rejected.inc()
-                await self._send_error(writer, wire.E_MALFORMED, str(exc))
-                break
-            if isinstance(message, wire.ResponseMsg):
-                await self._enqueue(
-                    writer,
-                    message.rsu_id,
-                    np.array([message.mac], dtype=np.uint64),
-                    np.array([message.bit_index], dtype=np.int64),
-                )
-            elif isinstance(message, wire.ResponseBatch):
-                await self._enqueue(
-                    writer,
-                    message.rsu_id,
-                    message.macs,
-                    message.bit_indices,
-                    seq=message.seq,
-                )
-            elif isinstance(message, wire.EndWindow):
-                uploaded = await self.close_window(
-                    message.period, message.window
-                )
-                await wire.write_message(
-                    writer,
-                    wire.EndWindowAck(
-                        period=message.period,
-                        window=message.window,
-                        partials=uploaded,
-                    ),
-                )
-            elif isinstance(message, wire.EndPeriod):
-                uploaded = await self.close_period(message.period)
-                await wire.write_message(
-                    writer,
-                    wire.EndPeriodAck(
-                        period=message.period, snapshots=uploaded
-                    ),
-                )
-            elif isinstance(message, wire.SizeAnnounce):
-                try:
-                    applied = await self.apply_size_announce(message)
-                except ReproError as exc:
-                    self._m_frames_rejected.inc()
-                    await self._send_error(
-                        writer, wire.E_INTERNAL, str(exc)
-                    )
-                else:
-                    await wire.write_message(
-                        writer,
-                        wire.SizeAnnounceAck(
-                            period=message.period, applied=applied
-                        ),
-                    )
-            elif (
-                isinstance(message, wire.Handoff)
-                and self.shard_id is not None
-            ):
-                await self._handle_handoff(message, writer)
-            else:
-                self._m_frames_rejected.inc()
-                await self._send_error(
-                    writer,
-                    wire.E_MALFORMED,
-                    f"gateway cannot handle {type(message).__name__}",
-                )
+    async def _answer(self, work, ack: Callable[[int], wire.Message]):
+        """The ack of a control frame's *work*, or ``E_INTERNAL`` if it
+        failed."""
+        try:
+            return ack(await work)
+        except ReproError as exc:
+            self._m_frames_rejected.inc()
+            return wire.ErrorMsg(wire.E_INTERNAL, str(exc))
 
-    async def _handle_handoff(
-        self, message: wire.Handoff, writer: asyncio.StreamWriter
-    ) -> None:
+    def _handle_handoff(self, message: wire.Handoff) -> wire.Message:
         """Take ownership of a rebalanced RSU (shards only; an
         unsharded gateway nacks ``Handoff`` like any frame it cannot
         handle)."""
         if message.to_shard != self.shard_id:
             self._m_handoffs_refused.inc()
-            await self._send_error(
-                writer,
+            return wire.ErrorMsg(
                 wire.E_MALFORMED,
                 f"handoff of rsu {message.rsu_id} addresses shard "
                 f"{message.to_shard}, but this is shard {self.shard_id}",
             )
-            return
         if message.rsu_id not in self.rsus:
             if self._provisioner is None:
                 self._m_handoffs_refused.inc()
-                await self._send_error(
-                    writer,
+                return wire.ErrorMsg(
                     wire.E_UNKNOWN_RSU,
                     f"shard {self.shard_id} cannot provision rsu "
                     f"{message.rsu_id} (no provisioner)",
                 )
-                return
             provisioned = self._provisioner([message.rsu_id])[message.rsu_id]
             if self.windows > 0:
                 # A rebalanced-in RSU joins the streaming tier too, so
@@ -503,136 +420,49 @@ class RsuGateway:
             )
         # Otherwise a handoff retransmission (or a no-op rebalance):
         # the RSU is already provisioned, so ack without zeroing state.
-        try:
-            await wire.write_message(
-                writer,
-                wire.HandoffAck(
-                    rsu_id=message.rsu_id,
-                    to_shard=self.shard_id,
-                    period=message.period,
-                ),
-            )
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass
+        return wire.HandoffAck(
+            rsu_id=message.rsu_id,
+            to_shard=self.shard_id,
+            period=message.period,
+        )
 
-    async def _send_error(
-        self, writer: asyncio.StreamWriter, code: int, text: str
-    ) -> None:
-        try:
-            await wire.write_message(writer, wire.ErrorMsg(code, text))
-        except (ConnectionError, OSError):  # peer already gone
-            pass
-
-    async def _enqueue(
+    def _ingest(
         self,
-        writer: asyncio.StreamWriter,
         rsu_id: int,
         macs: np.ndarray,
         indices: np.ndarray,
         seq: int = 0,
-    ) -> None:
+    ) -> Optional[wire.Message]:
+        """Record one frame's responses in its RSU; returns the ack of
+        a sequenced frame, an error frame, or ``None``."""
         if rsu_id not in self.rsus:
             self._m_frames_rejected.inc()
-            await self._send_error(
-                writer, wire.E_UNKNOWN_RSU, f"unknown RSU {rsu_id}"
-            )
-            return
+            return wire.ErrorMsg(wire.E_UNKNOWN_RSU, f"unknown RSU {rsu_id}")
         if rsu_id in self._outages:
             # Scheduled outage: the radio is down, so the responses
             # never reach the measurement state.  The transport is
             # still alive, so sequenced frames are acked (and their
             # seqs burned) — the sender must not resend into the hole.
             self._m_outage_dropped.inc(int(macs.size))
-            if seq and seq not in self._seen_seqs:
-                self._seen_seqs.add(seq)
             if seq:
-                await self._reply_ack(writer, seq, duplicate=False)
-            return
+                self._seen_seqs.add(seq)
+                return wire.BatchAck(seq=seq, duplicate=False)
+            return None
         if seq:
             # Sequenced delivery: a batch the sender may retransmit
             # after a fault.  Apply exactly once, ack every time.
             if seq in self._seen_seqs:
                 self._m_deduped.inc()
-                await self._reply_ack(writer, seq, duplicate=True)
-                return
+                return wire.BatchAck(seq=seq, duplicate=True)
             self._seen_seqs.add(seq)
-            self._m_received.inc(int(macs.size))
-            await self._put((rsu_id, macs, indices))
-            await self._reply_ack(writer, seq, duplicate=False)
-            return
         self._m_received.inc(int(macs.size))
-        await self._put((rsu_id, macs, indices))
-
-    async def _put(self, item: _QueueItem) -> None:
-        """Enqueue for the ingest worker, counting backpressure stalls."""
-        if self._queue.full():
-            self._m_backpressure.inc()
-        await self._queue.put(item)
-        self._m_queue_depth.set(self._queue.qsize())
-
-    async def _reply_ack(
-        self, writer: asyncio.StreamWriter, seq: int, *, duplicate: bool
-    ) -> None:
-        try:
-            await wire.write_message(
-                writer, wire.BatchAck(seq=seq, duplicate=duplicate)
-            )
-        except (ConnectionError, OSError):  # peer already gone
-            pass
-
-    # ------------------------------------------------------------------
-    # Batched ingestion
-    # ------------------------------------------------------------------
-    async def _ingest_loop(self) -> None:
-        queue = self._queue
-        while True:
-            # Queued items are taken with no timer (``wait_for`` costs a
-            # task and a timer handle per call).  Only an empty queue
-            # waits, bounded so that an idle gateway still flushes.
-            if not queue.empty():
-                item = queue.get_nowait()
-            else:
-                try:
-                    item = await asyncio.wait_for(
-                        queue.get(), timeout=self.flush_interval
-                    )
-                except asyncio.TimeoutError:
-                    self._flush_all()
-                    continue
-            rsu_id, macs, indices = item
-            self._pending.setdefault(rsu_id, []).append((macs, indices))
-            count = self._pending_counts.get(rsu_id, 0) + int(macs.size)
-            self._pending_counts[rsu_id] = count
-            if count >= self.batch_size:
-                self._flush(rsu_id)
-            self._m_queue_depth.set(self._queue.qsize())
-            self._queue.task_done()
-
-    def _flush(self, rsu_id: int) -> None:
-        chunks = self._pending.pop(rsu_id, None)
-        self._pending_counts.pop(rsu_id, None)
-        if not chunks:
-            return
         start = self.registry.clock()
-        if len(chunks) == 1:
-            # The common case: one wire frame pending — hand its
-            # zero-copy big-endian views straight to the RSU, no
-            # concatenation, no byteswap.
-            macs, indices = chunks[0]
-        else:
-            # Multi-frame flush: one fused concatenate per side (numpy
-            # normalizes byte order while copying, so the RSU still
-            # sees each element touched exactly once).
-            macs = np.concatenate([m for m, _ in chunks])
-            indices = np.concatenate([i for _, i in chunks])
+        # The frame's zero-copy big-endian views, straight to the RSU.
         recorded = self.rsus[rsu_id].handle_wire_batch(macs, indices)
         self._m_recorded.inc(recorded)
         self._m_rejected.inc(int(indices.size) - recorded)
         self._m_flush_seconds.observe(self.registry.clock() - start)
-
-    def _flush_all(self) -> None:
-        for rsu_id in list(self._pending):
-            self._flush(rsu_id)
+        return wire.BatchAck(seq=seq, duplicate=False) if seq else None
 
     # ------------------------------------------------------------------
     # Period close and snapshot upload
@@ -641,8 +471,8 @@ class RsuGateway:
         """Flush, snapshot every RSU, upload everything; returns the
         number of snapshots the collector has acknowledged.
 
-        Idempotent: the first close of a period drains the queue,
-        closes every RSU, and caches the resulting snapshots (each
+        Idempotent: the first close of a period closes every RSU and
+        caches the resulting snapshots (each
         stamped with a stable upload seq).  A re-close — e.g. a sender
         retrying ``EndPeriod`` after a lost ack — re-uploads only the
         snapshots the collector has not yet acknowledged, never calling
@@ -651,16 +481,11 @@ class RsuGateway:
         if self._close_lock is None:
             self._close_lock = asyncio.Lock()
         async with self._close_lock:
+            close_start = self.registry.clock()
             if period in self._period_uploads:
                 self._m_reclosed.inc()
                 logger.info("period %s re-closed; resuming uploads", period)
-                close_start = self.registry.clock()
             else:
-                await self._queue.join()
-                self._flush_all()
-                # Timed from here: the snapshot and the upload, not the
-                # ingest drain above.
-                close_start = self.registry.clock()
                 snapshots: Dict[int, wire.Snapshot] = {}
                 for rsu in self.rsus.values():
                     report = rsu.end_period()
@@ -707,7 +532,7 @@ class RsuGateway:
     # Sub-period window close (streaming tier)
     # ------------------------------------------------------------------
     async def close_window(self, period: int, window: int) -> int:
-        """Flush, close the current window at every RSU, and upload the
+        """Close the current window at every RSU and upload the
         window-tagged partials; returns how many the collector acked.
 
         Window partials are an overlay on the authoritative period
@@ -723,8 +548,6 @@ class RsuGateway:
         if self._close_lock is None:
             self._close_lock = asyncio.Lock()
         async with self._close_lock:
-            await self._queue.join()
-            self._flush_all()
             partials: List[wire.WindowSnapshot] = []
             for rsu in sorted(self.rsus.values(), key=lambda r: r.rsu_id):
                 report = rsu.close_window()
@@ -760,18 +583,16 @@ class RsuGateway:
 
         Announced ids this gateway does not own are skipped — a shard
         gateway only holds its partition of the fleet, while the
-        announcement always covers all of it.  The ingest queue is
-        drained first so in-flight responses for the *old* size cannot
-        land in a re-sized array; senders announce strictly between an
-        ``EndPeriodAck`` and the next period's traffic, so the drain is
-        normally a no-op.  Idempotent: re-announcing the same plan
+        announcement always covers all of it.  Senders announce
+        strictly between an ``EndPeriodAck`` and the next period's
+        traffic, and a session reads no frame behind the announcement
+        until it is acked, so no response for the *old* size lands in
+        a re-sized array.  Idempotent: re-announcing the same plan
         changes nothing and acks ``applied=0``.
         """
         if self._close_lock is None:
             self._close_lock = asyncio.Lock()
         async with self._close_lock:
-            await self._queue.join()
-            self._flush_all()
             applied = 0
             for rsu_id, size in announce.to_sizes().items():
                 rsu = self.rsus.get(int(rsu_id))
@@ -817,34 +638,25 @@ class RsuGateway:
         if acked is None:
             acked = self._period_acked[period]
         unacked = deque(snapshots)
-        connection: Optional[
-            Tuple[asyncio.StreamReader, asyncio.StreamWriter]
-        ] = None
-        written = False  # every unacked snapshot is on `connection`
+        client: Optional[wire.FrameClient] = None
+        # The reply future of each unacked snapshot written on `client`.
+        replies: deque = deque()
 
         def _drop_connection() -> None:
-            nonlocal connection, written
-            if connection is not None:
-                connection[1].close()
-                connection = None
-            written = False
+            nonlocal client
+            if client is not None:
+                client.close()
+                client = None
+            replies.clear()
 
         async def attempt() -> None:
-            nonlocal connection, written
-            if connection is None:
-                connection = await asyncio.wait_for(
-                    asyncio.open_connection(
-                        self.collector_host, self.collector_port
-                    ),
-                    timeout=self.upload_timeout,
+            nonlocal client
+            if client is None:
+                client = await wire.FrameClient.open(
+                    self.collector_host, self.collector_port, self.upload_timeout
                 )
-            reader, writer = connection
-            if not written:
-                written = True
-                await wire.write_messages(
-                    writer, unacked, timeout=self.upload_timeout
-                )
-            ack = await wire.read_message(reader, timeout=self.upload_timeout)
+                replies.extend(client.submit(snap) for snap in unacked)
+            ack = await replies.popleft()
             snap = unacked[0]
             if not (
                 isinstance(ack, wire.SnapshotAck)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import asyncio
 import random
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -282,116 +283,6 @@ class LoadgenResult:
         return table.render()
 
 
-def _close_connection(
-    connection: Optional[Tuple[asyncio.StreamReader, asyncio.StreamWriter]],
-) -> None:
-    if connection is not None:
-        try:
-            connection[1].close()
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass
-
-
-class _RequestClient(asyncio.Protocol):
-    """One request/response connection: a frame goes out, and one reply
-    future waits for the frame that answers it.
-
-    Replies are parsed as bytes arrive (:class:`~repro.service.wire.
-    FrameParser`) and resolve the future inside :meth:`data_received`.
-    The deadline is one timer per connection: a request sets it
-    *timeout* seconds after its write, and the timer, armed at an
-    earlier request's deadline, re-arms itself to the current one when
-    it fires early.  A fault — a malformed or unexpected frame, EOF, a
-    reset, a missed deadline — fails the waiting request with one of
-    ``_FAULTS`` and closes the connection; the caller reconnects.
-    """
-
-    def __init__(self, timeout: float) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._timeout = timeout
-        self._parser = wire.FrameParser()
-        self._transport: Optional[asyncio.Transport] = None
-        self._waiter: Optional[asyncio.Future] = None
-        self._fault: Optional[BaseException] = None
-        self._timer: Optional[asyncio.TimerHandle] = None
-        self._deadline = 0.0
-
-    @classmethod
-    async def open(
-        cls, host: str, port: int, timeout: float
-    ) -> "_RequestClient":
-        """Connect, giving up after *timeout* seconds, which is then
-        each request's deadline."""
-        loop = asyncio.get_running_loop()
-        _, client = await asyncio.wait_for(
-            loop.create_connection(lambda: cls(timeout), host, port), timeout
-        )
-        return client
-
-    async def request(self, message: wire.Message) -> wire.Message:
-        """Send *message* and return the frame that answers it; raise
-        one of ``_FAULTS`` if none arrives by the deadline."""
-        if self._fault is not None:
-            raise self._fault
-        waiter = self._waiter = self._loop.create_future()
-        wire.write_frame(self._transport, message)
-        self._deadline = self._loop.time() + self._timeout
-        if self._timer is None:
-            self._timer = self._loop.call_at(self._deadline, self._expire)
-        return await waiter
-
-    def _expire(self) -> None:
-        self._timer = None
-        if self._waiter is None:
-            return  # idle: the next request arms a timer again
-        if self._loop.time() < self._deadline:
-            self._timer = self._loop.call_at(self._deadline, self._expire)
-            return
-        self._fail(asyncio.TimeoutError())
-
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self._transport = transport
-
-    def data_received(self, data: bytes) -> None:
-        try:
-            for message in self._parser.feed(data):
-                waiter, self._waiter = self._waiter, None
-                if waiter is None or waiter.done():
-                    raise WireError(f"unrequested frame {message!r}")
-                waiter.set_result(message)
-        except WireError as exc:
-            self._fail(exc)
-
-    def eof_received(self) -> None:
-        try:
-            self._parser.eof()
-        except WireError as exc:
-            self._fail(exc)
-        else:
-            self._fail(asyncio.IncompleteReadError(b"", None))
-
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        self._fail(
-            exc if exc is not None else asyncio.IncompleteReadError(b"", None)
-        )
-
-    def _fail(self, exc: BaseException) -> None:
-        """End the connection with *exc*, raising it in the waiting
-        request (if any) and in every later one."""
-        if self._fault is None:
-            self._fault = exc
-        waiter, self._waiter = self._waiter, None
-        if waiter is not None and not waiter.done():
-            waiter.set_exception(exc)
-        self.close()
-
-    def close(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        self._transport.close()
-
-
 #: One delivery phase: the batches to stream, then the frame that
 #: closes it (``EndWindow``, ``EndPeriod`` or ``Handoff``; ``None``
 #: ends the phase once every batch is acked).
@@ -535,7 +426,8 @@ async def send_phases(
 ) -> Tuple[int, int]:
     """Deliver *phases* to one gateway: the plane's only sender.
 
-    Batches stream with a sliding window — one ack is read whenever
+    Batches stream pipelined on one :class:`~repro.service.wire.
+    FrameClient` with a sliding window — one ack is awaited whenever
     *window* frames are unacked — and each phase ends with its closing
     frame, once every batch of the phase is acked.  A fault (a dropped
     or corrupted frame, a nack, a reset, a silent blackhole) closes
@@ -555,9 +447,7 @@ async def send_phases(
     rng = random.Random(retry_seed)
     stats = StreamStats(registry)
     sent_once: set = set()
-    connection: Optional[
-        Tuple[asyncio.StreamReader, asyncio.StreamWriter]
-    ] = None
+    client: Optional[wire.FrameClient] = None
     sent = snapshots = stalls = 0
     try:
         for batches, close_frame in phases:
@@ -566,28 +456,17 @@ async def send_phases(
             while not phase_done:
                 made_progress = False
                 try:
-                    if connection is None:
-
-                        async def connect():
-                            return await asyncio.wait_for(
-                                asyncio.open_connection(host, port),
-                                timeout=ack_timeout,
-                            )
-
-                        connection = await retry_async(
-                            connect,
+                    if client is None:
+                        client = await retry_async(
+                            lambda: wire.FrameClient.open(host, port, ack_timeout),
                             policy=policy,
                             rng=rng,
                             registry=stats.registry,
                             op="gateway_connect",
                         )
-                    reader, writer = connection
 
-                    async def read_ack() -> None:
+                    def take(answer: wire.Message) -> None:
                         nonlocal sent, made_progress
-                        answer = await wire.read_message(
-                            reader, timeout=ack_timeout
-                        )
                         if isinstance(answer, wire.BatchAck):
                             if answer.duplicate:
                                 stats._m_dedup.inc()
@@ -602,23 +481,20 @@ async def send_phases(
                         else:
                             raise WireError(f"unexpected ack frame {answer!r}")
 
-                    outstanding = 0
+                    pending: deque = deque()
                     for batch in list(unacked.values()):
                         if batch.seq in sent_once:
                             stats._m_resent.inc()
                         else:
                             sent_once.add(batch.seq)
-                        await wire.write_message(writer, batch)
-                        outstanding += 1
-                        if outstanding >= window:
-                            await read_ack()
-                            outstanding -= 1
-                    for _ in range(outstanding):
-                        await read_ack()
+                        pending.append(client.submit(batch))
+                        if len(pending) >= window:
+                            take(await pending.popleft())
+                    while pending:
+                        take(await pending.popleft())
                     if close_frame is not None:
-                        await wire.write_message(writer, close_frame)
-                        answer = await wire.read_message(
-                            reader, timeout=close_timeout
+                        answer = await client.request(
+                            close_frame, timeout=close_timeout
                         )
                         closing = type(close_frame).__name__
                         if isinstance(answer, wire.ErrorMsg):
@@ -636,8 +512,9 @@ async def send_phases(
                             stats._m_windows.inc()
                     phase_done = True
                 except _FAULTS as exc:
-                    _close_connection(connection)
-                    connection = None
+                    if client is not None:
+                        client.close()
+                        client = None
                     stats._m_reconnects.inc()
                     stalls = 0 if made_progress else stalls + 1
                     if stalls >= _MAX_STALLS:
@@ -647,7 +524,8 @@ async def send_phases(
                             attempts=stalls,
                         ) from exc
     finally:
-        _close_connection(connection)
+        if client is not None:
+            client.close()
     return sent, snapshots
 
 
@@ -747,11 +625,10 @@ async def announce_sizes(
     (:class:`~repro.service.wire.SizeQuery` →
     :class:`~repro.service.wire.SizeAnnounce`), then forwards the
     announcement verbatim to every gateway in *gateway_ports*, each of
-    which drains its ingest queue and re-sizes its fleet before
-    acking.  Both legs are idempotent — the collector journals and
-    caches the announcement (byte-identical re-asks), a gateway's
-    resizes are no-ops when already applied — so fault recovery simply
-    reissues the exchange.
+    which re-sizes its fleet before acking.  Both legs are idempotent
+    — the collector journals and caches the announcement
+    (byte-identical re-asks), a gateway's resizes are no-ops when
+    already applied — so fault recovery simply reissues the exchange.
     Returns the announced ``rsu_id -> m_x`` plan.
     """
     policy = retry_policy if retry_policy is not None else RetryPolicy()
@@ -770,7 +647,7 @@ async def announce_sizes(
             client = None
             try:
                 client = await retry_async(
-                    lambda: _RequestClient.open(host, port, ack_timeout),
+                    lambda: wire.FrameClient.open(host, port, ack_timeout),
                     policy=policy,
                     rng=rng,
                     registry=registry,
@@ -850,7 +727,7 @@ async def run_queries(
     counter_mismatches: List[int] = []
     checked = 0
     counters_checked = 0
-    client: Optional[_RequestClient] = None
+    client: Optional[wire.FrameClient] = None
 
     async def ask(message: wire.Message) -> wire.Message:
         nonlocal client
@@ -859,7 +736,7 @@ async def run_queries(
             try:
                 if client is None:
                     client = await retry_async(
-                        lambda: _RequestClient.open(
+                        lambda: wire.FrameClient.open(
                             host, collector_port, ack_timeout
                         ),
                         policy=policy,

@@ -674,12 +674,14 @@ async def _serve_forever(
     finally:
         if metrics is not None:
             await metrics.stop()
-        # Graceful drain: plane.stop() waits for every ingest queue and
-        # flushes each pending batch into its RSU, then syncs the WAL
-        # tail, so a SIGTERM never loses accepted responses or
-        # journaled partials.
+        # Graceful drain: every response frame is recorded as it
+        # arrives, plane.stop() lets each gateway session answer the
+        # control frame it is running (a period close included), then
+        # syncs the WAL tail, so a SIGTERM never loses accepted
+        # responses or journaled partials.
         await plane.stop()
     retained = sum(gateway.responses_recorded for _, gateway in gateways)
+    # Scripts and tests/test_shutdown.py read this line as it is.
     drained = f"{shards} shards drained" if shards else "ingest queue drained"
     wal_note = ""
     if plane.wal is not None:
@@ -711,9 +713,9 @@ def run_serve(
     *metrics_port*, a scrape endpoint serves every gateway's and the
     collector's registries (plus the process-default registry's
     ``wire.*``/``core.*`` metrics) as Prometheus text.  SIGTERM and
-    SIGINT both trigger a graceful shutdown: ingest queues are drained,
-    pending responses flushed and the WAL tail synced before the
-    process exits 0.  *retention_periods* bounds the collector's dedup
+    SIGINT both trigger a graceful shutdown: each gateway session
+    answers the control frame it is running and the WAL tail is synced
+    before the process exits 0.  *retention_periods* bounds the collector's dedup
     keys; *windows* ``> 0`` enables the streaming tier end to end.
     """
     spec = spec if spec is not None else DeploymentSpec()

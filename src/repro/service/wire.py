@@ -53,10 +53,10 @@ from __future__ import annotations
 import asyncio
 import operator
 import struct
-import sys
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Deque, Iterator, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -94,10 +94,10 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "FrameParser",
-    "read_message",
     "write_frame",
-    "write_message",
-    "write_messages",
+    "FrameSession",
+    "FrameServer",
+    "FrameClient",
 ]
 
 MAGIC = b"VW"
@@ -546,8 +546,8 @@ EndWindow = _simple(
     T_END_WINDOW,
     ">II",
     "Close one sub-period window at the gateway: ``period u32 | "
-    "window u32``.  The gateway drains its ingest queue, snapshots and "
-    "resets every RSU's window accumulator, and uploads one "
+    "window u32``.  The gateway snapshots and resets every RSU's "
+    "window accumulator, and uploads one "
     "``WindowSnapshot`` per RSU before acknowledging.",
     ("period", "window"),
 )
@@ -931,8 +931,7 @@ def decode_frame(data: bytes) -> "tuple[Message, int]":
     Returns ``(message, bytes_consumed)``.  Raises
     :class:`~repro.errors.WireError` on any malformation, including a
     buffer too short for the declared payload — stream consumers should
-    use :class:`FrameParser` or :func:`read_message`, which know how
-    many bytes to wait for.
+    use :class:`FrameParser`, which knows how many bytes to wait for.
     """
     if len(data) < _HEADER.size:
         raise WireError(
@@ -993,11 +992,11 @@ class FrameParser:
     is whole.
 
     It runs the header checks, the CRC check and the payload decode
-    that :func:`decode_frame` and :func:`read_message` run, so a
-    malformed frame raises the same :class:`~repro.errors.WireError`
-    text whichever end reads it.  Each message it yields counts one
-    inbound frame in ``wire.frames_total`` / ``wire.bytes_total``.
-    After a ``WireError`` the stream is unusable: the reader hangs up.
+    that :func:`decode_frame` runs, so a malformed frame raises the
+    same :class:`~repro.errors.WireError` text whichever end reads it.
+    Each message it yields counts one inbound frame in
+    ``wire.frames_total`` / ``wire.bytes_total``.  After a
+    ``WireError`` the stream is unusable: the reader hangs up.
     """
 
     __slots__ = ("_buffer", "_header")
@@ -1053,85 +1052,309 @@ class FrameParser:
             raise _truncation(len(self._buffer))
 
 
-#: ``asyncio.timeout`` (3.11+) bounds an await without a helper task;
-#: older interpreters only have ``asyncio.wait_for``.
-_HAVE_TIMEOUT_CM = sys.version_info >= (3, 11)
-
-
-async def read_message(
-    reader: asyncio.StreamReader, *, timeout: Optional[float] = None
-) -> Message:
-    """Read exactly one frame from *reader*.
-
-    Raises :class:`asyncio.IncompleteReadError` on clean EOF *between*
-    frames (callers treat that as connection close) and
-    :class:`~repro.errors.WireError` on malformed bytes — including a
-    stream that ends mid-frame, which is truncation, not a clean close.
-    The checks and their texts are :class:`FrameParser`'s.
-
-    With *timeout* (seconds), a frame that has not fully arrived by
-    then raises :class:`asyncio.TimeoutError`.  On Python 3.11+ the
-    deadline is an :func:`asyncio.timeout` scope, which creates no
-    task per read; on older interpreters it is
-    :func:`asyncio.wait_for`.
-    """
-    if timeout is None:
-        return await _read_frame(reader)
-    if _HAVE_TIMEOUT_CM:
-        async with asyncio.timeout(timeout):
-            return await _read_frame(reader)
-    return await asyncio.wait_for(_read_frame(reader), timeout)
-
-
-async def _read_frame(reader: asyncio.StreamReader) -> Message:
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if exc.partial:
-            raise _truncation(len(exc.partial)) from exc
-        raise  # clean EOF between frames
-    msg_type, length, crc = _frame_header(header)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise _truncation(len(exc.partial), length) from exc
-    message = _decode_payload(msg_type, payload, crc)
-    _FRAMES_IN.count(_HEADER.size + length)
-    return message
-
-
 def write_frame(sink, message: Message) -> None:
-    """Frame *message* onto *sink* — an :class:`asyncio.StreamWriter`
-    or an :class:`asyncio.Transport` — without waiting for it to drain,
-    counting one outbound frame."""
+    """Frame *message* onto *sink* (an :class:`asyncio.Transport`, or
+    anything with a ``write`` method), counting one outbound frame."""
     frame = encode_frame(message)
     _FRAMES_OUT.count(len(frame))
     sink.write(frame)
 
 
-async def write_message(
-    writer: asyncio.StreamWriter, message: Message
-) -> None:
-    """Frame and send *message*, honouring transport backpressure."""
-    write_frame(writer, message)
-    await writer.drain()
+# ----------------------------------------------------------------------
+# Sessions: the one server connection and the one client connection
+# ----------------------------------------------------------------------
+class FrameSession(asyncio.Protocol):
+    """One client connection of a :class:`FrameServer`.
+
+    Frames are parsed as bytes arrive (:class:`FrameParser`) and each
+    goes to the server's ``_handle``, in order.  A reply it returns is
+    written at once; ``None`` writes nothing.  A coroutine (a control
+    frame's work, such as a period close) runs while the session stops
+    reading; its reply is written when it returns, and then the same
+    parse resumes, so the frames of one connection are handled and
+    answered in order.  A malformed frame, or an EOF inside a frame, is
+    answered with ``E_MALFORMED`` and the connection is closed.  While
+    the write buffer is over its high-water mark the session stops
+    reading too, so a client that does not read its answers is not
+    sent more.
+    """
+
+    def __init__(self, service: "FrameServer") -> None:
+        self._service = service
+        self._parser = FrameParser()
+        self._transport: Optional[asyncio.Transport] = None
+        #: The parse suspended behind a running control frame, and the
+        #: task running it.
+        self._frames: Optional[Iterator[Message]] = None
+        self._task: Optional[asyncio.Task] = None
+        self._write_paused = False
+        #: :meth:`close` came while a control frame ran.
+        self._closing = False
+        self._lost = False
+        #: Resolved once the connection is lost and no control frame runs.
+        self.closed = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        listener = self._service._server
+        if listener is not None and not listener.is_serving():
+            transport.close()  # accepted while stop() was closing
+            return
+        self._service._sessions.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._run(self._parser.feed(data))
+
+    def _run(self, frames: Iterator[Message]) -> None:
+        transport = self._transport
+        handle = self._service._handle
+        try:
+            for message in frames:
+                reply = handle(message)
+                if reply is None:
+                    continue
+                if asyncio.iscoroutine(reply):
+                    self._frames = frames
+                    transport.pause_reading()
+                    self._task = asyncio.ensure_future(self._control(reply))
+                    return
+                write_frame(transport, reply)
+        except WireError as exc:
+            self._reject(exc)
+
+    async def _control(self, work) -> None:
+        transport = self._transport
+        try:
+            reply = await work
+        except BaseException:
+            transport.close()
+            raise
+        finally:
+            self._task = None
+            self._settle()
+        write_frame(transport, reply)
+        frames, self._frames = self._frames, None
+        if self._closing:
+            transport.close()
+        elif not transport.is_closing():
+            self._run(frames)
+            if self._task is None and not self._write_paused:
+                transport.resume_reading()
+
+    def eof_received(self) -> None:
+        try:
+            self._parser.eof()
+        except WireError as exc:
+            self._reject(exc)
+        # Returning None closes the transport once replies are written.
+
+    def _reject(self, exc: WireError) -> None:
+        self._service._m_frames_rejected.inc()
+        write_frame(self._transport, ErrorMsg(E_MALFORMED, str(exc)))
+        self._transport.close()
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        if self._service._m_stalls is not None:
+            self._service._m_stalls.inc()
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        if self._task is None:
+            self._transport.resume_reading()
+
+    def close(self) -> None:
+        """Hang up, once the control frame running (if any) is answered."""
+        if self._task is None:
+            self._transport.close()
+        else:
+            self._closing = True
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._lost = True
+        self._settle()
+
+    def _settle(self) -> None:
+        if self._lost and self._task is None and not self.closed.done():
+            self._service._sessions.discard(self)
+            self.closed.set_result(None)
 
 
-async def write_messages(
-    writer: asyncio.StreamWriter,
-    messages: Iterable[Message],
-    *,
-    timeout: Optional[float] = None,
-) -> None:
-    """Frame every one of *messages* back to back, then wait once for
-    the transport to drain; with *timeout* (seconds), a drain that
-    has not finished by then raises :class:`asyncio.TimeoutError`."""
-    for message in messages:
-        write_frame(writer, message)
-    if timeout is None:
-        await writer.drain()
-    elif _HAVE_TIMEOUT_CM:
-        async with asyncio.timeout(timeout):
-            await writer.drain()
-    else:
-        await asyncio.wait_for(writer.drain(), timeout)
+class FrameServer:
+    """A TCP listener that serves each connection as a
+    :class:`FrameSession`.
+
+    A subclass answers frames in ``_handle(message)``, which returns
+    the reply, ``None`` for no reply, or a coroutine that returns the
+    reply.  It counts the frames refused as malformed in the counter
+    ``_m_frames_rejected`` and, when ``_m_stalls`` is a counter, each
+    pause of reading for a full write buffer in it.
+    """
+
+    _m_stalls = None
+
+    def __init__(self) -> None:
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._sessions: Set[FrameSession] = set()
+        self.port: Optional[int] = None
+
+    async def _listen(self, host: str, port: int) -> None:
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: FrameSession(self), host, port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    async def stop(self) -> None:
+        """Stop accepting, then close every open client connection and
+        wait until each is gone.  A session first answers the control
+        frame it is running; each client reads its answers, then EOF."""
+        if self._server is not None:
+            self._server.close()
+            sessions = list(self._sessions)
+            for session in sessions:
+                session.close()
+            await asyncio.gather(*(session.closed for session in sessions))
+            await self._server.wait_closed()
+            self._server = None
+
+    @property
+    def open_sessions(self) -> int:
+        """Client connections currently open."""
+        return len(self._sessions)
+
+
+class FrameClient(asyncio.Protocol):
+    """One pipelined request connection: requests go out back to back,
+    and each reply resolves the oldest waiting request (the servers
+    answer a connection's frames in order).
+
+    Replies are parsed as bytes arrive and resolve their futures inside
+    :meth:`data_received`.  The deadline is one timer per connection:
+    the oldest waiting request must be answered within its *timeout* of
+    its write or of the reply before it, whichever came later.  The
+    timer, armed at an earlier deadline, re-arms itself to the current
+    one when it fires early.  A fault (a malformed or unrequested frame,
+    EOF, a reset, a missed deadline) fails every waiting request, and
+    every later one, with the same exception and closes the
+    connection; the caller reconnects.
+    """
+
+    def __init__(self, timeout: float) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._timeout = timeout
+        self._parser = FrameParser()
+        self._transport: Optional[asyncio.Transport] = None
+        #: ``(future, timeout)`` per request awaiting its reply, oldest
+        #: first.
+        self._waiters: Deque[Tuple[asyncio.Future, float]] = deque()
+        self._fault: Optional[BaseException] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._deadline = 0.0
+
+    @classmethod
+    async def open(cls, host: str, port: int, timeout: float) -> "FrameClient":
+        """Connect, giving up after *timeout* seconds, which is then
+        each request's default deadline."""
+        loop = asyncio.get_running_loop()
+        _, client = await asyncio.wait_for(
+            loop.create_connection(lambda: cls(timeout), host, port), timeout
+        )
+        return client
+
+    def send(self, message: Message) -> None:
+        """Write *message*, a frame that gets no reply; raise the
+        connection's fault if it has one."""
+        if self._fault is not None:
+            raise self._fault
+        write_frame(self._transport, message)
+
+    def submit(
+        self, message: Message, timeout: Optional[float] = None
+    ) -> "asyncio.Future[Message]":
+        """Write *message* and return the future of the frame that
+        answers it, which must come within *timeout* seconds (default:
+        the connection's) once every earlier request is answered."""
+        self.send(message)
+        waiter = self._loop.create_future()
+        timeout = self._timeout if timeout is None else timeout
+        self._waiters.append((waiter, timeout))
+        if len(self._waiters) == 1:
+            self._arm(timeout)
+        return waiter
+
+    async def request(
+        self, message: Message, timeout: Optional[float] = None
+    ) -> Message:
+        """Send *message* and return the frame that answers it."""
+        return await self.submit(message, timeout)
+
+    def _arm(self, timeout: float) -> None:
+        self._deadline = deadline = self._loop.time() + timeout
+        timer = self._timer
+        if timer is None or deadline < timer.when():
+            if timer is not None:
+                timer.cancel()
+            self._timer = self._loop.call_at(deadline, self._expire)
+
+    def _expire(self) -> None:
+        self._timer = None
+        if not self._waiters:
+            return  # idle: the next request arms a timer again
+        if self._loop.time() < self._deadline:
+            self._timer = self._loop.call_at(self._deadline, self._expire)
+            return
+        self._fail(asyncio.TimeoutError())
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        waiters = self._waiters
+        try:
+            for message in self._parser.feed(data):
+                if not waiters:
+                    raise WireError(f"unrequested frame {message!r}")
+                waiter, _ = waiters.popleft()
+                if not waiter.done():
+                    waiter.set_result(message)
+                if waiters:
+                    self._arm(waiters[0][1])
+        except WireError as exc:
+            self._fail(exc)
+
+    def eof_received(self) -> None:
+        try:
+            self._parser.eof()
+        except WireError as exc:
+            self._fail(exc)
+        else:
+            self._fail(asyncio.IncompleteReadError(b"", None))
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._fail(
+            exc if exc is not None else asyncio.IncompleteReadError(b"", None)
+        )
+
+    def _fail(self, exc: BaseException) -> None:
+        """End the connection with *exc*, raising it in every waiting
+        request and every later one."""
+        if self._fault is None:
+            self._fault = exc
+        waiters = self._waiters
+        while waiters:
+            waiter, _ = waiters.popleft()
+            if not waiter.done():
+                waiter.set_exception(exc)
+                # The fault is the connection's, raised to whoever
+                # awaits; a reply no caller awaits any more is not
+                # reported again when it is collected.
+                waiter.exception()
+        self.close()
+
+    def close(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._transport.close()

@@ -125,8 +125,8 @@ class TestCleanProxy:
             )
             await proxy.start()
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", proxy.port
+                client = await wire.FrameClient.open(
+                    "127.0.0.1", proxy.port, 5.0
                 )
                 rsu_id = spec.scheme.rsu_ids[0]
                 batch = wire.ResponseBatch(
@@ -135,12 +135,8 @@ class TestCleanProxy:
                     bit_indices=np.array([0], dtype=np.uint32),
                     seq=1,
                 )
-                await wire.write_message(writer, batch)
-                ack = await asyncio.wait_for(
-                    wire.read_message(reader), timeout=5
-                )
-                writer.close()
-                await writer.wait_closed()
+                ack = await client.request(batch)
+                client.close()
                 return ack, proxy.stats
             finally:
                 await proxy.stop()
@@ -281,29 +277,25 @@ class TestDuplicateDelivery:
             collector = CollectorService(spec.build_central_server())
             await collector.start(port=0)
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", collector.port
+                client = await wire.FrameClient.open(
+                    "127.0.0.1", collector.port, 5.0
                 )
                 reports = spec.reference_reports()
                 rsu_id = spec.scheme.rsu_ids[0]
                 snapshot = wire.Snapshot.from_report(
                     reports[rsu_id], seq=41
                 )
-                await wire.write_message(writer, snapshot)
-                first = await wire.read_message(reader)
+                first = await client.request(snapshot)
                 volume_before = collector.server.point_volume(rsu_id)
                 # The retransmission a gateway sends after a lost ack.
-                await wire.write_message(writer, snapshot)
-                second = await wire.read_message(reader)
+                second = await client.request(snapshot)
                 volume_after = collector.server.point_volume(rsu_id)
                 # A *different* upload for the same key is refused.
                 conflicting = wire.Snapshot.from_report(
                     reports[rsu_id], seq=42
                 )
-                await wire.write_message(writer, conflicting)
-                refused = await wire.read_message(reader)
-                writer.close()
-                await writer.wait_closed()
+                refused = await client.request(conflicting)
+                client.close()
                 return (
                     first,
                     second,
@@ -331,11 +323,11 @@ class TestDuplicateDelivery:
         async def body():
             authority = CertificateAuthority(seed=5)
             rsus = {3: RoadsideUnit(3, 64, authority.issue(3))}
-            gateway = RsuGateway(rsus, collector_port=1, flush_interval=0.01)
+            gateway = RsuGateway(rsus, collector_port=1)
             await gateway.start(port=0)
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", gateway.port
+                client = await wire.FrameClient.open(
+                    "127.0.0.1", gateway.port, 5.0
                 )
                 batch = wire.ResponseBatch(
                     rsu_id=3,
@@ -343,13 +335,9 @@ class TestDuplicateDelivery:
                     bit_indices=np.array([5], dtype=np.uint32),
                     seq=7,
                 )
-                await wire.write_message(writer, batch)
-                first = await wire.read_message(reader)
-                await wire.write_message(writer, batch)  # the resend
-                second = await wire.read_message(reader)
-                await asyncio.sleep(0.05)  # let the worker flush
-                writer.close()
-                await writer.wait_closed()
+                first = await client.request(batch)
+                second = await client.request(batch)  # the resend
+                client.close()
                 return first, second, gateway, rsus[3]
             finally:
                 await gateway.stop()
@@ -373,7 +361,6 @@ class TestDuplicateDelivery:
             gateway = RsuGateway(
                 rsus,
                 collector_port=1,  # uploads fail; close still succeeds
-                flush_interval=0.01,
                 upload_timeout=0.1,
                 retry_policy=RetryPolicy(
                     max_attempts=1, base_delay=0.01, jitter=0.0
@@ -381,8 +368,8 @@ class TestDuplicateDelivery:
             )
             await gateway.start(port=0)
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", gateway.port
+                client = await wire.FrameClient.open(
+                    "127.0.0.1", gateway.port, 10.0
                 )
 
                 def batch(mac_seed):
@@ -393,16 +380,11 @@ class TestDuplicateDelivery:
                         seq=1,
                     )
 
-                await wire.write_message(writer, batch(9))
-                day_one = await wire.read_message(reader)
-                await wire.write_message(writer, wire.EndPeriod(period=0))
-                await asyncio.wait_for(wire.read_message(reader), timeout=10)
+                day_one = await client.request(batch(9))
+                await client.request(wire.EndPeriod(period=0))
                 # Day two: same seq, different content — must apply.
-                await wire.write_message(writer, batch(10))
-                day_two = await wire.read_message(reader)
-                await asyncio.sleep(0.05)  # let the worker flush
-                writer.close()
-                await writer.wait_closed()
+                day_two = await client.request(batch(10))
+                client.close()
                 return day_one, day_two, gateway, rsus[3]
             finally:
                 await gateway.stop()
@@ -432,23 +414,15 @@ class TestDuplicateDelivery:
             )
             await gateway.start(port=0)
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", gateway.port
+                client = await wire.FrameClient.open(
+                    "127.0.0.1", gateway.port, 10.0
                 )
-                await wire.write_message(
-                    writer,
-                    wire.ResponseMsg(rsu_id=3, mac=random_mac(4), bit_index=9),
+                client.send(
+                    wire.ResponseMsg(rsu_id=3, mac=random_mac(4), bit_index=9)
                 )
-                await wire.write_message(writer, wire.EndPeriod(period=0))
-                ack_a = await asyncio.wait_for(
-                    wire.read_message(reader), timeout=10
-                )
-                await wire.write_message(writer, wire.EndPeriod(period=0))
-                ack_b = await asyncio.wait_for(
-                    wire.read_message(reader), timeout=10
-                )
-                writer.close()
-                await writer.wait_closed()
+                ack_a = await client.request(wire.EndPeriod(period=0))
+                ack_b = await client.request(wire.EndPeriod(period=0))
+                client.close()
                 return ack_a, ack_b, gateway
             finally:
                 await gateway.stop()
@@ -574,18 +548,21 @@ class TestPipelinedClose:
             handled = asyncio.Event()
 
             async def hold_acks(reader, writer):
+                parser = wire.FrameParser()
                 try:
-                    for _ in rsus:
-                        frames.append(await wire.read_message(reader))
-                    await wire.write_messages(
-                        writer,
-                        [
+                    while len(frames) < len(rsus):
+                        data = await reader.read(1 << 16)
+                        if not data:
+                            break
+                        frames.extend(parser.feed(data))
+                    for f in frames:
+                        wire.write_frame(
+                            writer,
                             wire.SnapshotAck(
                                 rsu_id=f.rsu_id, period=f.period, seq=f.seq
-                            )
-                            for f in frames
-                        ],
-                    )
+                            ),
+                        )
+                    await writer.drain()
                     await reader.read()
                 finally:
                     writer.close()

@@ -203,7 +203,7 @@ class TestLoadgenShape:
         async def no_socket(*args, **kwargs):
             raise AssertionError("loadgen opened a socket")
 
-        monkeypatch.setattr(asyncio, "open_connection", no_socket)
+        monkeypatch.setattr(asyncio.BaseEventLoop, "create_connection", no_socket)
         assert main(["loadgen", "--trips", "800", *flags]) == 2
         assert message in capsys.readouterr().err
 

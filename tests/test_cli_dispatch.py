@@ -51,8 +51,8 @@ class TestRefusedConfiguration:
         async def refuse(*args, **kwargs):
             raise AssertionError("the command opened a socket")
 
-        monkeypatch.setattr(asyncio, "start_server", refuse)
-        monkeypatch.setattr(asyncio, "open_connection", refuse)
+        monkeypatch.setattr(asyncio.BaseEventLoop, "create_server", refuse)
+        monkeypatch.setattr(asyncio.BaseEventLoop, "create_connection", refuse)
 
     @pytest.mark.parametrize(
         "argv, message",

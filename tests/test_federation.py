@@ -38,6 +38,15 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
+async def _ask(port, message):
+    """The gateway's answer to one frame, over a fresh connection."""
+    client = await wire.FrameClient.open("127.0.0.1", port, 5.0)
+    try:
+        return await client.request(message)
+    finally:
+        client.close()
+
+
 class TestShardRouter:
     def test_home_assignment_is_modulo(self):
         router = ShardRouter(3)
@@ -113,7 +122,7 @@ class TestLoadgenShapes:
         async def no_socket(*args, **kwargs):
             raise AssertionError("loadgen opened a socket")
 
-        monkeypatch.setattr(asyncio, "open_connection", no_socket)
+        monkeypatch.setattr(asyncio.BaseEventLoop, "create_connection", no_socket)
         with pytest.raises(ConfigurationError, match=match):
             run(run_loadgen(spec, **shape))
 
@@ -273,19 +282,10 @@ class TestShardGatewayHandoff:
             plane = await start_federation(spec, shards=2)
             try:
                 gateway = plane.shards[0]
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", gateway.port
+                return await _ask(
+                    gateway.port,
+                    wire.Handoff(rsu_id=1, from_shard=0, to_shard=1, period=0),
                 )
-                await wire.write_message(
-                    writer,
-                    wire.Handoff(
-                        rsu_id=1, from_shard=0, to_shard=1, period=0
-                    ),
-                )
-                reply = await wire.read_message(reader)
-                writer.close()
-                await writer.wait_closed()
-                return reply
             finally:
                 await plane.stop()
 
@@ -303,19 +303,10 @@ class TestShardGatewayHandoff:
                 spec, gateway_port=0, collector_port=0
             )
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", gateway.port
+                return await _ask(
+                    gateway.port,
+                    wire.Handoff(rsu_id=1, from_shard=0, to_shard=0, period=0),
                 )
-                await wire.write_message(
-                    writer,
-                    wire.Handoff(
-                        rsu_id=1, from_shard=0, to_shard=0, period=0
-                    ),
-                )
-                reply = await wire.read_message(reader)
-                writer.close()
-                await writer.wait_closed()
-                return reply
             finally:
                 await gateway.stop()
                 await collector.stop()
@@ -426,19 +417,10 @@ class TestSpecProvisioner:
             gateway = RsuGateway({}, shard_id=0, provisioner=None)
             await gateway.start("127.0.0.1", 0)
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", gateway.port
+                return await _ask(
+                    gateway.port,
+                    wire.Handoff(rsu_id=7, from_shard=1, to_shard=0, period=0),
                 )
-                await wire.write_message(
-                    writer,
-                    wire.Handoff(
-                        rsu_id=7, from_shard=1, to_shard=0, period=0
-                    ),
-                )
-                reply = await wire.read_message(reader)
-                writer.close()
-                await writer.wait_closed()
-                return reply
             finally:
                 await gateway.stop()
 

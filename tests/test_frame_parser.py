@@ -1,14 +1,15 @@
 """The sans-IO frame parser and the two protocol ends built on it.
 
 ``wire.FrameParser`` holds the header checks, the CRC check and the
-payload decode that ``decode_frame`` and ``read_message`` run too.
-Bytes in any chunking decode to what ``decode_frame`` gives; a
-malformed stream gets the same ``WireError`` text through the
-collector's protocol session as through ``read_message``; queries
-pipelined in one write are answered in order; a client that does not
-read its answers pauses the session's reading.  The loadgen's request
-client keeps one deadline timer per connection, and a request times
-out at its own deadline.
+payload decode that ``decode_frame`` runs too.  Bytes in any chunking
+decode to what ``decode_frame`` gives; a malformed stream gets the
+parser's own ``WireError`` text through the gateway's and the
+collector's session; queries pipelined in one write are answered in
+order; a client that does not read its answers pauses the session's
+reading, which the gateway counts as a backpressure stall.  The frame
+client resolves pipelined replies in order, keeps one deadline timer
+per connection, times a request out at its own deadline, and fails
+every outstanding request with one fault.
 """
 
 import asyncio
@@ -22,7 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.errors import WireError
 from repro.service import wire
 from repro.service.collector import CollectorService
-from repro.service.loadgen import _RequestClient
+from repro.service.gateway import RsuGateway
 from repro.service.runtime import DeploymentSpec
 
 u32 = st.integers(min_value=0, max_value=(1 << 32) - 1)
@@ -162,16 +163,13 @@ def _malformed():
     return cases
 
 
-def _read_message_error(data):
-    async def body():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        with pytest.raises(WireError) as info:
-            await wire.read_message(reader)
-        return str(info.value)
-
-    return asyncio.run(body())
+def _parser_error(data):
+    """The ``WireError`` text of a stream holding *data*, then EOF."""
+    parser = wire.FrameParser()
+    with pytest.raises(WireError) as info:
+        list(parser.feed(data))
+        parser.eof()
+    return str(info.value)
 
 
 @pytest.fixture(scope="module")
@@ -196,9 +194,14 @@ async def _until(predicate, *, turns=400):
     return predicate()
 
 
-def test_malformed_streams_get_read_messages_text(reports):
+def _gateway(spec):
+    return RsuGateway(spec.build_rsus(spec.scheme.rsu_ids), collector_port=1)
+
+
+@pytest.mark.parametrize("service", ["gateway", "collector"])
+def test_malformed_streams_get_the_parsers_text(reports, service):
     cases = _malformed()
-    expected = {label: _read_message_error(data) for label, data in cases}
+    expected = {label: _parser_error(data) for label, data in cases}
     assert expected["EOF at byte 5"] == (
         "stream truncated mid-header (5 of 12 bytes)"
     )
@@ -207,27 +210,30 @@ def test_malformed_streams_get_read_messages_text(reports):
     )
 
     async def body():
-        collector = _collector(*reports)
-        await collector.start(port=0)
+        server = _collector(*reports) if service == "collector" else _gateway(
+            reports[0]
+        )
+        await server.start(port=0)
         got = {}
         try:
             for label, data in cases:
                 reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", collector.port
+                    "127.0.0.1", server.port
                 )
                 writer.write(data)
                 writer.write_eof()
-                reply = await asyncio.wait_for(wire.read_message(reader), 5)
-                # One error frame, then the collector hangs up.
-                assert await asyncio.wait_for(reader.read(), 5) == b""
+                # One error frame, then the server hangs up.
+                answer = await asyncio.wait_for(reader.read(), 5)
                 writer.close()
                 await writer.wait_closed()
+                reply, used = wire.decode_frame(answer)
+                assert used == len(answer), label
                 assert isinstance(reply, wire.ErrorMsg), label
                 assert reply.code == wire.E_MALFORMED
                 got[label] = reply.message
         finally:
-            await collector.stop()
-        return got, collector.frames_rejected
+            await server.stop()
+        return got, server.frames_rejected
 
     got, rejected = asyncio.run(body())
     assert got == expected
@@ -313,24 +319,102 @@ def test_a_client_that_does_not_read_pauses_the_session(reports):
     assert got == reply * sent
 
 
+def test_a_client_that_does_not_read_its_acks_pauses_the_gateway(reports):
+    """Sequenced batches whose acks are never read: the gateway session
+    stops reading, and counts the pause as a backpressure stall."""
+    spec = reports[0]
+    rsu_id = spec.scheme.rsu_ids[0]
+
+    def batch(seq):
+        return wire.encode_frame(
+            wire.ResponseBatch(
+                rsu_id=rsu_id,
+                macs=np.array([0x020000000001], dtype=np.uint64),
+                bit_indices=np.array([1], dtype=np.uint32),
+                seq=seq,
+            )
+        )
+
+    async def body():
+        gateway = _gateway(spec)
+        await gateway.start(port=0)
+        loop = asyncio.get_running_loop()
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setblocking(False)
+        try:
+            await loop.sock_connect(sock, ("127.0.0.1", gateway.port))
+            reader, writer = await asyncio.open_connection(sock=sock, limit=1024)
+            assert await _until(lambda: gateway.open_sessions == 1)
+            (session,) = gateway._sessions
+            transport = session._transport
+            transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            transport.set_write_buffer_limits(high=4096)
+            sent = 0
+            while transport.is_reading() and sent < 40_000:
+                writer.write(b"".join(batch(sent + k) for k in range(1, 51)))
+                sent += 50
+                await asyncio.sleep(0.002)
+            paused = not transport.is_reading()
+            stalls = gateway.backpressure_stalls
+            ack = len(wire.encode_frame(wire.BatchAck(seq=1)))
+            got = await asyncio.wait_for(reader.readexactly(sent * ack), 10)
+            resumed = await _until(transport.is_reading)
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await gateway.stop()
+        return paused, stalls, resumed, sent, got
+
+    paused, stalls, resumed, sent, got = asyncio.run(body())
+    assert paused
+    assert stalls >= 1
+    assert sent < 40_000
+    assert resumed
+    assert got == b"".join(
+        wire.encode_frame(wire.BatchAck(seq=seq)) for seq in range(1, sent + 1)
+    )
+
+
 # ----------------------------------------------------------------------
-# The loadgen's request client
+# The frame client
 # ----------------------------------------------------------------------
+END_PERIOD = wire.encode_frame(wire.EndPeriod(period=1))
+
+
 def _answer_first_frame_only():
-    """A server that answers one frame per connection, then stays silent
-    until the client hangs up."""
+    """A server that echoes the first ``EndPeriod`` frame of each
+    connection, then stays silent until the client hangs up."""
     handlers = []
 
     async def serve(reader, writer):
         handlers.append(asyncio.current_task())
         try:
-            message = await wire.read_message(reader)
-            await wire.write_message(writer, message)
+            writer.write(await reader.readexactly(len(END_PERIOD)))
             await reader.read()
         finally:
             writer.close()
 
     return serve, handlers
+
+
+class _Echo(asyncio.Protocol):
+    """Sends every byte back: each frame is its own reply."""
+
+    def connection_made(self, transport):
+        self.transport = transport
+
+    def data_received(self, data):
+        self.transport.write(data)
+
+
+class _Garbage(_Echo):
+    """Answers anything with bytes that are not a frame."""
+
+    def data_received(self, data):
+        self.transport.write(b"garbage, not a frame")
 
 
 class TestRequestClient:
@@ -341,7 +425,7 @@ class TestRequestClient:
             serve, handlers = _answer_first_frame_only()
             server = await asyncio.start_server(serve, "127.0.0.1", 0)
             loop = asyncio.get_running_loop()
-            client = await _RequestClient.open(
+            client = await wire.FrameClient.open(
                 "127.0.0.1", server.sockets[0].getsockname()[1], timeout
             )
             try:
@@ -378,7 +462,7 @@ class TestRequestClient:
                 armed.append(when)
                 return call_at(when, callback, *args, **kwargs)
 
-            client = await _RequestClient.open("127.0.0.1", collector.port, 5.0)
+            client = await wire.FrameClient.open("127.0.0.1", collector.port, 5.0)
             loop.call_at = counting_call_at
             try:
                 ids = sorted(report.rsu_id for report in reps)
@@ -400,12 +484,12 @@ class TestRequestClient:
     def test_eof_mid_reply_is_truncation(self):
         async def body():
             async def half_answer(reader, writer):
-                await wire.read_message(reader)
+                await reader.readexactly(len(END_PERIOD))
                 writer.write(QUERY[:7])
                 writer.close()
 
             server = await asyncio.start_server(half_answer, "127.0.0.1", 0)
-            client = await _RequestClient.open(
+            client = await wire.FrameClient.open(
                 "127.0.0.1", server.sockets[0].getsockname()[1], 5.0
             )
             try:
@@ -421,3 +505,58 @@ class TestRequestClient:
             return str(info.value)
 
         assert asyncio.run(body()) == "stream truncated mid-header (7 of 12 bytes)"
+
+    def test_pipelined_replies_resolve_in_fifo_order(self):
+        async def body():
+            loop = asyncio.get_running_loop()
+            server = await loop.create_server(_Echo, "127.0.0.1", 0)
+            client = await wire.FrameClient.open(
+                "127.0.0.1", server.sockets[0].getsockname()[1], 5.0
+            )
+            order = []
+            try:
+                futures = [
+                    client.submit(wire.EndPeriod(period=period))
+                    for period in range(20)
+                ]
+                for future in futures:
+                    future.add_done_callback(
+                        lambda f: order.append(f.result().period)
+                    )
+                replies = await asyncio.gather(*futures)
+            finally:
+                client.close()
+                server.close()
+                await server.wait_closed()
+            return replies, order
+
+        replies, order = asyncio.run(body())
+        assert replies == [wire.EndPeriod(period=p) for p in range(20)]
+        assert order == list(range(20))
+
+    def test_one_fault_fails_every_outstanding_request(self):
+        async def body():
+            loop = asyncio.get_running_loop()
+            server = await loop.create_server(_Garbage, "127.0.0.1", 0)
+            client = await wire.FrameClient.open(
+                "127.0.0.1", server.sockets[0].getsockname()[1], 5.0
+            )
+            try:
+                futures = [
+                    client.submit(wire.EndPeriod(period=period))
+                    for period in range(3)
+                ]
+                errors = await asyncio.gather(*futures, return_exceptions=True)
+                with pytest.raises(WireError) as later:
+                    client.submit(wire.EndPeriod(period=3))
+            finally:
+                client.close()
+                server.close()
+                await server.wait_closed()
+            return errors, later.value
+
+        errors, later = asyncio.run(body())
+        assert isinstance(errors[0], WireError)
+        assert "bad frame magic" in str(errors[0])
+        assert all(error is errors[0] for error in errors)
+        assert later is errors[0]

@@ -17,7 +17,6 @@ malformed input raises a :mod:`repro.errors` type — never a raw
 ``struct.error``, never an unbounded read.
 """
 
-import asyncio
 import struct
 
 import numpy as np
@@ -193,15 +192,12 @@ CORPUS = _corpus()
 
 
 def _read_from_bytes(data):
-    """Run read_message against a closed stream holding *data*."""
-
-    async def body():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return await wire.read_message(reader)
-
-    return asyncio.run(body())
+    """Every message a frame parser reads from a closed stream holding
+    *data*."""
+    parser = wire.FrameParser()
+    messages = list(parser.feed(data))
+    parser.eof()
+    return messages
 
 
 class TestTruncatedFrames:
@@ -217,8 +213,7 @@ class TestTruncatedFrames:
     def test_stream_truncation_is_wire_error_not_clean_eof(self, frame):
         """A stream that dies mid-frame is truncation (WireError);
         only EOF on a frame boundary is a clean close."""
-        with pytest.raises(asyncio.IncompleteReadError):
-            _read_from_bytes(b"")  # clean close between frames
+        assert _read_from_bytes(b"") == []  # clean close between frames
         for cut in (1, len(frame) // 2, len(frame) - 1):
             with pytest.raises(WireError):
                 _read_from_bytes(frame[:cut])
@@ -281,12 +276,13 @@ class TestOversizedLengthPrefix:
     @pytest.mark.parametrize(
         "length", [wire.MAX_PAYLOAD + 1, 1 << 31, (1 << 32) - 1]
     )
-    def test_read_message_rejects_before_reading_the_body(self, length):
+    def test_parser_rejects_before_reading_the_body(self, length):
         """The length check happens on the header alone — a hostile
-        4 GiB declaration raises instead of waiting for bytes that
-        will never come (the hang the issue forbids)."""
+        4 GiB declaration raises as soon as its header is fed, before
+        any body byte, instead of waiting for bytes that will never
+        come."""
         with pytest.raises(WireError, match="MAX_PAYLOAD"):
-            _read_from_bytes(self._header(length))
+            list(wire.FrameParser().feed(self._header(length)))
 
     @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
     @settings(max_examples=60, deadline=None)

@@ -148,8 +148,9 @@ class TestRemovedSurface:
     modules deleted in 10.0.0, the dict methods of the all-pairs
     result, a read-only ``PairMatrix`` since 11.0.0, the library-only
     extensions deleted in 15.0.0, and the report codec and
-    multi-period driver twins deleted in 16.0.0 stay deleted (each
-    CHANGELOG maps them to their replacements)."""
+    multi-period driver twins deleted in 16.0.0, and the stream frame
+    reads and writes deleted in 17.0.0 stay deleted (each CHANGELOG
+    maps them to their replacements)."""
 
     @pytest.mark.parametrize(
         "module_name,path",
@@ -216,6 +217,9 @@ class TestRemovedSurface:
             ("repro.core.reports", "RsuReport.from_wire"),
             ("repro.core.parameters", "SchemeParameters.with_m_o"),
             ("repro.roadnet.volumes", "TrafficAssignment.total_vehicles"),
+            ("repro.service.wire", "read_message"),
+            ("repro.service.wire", "write_message"),
+            ("repro.service.wire", "write_messages"),
         ],
     )
     def test_name_is_gone(self, module_name, path):

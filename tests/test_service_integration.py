@@ -8,9 +8,9 @@ for the same seed.
 
 import asyncio
 
+import numpy as np
 import pytest
 
-from repro.obs import MetricsRegistry
 from repro.service import wire
 from repro.service.collector import CollectorService
 from repro.service.gateway import RsuGateway
@@ -90,34 +90,24 @@ class TestGatewayRobustness:
 
     def test_single_response_and_rejection(self, rsus):
         async def body():
-            gateway = RsuGateway(
-                rsus, collector_port=1, flush_interval=0.01
-            )
+            gateway = RsuGateway(rsus, collector_port=1)
             await gateway.start(port=0)
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", gateway.port
+                client = await wire.FrameClient.open(
+                    "127.0.0.1", gateway.port, 5.0
                 )
-                await wire.write_message(
-                    writer,
-                    wire.ResponseMsg(rsu_id=7, mac=random_mac(1), bit_index=9),
+                client.send(
+                    wire.ResponseMsg(rsu_id=7, mac=random_mac(1), bit_index=9)
                 )
                 # Out of range for a 64-bit array: dropped, not fatal.
-                await wire.write_message(
-                    writer,
-                    wire.ResponseMsg(rsu_id=7, mac=random_mac(2), bit_index=64),
+                client.send(
+                    wire.ResponseMsg(rsu_id=7, mac=random_mac(2), bit_index=64)
                 )
                 # Unknown RSU: answered with an error frame.
-                await wire.write_message(
-                    writer,
-                    wire.ResponseMsg(rsu_id=99, mac=random_mac(3), bit_index=0),
+                answer = await client.request(
+                    wire.ResponseMsg(rsu_id=99, mac=random_mac(3), bit_index=0)
                 )
-                answer = await asyncio.wait_for(
-                    wire.read_message(reader), timeout=5
-                )
-                await asyncio.sleep(0.05)  # let the ingest worker flush
-                writer.close()
-                await writer.wait_closed()
+                client.close()
                 return answer
             finally:
                 await gateway.stop()
@@ -138,19 +128,19 @@ class TestGatewayRobustness:
                     "127.0.0.1", gateway.port
                 )
                 writer.write(b"garbage that is not a frame..")
-                await writer.drain()
-                answer = await asyncio.wait_for(
-                    wire.read_message(reader), timeout=5
-                )
-                eof = await reader.read()  # server closes after the error
-                return answer, eof
+                # One error frame, then the server closes.
+                data = await asyncio.wait_for(reader.read(), timeout=5)
+                writer.close()
+                await writer.wait_closed()
+                return data
             finally:
                 await gateway.stop()
 
-        answer, eof = run(body())
+        data = run(body())
+        answer, used = wire.decode_frame(data)
+        assert used == len(data)
         assert isinstance(answer, wire.ErrorMsg)
         assert answer.code == wire.E_MALFORMED
-        assert eof == b""
 
     def test_upload_retry_exhaustion_is_reported(self, rsus):
         """No collector listening: close_period retries, then gives up
@@ -165,15 +155,11 @@ class TestGatewayRobustness:
             )
             await gateway.start(port=0)
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", gateway.port
+                client = await wire.FrameClient.open(
+                    "127.0.0.1", gateway.port, 30.0
                 )
-                await wire.write_message(writer, wire.EndPeriod(period=0))
-                ack = await asyncio.wait_for(
-                    wire.read_message(reader), timeout=30
-                )
-                writer.close()
-                await writer.wait_closed()
+                ack = await client.request(wire.EndPeriod(period=0))
+                client.close()
                 return ack, gateway.snapshots_failed
             finally:
                 await gateway.stop()
@@ -183,33 +169,70 @@ class TestGatewayRobustness:
         assert ack.snapshots == 0
         assert failed == 1
 
-    def test_period_close_time_leaves_out_the_ingest_drain(self, rsus):
-        """``gateway.period_close_seconds`` times the snapshot and the
-        upload only: an ingest drain that takes 10 s on the registry's
-        clock (a stubbed flush) is not in it."""
-        now = [0.0]
-        registry = MetricsRegistry(clock=lambda: now[0])
+    def test_a_batch_behind_end_period_lands_in_the_next_period(self, rsus):
+        """A batch written right behind an ``EndPeriod``, without
+        waiting for its ack, is read only once the close is answered:
+        the ``EndPeriodAck`` comes first and the batch is recorded in
+        the next period, not in the closed one."""
+
+        def batch(seq, mac_seed):
+            return wire.ResponseBatch(
+                rsu_id=7,
+                macs=np.array([random_mac(mac_seed)], dtype=np.uint64),
+                bit_indices=np.array([5], dtype=np.uint32),
+                seq=seq,
+            )
 
         async def body():
             gateway = RsuGateway(
                 rsus,
                 collector_port=1,  # nothing listens: one refused upload
+                upload_timeout=0.2,
                 upload_retries=1,
-                registry=registry,
             )
-            flush = gateway._flush_all
+            await gateway.start(port=0)
+            try:
+                client = await wire.FrameClient.open(
+                    "127.0.0.1", gateway.port, 10.0
+                )
+                first = await client.request(batch(1, 1))
+                # Pipelined: both frames go out before either reply, and
+                # replies resolve the requests in order.
+                closed = client.submit(wire.EndPeriod(period=0))
+                behind = client.submit(batch(1, 2))
+                replies = [await closed, await behind]
+                client.close()
+                return first, replies, gateway
+            finally:
+                await gateway.stop()
 
-            def slow_flush():
-                now[0] += 10.0
-                flush()
+        first, (closed, behind), gateway = run(body())
+        assert isinstance(first, wire.BatchAck)
+        assert isinstance(closed, wire.EndPeriodAck)
+        # The seq window reset at the close, so seq 1 applies again.
+        assert isinstance(behind, wire.BatchAck) and not behind.duplicate
+        assert gateway._period_uploads[0][7].counter == 1
+        assert rsus[7].counter == 1  # period 1's one response
 
-            gateway._flush_all = slow_flush
-            return await gateway.close_period(0)
 
-        assert run(body()) == 0
-        close = registry.histogram("gateway.period_close_seconds")
-        assert close.count == 1
-        assert close.sum == 0.0
+    def test_end_window_without_windows_is_nacked(self, rsus):
+        async def body():
+            gateway = RsuGateway(rsus, collector_port=1)
+            await gateway.start(port=0)
+            try:
+                client = await wire.FrameClient.open(
+                    "127.0.0.1", gateway.port, 5.0
+                )
+                answer = await client.request(wire.EndWindow(period=0, window=0))
+                client.close()
+                return answer, gateway.frames_rejected
+            finally:
+                await gateway.stop()
+
+        answer, rejected = run(body())
+        assert isinstance(answer, wire.ErrorMsg)
+        assert answer.code == wire.E_MALFORMED
+        assert rejected == 1
 
 
 class TestCollectorRobustness:
@@ -218,32 +241,25 @@ class TestCollectorRobustness:
             collector = CollectorService(spec.build_central_server())
             await collector.start(port=0)
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", collector.port
+                client = await wire.FrameClient.open(
+                    "127.0.0.1", collector.port, 5.0
                 )
                 reports = spec.reference_reports()
                 for report in reports.values():
-                    await wire.write_message(
-                        writer, wire.Snapshot.from_report(report)
-                    )
-                    ack = await wire.read_message(reader)
+                    ack = await client.request(wire.Snapshot.from_report(report))
                     assert isinstance(ack, wire.SnapshotAck)
                 # A pair query answered from the uploaded snapshots.
                 a, b = spec.scheme.rsu_ids[:2]
-                await wire.write_message(
-                    writer, wire.VolumeQuery(rsu_x=a, rsu_y=b, period=0)
+                estimate = await client.request(
+                    wire.VolumeQuery(rsu_x=a, rsu_y=b, period=0)
                 )
-                estimate = await wire.read_message(reader)
                 # Same-RSU pair is an estimation error, not a crash.
-                await wire.write_message(
-                    writer, wire.VolumeQuery(rsu_x=a, rsu_y=a, period=0)
+                error = await client.request(
+                    wire.VolumeQuery(rsu_x=a, rsu_y=a, period=0)
                 )
-                error = await wire.read_message(reader)
                 # A message the collector does not serve.
-                await wire.write_message(writer, wire.EndPeriod(period=0))
-                rejected = await wire.read_message(reader)
-                writer.close()
-                await writer.wait_closed()
+                rejected = await client.request(wire.EndPeriod(period=0))
+                client.close()
                 return estimate, error, rejected
             finally:
                 await collector.stop()
@@ -263,15 +279,13 @@ class TestCollectorRobustness:
             collector = CollectorService(spec.build_central_server())
             await collector.start(port=0)
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", collector.port
+                client = await wire.FrameClient.open(
+                    "127.0.0.1", collector.port, 5.0
                 )
-                await wire.write_message(
-                    writer, wire.VolumeQuery(rsu_x=1, rsu_y=2, period=0)
+                answer = await client.request(
+                    wire.VolumeQuery(rsu_x=1, rsu_y=2, period=0)
                 )
-                answer = await wire.read_message(reader)
-                writer.close()
-                await writer.wait_closed()
+                client.close()
                 return answer
             finally:
                 await collector.stop()

@@ -4,11 +4,11 @@ and the metrics endpoint.
 Closing an ``asyncio`` server stops its listener only.  A handler left
 serving an idle client would be cancelled when the event loop closes,
 and Python 3.11 logs that as ``Exception in callback ...
-CancelledError``.  So the gateway's and the metrics endpoint's
-``stop()`` close their open client streams and wait for their handler
-tasks, and the collector's closes its protocol sessions and waits for
-each connection to be lost.  An unclosed socket would show as a
-``ResourceWarning`` once collected.
+CancelledError``.  So the metrics endpoint's ``stop()`` closes its open
+client streams and waits for their handler tasks, and the gateway's and
+the collector's close their protocol sessions and wait for each
+connection to be lost, and for a period close in flight to finish.  An
+unclosed socket would show as a ``ResourceWarning`` once collected.
 """
 
 import asyncio
@@ -20,6 +20,8 @@ import pytest
 
 from repro.obs.scrape import serve_metrics
 from repro.service import wire
+from repro.service.gateway import RsuGateway
+from repro.service.retry import RetryPolicy
 from repro.service.runtime import DeploymentSpec, start_services
 
 
@@ -29,18 +31,17 @@ def spec():
 
 
 def _handlers():
-    """Pending connection-handler tasks of the stream servers (the
-    gateway and the metrics endpoint)."""
+    """Pending connection-handler tasks of the stream server (the
+    metrics endpoint)."""
     return [
         task
         for task in asyncio.all_tasks()
-        if not task.done()
-        and task.get_coro().__qualname__.endswith(("._serve_client", "._handle"))
+        if not task.done() and task.get_coro().__qualname__.endswith("._handle")
     ]
 
 
 def _open(service):
-    """Open client connections of *service*: its collector sessions, or
+    """Open client connections of *service*: its protocol sessions, or
     its pending handler tasks."""
     if hasattr(service, "open_sessions"):
         return service.open_sessions
@@ -90,19 +91,18 @@ def test_stop_lets_a_handler_finish_its_frame(spec):
         gateway, collector = await start_services(
             spec, gateway_port=0, collector_port=0
         )
-        reader, writer = await asyncio.open_connection(
-            "127.0.0.1", collector.port
-        )
+        client = await wire.FrameClient.open("127.0.0.1", collector.port, 5.0)
         try:
-            await wire.write_message(writer, wire.SizeQuery(period=0))
-            reply = await asyncio.wait_for(wire.read_message(reader), 5.0)
+            reply = await client.request(wire.SizeQuery(period=0))
             assert isinstance(reply, (wire.SizeAnnounce, wire.ErrorMsg))
             await collector.stop()
             assert collector.open_sessions == 0
             assert _handlers() == []
-            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            # The client reads EOF next.
+            with pytest.raises(asyncio.IncompleteReadError):
+                await client.request(wire.SizeQuery(period=0))
         finally:
-            writer.close()
+            client.close()
             await gateway.stop()
             await collector.stop()
 
@@ -126,7 +126,7 @@ def test_loop_close_logs_no_callback_error(spec):
             for port in (gateway.port, collector.port)
         ]
         assert await _until(
-            lambda: len(_handlers()) == 1 and collector.open_sessions == 1
+            lambda: gateway.open_sessions == 1 and collector.open_sessions == 1
         )
         await gateway.stop()
         await collector.stop()
@@ -134,6 +134,75 @@ def test_loop_close_logs_no_callback_error(spec):
             writer.close()
 
     asyncio.run(body())
+    assert errors == []
+
+
+def test_stop_waits_for_an_in_flight_period_close(spec):
+    """``gateway.stop()`` while an ``EndPeriod``'s upload waits on the
+    collector: stop returns only once the close has finished, the
+    client still gets its ``EndPeriodAck``, and the loop's exception
+    handler records nothing."""
+    errors = []
+
+    async def body():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context)
+        )
+        rsus = spec.build_rsus(spec.scheme.rsu_ids)
+        frames = []
+        got_all, release, handled = (asyncio.Event() for _ in range(3))
+
+        async def hold_acks(reader, writer):
+            """A collector that acks only once released."""
+            parser = wire.FrameParser()
+            try:
+                while len(frames) < len(rsus):
+                    data = await reader.read(1 << 16)
+                    if not data:
+                        break
+                    frames.extend(parser.feed(data))
+                got_all.set()
+                await release.wait()
+                for f in frames:
+                    wire.write_frame(
+                        writer,
+                        wire.SnapshotAck(rsu_id=f.rsu_id, period=f.period, seq=f.seq),
+                    )
+                await writer.drain()
+                await reader.read()
+            finally:
+                writer.close()
+                handled.set()
+
+        server = await asyncio.start_server(hold_acks, "127.0.0.1", 0)
+        gateway = RsuGateway(
+            rsus,
+            collector_port=server.sockets[0].getsockname()[1],
+            retry_policy=RetryPolicy(max_attempts=1),
+        )
+        await gateway.start(port=0)
+        client = await wire.FrameClient.open("127.0.0.1", gateway.port, 10.0)
+        try:
+            closed = client.submit(wire.EndPeriod(period=0))
+            await asyncio.wait_for(got_all.wait(), 5.0)
+            stopping = asyncio.ensure_future(gateway.stop())
+            await asyncio.sleep(0.05)
+            waited = not stopping.done()
+            release.set()
+            await asyncio.wait_for(stopping, 10.0)
+            reply = await closed
+            await asyncio.wait_for(handled.wait(), 5.0)
+        finally:
+            client.close()
+            server.close()
+            await server.wait_closed()
+        return waited, reply, gateway
+
+    waited, reply, gateway = asyncio.run(body())
+    assert waited
+    assert reply == wire.EndPeriodAck(period=0, snapshots=len(spec.scheme.rsu_ids))
+    assert gateway.snapshots_uploaded == len(spec.scheme.rsu_ids)
+    assert gateway.open_sessions == 0
     assert errors == []
 
 

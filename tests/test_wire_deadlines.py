@@ -1,14 +1,14 @@
 """Deadlines and held counters on the live plane's frame path.
 
-``wire.read_message(reader, timeout=…)`` is the one bounded frame
-read: a silent peer must still end every caller's wait, and on Python
-3.11+ the deadline must not cost a helper task per read.  The wire
-frame counters are held between frames and must follow a swap of the
-process-default registry.
+``wire.FrameClient`` bounds every request with one deadline per
+connection: a silent peer must still end every caller's wait, and the
+deadline must not cost a helper task per request.  The gateway records
+a frame's responses when the frame arrives, with no batching delay.
+The wire frame counters are held between frames and must follow a
+swap of the process-default registry.
 """
 
 import asyncio
-import sys
 
 import pytest
 
@@ -26,14 +26,8 @@ from repro.vcps.rsu import RoadsideUnit
 FRAME = wire.encode_frame(wire.EndPeriod(period=3))
 
 
-def _reader(frames=1):
-    reader = asyncio.StreamReader()
-    reader.feed_data(FRAME * frames)
-    return reader
-
-
 class _Writer:
-    """The two ``StreamWriter`` methods ``write_message`` calls."""
+    """The one method ``write_frame`` calls on its sink."""
 
     def __init__(self):
         self.sent = bytearray()
@@ -41,8 +35,31 @@ class _Writer:
     def write(self, data):
         self.sent += data
 
-    async def drain(self):
-        pass
+
+class _Echo(asyncio.Protocol):
+    """Sends every byte back: each frame is its own reply."""
+
+    def connection_made(self, transport):
+        self.transport = transport
+
+    def data_received(self, data):
+        self.transport.write(data)
+
+
+async def _client(protocol, timeout):
+    """A frame client on a fresh *protocol* server, and the server."""
+    loop = asyncio.get_running_loop()
+    server = await loop.create_server(protocol, "127.0.0.1", 0)
+    client = await wire.FrameClient.open(
+        "127.0.0.1", server.sockets[0].getsockname()[1], timeout
+    )
+    return client, server
+
+
+async def _close(client, server):
+    client.close()
+    server.close()
+    await server.wait_closed()
 
 
 def _wire_counts(registry, direction):
@@ -55,26 +72,32 @@ def _wire_counts(registry, direction):
 class TestBoundedRead:
     def test_frame_within_deadline(self):
         async def body():
-            return await wire.read_message(_reader(), timeout=5)
+            client, server = await _client(_Echo, 5)
+            try:
+                return await client.request(wire.EndPeriod(period=3))
+            finally:
+                await _close(client, server)
 
         assert asyncio.run(body()) == wire.EndPeriod(period=3)
 
     def test_silent_stream_times_out(self):
         async def body():
-            reader = asyncio.StreamReader()  # nothing ever arrives
-            with pytest.raises(asyncio.TimeoutError):
-                await wire.read_message(reader, timeout=0.02)
+            # A server that accepts and never answers.
+            client, server = await _client(asyncio.Protocol, 0.02)
+            try:
+                with pytest.raises(asyncio.TimeoutError):
+                    await client.request(wire.EndPeriod(period=3))
+            finally:
+                await _close(client, server)
 
         asyncio.run(body())
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11), reason="asyncio.timeout is 3.11+"
-    )
     def test_deadline_creates_no_task(self):
         created = []
 
         async def body():
             loop = asyncio.get_running_loop()
+            client, server = await _client(_Echo, 5)
 
             def factory(loop, coro, **kwargs):
                 created.append(coro)
@@ -82,10 +105,12 @@ class TestBoundedRead:
 
             loop.set_task_factory(factory)
             before = len(asyncio.all_tasks())
-            reader = _reader(100)
-            for _ in range(100):
-                await wire.read_message(reader, timeout=5)
-            loop.set_task_factory(None)
+            try:
+                for _ in range(100):
+                    await client.request(wire.EndPeriod(period=3))
+            finally:
+                loop.set_task_factory(None)
+                await _close(client, server)
             return before, len(asyncio.all_tasks())
 
         before, after = asyncio.run(body())
@@ -135,35 +160,31 @@ class TestBoundedRead:
         assert registry.value("loadgen.queries_total") == 0
 
 
-class TestIdleGatewayFlush:
-    def test_partial_batch_flushes_after_the_interval(self):
-        """A batch far below ``batch_size`` and then silence: only the
-        idle wait's ``flush_interval`` timeout can record it."""
+class TestGatewayIngest:
+    def test_a_partial_batch_is_recorded_when_its_frame_arrives(self):
+        """Three single responses and then silence: each is in its RSU
+        by the time the gateway answers the next frame."""
         authority = CertificateAuthority(seed=5)
         rsus = {7: RoadsideUnit(7, 64, authority.issue(7))}
 
         async def body():
-            gateway = RsuGateway(
-                rsus, collector_port=1, batch_size=10_000, flush_interval=0.05
-            )
+            gateway = RsuGateway(rsus, collector_port=1)
             await gateway.start(port=0)
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", gateway.port
+                client = await wire.FrameClient.open(
+                    "127.0.0.1", gateway.port, 5.0
                 )
                 for n in range(3):
-                    await wire.write_message(
-                        writer,
+                    client.send(
                         wire.ResponseMsg(
                             rsu_id=7, mac=random_mac(n + 1), bit_index=n
-                        ),
+                        )
                     )
-                for _ in range(200):  # up to 2 s
-                    if rsus[7].counter == 3:
-                        break
-                    await asyncio.sleep(0.01)
-                writer.close()
-                await writer.wait_closed()
+                # Any answered frame behind them: an unknown RSU's nack.
+                await client.request(
+                    wire.ResponseMsg(rsu_id=99, mac=random_mac(9), bit_index=0)
+                )
+                client.close()
                 return rsus[7].counter
             finally:
                 await gateway.stop()
@@ -176,17 +197,16 @@ class TestHeldWireCounters:
         first, second = MetricsRegistry(), MetricsRegistry()
         previous = get_registry()
 
-        async def traffic(frames):
-            reader, writer = _reader(frames), _Writer()
-            for _ in range(frames):
-                await wire.read_message(reader)
-                await wire.write_message(writer, wire.EndPeriod(period=3))
+        def traffic(frames):
+            parser, writer = wire.FrameParser(), _Writer()
+            for message in parser.feed(FRAME * frames):
+                wire.write_frame(writer, message)
 
         try:
             set_registry(first)
-            asyncio.run(traffic(1))
+            traffic(1)
             set_registry(second)
-            asyncio.run(traffic(2))
+            traffic(2)
         finally:
             set_registry(previous)
         size = len(FRAME)
@@ -198,14 +218,14 @@ class TestHeldWireCounters:
         registry = MetricsRegistry()
         previous = get_registry()
 
-        async def one_read():
-            await wire.read_message(_reader())
+        def one_read():
+            list(wire.FrameParser().feed(FRAME))
 
         try:
             set_registry(registry)
-            asyncio.run(one_read())
+            one_read()
             registry.clear()
-            asyncio.run(one_read())
+            one_read()
         finally:
             set_registry(previous)
         assert _wire_counts(registry, "in") == (1, len(FRAME))
@@ -215,7 +235,7 @@ class TestHeldWireCounters:
         previous = get_registry()
         try:
             set_registry(registry)
-            asyncio.run(wire.write_message(_Writer(), wire.EndPeriod(period=3)))
+            wire.write_frame(_Writer(), wire.EndPeriod(period=3))
         finally:
             set_registry(previous)
         names = {(row["name"], row["labels"]["direction"]) for row in registry.snapshot()}
